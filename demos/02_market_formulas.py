@@ -7,7 +7,6 @@ token side (emission value shared across nodes) and a user side (fees).
 """
 
 from depinsim import (
-    RevenueParams,
     TokenAllocation,
     diluted_market_cap,
     global_revenue,
@@ -20,7 +19,7 @@ from depinsim import (
 from depinsim.metrics import efficiency, score_series, stability
 
 alloc = TokenAllocation()
-params = RevenueParams(user_revenue_factor=10.0, node_operating_cost=1000.0)
+k = 10.0  # user_revenue_factor: currency of monthly revenue per user
 
 print("-- user growth --")
 for n in (0, 1, 2, 10, 50, 500):
@@ -30,10 +29,10 @@ print("\n-- launch month --")
 nodes = 50
 users = user_count(nodes)
 emission = node_emission(1, alloc)
-revenue = global_revenue(prev_price=1.0, node_emission_t=emission, prev_nodes=nodes, users=users, params=params)
+revenue = global_revenue(prev_price=1.0, node_emission_t=emission, prev_nodes=nodes, users=users, user_revenue_factor=k)
 print(f"  emission month 1        : {emission:,.0f} tokens")
 print(f"  users from {nodes} nodes     : {users:,.0f}")
-print(f"  global revenue          : {revenue:,.0f}  (token side {emission / nodes:,.0f} + user side {10.0 * users:,.0f})")
+print(f"  global revenue          : {revenue:,.0f}  (token side {emission / nodes:,.0f} + user side {k * users:,.0f})")
 print(f"  per-node profit         : {node_profit(revenue, nodes, 1000.0):,.0f}")
 
 print("\n-- price formation --")

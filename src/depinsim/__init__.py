@@ -47,7 +47,6 @@ from .llm_gateway import (
 )
 from .market import (
     MarketState,
-    RevenueParams,
     diluted_market_cap,
     global_revenue,
     market_cap,

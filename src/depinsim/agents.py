@@ -16,7 +16,7 @@ from typing import List, Optional, Protocol
 
 import numpy as np
 
-from .llm_gateway import AuditLog, CompletionRequest, parse_yes_no
+from .llm_gateway import DEFAULT_MODEL, AuditLog, CompletionRequest, parse_yes_no
 
 
 @dataclass
@@ -170,9 +170,9 @@ class LlmPolicy:
     def __init__(
         self,
         backend,
-        model_name: str = "EleutherAI/gpt-neo-125M",
-        max_tokens: int = 8,
-        temperature: float = 0.0,
+        model_name: str = DEFAULT_MODEL,
+        max_tokens: int = CompletionRequest.max_tokens,
+        temperature: float = CompletionRequest.temperature,
         audit_log: Optional[AuditLog] = None,
     ):
         self.backend = backend

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,15 +20,19 @@ import numpy as np
 
 from . import charts, metrics
 from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, run
-from .llm_gateway import API_KEY_ENV, ENDPOINT_ENV, AuditLog, GatewayError
+from .llm_gateway import AuditLog, GatewayError, LlmSettings
 from .tokenomics import TokenAllocation, circulating_supply, node_emission, team_release, vc_release
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# File-level keys the run config may carry on top of SimulationConfig.
-_FILE_ONLY_KEYS = ("out_dir", "charts", "audit_log")
+# Keys a run-config file may carry on top of SimulationConfig: default, type, description.
+_FILE_KEYS = {
+    "out_dir": ("out", str, "directory for emitted artifacts"),
+    "charts": (True, bool, "emit SVG charts next to the CSVs"),
+    "audit_log": (None, str, "JSON-lines file recording every LLM exchange"),
+}
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -46,16 +51,18 @@ def _write_text(path: Path, text: str) -> None:
 
 def _load_config(args) -> Tuple[SimulationConfig, dict]:
     """Build the simulation config from file plus CLI overrides."""
-    file_opts = {"out_dir": None, "charts": True, "audit_log": None}
     data = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        for key in _FILE_ONLY_KEYS:
-            if key in data:
-                file_opts[key] = data.pop(key)
+    file_opts = {}
+    for key, (default, kind, _doc) in _FILE_KEYS.items():
+        value = data.pop(key, default)
+        if value is not default and not isinstance(value, kind):
+            raise ValueError(f"config key {key} must be {kind.__name__}, got {value!r}")
+        file_opts[key] = value
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
     if getattr(args, "policy", None) is not None:
@@ -69,8 +76,6 @@ def _load_config(args) -> Tuple[SimulationConfig, dict]:
         file_opts["charts"] = args.charts == "on"
     if getattr(args, "audit_log", None) is not None:
         file_opts["audit_log"] = args.audit_log
-    if file_opts["out_dir"] is None:
-        file_opts["out_dir"] = "out"
     return config, file_opts
 
 
@@ -253,57 +258,20 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-# name, default, description -- the generated configuration reference.
-_CONFIG_REFERENCE = [
-    ("horizon_months", 96, "number of simulated months"),
-    ("initial_nodes", 50, "nodes deployed by the core team before month 1"),
-    ("initial_price", 1.0, "token price carried until the first traded month"),
-    ("user_revenue_factor", 10.0, "currency of monthly revenue per user (k)"),
-    ("node_cost", 1000.0, "baseline node operating cost per month"),
-    ("cost_spread", [0.8, 1.2], "uniform per-node cost multiplier range"),
-    ("tolerance_range", [0.3, 0.9], "uniform per-node risk tolerance range"),
-    ("patience", 1, "consecutive exit signals required before a node leaves"),
-    ("entry_pool_size", 10, "candidate nodes evaluated for entry each month"),
-    ("gc_arrival_rate", 1.0, "Poisson mean of growth-capitalist arrivals per month"),
-    ("gc_endowment_mu", 13.0, "log-normal log-mean of GC endowments"),
-    ("gc_endowment_sigma", 1.0, "log-normal sigma of GC endowments"),
-    ("gc_lifespan_mu", 2.5, "log-normal log-mean of GC lifespans (months)"),
-    ("gc_lifespan_sigma", 0.5, "log-normal sigma of GC lifespans"),
-    ("tokens_on_sale_fraction", 0.05, "initial sale pool as a fraction of month-1 supply"),
-    ("policy", "heuristic", "decision policy: heuristic | llm"),
-    ("seed", 42, "root RNG seed; fixes the whole run"),
-    ("parallel_decisions", False, "evaluate agent decisions on a thread pool"),
-    ("stability_window", None, "[first, last] months scored for stability (default: full run)"),
-    ("total_supply", 1_000_000_000.0, "fixed token supply"),
-    ("team_fraction", 0.2, "share of supply vested to the core team"),
-    ("vc_fraction", 0.2, "share of supply vested to VCs"),
-    ("node_fraction", 0.6, "share of supply emitted to node providers"),
-    ("team_schedule", {"kind": "cliff_linear", "cliff_months": 11, "unlock_at_cliff": 0.25, "linear_months": 36},
-     "team vesting rule"),
-    ("vc_schedule", {"kind": "cliff_linear", "cliff_months": 11, "unlock_at_cliff": 0.5, "linear_months": 12},
-     "VC vesting rule"),
-    ("node_schedule", {"kind": "halving_emission", "halving_period_months": 48}, "node emission rule"),
-    ("llm.backend", "scripted", "completion backend: scripted | http"),
-    ("llm.script", None, "inline prompt-pattern -> reply map (scripted)"),
-    ("llm.script_file", None, "JSON file with the scripted reply map"),
-    ("llm.default_reply", "", "scripted reply when no pattern matches"),
-    ("llm.endpoint", None, f"completions endpoint base URL (or ${ENDPOINT_ENV})"),
-    ("llm.api_key", None, f"bearer token (or ${API_KEY_ENV})"),
-    ("llm.model_name", "EleutherAI/gpt-neo-125M", "model identifier sent to the endpoint"),
-    ("llm.max_tokens", 8, "completion length limit"),
-    ("llm.temperature", 0.0, "sampling temperature (0 for determinism)"),
-    ("llm.timeout", 10.0, "HTTP timeout in seconds"),
-    ("llm.retries", 2, "transport retry budget"),
-    ("out_dir", "out", "directory for emitted artifacts"),
-    ("charts", True, "emit SVG charts next to the CSVs"),
-    ("audit_log", None, "JSON-lines file recording every LLM exchange"),
-]
-
-
 def cmd_config_reference(_args) -> int:
+    """Print every config key with its default, read from the config dataclasses."""
+    defaults = SimulationConfig().to_dict()
+    llm_defaults = LlmSettings().to_dict()
+    rows = []
+    for f in fields(SimulationConfig):
+        if f.name == "llm":
+            rows += [(f"llm.{g.name}", llm_defaults[g.name], g.metadata["doc"]) for g in fields(LlmSettings)]
+        else:
+            rows.append((f.name, defaults[f.name], f.metadata["doc"]))
+    rows += [(key, default, doc) for key, (default, _kind, doc) in _FILE_KEYS.items()]
     print("| key | default | description |")
     print("| --- | --- | --- |")
-    for key, default, description in _CONFIG_REFERENCE:
+    for key, default, description in rows:
         print(f"| `{key}` | `{json.dumps(default)}` | {description} |")
     return EXIT_OK
 
@@ -349,10 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vest = sub.add_parser("vesting", help="emit the per-month release schedule table")
     p_vest.add_argument("--horizon", type=int, default=96, help="months to tabulate (default: 96)")
-    p_vest.add_argument("--total-supply", type=float, default=1_000_000_000.0)
-    p_vest.add_argument("--team-fraction", type=float, default=0.20)
-    p_vest.add_argument("--vc-fraction", type=float, default=0.20)
-    p_vest.add_argument("--node-fraction", type=float, default=0.60)
+    alloc = TokenAllocation()
+    p_vest.add_argument("--total-supply", type=float, default=alloc.total_supply)
+    p_vest.add_argument("--team-fraction", type=float, default=alloc.team_fraction)
+    p_vest.add_argument("--vc-fraction", type=float, default=alloc.vc_fraction)
+    p_vest.add_argument("--node-fraction", type=float, default=alloc.node_fraction)
     p_vest.add_argument("--out-dir", default="out")
     p_vest.add_argument("--charts", choices=("on", "off"), default="on")
     p_vest.set_defaults(func=cmd_vesting)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .agents import (
 from .llm_gateway import AuditLog, LlmSettings, build_backend
 from .market import (
     MarketState,
-    RevenueParams,
     diluted_market_cap,
     global_revenue,
     market_cap,
@@ -102,37 +100,77 @@ def _schedule_from_dict(data: dict, default: VestingSchedule) -> VestingSchedule
     )
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON-decoded `value` fits the field annotation `hint`."""
+    if get_origin(hint) is Union:
+        return any(_fits(value, arg) for arg in get_args(hint))
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        return isinstance(value, (list, tuple)) and len(value) == len(args) and all(map(_fits, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_types(cls, data: dict, prefix: str = "") -> None:
+    """Reject, naming the key, any value whose type does not fit its field of `cls`."""
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        if key in hints and not _fits(value, hints[key]):
+            hint = hints[key]
+            expected = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            raise ValueError(f"config key {prefix}{key} must be {expected}, got {value!r}")
+
+
+def _section(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key} must be an object, got {value!r}")
+    return value
+
+
+_SCHEDULE_DEFAULTS = {"team_schedule": TEAM_SCHEDULE, "vc_schedule": VC_SCHEDULE, "node_schedule": NODE_SCHEDULE}
+
+
 @dataclass
 class SimulationConfig:
-    """Everything a run needs; a fixed seed makes the run fully reproducible."""
+    """Everything a run needs; a fixed seed makes the run fully reproducible.
 
-    horizon_months: int = 96
-    initial_nodes: int = 50
-    initial_price: float = 1.0  # currency per token
-    user_revenue_factor: float = 10.0  # k, currency per user per month
-    node_cost: float = 1000.0  # baseline operating cost per node per month
-    cost_spread: Tuple[float, float] = (0.8, 1.2)  # per-node cost multiplier range
-    tolerance_range: Tuple[float, float] = (0.3, 0.9)  # per-node risk tolerance range
-    patience: int = 1  # consecutive exit signals required to leave
-    entry_pool_size: int = 10  # candidate nodes evaluated per month
-    gc_arrival_rate: float = 1.0
-    gc_endowment_mu: float = 13.0
-    gc_endowment_sigma: float = 1.0
-    gc_lifespan_mu: float = 2.5
-    gc_lifespan_sigma: float = 0.5
-    tokens_on_sale_fraction: float = 0.05  # of month-1 circulating supply
-    policy: str = "heuristic"  # "heuristic" | "llm"
-    seed: int = 42
-    parallel_decisions: bool = False
-    stability_window: Optional[Tuple[int, int]] = None
-    total_supply: float = 1_000_000_000.0
-    team_fraction: float = 0.20
-    vc_fraction: float = 0.20
-    node_fraction: float = 0.60
-    team_schedule: VestingSchedule = field(default_factory=lambda: TEAM_SCHEDULE)
-    vc_schedule: VestingSchedule = field(default_factory=lambda: VC_SCHEDULE)
-    node_schedule: VestingSchedule = field(default_factory=lambda: NODE_SCHEDULE)
-    llm: Optional[LlmSettings] = None
+    Each field's `doc` metadata is its line in `depin-sim config-reference`.
+    """
+
+    horizon_months: int = field(default=96, metadata={"doc": "number of simulated months"})
+    initial_nodes: int = field(default=50, metadata={"doc": "nodes deployed by the core team before month 1"})
+    initial_price: float = field(default=1.0, metadata={"doc": "token price carried until the first traded month"})
+    user_revenue_factor: float = field(default=10.0, metadata={"doc": "currency of monthly revenue per user (k)"})
+    node_cost: float = field(default=1000.0, metadata={"doc": "baseline node operating cost per month"})
+    cost_spread: Tuple[float, float] = field(
+        default=(0.8, 1.2), metadata={"doc": "uniform per-node cost multiplier range"})
+    tolerance_range: Tuple[float, float] = field(
+        default=(0.3, 0.9), metadata={"doc": "uniform per-node risk tolerance range"})
+    patience: int = field(default=1, metadata={"doc": "consecutive exit signals required before a node leaves"})
+    entry_pool_size: int = field(default=10, metadata={"doc": "candidate nodes evaluated for entry each month"})
+    gc_arrival_rate: float = field(
+        default=1.0, metadata={"doc": "Poisson mean of growth-capitalist arrivals per month"})
+    gc_endowment_mu: float = field(default=13.0, metadata={"doc": "log-normal log-mean of GC endowments"})
+    gc_endowment_sigma: float = field(default=1.0, metadata={"doc": "log-normal sigma of GC endowments"})
+    gc_lifespan_mu: float = field(default=2.5, metadata={"doc": "log-normal log-mean of GC lifespans (months)"})
+    gc_lifespan_sigma: float = field(default=0.5, metadata={"doc": "log-normal sigma of GC lifespans"})
+    tokens_on_sale_fraction: float = field(
+        default=0.05, metadata={"doc": "initial sale pool as a fraction of month-1 supply"})
+    policy: str = field(default="heuristic", metadata={"doc": "decision policy: heuristic | llm"})
+    seed: int = field(default=42, metadata={"doc": "root RNG seed; fixes the whole run"})
+    stability_window: Optional[Tuple[int, int]] = field(
+        default=None, metadata={"doc": "[first, last] months scored for stability (default: full run)"})
+    total_supply: float = field(default=TokenAllocation.total_supply, metadata={"doc": "fixed token supply"})
+    team_fraction: float = field(
+        default=TokenAllocation.team_fraction, metadata={"doc": "share of supply vested to the core team"})
+    vc_fraction: float = field(default=TokenAllocation.vc_fraction, metadata={"doc": "share of supply vested to VCs"})
+    node_fraction: float = field(
+        default=TokenAllocation.node_fraction, metadata={"doc": "share of supply emitted to node providers"})
+    team_schedule: VestingSchedule = field(default=TEAM_SCHEDULE, metadata={"doc": "team vesting rule"})
+    vc_schedule: VestingSchedule = field(default=VC_SCHEDULE, metadata={"doc": "VC vesting rule"})
+    node_schedule: VestingSchedule = field(default=NODE_SCHEDULE, metadata={"doc": "node emission rule"})
+    llm: Optional[LlmSettings] = None  # documented key by key as llm.* (see LlmSettings)
 
     def validate(self) -> None:
         if self.horizon_months < 1:
@@ -165,8 +203,11 @@ class SimulationConfig:
             raise ValueError(f"policy must be 'heuristic' or 'llm', got {self.policy!r}")
         if self.stability_window is not None:
             first, last = self.stability_window
-            if not 1 <= first <= last:
-                raise ValueError(f"stability_window must satisfy 1 <= first <= last, got {self.stability_window}")
+            if not 1 <= first <= last <= self.horizon_months:
+                raise ValueError(
+                    f"stability_window must satisfy 1 <= first <= last <= horizon_months "
+                    f"({self.horizon_months}), got {self.stability_window}"
+                )
         self.allocation()  # raises on bad fractions
 
     def allocation(self) -> TokenAllocation:
@@ -175,12 +216,6 @@ class SimulationConfig:
             team_fraction=self.team_fraction,
             vc_fraction=self.vc_fraction,
             node_fraction=self.node_fraction,
-        )
-
-    def revenue_params(self) -> RevenueParams:
-        return RevenueParams(
-            user_revenue_factor=self.user_revenue_factor,
-            node_operating_cost=self.node_cost,
         )
 
     def gc_params(self) -> GcParams:
@@ -196,7 +231,7 @@ class SimulationConfig:
         data = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in ("team_schedule", "vc_schedule", "node_schedule"):
+            if f.name in _SCHEDULE_DEFAULTS:
                 data[f.name] = _schedule_to_dict(value)
             elif f.name == "llm":
                 data[f.name] = value.to_dict() if value is not None else None
@@ -208,20 +243,25 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":
+        """Build and validate a config from decoded JSON; any bad input raises ValueError."""
         names = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - names)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(data)
+        for key, default in _SCHEDULE_DEFAULTS.items():
+            if key in kwargs:
+                section = _section(key, kwargs[key])
+                _check_types(VestingSchedule, {k: v for k, v in section.items() if k != "kind"}, f"{key}.")
+                kwargs[key] = _schedule_from_dict(section, default)
+        if kwargs.get("llm") is not None:
+            section = _section("llm", kwargs["llm"])
+            _check_types(LlmSettings, section, "llm.")
+            kwargs["llm"] = LlmSettings.from_dict(section)
+        _check_types(cls, kwargs)
         for key in ("cost_spread", "tolerance_range", "stability_window"):
             if kwargs.get(key) is not None:
                 kwargs[key] = tuple(kwargs[key])
-        defaults = {"team_schedule": TEAM_SCHEDULE, "vc_schedule": VC_SCHEDULE, "node_schedule": NODE_SCHEDULE}
-        for key, default in defaults.items():
-            if key in kwargs and isinstance(kwargs[key], dict):
-                kwargs[key] = _schedule_from_dict(kwargs[key], default)
-        if isinstance(kwargs.get("llm"), dict):
-            kwargs["llm"] = LlmSettings.from_dict(kwargs["llm"])
         config = cls(**kwargs)
         config.validate()
         return config
@@ -317,8 +357,7 @@ class Simulation:
     """Mutable run state: node roster, growth capitalists, last snapshot.
 
     Within a month every decision reads the same frozen start-of-month
-    context, so agent evaluation order (or parallelism) cannot change the
-    outcome.
+    context, so agent evaluation order cannot change the outcome.
     """
 
     def __init__(self, config: SimulationConfig, policy=None, audit_log: Optional[AuditLog] = None):
@@ -326,7 +365,6 @@ class Simulation:
         self.config = config
         self.policy = policy if policy is not None else build_policy(config, audit_log)
         self.alloc = config.allocation()
-        self.revenue_params = config.revenue_params()
         self.gc_params = config.gc_params()
 
         rng = _stream(config.seed, 0, _STREAM_INIT_NODES)
@@ -373,12 +411,6 @@ class Simulation:
         tolerances = rng.uniform(tlo, thi, count)
         return costs, tolerances
 
-    def _decide(self, decide: Callable[[DecisionContext], bool], contexts: Sequence[DecisionContext]) -> List[bool]:
-        if self.config.parallel_decisions and len(contexts) > 1:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                return list(pool.map(decide, contexts))
-        return [decide(ctx) for ctx in contexts]
-
     def step(self, month: int) -> MarketState:
         """Advance one month and commit its record."""
         if month != self.state.month + 1:
@@ -388,19 +420,19 @@ class Simulation:
         substep = "vesting"
         try:
             # 1. Token releases and circulating supply.
+            emission = node_emission(month, self.alloc, cfg.node_schedule)
             released = (
                 team_release(month, self.alloc, cfg.team_schedule)
                 + vc_release(month, self.alloc, cfg.vc_schedule)
-                + node_emission(month, self.alloc, cfg.node_schedule)
+                + emission
             )
             circ = prev.circulating_supply + released
 
             # 2. Users and global revenue from the frozen snapshot.
             substep = "revenue"
             users = user_count(prev.active_nodes)
-            emission = node_emission(month, self.alloc, cfg.node_schedule)
             revenue = global_revenue(
-                prev.token_price, emission, prev.active_nodes, users, self.revenue_params
+                prev.token_price, emission, prev.active_nodes, users, cfg.user_revenue_factor
             )
 
             # 3. Node entries over the candidate pool, then exits with patience.
@@ -411,7 +443,7 @@ class Simulation:
                 DecisionContext(revenue, costs[i], tolerances[i], month)
                 for i in range(cfg.entry_pool_size)
             ]
-            entry_verdicts = self._decide(self.policy.decide_entry, entry_ctxs)
+            entry_verdicts = [self.policy.decide_entry(ctx) for ctx in entry_ctxs]
             entrants = []
             for i, enters in enumerate(entry_verdicts):
                 if enters:
@@ -428,7 +460,7 @@ class Simulation:
             # This month's entrants face exit conditions from next month on.
             incumbents = [n for n in self.nodes if n.joined_month < month]
             exit_ctxs = [DecisionContext(revenue, n.cost, n.tolerance, month) for n in incumbents]
-            exit_signals = self._decide(self.policy.decide_exit, exit_ctxs)
+            exit_signals = [self.policy.decide_exit(ctx) for ctx in exit_ctxs]
             exits = 0
             for node, signal in zip(incumbents, exit_signals):
                 if apply_patience(node, signal):

@@ -14,7 +14,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
@@ -200,32 +200,29 @@ class AuditLog:
 class LlmSettings:
     """Backend configuration as read from the run-config file."""
 
-    backend: str = "scripted"  # "scripted" | "http"
-    script: Optional[dict] = None  # inline prompt-pattern -> reply map
-    script_file: Optional[str] = None
-    default_reply: str = ""
-    endpoint: Optional[str] = None
-    api_key: Optional[str] = None
-    model_name: str = DEFAULT_MODEL
-    max_tokens: int = 8
-    temperature: float = 0.0
-    timeout: float = 10.0
-    retries: int = 2
-
-    _FIELDS = (
-        "backend", "script", "script_file", "default_reply", "endpoint",
-        "api_key", "model_name", "max_tokens", "temperature", "timeout", "retries",
-    )
+    backend: str = field(default="scripted", metadata={"doc": "completion backend: scripted | http"})
+    script: Optional[dict] = field(default=None, metadata={"doc": "inline prompt-pattern -> reply map (scripted)"})
+    script_file: Optional[str] = field(default=None, metadata={"doc": "JSON file with the scripted reply map"})
+    default_reply: str = field(default="", metadata={"doc": "scripted reply when no pattern matches"})
+    endpoint: Optional[str] = field(
+        default=None, metadata={"doc": f"completions endpoint base URL (or ${ENDPOINT_ENV})"})
+    api_key: Optional[str] = field(default=None, metadata={"doc": f"bearer token (or ${API_KEY_ENV})"})
+    model_name: str = field(default=DEFAULT_MODEL, metadata={"doc": "model identifier sent to the endpoint"})
+    max_tokens: int = field(default=CompletionRequest.max_tokens, metadata={"doc": "completion length limit"})
+    temperature: float = field(
+        default=CompletionRequest.temperature, metadata={"doc": "sampling temperature (0 for determinism)"})
+    timeout: float = field(default=10.0, metadata={"doc": "HTTP timeout in seconds"})
+    retries: int = field(default=2, metadata={"doc": "transport retry budget"})
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LlmSettings":
-        unknown = sorted(set(data) - set(cls._FIELDS))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown llm config keys: {', '.join(unknown)}")
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_backend(settings: LlmSettings):

@@ -26,18 +26,6 @@ class MarketState:
     diluted_market_cap: float
 
 
-@dataclass(frozen=True)
-class RevenueParams:
-    user_revenue_factor: float = 10.0  # currency per user per month
-    node_operating_cost: float = 1000.0  # baseline cost per node per month
-
-    def __post_init__(self):
-        if self.user_revenue_factor < 0:
-            raise ValueError(f"user_revenue_factor must be >= 0, got {self.user_revenue_factor}")
-        if self.node_operating_cost <= 0:
-            raise ValueError(f"node_operating_cost must be positive, got {self.node_operating_cost}")
-
-
 def user_count(n: int) -> float:
     """Users served by a network of `n` nodes: 100 * sqrt(n*(n-1)/2)."""
     m = int(n)
@@ -52,19 +40,20 @@ def global_revenue(
     node_emission_t: float,
     prev_nodes: int,
     users: float,
-    params: RevenueParams,
+    user_revenue_factor: float,
 ) -> float:
     """Network-wide monthly revenue: emission value per node plus user fees.
 
     The token-side term is the previous month's price times this month's
     node emission, spread over the previous month's node count.  With zero
     nodes there is nobody to share the emission, so only the user term
-    remains and a collapsed network can still re-seed.
+    remains and a collapsed network can still re-seed.  The user term is
+    `user_revenue_factor` (currency per user per month) times `users`.
     """
-    if prev_price < 0 or node_emission_t < 0 or prev_nodes < 0 or users < 0:
+    if prev_price < 0 or node_emission_t < 0 or prev_nodes < 0 or users < 0 or user_revenue_factor < 0:
         raise ValueError("global_revenue inputs must be non-negative")
     token_term = prev_price * node_emission_t / prev_nodes if prev_nodes > 0 else 0.0
-    return token_term + params.user_revenue_factor * users
+    return token_term + user_revenue_factor * users
 
 
 def node_profit(revenue: float, n: int, cost: float) -> float:

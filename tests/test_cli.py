@@ -2,10 +2,13 @@
 
 import csv
 import json
+import re
 
 import pytest
 
 from depinsim.cli import _read_trajectory_csv, _trajectory_charts, main
+from depinsim.engine import SimulationConfig
+from depinsim.llm_gateway import LlmSettings
 from depinsim.metrics import stability
 
 
@@ -45,6 +48,23 @@ class TestRun:
         config = write_config(tmp_path, horizon_month=12)
         assert main(["run", "--config", config]) == 2
         assert "horizon_month" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("horizon_months", "3"),
+            ("cost_spread", 1.0),
+            ("llm", "scripted"),
+            ("team_schedule", [1, 2]),
+            ("out_dir", 5),
+            ("parallel_decisions", True),  # removed key: decisions always run in order
+        ],
+    )
+    def test_rejected_config_value_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, **{key: value})
+        assert main(["run", "--config", config]) == 2
+        assert key in capsys.readouterr().err
 
     def test_llm_policy_without_backend_exits_2(self, tmp_path):
         assert main(["run", "--policy", "llm", "--out-dir", str(tmp_path / "o")]) == 2
@@ -214,9 +234,18 @@ class TestConfigReference:
     def test_lists_every_simulation_key(self, capsys):
         assert main(["config-reference"]) == 0
         text = capsys.readouterr().out
-        from depinsim.engine import SimulationConfig
         from dataclasses import fields
         for f in fields(SimulationConfig):
             assert f"`{f.name}`" in text or f"`{f.name}." in text, f.name
         for key in ("out_dir", "charts", "audit_log", "llm.endpoint"):
             assert f"`{key}`" in text
+
+    def test_defaults_match_the_dataclasses(self, capsys):
+        assert main(["config-reference"]) == 0
+        rows = re.findall(r"^\| `([^`]+)` \| `(.*?)` \|", capsys.readouterr().out, re.MULTILINE)
+        expected = SimulationConfig().to_dict()
+        del expected["llm"]
+        expected.update({f"llm.{key}": value for key, value in LlmSettings().to_dict().items()})
+        expected.update(out_dir="out", charts=True, audit_log=None)
+        assert [key for key, _ in rows] == list(expected)
+        assert {key: json.loads(default) for key, default in rows} == expected

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from depinsim.market import (
-    RevenueParams,
     diluted_market_cap,
     global_revenue,
     market_cap,
@@ -13,7 +12,7 @@ from depinsim.market import (
     user_count,
 )
 
-PARAMS = RevenueParams(user_revenue_factor=10.0, node_operating_cost=1000.0)
+K = 10.0  # user_revenue_factor, currency per user per month
 
 
 class TestUserCount:
@@ -40,22 +39,25 @@ class TestUserCount:
 
 class TestGlobalRevenue:
     def test_vanishes_without_price_or_users(self):
-        assert global_revenue(0.0, 6_250_000.0, 50, 0.0, PARAMS) == 0.0
+        assert global_revenue(0.0, 6_250_000.0, 50, 0.0, K) == 0.0
 
     def test_token_term_alone(self):
-        params = RevenueParams(user_revenue_factor=0.0, node_operating_cost=1000.0)
-        assert global_revenue(1.0, 6_250_000.0, 50, 0.0, params) == 125_000.0
+        assert global_revenue(1.0, 6_250_000.0, 50, 0.0, 0.0) == 125_000.0
 
     def test_both_terms(self):
-        assert global_revenue(1.0, 6_250_000.0, 50, 3500.0, PARAMS) == 160_000.0
+        assert global_revenue(1.0, 6_250_000.0, 50, 3500.0, K) == 160_000.0
 
     def test_zero_nodes_degenerates_to_user_term(self):
         # Nobody shared the emission, so only user revenue remains.
-        assert global_revenue(2.0, 6_250_000.0, 0, 3500.0, PARAMS) == 35_000.0
+        assert global_revenue(2.0, 6_250_000.0, 0, 3500.0, K) == 35_000.0
 
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
-            global_revenue(-1.0, 1.0, 1, 1.0, PARAMS)
+            global_revenue(-1.0, 1.0, 1, 1.0, K)
+
+    def test_negative_user_revenue_factor_rejected(self):
+        with pytest.raises(ValueError):
+            global_revenue(1.0, 1.0, 1, 1.0, -1.0)
 
     @given(
         price=st.floats(min_value=0, max_value=1e6),
@@ -64,17 +66,16 @@ class TestGlobalRevenue:
         users=st.floats(min_value=0, max_value=1e7),
     )
     def test_additive_decomposition(self, price, emission, nodes, users):
-        zero_k = RevenueParams(user_revenue_factor=0.0, node_operating_cost=1.0)
-        token_term = global_revenue(price, emission, nodes, 0.0, zero_k)
-        user_term = global_revenue(0.0, 0.0, nodes, users, PARAMS)
-        combined = global_revenue(price, emission, nodes, users, PARAMS)
+        token_term = global_revenue(price, emission, nodes, 0.0, 0.0)
+        user_term = global_revenue(0.0, 0.0, nodes, users, K)
+        combined = global_revenue(price, emission, nodes, users, K)
         assert combined == pytest.approx(token_term + user_term, rel=1e-12, abs=1e-9)
 
     def test_strictly_increasing_in_each_operand(self):
-        base = global_revenue(1.0, 6_250_000.0, 50, 3500.0, PARAMS)
-        assert global_revenue(1.5, 6_250_000.0, 50, 3500.0, PARAMS) > base
-        assert global_revenue(1.0, 7_000_000.0, 50, 3500.0, PARAMS) > base
-        assert global_revenue(1.0, 6_250_000.0, 50, 4000.0, PARAMS) > base
+        base = global_revenue(1.0, 6_250_000.0, 50, 3500.0, K)
+        assert global_revenue(1.5, 6_250_000.0, 50, 3500.0, K) > base
+        assert global_revenue(1.0, 7_000_000.0, 50, 3500.0, K) > base
+        assert global_revenue(1.0, 6_250_000.0, 50, 4000.0, K) > base
 
 
 class TestNodeProfit:
@@ -140,12 +141,3 @@ class TestMarketCaps:
         total = 1e9
         assert market_cap(price, circulating) <= diluted_market_cap(price, total)
 
-
-class TestRevenueParams:
-    def test_negative_factor_rejected(self):
-        with pytest.raises(ValueError):
-            RevenueParams(user_revenue_factor=-1.0)
-
-    def test_zero_cost_rejected(self):
-        with pytest.raises(ValueError):
-            RevenueParams(node_operating_cost=0.0)
