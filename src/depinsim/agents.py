@@ -21,7 +21,11 @@ from .llm_gateway import DEFAULT_MODEL, AuditLog, CompletionRequest, parse_yes_n
 
 @dataclass
 class NodeProvider:
-    """One node operator; exits only after `patience` consecutive signals."""
+    """One node operator; exits only after `patience` consecutive signals.
+
+    The engine keeps its roster as arrays; this record carries one node's
+    signal run through `apply_patience` on the per-decision route.
+    """
 
     id: int
     cost: float  # currency per month
@@ -29,7 +33,6 @@ class NodeProvider:
     patience: int = 1
     consecutive_exit_signals: int = 0
     active: bool = True
-    joined_month: int = 0
 
     def __post_init__(self):
         if self.cost <= 0:
@@ -73,13 +76,26 @@ class DecisionContext:
 
 
 class DecisionPolicy(Protocol):
+    """What the engine asks of a node policy.
+
+    The engine evaluates `HeuristicPolicy` itself (exactly, not a subclass)
+    over the whole roster as arrays, with `heuristic_entry`/`heuristic_exit`
+    reading array-valued contexts.  Any other policy is called once per
+    decision: `decide_entry` for each candidate of the month's pool, then
+    `decide_exit` for each incumbent in roster order.
+    """
+
     def decide_entry(self, ctx: DecisionContext) -> bool: ...
 
     def decide_exit(self, ctx: DecisionContext) -> bool: ...
 
 
 def heuristic_entry(ctx: DecisionContext) -> bool:
-    """Enter iff global revenue strictly exceeds the node's cost."""
+    """Enter iff global revenue strictly exceeds the node's cost.
+
+    Like `heuristic_exit`, it broadcasts: given array costs and tolerances
+    it returns one verdict per node.
+    """
     return ctx.global_revenue > ctx.node_cost
 
 

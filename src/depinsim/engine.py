@@ -26,6 +26,8 @@ from .agents import (
     LlmPolicy,
     NodeProvider,
     apply_patience,
+    heuristic_entry,
+    heuristic_exit,
     spawn_growth_capitalists,
     total_endowment,
 )
@@ -356,8 +358,12 @@ def build_policy(config: SimulationConfig, audit_log: Optional[AuditLog] = None)
 class Simulation:
     """Mutable run state: node roster, growth capitalists, last snapshot.
 
-    Within a month every decision reads the same frozen start-of-month
+    The roster is three parallel arrays in roster order: each active node's
+    `cost`, `tolerance` and `streak` of consecutive exit signals.  Within a
+    month every decision reads the same frozen start-of-month
     context, so agent evaluation order cannot change the outcome.
+    `HeuristicPolicy` is evaluated over the whole roster as arrays; any
+    other policy is called once per decision, in roster order.
     """
 
     def __init__(self, config: SimulationConfig, policy=None, audit_log: Optional[AuditLog] = None):
@@ -368,19 +374,9 @@ class Simulation:
         self.gc_params = config.gc_params()
 
         rng = _stream(config.seed, 0, _STREAM_INIT_NODES)
-        costs, tolerances = self._draw_node_params(rng, config.initial_nodes)
-        self.nodes: List[NodeProvider] = [
-            NodeProvider(
-                id=i,
-                cost=costs[i],
-                tolerance=tolerances[i],
-                patience=config.patience,
-                joined_month=0,
-            )
-            for i in range(config.initial_nodes)
-        ]
+        self.cost, self.tolerance = self._draw_node_params(rng, config.initial_nodes)
+        self.streak = np.zeros(config.initial_nodes, dtype=np.int64)
         self.gcs: List[GrowthCapitalist] = []
-        self._next_node_id = config.initial_nodes
         self._next_gc_id = 0
         self._fallbacks_seen = 0
 
@@ -411,6 +407,36 @@ class Simulation:
         tolerances = rng.uniform(tlo, thi, count)
         return costs, tolerances
 
+    def _decide_roster(self, revenue, costs, tolerances, month):
+        """The heuristic over the whole candidate pool and roster in one pass;
+        returns the entry and leave masks."""
+        enters = heuristic_entry(DecisionContext(revenue, costs, tolerances, month))
+        if not len(self.cost):
+            return enters, np.zeros(0, dtype=bool)
+        signals = heuristic_exit(DecisionContext(revenue, self.cost, self.tolerance, month))
+        self.streak = (self.streak + 1) * signals
+        return enters, self.streak >= self.config.patience
+
+    def _decide_each(self, revenue, costs, tolerances, month):
+        """Any other policy, called once per candidate, then once per node in
+        roster order; `apply_patience` turns each exit signal into a verdict."""
+        policy = self.policy
+        enters = [
+            bool(policy.decide_entry(DecisionContext(revenue, cost, tolerance, month)))
+            for cost, tolerance in zip(costs.tolist(), tolerances.tolist())
+        ]
+        # One record carries each node's signal run through apply_patience.
+        node = NodeProvider(id=0, cost=1.0, tolerance=1.0, patience=self.config.patience)
+        streak = self.streak.tolist()
+        leaves = []
+        for i, (cost, tolerance) in enumerate(zip(self.cost.tolist(), self.tolerance.tolist())):
+            signal = policy.decide_exit(DecisionContext(revenue, cost, tolerance, month))
+            node.consecutive_exit_signals = streak[i]
+            leaves.append(apply_patience(node, signal))
+            streak[i] = node.consecutive_exit_signals
+        self.streak = np.array(streak, dtype=np.int64)
+        return np.array(enters, dtype=bool), np.array(leaves, dtype=bool)
+
     def step(self, month: int) -> MarketState:
         """Advance one month and commit its record."""
         if month != self.state.month + 1:
@@ -435,39 +461,26 @@ class Simulation:
                 prev.token_price, emission, prev.active_nodes, users, cfg.user_revenue_factor
             )
 
-            # 3. Node entries over the candidate pool, then exits with patience.
+            # 3. Node entries over the candidate pool, then exits with
+            # patience; this month's entrants face exit conditions from
+            # next month on.
             substep = "node-decisions"
             rng = _stream(cfg.seed, month, _STREAM_CANDIDATES)
             costs, tolerances = self._draw_node_params(rng, cfg.entry_pool_size)
-            entry_ctxs = [
-                DecisionContext(revenue, costs[i], tolerances[i], month)
-                for i in range(cfg.entry_pool_size)
-            ]
-            entry_verdicts = [self.policy.decide_entry(ctx) for ctx in entry_ctxs]
-            entrants = []
-            for i, enters in enumerate(entry_verdicts):
-                if enters:
-                    entrants.append(
-                        NodeProvider(
-                            id=self._next_node_id,
-                            cost=costs[i],
-                            tolerance=tolerances[i],
-                            patience=cfg.patience,
-                            joined_month=month,
-                        )
-                    )
-                    self._next_node_id += 1
-            # This month's entrants face exit conditions from next month on.
-            incumbents = [n for n in self.nodes if n.joined_month < month]
-            exit_ctxs = [DecisionContext(revenue, n.cost, n.tolerance, month) for n in incumbents]
-            exit_signals = [self.policy.decide_exit(ctx) for ctx in exit_ctxs]
-            exits = 0
-            for node, signal in zip(incumbents, exit_signals):
-                if apply_patience(node, signal):
-                    node.active = False
-                    exits += 1
-            self.nodes = [n for n in self.nodes if n.active] + entrants
-            n_now = len(self.nodes)
+            if type(self.policy) is HeuristicPolicy:
+                enters, leaves = self._decide_roster(revenue, costs, tolerances, month)
+            else:
+                enters, leaves = self._decide_each(revenue, costs, tolerances, month)
+            exits = int(np.count_nonzero(leaves))
+            entries = int(np.count_nonzero(enters))
+            if exits:
+                stay = ~leaves
+                self.cost, self.tolerance, self.streak = self.cost[stay], self.tolerance[stay], self.streak[stay]
+            if entries:
+                self.cost = np.concatenate((self.cost, costs[enters]))
+                self.tolerance = np.concatenate((self.tolerance, tolerances[enters]))
+                self.streak = np.concatenate((self.streak, np.zeros(entries, dtype=np.int64)))
+            n_now = len(self.cost)
 
             # 4. Growth-capital arrivals, then expiries feed tokens on sale.
             substep = "growth-capital"
@@ -475,10 +488,12 @@ class Simulation:
             arrivals = spawn_growth_capitalists(month, self.gc_params, rng_gc, self._next_gc_id)
             self._next_gc_id += len(arrivals)
             self.gcs.extend(arrivals)
-            expired = [gc for gc in self.gcs if not gc.is_active(month)]
+            active, expired = [], []
+            for gc in self.gcs:
+                (active if gc.is_active(month) else expired).append(gc)
             sale = prev.tokens_on_sale + sum(gc.tokens_held for gc in expired)
-            self.gcs = [gc for gc in self.gcs if gc.is_active(month)]
-            endowment = total_endowment(self.gcs, month)
+            self.gcs = active
+            endowment = total_endowment(active, month)
 
             # 5. Price; a month with no buyers or no sellers has no trade,
             # so the last price stands.
@@ -507,7 +522,7 @@ class Simulation:
             fallbacks_total = getattr(self.policy, "fallback_count", 0)
             events = MonthEvents(
                 month=month,
-                entries=len(entrants),
+                entries=entries,
                 exits=exits,
                 gc_arrivals=len(arrivals),
                 gc_expiries=len(expired),

@@ -104,9 +104,11 @@ class ScriptedBackend:
 class HttpBackend:
     """OpenAI-compatible completions client with a bounded retry budget.
 
-    Transport failures are retried with exponential backoff and surface as
-    BackendUnavailableError once the budget is spent; non-2xx answers raise
-    ProtocolError immediately.
+    Transport failures, 429 and 5xx answers are retried with exponential
+    backoff, or after the answer's delta-seconds Retry-After (capped at the
+    timeout).  Once the budget is spent a transport failure surfaces as
+    BackendUnavailableError and a 429/5xx as ProtocolError; any other
+    non-2xx answer raises ProtocolError immediately.
     """
 
     name = "http"
@@ -148,6 +150,9 @@ class HttpBackend:
                 if attempt < self.retries:
                     time.sleep(self.backoff * 2**attempt)
                 continue
+            if (resp.status_code == 429 or resp.status_code >= 500) and attempt < self.retries:
+                time.sleep(self._retry_delay(resp, attempt))
+                continue
             if not 200 <= resp.status_code < 300:
                 raise ProtocolError(resp.status_code, resp.text[:200])
             try:
@@ -158,6 +163,13 @@ class HttpBackend:
         raise BackendUnavailableError(
             f"{self.url} unreachable after {self.retries + 1} attempts: {last_error}"
         )
+
+    def _retry_delay(self, resp, attempt: int) -> float:
+        """Seconds to wait before retrying a 429/5xx answer (RFC 9110 §10.2.3)."""
+        retry_after = resp.headers.get("Retry-After", "").strip()
+        if retry_after.isascii() and retry_after.isdigit():
+            return min(float(retry_after), self.timeout)
+        return self.backoff * 2**attempt
 
 
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
@@ -212,7 +224,7 @@ class LlmSettings:
     temperature: float = field(
         default=CompletionRequest.temperature, metadata={"doc": "sampling temperature (0 for determinism)"})
     timeout: float = field(default=10.0, metadata={"doc": "HTTP timeout in seconds"})
-    retries: int = field(default=2, metadata={"doc": "transport retry budget"})
+    retries: int = field(default=2, metadata={"doc": "retries after a transport failure, 429 or 5xx"})
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LlmSettings":

@@ -3,8 +3,16 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from depinsim.agents import GrowthCapitalist, LlmPolicy, heuristic_prompt_reply
+from depinsim.agents import (
+    GrowthCapitalist,
+    HeuristicPolicy,
+    LlmPolicy,
+    heuristic_entry,
+    heuristic_exit,
+    heuristic_prompt_reply,
+)
 from depinsim.engine import Simulation, SimulationConfig, SimulationError, run
 from depinsim.llm_gateway import LlmSettings, ScriptedBackend
 from depinsim.tokenomics import TokenAllocation, circulating_supply
@@ -236,6 +244,80 @@ class TestPolicyBridge:
         # the fallback counter column differs.
         heuristic = run(SimulationConfig(horizon_months=12))
         assert trajectory.states == heuristic.states
+
+
+# Demo 04's stressed regime, and a costlier variant where nodes see exit
+# signals within 24 months.
+STRESSED = {"user_revenue_factor": 0.0, "node_cost": 5000.0, "gc_arrival_rate": 0.5}
+CHURN = {**STRESSED, "node_cost": 250_000.0}
+
+
+class Forwarding:
+    """Not a HeuristicPolicy, so the engine calls it once per decision."""
+
+    def decide_entry(self, ctx):
+        return heuristic_entry(ctx)
+
+    def decide_exit(self, ctx):
+        return heuristic_exit(ctx)
+
+
+class TestDecisionRoutes:
+    """HeuristicPolicy runs over the roster as arrays; every other policy
+    is called once per decision.  Both routes must give the same bytes."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        patience=st.integers(1, 5),
+        regime=st.sampled_from([{}, STRESSED, CHURN]),
+        entry_pool_size=st.integers(0, 20),
+        initial_nodes=st.integers(0, 50),
+        horizon_months=st.integers(1, 24),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_array_route_equals_per_decision_route(self, regime, **kwargs):
+        config = SimulationConfig(**kwargs, **regime)
+        assert run(config).to_csv_string() == run(config, policy=Forwarding()).to_csv_string()
+
+    def test_churn_regime_has_exits(self):
+        # The differential test above means something only if a regime
+        # reaches the patience and compaction code.
+        events = run(SimulationConfig(horizon_months=24, patience=2, **CHURN)).events
+        assert sum(e.exits for e in events) > 0
+        assert sum(e.entries for e in events) > 0
+
+    def test_overriding_subclass_is_honoured(self):
+        class NeverExit(HeuristicPolicy):
+            def decide_exit(self, ctx):
+                return False
+
+        config = SimulationConfig(horizon_months=24, **CHURN)
+        assert sum(e.exits for e in run(config).events) > 0
+        assert sum(e.exits for e in run(config, policy=NeverExit()).events) == 0
+
+    def test_per_decision_calls_in_roster_order(self):
+        class Counting(Forwarding):
+            def __init__(self):
+                self.calls = []
+
+            def decide_entry(self, ctx):
+                self.calls.append(("entry", ctx.node_cost, ctx.tolerance))
+                return super().decide_entry(ctx)
+
+            def decide_exit(self, ctx):
+                self.calls.append(("exit", ctx.node_cost, ctx.tolerance))
+                return super().decide_exit(ctx)
+
+        config = SimulationConfig(horizon_months=24, entry_pool_size=3, patience=2, **CHURN)
+        policy = Counting()
+        sim = Simulation(config, policy=policy)
+        for month in range(1, config.horizon_months + 1):
+            roster = [("exit", c, t) for c, t in zip(sim.cost.tolist(), sim.tolerance.tolist())]
+            policy.calls.clear()
+            sim.step(month)
+            kinds = [call[0] for call in policy.calls]
+            assert kinds == ["entry"] * config.entry_pool_size + ["exit"] * len(roster)
+            assert policy.calls[config.entry_pool_size:] == roster
 
 
 class TestStepErrors:

@@ -90,12 +90,15 @@ class _StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         self.server.requests.append({"path": self.path, "body": body, "headers": dict(self.headers)})
-        self.send_response(self.server.status)
+        status = self.server.statuses.pop(0) if self.server.statuses else self.server.status
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        if status != 200 and self.server.retry_after is not None:
+            self.send_header("Retry-After", self.server.retry_after)
         self.end_headers()
         if self.server.raw_payload is not None:
             self.wfile.write(self.server.raw_payload)
-        elif self.server.status == 200:
+        elif status == 200:
             self.wfile.write(json.dumps({"choices": [{"text": self.server.reply}]}).encode())
         else:
             self.wfile.write(b'{"error": "boom"}')
@@ -109,6 +112,8 @@ def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     server.requests = []
     server.status = 200
+    server.statuses = []  # served first, one per request, before `status`
+    server.retry_after = None
     server.reply = "No."
     server.raw_payload = None
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -137,12 +142,37 @@ class TestHttpBackend:
         assert sent["headers"]["Authorization"] == "Bearer sk-test"
 
     def test_non_2xx_raises_protocol_error(self, stub_server):
-        stub_server.status = 500
+        stub_server.status = 400
         backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0)
         with pytest.raises(ProtocolError) as err:
             backend.complete(CompletionRequest(prompt="hello"))
-        assert err.value.status == 500
-        assert len(stub_server.requests) == 1  # bad answers are not retried
+        assert err.value.status == 400
+        assert len(stub_server.requests) == 1  # client errors are not retried
+
+    @pytest.mark.parametrize("status", [429, 500, 503])
+    def test_transient_status_is_retried(self, stub_server, status):
+        stub_server.statuses = [status]
+        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, backoff=0.01)
+        assert backend.complete(CompletionRequest(prompt="hello")).text == "No."
+        assert len(stub_server.requests) == 2
+
+    def test_exhausted_budget_raises_protocol_error(self, stub_server):
+        stub_server.status = 503
+        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, retries=2, backoff=0.01)
+        with pytest.raises(ProtocolError) as err:
+            backend.complete(CompletionRequest(prompt="hello"))
+        assert err.value.status == 503
+        assert len(stub_server.requests) == 3
+
+    @pytest.mark.parametrize("header,delay", [("2", 2.0), ("120", 5.0), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.01)])
+    def test_retry_after_is_honoured_up_to_the_timeout(self, stub_server, monkeypatch, header, delay):
+        sleeps = []
+        monkeypatch.setattr("depinsim.llm_gateway.time.sleep", sleeps.append)
+        stub_server.statuses = [503]
+        stub_server.retry_after = header
+        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, backoff=0.01)
+        assert backend.complete(CompletionRequest(prompt="hello")).text == "No."
+        assert sleeps == [delay]  # an HTTP-date falls back to the backoff
 
     def test_unreachable_endpoint_exhausts_retries(self):
         backend = HttpBackend("http://127.0.0.1:1", timeout=0.2, retries=2, backoff=0.01)
