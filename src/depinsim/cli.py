@@ -12,27 +12,30 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
 from . import charts, metrics
-from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, run
-from .llm_gateway import AuditLog, GatewayError, LlmSettings
+from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, decode, encode, run
+from .llm_gateway import AuditLog, GatewayError
 from .tokenomics import TokenAllocation, circulating_supply, node_emission, team_release, vc_release
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# Keys a run-config file may carry on top of SimulationConfig: default, type, description.
-_FILE_KEYS = {
-    "out_dir": ("out", str, "directory for emitted artifacts"),
-    "charts": (True, bool, "emit SVG charts next to the CSVs"),
-    "audit_log": (None, str, "JSON-lines file recording every LLM exchange"),
-}
+
+@dataclass
+class FileOptions:
+    """Keys a run-config file may carry on top of SimulationConfig."""
+
+    out_dir: str = field(default="out", metadata={"doc": "directory for emitted artifacts"})
+    charts: bool = field(default=True, metadata={"doc": "emit SVG charts next to the CSVs"})
+    audit_log: Optional[str] = field(
+        default=None, metadata={"doc": "JSON-lines file recording every LLM exchange"})
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -49,7 +52,7 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _load_config(args) -> Tuple[SimulationConfig, dict]:
+def _load_config(args) -> Tuple[SimulationConfig, FileOptions]:
     """Build the simulation config from file plus CLI overrides."""
     data = {}
     if args.config is not None:
@@ -57,26 +60,17 @@ def _load_config(args) -> Tuple[SimulationConfig, dict]:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-    file_opts = {}
-    for key, (default, kind, _doc) in _FILE_KEYS.items():
-        value = data.pop(key, default)
-        if value is not default and not isinstance(value, kind):
-            raise ValueError(f"config key {key} must be {kind.__name__}, got {value!r}")
-        file_opts[key] = value
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    if getattr(args, "policy", None) is not None:
-        data["policy"] = args.policy
-    if getattr(args, "patience", None) is not None:
-        data["patience"] = args.patience
+    opts = decode(FileOptions(), {f.name: data.pop(f.name) for f in fields(FileOptions) if f.name in data})
+    for key in ("seed", "policy", "patience"):
+        if getattr(args, key, None) is not None:
+            data[key] = getattr(args, key)
     config = SimulationConfig.from_dict(data)
-    if getattr(args, "out_dir", None) is not None:
-        file_opts["out_dir"] = args.out_dir
-    if getattr(args, "charts", None) is not None:
-        file_opts["charts"] = args.charts == "on"
-    if getattr(args, "audit_log", None) is not None:
-        file_opts["audit_log"] = args.audit_log
-    return config, file_opts
+    for key in ("out_dir", "audit_log"):
+        if getattr(args, key, None) is not None:
+            setattr(opts, key, getattr(args, key))
+    if args.charts is not None:
+        opts.charts = args.charts == "on"
+    return config, opts
 
 
 def _read_trajectory_csv(path: Path) -> dict:
@@ -109,14 +103,14 @@ def _trajectory_charts(columns: dict) -> dict:
 
 def cmd_run(args) -> int:
     config, opts = _load_config(args)
-    audit = AuditLog(opts["audit_log"]) if opts["audit_log"] else None
+    audit = AuditLog(opts.audit_log) if opts.audit_log else None
     trajectory = run(config, audit_log=audit)
 
-    out_dir = Path(opts["out_dir"])
+    out_dir = Path(opts.out_dir)
     csv_path = out_dir / "trajectory.csv"
     _write_text(csv_path, trajectory.to_csv_string())
     _write_text(out_dir / "metrics.json", json.dumps(trajectory.metrics.to_dict(), indent=2) + "\n")
-    if opts["charts"]:
+    if opts.charts:
         columns = _read_trajectory_csv(csv_path)  # charts are views of the CSV
         for name, svg in _trajectory_charts(columns).items():
             _write_text(out_dir / name, svg)
@@ -153,9 +147,7 @@ def cmd_compare(args) -> int:
     for policy, patience in cells:
         cell_metrics = []
         for seed in seeds:
-            cell_config = SimulationConfig.from_dict(
-                config.to_dict() | {"policy": policy, "patience": patience, "seed": seed}
-            )
+            cell_config = replace(config, policy=policy, patience=patience, seed=seed)
             try:
                 cell_metrics.append(run(cell_config).metrics)
             except (SimulationError, GatewayError) as err:
@@ -180,14 +172,14 @@ def cmd_compare(args) -> int:
         print("all comparison cells failed", file=sys.stderr)
         return EXIT_RUNTIME
 
-    out_dir = Path(opts["out_dir"])
+    out_dir = Path(opts.out_dir)
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in header))
     _write_text(out_dir / "compare.csv", "\n".join(lines) + "\n")
 
-    if opts["charts"]:
+    if opts.charts:
         labels = [_cell_label(r["policy"], r["patience"]) for r in rows]
         panels = [
             {"title": "Efficiency", "groups": labels,
@@ -258,20 +250,24 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _reference_rows(obj, prefix: str = "") -> List[tuple]:
+    """(key, default, doc) for each field of config dataclass `obj`; a field
+    without a `doc` is an optional section, listed key by key."""
+    rows = []
+    for f in fields(obj):
+        if "doc" in f.metadata:
+            rows.append((prefix + f.name, encode(getattr(obj, f.name)), f.metadata["doc"]))
+        else:
+            section = get_args(get_type_hints(type(obj))[f.name])[0]  # Optional[section]
+            rows += _reference_rows(section(), f"{prefix}{f.name}.")
+    return rows
+
+
 def cmd_config_reference(_args) -> int:
     """Print every config key with its default, read from the config dataclasses."""
-    defaults = SimulationConfig().to_dict()
-    llm_defaults = LlmSettings().to_dict()
-    rows = []
-    for f in fields(SimulationConfig):
-        if f.name == "llm":
-            rows += [(f"llm.{g.name}", llm_defaults[g.name], g.metadata["doc"]) for g in fields(LlmSettings)]
-        else:
-            rows.append((f.name, defaults[f.name], f.metadata["doc"]))
-    rows += [(key, default, doc) for key, (default, _kind, doc) in _FILE_KEYS.items()]
     print("| key | default | description |")
     print("| --- | --- | --- |")
-    for key, default, description in rows:
+    for key, default, description in _reference_rows(SimulationConfig()) + _reference_rows(FileOptions()):
         print(f"| `{key}` | `{json.dumps(default)}` | {description} |")
     return EXIT_OK
 

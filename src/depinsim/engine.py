@@ -11,7 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
+import re
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 from typing import List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -44,7 +47,6 @@ from .tokenomics import (
     NODE_SCHEDULE,
     TEAM_SCHEDULE,
     VC_SCHEDULE,
-    ScheduleKind,
     TokenAllocation,
     VestingSchedule,
     circulating_supply,
@@ -74,63 +76,85 @@ class SimulationError(Exception):
         self.substep = substep
 
 
-def _schedule_to_dict(schedule: VestingSchedule) -> dict:
-    if schedule.kind is ScheduleKind.CLIFF_LINEAR:
-        return {
-            "kind": schedule.kind.value,
-            "cliff_months": schedule.cliff_months,
-            "unlock_at_cliff": schedule.unlock_at_cliff,
-            "linear_months": schedule.linear_months,
-        }
-    return {"kind": schedule.kind.value, "halving_period_months": schedule.halving_period_months}
-
-
-def _schedule_from_dict(data: dict, default: VestingSchedule) -> VestingSchedule:
-    allowed = {"kind", "cliff_months", "unlock_at_cliff", "linear_months", "halving_period_months"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(f"unknown schedule keys: {', '.join(unknown)}")
-    kind = ScheduleKind(data.get("kind", default.kind.value))
-    if kind is ScheduleKind.CLIFF_LINEAR:
-        return VestingSchedule.cliff_linear(
-            cliff_months=int(data.get("cliff_months", default.cliff_months)),
-            unlock_at_cliff=float(data.get("unlock_at_cliff", default.unlock_at_cliff)),
-            linear_months=int(data.get("linear_months", default.linear_months)),
-        )
-    return VestingSchedule.halving(
-        period_months=int(data.get("halving_period_months", default.halving_period_months))
-    )
-
-
 def _fits(value, hint) -> bool:
-    """Whether a JSON-decoded `value` fits the field annotation `hint`."""
-    if get_origin(hint) is Union:
+    """Whether a JSON-decoded `value` fits the field annotation `hint`; a float must be finite."""
+    origin = get_origin(hint)
+    if origin is Union:
         return any(_fits(value, arg) for arg in get_args(hint))
-    if get_origin(hint) is tuple:
+    if origin is tuple:
         args = get_args(hint)
         return isinstance(value, (list, tuple)) and len(value) == len(args) and all(map(_fits, value, args))
+    if origin is dict:
+        key_hint, value_hint = get_args(hint)
+        return isinstance(value, dict) and all(_fits(k, key_hint) and _fits(v, value_hint) for k, v in value.items())
+    if is_dataclass(hint):
+        return isinstance(value, dict)  # a section, decoded key by key
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return any(value == member.value for member in hint)
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:  # NaN fails the comparison, as do infinities and ints beyond the float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
-def _check_types(cls, data: dict, prefix: str = "") -> None:
-    """Reject, naming the key, any value whose type does not fit its field of `cls`."""
-    hints = get_type_hints(cls)
-    for key, value in data.items():
-        if key in hints and not _fits(value, hints[key]):
-            hint = hints[key]
-            expected = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
-            raise ValueError(f"config key {prefix}{key} must be {expected}, got {value!r}")
+def _config_keys(obj) -> Tuple[str, ...]:
+    """Dataclass `obj`'s fields, or a tagged one's `kind` plus the fields its kind uses."""
+    by_kind = getattr(obj, "FIELDS_BY_KIND", None)
+    return ("kind",) + by_kind[obj.kind] if by_kind else tuple(f.name for f in fields(obj))
 
 
-def _section(key: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"config key {key} must be an object, got {value!r}")
-    return value
+def _decode_value(current, value, hint, key: str):
+    """JSON `value` read for the field annotated `hint` at dotted `key`, whose value is `current`."""
+    if not _fits(value, hint):
+        expected = hint.__name__ if isinstance(hint, type) else re.sub(r"[\w.]+\.", "", str(hint))
+        raise ValueError(f"config key {key} must be {expected}, got {value!r}")
+    if value is None:
+        return None
+    if get_origin(hint) is Union:  # Optional[X] and a value: read an X
+        hint = get_args(hint)[0]
+    if is_dataclass(hint):
+        return decode(hint() if current is None else current, value, key + ".")
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(value)
+    return tuple(value) if get_origin(hint) is tuple else value
 
 
-_SCHEDULE_DEFAULTS = {"team_schedule": TEAM_SCHEDULE, "vc_schedule": VC_SCHEDULE, "node_schedule": NODE_SCHEDULE}
+def decode(base, data, prefix: str = ""):
+    """Dataclass `base` with the config section `data` applied over it.
+
+    A dataclass field is a nested section, an Enum is read by value and a tuple
+    from a list.  A tagged dataclass reads `kind` first; a kind other than
+    `base`'s starts from that kind's defaults.  Errors are ValueErrors naming the
+    dotted key; a section's own checks name their field first.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"config section {prefix[:-1] or '(top level)'} must be an object, got {data!r}")
+    hints = get_type_hints(type(base))
+    tagged = hasattr(base, "FIELDS_BY_KIND")
+    if tagged and "kind" in data:
+        kind = _decode_value(base.kind, data["kind"], hints["kind"], prefix + "kind")
+        if kind is not base.kind:
+            base = type(base)(kind=kind)
+    keys = _config_keys(base)
+    unknown = [prefix + key for key in data if key not in keys]
+    if unknown:
+        where = f" for kind {base.kind.value}" if tagged else ""
+        raise ValueError(f"unknown config keys{where}: {', '.join(unknown)}")
+    changes = {key: _decode_value(getattr(base, key), value, hints[key], prefix + key) for key, value in data.items()}
+    try:
+        return replace(base, **changes)
+    except ValueError as err:
+        raise ValueError(f"{prefix}{err}") from None
+
+
+def encode(obj):
+    """The JSON value of config value `obj`; `decode` reads it back to an equal value."""
+    if is_dataclass(obj):
+        return {key: encode(getattr(obj, key)) for key in _config_keys(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    return list(obj) if isinstance(obj, tuple) else obj
 
 
 @dataclass
@@ -230,41 +254,12 @@ class SimulationConfig:
         )
 
     def to_dict(self) -> dict:
-        data = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in _SCHEDULE_DEFAULTS:
-                data[f.name] = _schedule_to_dict(value)
-            elif f.name == "llm":
-                data[f.name] = value.to_dict() if value is not None else None
-            elif isinstance(value, tuple):
-                data[f.name] = list(value)
-            else:
-                data[f.name] = value
-        return data
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":
         """Build and validate a config from decoded JSON; any bad input raises ValueError."""
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = dict(data)
-        for key, default in _SCHEDULE_DEFAULTS.items():
-            if key in kwargs:
-                section = _section(key, kwargs[key])
-                _check_types(VestingSchedule, {k: v for k, v in section.items() if k != "kind"}, f"{key}.")
-                kwargs[key] = _schedule_from_dict(section, default)
-        if kwargs.get("llm") is not None:
-            section = _section("llm", kwargs["llm"])
-            _check_types(LlmSettings, section, "llm.")
-            kwargs["llm"] = LlmSettings.from_dict(section)
-        _check_types(cls, kwargs)
-        for key in ("cost_spread", "tolerance_range", "stability_window"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        config = cls(**kwargs)
+        config = decode(cls(), data)
         config.validate()
         return config
 
@@ -378,7 +373,6 @@ class Simulation:
         self.streak = np.zeros(config.initial_nodes, dtype=np.int64)
         self.gcs: List[GrowthCapitalist] = []
         self._next_gc_id = 0
-        self._fallbacks_seen = 0
 
         # Seed the sale-side of the price ratio so month 1 has a market
         # even before any growth capitalist exits.
@@ -409,13 +403,13 @@ class Simulation:
 
     def _decide_roster(self, revenue, costs, tolerances, month):
         """The heuristic over the whole candidate pool and roster in one pass;
-        returns the entry and leave masks."""
+        returns the entry and leave masks and the roster's new streaks."""
         enters = heuristic_entry(DecisionContext(revenue, costs, tolerances, month))
         if not len(self.cost):
-            return enters, np.zeros(0, dtype=bool)
+            return enters, np.zeros(0, dtype=bool), self.streak
         signals = heuristic_exit(DecisionContext(revenue, self.cost, self.tolerance, month))
-        self.streak = (self.streak + 1) * signals
-        return enters, self.streak >= self.config.patience
+        streak = (self.streak + 1) * signals
+        return enters, streak >= self.config.patience, streak
 
     def _decide_each(self, revenue, costs, tolerances, month):
         """Any other policy, called once per candidate, then once per node in
@@ -434,8 +428,7 @@ class Simulation:
             node.consecutive_exit_signals = streak[i]
             leaves.append(apply_patience(node, signal))
             streak[i] = node.consecutive_exit_signals
-        self.streak = np.array(streak, dtype=np.int64)
-        return np.array(enters, dtype=bool), np.array(leaves, dtype=bool)
+        return np.array(enters, dtype=bool), np.array(leaves, dtype=bool), np.array(streak, dtype=np.int64)
 
     def step(self, month: int) -> MarketState:
         """Advance one month and commit its record."""
@@ -465,34 +458,25 @@ class Simulation:
             # patience; this month's entrants face exit conditions from
             # next month on.
             substep = "node-decisions"
+            fallbacks_before = getattr(self.policy, "fallback_count", 0)
             rng = _stream(cfg.seed, month, _STREAM_CANDIDATES)
             costs, tolerances = self._draw_node_params(rng, cfg.entry_pool_size)
             if type(self.policy) is HeuristicPolicy:
-                enters, leaves = self._decide_roster(revenue, costs, tolerances, month)
+                enters, leaves, streak = self._decide_roster(revenue, costs, tolerances, month)
             else:
-                enters, leaves = self._decide_each(revenue, costs, tolerances, month)
+                enters, leaves, streak = self._decide_each(revenue, costs, tolerances, month)
             exits = int(np.count_nonzero(leaves))
             entries = int(np.count_nonzero(enters))
-            if exits:
-                stay = ~leaves
-                self.cost, self.tolerance, self.streak = self.cost[stay], self.tolerance[stay], self.streak[stay]
-            if entries:
-                self.cost = np.concatenate((self.cost, costs[enters]))
-                self.tolerance = np.concatenate((self.tolerance, tolerances[enters]))
-                self.streak = np.concatenate((self.streak, np.zeros(entries, dtype=np.int64)))
-            n_now = len(self.cost)
+            n_now = len(self.cost) - exits + entries
 
             # 4. Growth-capital arrivals, then expiries feed tokens on sale.
             substep = "growth-capital"
             rng_gc = _stream(cfg.seed, month, _STREAM_GROWTH_CAPITAL)
             arrivals = spawn_growth_capitalists(month, self.gc_params, rng_gc, self._next_gc_id)
-            self._next_gc_id += len(arrivals)
-            self.gcs.extend(arrivals)
             active, expired = [], []
-            for gc in self.gcs:
+            for gc in self.gcs + arrivals:
                 (active if gc.is_active(month) else expired).append(gc)
             sale = prev.tokens_on_sale + sum(gc.tokens_held for gc in expired)
-            self.gcs = active
             endowment = total_endowment(active, month)
 
             # 5. Price; a month with no buyers or no sellers has no trade,
@@ -519,21 +503,32 @@ class Simulation:
                 market_cap=market_cap(price, circ),
                 diluted_market_cap=diluted_market_cap(price, self.alloc.total_supply),
             )
-            fallbacks_total = getattr(self.policy, "fallback_count", 0)
             events = MonthEvents(
                 month=month,
                 entries=entries,
                 exits=exits,
                 gc_arrivals=len(arrivals),
                 gc_expiries=len(expired),
-                fallbacks=fallbacks_total - self._fallbacks_seen,
+                fallbacks=getattr(self.policy, "fallback_count", 0) - fallbacks_before,
             )
-            self._fallbacks_seen = fallbacks_total
         except SimulationError:
             raise
         except Exception as err:
             raise SimulationError(month, substep, str(err)) from err
 
+        # Commit.  A month that failed above left the simulation as it was.  The
+        # roster is compacted here rather than held as new arrays through
+        # sub-steps 4-6: keeping both rosters alive slowed large-roster months.
+        if exits:
+            stay = ~leaves
+            self.cost, self.tolerance, streak = self.cost[stay], self.tolerance[stay], streak[stay]
+        if entries:
+            self.cost = np.concatenate((self.cost, costs[enters]))
+            self.tolerance = np.concatenate((self.tolerance, tolerances[enters]))
+            streak = np.concatenate((streak, np.zeros(entries, dtype=np.int64)))
+        self.streak = streak
+        self.gcs = active
+        self._next_gc_id += len(arrivals)
         self.state = state
         self.states.append(state)
         self.events.append(events)

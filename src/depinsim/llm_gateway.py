@@ -14,9 +14,9 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Dict, Mapping, Optional, Union
 
 import requests
 
@@ -213,7 +213,8 @@ class LlmSettings:
     """Backend configuration as read from the run-config file."""
 
     backend: str = field(default="scripted", metadata={"doc": "completion backend: scripted | http"})
-    script: Optional[dict] = field(default=None, metadata={"doc": "inline prompt-pattern -> reply map (scripted)"})
+    script: Optional[Dict[str, str]] = field(
+        default=None, metadata={"doc": "inline prompt-pattern -> reply map (scripted)"})
     script_file: Optional[str] = field(default=None, metadata={"doc": "JSON file with the scripted reply map"})
     default_reply: str = field(default="", metadata={"doc": "scripted reply when no pattern matches"})
     endpoint: Optional[str] = field(
@@ -226,15 +227,15 @@ class LlmSettings:
     timeout: float = field(default=10.0, metadata={"doc": "HTTP timeout in seconds"})
     retries: int = field(default=2, metadata={"doc": "retries after a transport failure, 429 or 5xx"})
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LlmSettings":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown llm config keys: {', '.join(unknown)}")
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def __post_init__(self):
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.temperature < 0:
+            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if self.timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
 
 
 def build_backend(settings: LlmSettings):

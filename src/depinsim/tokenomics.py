@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar, Dict, Tuple
 
 
 class ScheduleKind(Enum):
@@ -58,6 +59,12 @@ class VestingSchedule:
     halves every `halving_period_months` (per-period fractions 1/2, 1/4, ...
     sum to 1 in the limit).
     """
+
+    # The fields each kind reads: all a config section writes or accepts besides `kind`.
+    FIELDS_BY_KIND: ClassVar[Dict[ScheduleKind, Tuple[str, ...]]] = {
+        ScheduleKind.CLIFF_LINEAR: ("cliff_months", "unlock_at_cliff", "linear_months"),
+        ScheduleKind.HALVING_EMISSION: ("halving_period_months",),
+    }
 
     kind: ScheduleKind
     cliff_months: int = 0

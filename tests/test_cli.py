@@ -7,7 +7,7 @@ import re
 import pytest
 
 from depinsim.cli import _read_trajectory_csv, _trajectory_charts, main
-from depinsim.engine import SimulationConfig
+from depinsim.engine import SimulationConfig, encode
 from depinsim.llm_gateway import LlmSettings
 from depinsim.metrics import stability
 
@@ -56,8 +56,14 @@ class TestRun:
             ("cost_spread", 1.0),
             ("llm", "scripted"),
             ("team_schedule", [1, 2]),
+            ("team_schedule", None),
             ("out_dir", 5),
             ("parallel_decisions", True),  # removed key: decisions always run in order
+            ("initial_price", float("nan")),  # json.load reads NaN and Infinity
+            ("node_cost", float("inf")),
+            ("total_supply", float("inf")),
+            ("cost_spread", [1.0, float("inf")]),
+            pytest.param("node_cost", 10**400, id="node_cost-beyond-float-range"),
         ],
     )
     def test_rejected_config_value_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
@@ -65,6 +71,32 @@ class TestRun:
         config = write_config(tmp_path, **{key: value})
         assert main(["run", "--config", config]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("llm.max_tokens", 0),
+            ("llm.temperature", -1),
+            ("llm.retries", -1),
+            ("llm.timeout", -1),
+            ("llm.script", {"*": 1}),
+            ("team_schedule.kind", "weekly"),
+            ("vc_schedule.linear_months", 0),
+            ("node_schedule.cliff_months", 5),  # the default node schedule is a halving emission
+        ],
+    )
+    def test_rejected_section_value_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)
+        section, name = key.split(".")
+        config = write_config(tmp_path, policy="llm", **{section: {name: value}})
+        assert main(["run", "--config", config]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_key_the_schedule_kind_does_not_use_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, team_schedule={"kind": "halving_emission", "cliff_months": 5})
+        assert main(["run", "--config", config]) == 2
+        assert "team_schedule.cliff_months" in capsys.readouterr().err
 
     def test_llm_policy_without_backend_exits_2(self, tmp_path):
         assert main(["run", "--policy", "llm", "--out-dir", str(tmp_path / "o")]) == 2
@@ -245,7 +277,7 @@ class TestConfigReference:
         rows = re.findall(r"^\| `([^`]+)` \| `(.*?)` \|", capsys.readouterr().out, re.MULTILINE)
         expected = SimulationConfig().to_dict()
         del expected["llm"]
-        expected.update({f"llm.{key}": value for key, value in LlmSettings().to_dict().items()})
+        expected.update({f"llm.{key}": value for key, value in encode(LlmSettings()).items()})
         expected.update(out_dir="out", charts=True, audit_log=None)
         assert [key for key, _ in rows] == list(expected)
         assert {key: json.loads(default) for key, default in rows} == expected

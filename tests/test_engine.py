@@ -1,6 +1,11 @@
-"""Engine tests: determinism, event conservation, GC lifecycle, policies."""
+"""Engine tests: config codec, determinism, event conservation, GC lifecycle, policies."""
 
+import copy
+import json
 import math
+from dataclasses import fields, replace
+
+import numpy as np
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,9 +18,18 @@ from depinsim.agents import (
     heuristic_exit,
     heuristic_prompt_reply,
 )
-from depinsim.engine import Simulation, SimulationConfig, SimulationError, run
+from depinsim.engine import Simulation, SimulationConfig, SimulationError, Trajectory, run
 from depinsim.llm_gateway import LlmSettings, ScriptedBackend
-from depinsim.tokenomics import TokenAllocation, circulating_supply
+from depinsim.tokenomics import (
+    TEAM_SCHEDULE,
+    ScheduleKind,
+    TokenAllocation,
+    VestingSchedule,
+    circulating_supply,
+)
+
+# A valid config with every section present.
+VALID_CONFIG = SimulationConfig(stability_window=(1, 96), llm=LlmSettings(script={"*": "no"})).to_dict()
 
 
 class TestConfig:
@@ -47,6 +61,39 @@ class TestConfig:
         config = SimulationConfig(horizon_months=12, patience=3, seed=7)
         clone = SimulationConfig.from_dict(config.to_dict())
         assert clone == config
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {},
+            {"team_schedule": VestingSchedule.halving(12), "node_schedule": VestingSchedule.cliff_linear(3, 0.5, 24)},
+            {"llm": LlmSettings(backend="http", endpoint="http://127.0.0.1:1", script={"*": "no"}, timeout=2.5)},
+            {"cost_spread": (1, 2), "stability_window": (2, 6), "horizon_months": 6},
+        ],
+    )
+    def test_dict_round_trip_with_any_section(self, sections):
+        config = SimulationConfig(**sections)
+        assert SimulationConfig.from_dict(config.to_dict()) == config
+
+    def test_schedule_section_merges_or_starts_fresh_by_kind(self):
+        def team(section):
+            return SimulationConfig.from_dict({"team_schedule": section}).team_schedule
+
+        assert team({"cliff_months": 5}) == replace(TEAM_SCHEDULE, cliff_months=5)
+        assert team({"kind": "cliff_linear", "linear_months": 6}) == replace(TEAM_SCHEDULE, linear_months=6)
+        assert team({"kind": "halving_emission"}) == VestingSchedule(ScheduleKind.HALVING_EMISSION)
+        node = SimulationConfig.from_dict({"node_schedule": {"kind": "cliff_linear", "linear_months": 6}})
+        assert node.node_schedule == VestingSchedule.cliff_linear(0, 0.0, 6)
+
+    def test_schedule_writes_and_accepts_only_its_kinds_fields(self):
+        data = SimulationConfig(team_schedule=VestingSchedule.halving(12)).to_dict()
+        assert data["team_schedule"] == {"kind": "halving_emission", "halving_period_months": 12}
+        assert data["vc_schedule"] == {"kind": "cliff_linear", "cliff_months": 11, "unlock_at_cliff": 0.5,
+                                       "linear_months": 12}
+        with pytest.raises(ValueError, match="team_schedule.cliff_months"):
+            SimulationConfig.from_dict({"team_schedule": {"kind": "halving_emission", "cliff_months": 5}})
+        with pytest.raises(ValueError, match="node_schedule.linear_months"):
+            SimulationConfig.from_dict({"node_schedule": {"linear_months": 5}})
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ValueError, match="horizon_monthss"):
@@ -320,6 +367,54 @@ class TestDecisionRoutes:
             assert policy.calls[config.entry_pool_size:] == roster
 
 
+# Arbitrary JSON, NaN and Infinity included.
+JSON_SCALAR = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+)
+JSON = st.recursive(
+    JSON_SCALAR,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(list(VALID_CONFIG)) | st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+SCHEDULE_KEYS = ["kind"] + [f.name for f in fields(VestingSchedule)]
+KEY_PATHS = (
+    [(key,) for key in VALID_CONFIG]
+    + [("llm", key) for key in VALID_CONFIG["llm"]]
+    + [(section, key) for section in ("team_schedule", "vc_schedule", "node_schedule") for key in SCHEDULE_KEYS]
+)
+
+
+def assert_rejected_or_round_trips(data):
+    try:
+        config = SimulationConfig.from_dict(data)
+    except ValueError:
+        return
+    circulating_supply(1, config.allocation(), config.team_schedule, config.vc_schedule, config.node_schedule)
+    # Through JSON text, so a NaN read back is a new object and compares unequal.
+    assert SimulationConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+class TestFromDictFuzz:
+    """`from_dict` either raises ValueError or builds a config that survives a round trip."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=JSON)
+    def test_arbitrary_json(self, data):
+        assert_rejected_or_round_trips(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from(KEY_PATHS), value=JSON_SCALAR | JSON)
+    def test_valid_config_with_one_key_replaced(self, path, value):
+        data = copy.deepcopy(VALID_CONFIG)
+        section = data
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        assert_rejected_or_round_trips(data)
+
+
 class TestStepErrors:
     def test_out_of_order_step_rejected(self, null_dynamics_config):
         sim = Simulation(null_dynamics_config)
@@ -343,3 +438,29 @@ class TestStepErrors:
         assert err.value.month == 1
         assert err.value.substep == "node-decisions"
         assert sim.states == []  # partial month never committed
+
+    @pytest.mark.parametrize(
+        "make_policy",
+        [HeuristicPolicy, lambda: LlmPolicy(ScriptedBackend({}, default="shrug"))],  # every reply falls back
+        ids=["heuristic", "llm-fallbacks"],
+    )
+    def test_failed_month_changes_nothing(self, make_policy):
+        config = SimulationConfig(horizon_months=6, node_cost=250_000.0, patience=3, seed=1)
+        sim = Simulation(config, policy=make_policy())
+        sim.step(1)
+        bad = object()
+        sim.gcs.append(bad)
+        before = (sim.cost.copy(), sim.tolerance.copy(), sim.streak.copy(), list(sim.gcs), sim._next_gc_id)
+        with pytest.raises(SimulationError) as err:
+            sim.step(2)
+        assert err.value.substep == "growth-capital"  # after the node decisions ran
+        for array, saved in zip((sim.cost, sim.tolerance, sim.streak), before):
+            assert np.array_equal(array, saved)
+        assert (sim.gcs, sim._next_gc_id) == before[3:]
+        assert len(sim.states) == len(sim.events) == 1
+
+        sim.gcs.remove(bad)
+        for month in range(2, config.horizon_months + 1):
+            sim.step(month)
+        retried = Trajectory(states=sim.states, events=sim.events, config=config.to_dict(), seed=config.seed)
+        assert retried.to_csv_string() == run(config, policy=make_policy()).to_csv_string()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import YES_NO_CORPUS
+from depinsim.engine import decode
 from depinsim.llm_gateway import (
     AuditLog,
     BackendUnavailableError,
@@ -235,5 +236,5 @@ class TestBuildBackend:
             build_backend(LlmSettings(backend="magic"))
 
     def test_unknown_settings_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown llm config keys"):
-            LlmSettings.from_dict({"backend": "scripted", "scripts": {}})
+        with pytest.raises(ValueError, match="unknown config keys: llm.scripts"):
+            decode(LlmSettings(), {"backend": "scripted", "scripts": {}}, "llm.")
