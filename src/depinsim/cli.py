@@ -7,7 +7,6 @@ Exit codes are stable for CI scripting: 0 success, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
 import numpy as np
 
 from . import charts, metrics
-from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, decode, encode, run
+from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, csv_text, decode, encode, run
 from .llm_gateway import AuditLog, GatewayError
 from .tokenomics import TokenAllocation, circulating_supply, node_emission, team_release, vc_release
 
@@ -73,18 +72,6 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions]:
     return config, opts
 
 
-def _read_trajectory_csv(path: Path) -> dict:
-    """Read an emitted trajectory.csv back into column lists."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    columns = {name: [] for name in CSV_COLUMNS}
-    for row in rows:
-        for name in CSV_COLUMNS:
-            value = row[name]
-            columns[name].append(int(value) if name in ("month", "nodes", "entries", "exits", "fallbacks") else float(value))
-    return columns
-
-
 def _trajectory_charts(columns: dict) -> dict:
     months = columns["month"]
     return {
@@ -110,8 +97,8 @@ def cmd_run(args) -> int:
     csv_path = out_dir / "trajectory.csv"
     _write_text(csv_path, trajectory.to_csv_string())
     _write_text(out_dir / "metrics.json", json.dumps(trajectory.metrics.to_dict(), indent=2) + "\n")
-    if opts.charts:
-        columns = _read_trajectory_csv(csv_path)  # charts are views of the CSV
+    if opts.charts:  # charts are views of the table the CSV holds
+        columns = dict(zip(CSV_COLUMNS, zip(*trajectory.rows())))
         for name, svg in _trajectory_charts(columns).items():
             _write_text(out_dir / name, svg)
     m = trajectory.metrics
@@ -173,11 +160,7 @@ def cmd_compare(args) -> int:
         return EXIT_RUNTIME
 
     out_dir = Path(opts.out_dir)
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in header))
-    _write_text(out_dir / "compare.csv", "\n".join(lines) + "\n")
+    _write_text(out_dir / "compare.csv", csv_text(rows[0].keys(), (row.values() for row in rows)))
 
     if opts.charts:
         labels = [_cell_label(r["policy"], r["patience"]) for r in rows]
@@ -204,33 +187,25 @@ def cmd_vesting(args) -> int:
         vc_fraction=args.vc_fraction,
         node_fraction=args.node_fraction,
     )
-    header = ["month", "team_release", "vc_release", "node_release",
-              "team_cumulative", "vc_cumulative", "node_cumulative", "circulating_supply"]
-    lines = [",".join(header)]
+    header = ("month", "team_release", "vc_release", "node_release",
+              "team_cumulative", "vc_cumulative", "node_cumulative", "circulating_supply")
+    rows = []
     team_cum = vc_cum = node_cum = 0.0
-    cumulative = {"team": [], "vc": [], "node": []}
-    months = list(range(1, args.horizon + 1))
-    for month in months:
+    for month in range(1, args.horizon + 1):
         team = team_release(month, alloc)
         vc = vc_release(month, alloc)
         node = node_emission(month, alloc)
         team_cum += team
         vc_cum += vc
         node_cum += node
-        cumulative["team"].append(team_cum)
-        cumulative["vc"].append(vc_cum)
-        cumulative["node"].append(node_cum)
-        row = [str(month)] + [
-            repr(v) for v in
-            (team, vc, node, team_cum, vc_cum, node_cum, circulating_supply(month, alloc))
-        ]
-        lines.append(",".join(row))
+        rows.append((month, team, vc, node, team_cum, vc_cum, node_cum, circulating_supply(month, alloc)))
     out_dir = Path(args.out_dir)
-    _write_text(out_dir / "vesting.csv", "\n".join(lines) + "\n")
+    _write_text(out_dir / "vesting.csv", csv_text(header, rows))
     if args.charts != "off":
+        columns = dict(zip(header, zip(*rows)))
         svg = charts.line_chart(
-            months,
-            {"team": cumulative["team"], "vc": cumulative["vc"], "node": cumulative["node"]},
+            columns["month"],
+            {"team": columns["team_cumulative"], "vc": columns["vc_cumulative"], "node": columns["node_cumulative"]},
             title="Cumulative token releases",
             x_label="month",
             y_label="tokens",

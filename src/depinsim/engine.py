@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -61,6 +62,9 @@ from .tokenomics import (
 _STREAM_INIT_NODES = 0
 _STREAM_CANDIDATES = 1
 _STREAM_GROWTH_CAPITAL = 2
+
+# The MarketState fields a month must record as finite numbers.
+_STATE_FLOATS = tuple(name for name, hint in get_type_hints(MarketState).items() if hint is float)
 
 
 def _stream(seed: int, month: int, channel: int) -> np.random.Generator:
@@ -176,11 +180,15 @@ class SimulationConfig:
     patience: int = field(default=1, metadata={"doc": "consecutive exit signals required before a node leaves"})
     entry_pool_size: int = field(default=10, metadata={"doc": "candidate nodes evaluated for entry each month"})
     gc_arrival_rate: float = field(
-        default=1.0, metadata={"doc": "Poisson mean of growth-capitalist arrivals per month"})
-    gc_endowment_mu: float = field(default=13.0, metadata={"doc": "log-normal log-mean of GC endowments"})
-    gc_endowment_sigma: float = field(default=1.0, metadata={"doc": "log-normal sigma of GC endowments"})
-    gc_lifespan_mu: float = field(default=2.5, metadata={"doc": "log-normal log-mean of GC lifespans (months)"})
-    gc_lifespan_sigma: float = field(default=0.5, metadata={"doc": "log-normal sigma of GC lifespans"})
+        default=GcParams.arrival_rate, metadata={"doc": "Poisson mean of growth-capitalist arrivals per month"})
+    gc_endowment_mu: float = field(
+        default=GcParams.endowment_mu, metadata={"doc": "log-normal log-mean of GC endowments"})
+    gc_endowment_sigma: float = field(
+        default=GcParams.endowment_sigma, metadata={"doc": "log-normal sigma of GC endowments"})
+    gc_lifespan_mu: float = field(
+        default=GcParams.lifespan_mu, metadata={"doc": "log-normal log-mean of GC lifespans (months)"})
+    gc_lifespan_sigma: float = field(
+        default=GcParams.lifespan_sigma, metadata={"doc": "log-normal sigma of GC lifespans"})
     tokens_on_sale_fraction: float = field(
         default=0.05, metadata={"doc": "initial sale pool as a fraction of month-1 supply"})
     policy: str = field(default="heuristic", metadata={"doc": "decision policy: heuristic | llm"})
@@ -219,8 +227,9 @@ class SimulationConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.entry_pool_size < 0:
             raise ValueError("entry_pool_size must be >= 0")
-        if self.gc_arrival_rate < 0:
-            raise ValueError("gc_arrival_rate must be >= 0")
+        for key in ("gc_arrival_rate", "gc_endowment_sigma", "gc_lifespan_sigma"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.tokens_on_sale_fraction < 0:
             raise ValueError("tokens_on_sale_fraction must be >= 0")
         if self.seed < 0:
@@ -282,47 +291,43 @@ CSV_COLUMNS = (
 )
 
 
+def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """`header` then `rows` as CSV text with "\n" line ends; floats are written with repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass
 class Trajectory:
-    """Ordered month records plus the event log and config echo."""
+    """Ordered month records plus the event log and the config that ran."""
 
     states: List[MarketState]
     events: List[MonthEvents]
-    config: dict
-    seed: int
+    config: SimulationConfig
     metrics: Optional[metrics_mod.MetricReport] = None
 
     def price_series(self) -> List[float]:
         return [s.token_price for s in self.states]
 
+    def rows(self) -> Iterator[tuple]:
+        """The run table: one row per month, in CSV_COLUMNS order."""
+        for s, e in zip(self.states, self.events):
+            yield (s.month, s.active_nodes, s.users, s.token_price, s.circulating_supply, s.market_cap,
+                   s.diluted_market_cap, s.total_gc_endowment, s.tokens_on_sale, e.entries, e.exits, e.fallbacks)
+
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for state, event in zip(self.states, self.events):
-            writer.writerow([
-                state.month,
-                state.active_nodes,
-                repr(state.users),
-                repr(state.token_price),
-                repr(state.circulating_supply),
-                repr(state.market_cap),
-                repr(state.diluted_market_cap),
-                repr(state.total_gc_endowment),
-                repr(state.tokens_on_sale),
-                event.entries,
-                event.exits,
-                event.fallbacks,
-            ])
-        return buf.getvalue()
+        return csv_text(CSV_COLUMNS, self.rows())
 
     def write_csv(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_csv_string(), encoding="utf-8")
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
-            "config": self.config,
+            "seed": self.config.seed,
+            "config": self.config.to_dict(),
             "states": [asdict(s) for s in self.states],
             "events": [asdict(e) for e in self.events],
             "metrics": self.metrics.to_dict() if self.metrics else None,
@@ -503,6 +508,9 @@ class Simulation:
                 market_cap=market_cap(price, circ),
                 diluted_market_cap=diluted_market_cap(price, self.alloc.total_supply),
             )
+            for name in _STATE_FLOATS:
+                if not math.isfinite(getattr(state, name)):
+                    raise ValueError(f"{name} is not finite: {getattr(state, name)!r}")
             events = MonthEvents(
                 month=month,
                 entries=entries,
@@ -544,11 +552,6 @@ def run(
     sim = Simulation(config, policy=policy, audit_log=audit_log)
     for month in range(1, config.horizon_months + 1):
         sim.step(month)
-    trajectory = Trajectory(
-        states=sim.states,
-        events=sim.events,
-        config=config.to_dict(),
-        seed=config.seed,
-    )
+    trajectory = Trajectory(states=sim.states, events=sim.events, config=config)
     trajectory.metrics = metrics_mod.report(trajectory)
     return trajectory

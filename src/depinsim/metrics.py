@@ -92,11 +92,11 @@ def report(trajectory: "Trajectory", stability_window: Optional[Tuple[int, int]]
     states = trajectory.states
     if not states:
         raise ValueError("trajectory has no recorded months")
-    n_init = int(trajectory.config.get("initial_nodes", 0))
+    n_init = trajectory.config.initial_nodes
     n_ext = sum(e.entries for e in trajectory.events)
     n_total = n_init + n_ext
 
-    window = stability_window or trajectory.config.get("stability_window") or (states[0].month, states[-1].month)
+    window = stability_window or trajectory.config.stability_window or (states[0].month, states[-1].month)
     first, last = int(window[0]), int(window[1])
     offset = states[0].month
     windowed = [s.token_price for s in states if first <= s.month <= last]

@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from depinsim.cli import _read_trajectory_csv, _trajectory_charts, main
-from depinsim.engine import SimulationConfig, encode
+from depinsim.cli import _trajectory_charts, main
+from depinsim.engine import CSV_COLUMNS, SimulationConfig, encode
 from depinsim.llm_gateway import LlmSettings
 from depinsim.metrics import stability
 
@@ -64,6 +64,8 @@ class TestRun:
             ("total_supply", float("inf")),
             ("cost_spread", [1.0, float("inf")]),
             pytest.param("node_cost", 10**400, id="node_cost-beyond-float-range"),
+            ("gc_endowment_sigma", -1.0),
+            ("gc_lifespan_sigma", -1.0),
         ],
     )
     def test_rejected_config_value_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
@@ -97,6 +99,16 @@ class TestRun:
         config = write_config(tmp_path, team_schedule={"kind": "halving_emission", "cliff_months": 5})
         assert main(["run", "--config", config]) == 2
         assert "team_schedule.cliff_months" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value", [("gc_endowment_mu", 1e300), ("tokens_on_sale_fraction", 2.2250738585e-313)])
+    def test_non_finite_month_exits_3_and_writes_nothing(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, horizon_months=2, **{key: value})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "month 1" in err and "'record'" in err and "token_price is not finite" in err
+        assert not out.exists()
 
     def test_llm_policy_without_backend_exits_2(self, tmp_path):
         assert main(["run", "--policy", "llm", "--out-dir", str(tmp_path / "o")]) == 2
@@ -153,7 +165,11 @@ class TestRoundTrips:
     def test_charts_regenerate_from_csv_alone(self, tmp_path):
         out = tmp_path / "out"
         main(["run", "--seed", "3", "--out-dir", str(out)])
-        columns = _read_trajectory_csv(out / "trajectory.csv")
+        with open(out / "trajectory.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        # Integer columns hold digits only; repr writes every float with '.', 'e', 'inf' or 'nan'.
+        columns = {name: [int(v) if v.isdigit() else float(v) for v in values] for name, *values in zip(*table)}
+        assert set(columns) == set(CSV_COLUMNS)
         for name, svg in _trajectory_charts(columns).items():
             assert (out / name).read_text() == svg
 

@@ -51,6 +51,8 @@ class TestConfig:
             {"stability_window": (0, 5)},
             {"team_fraction": 0.5},
             {"horizon_months": 12, "stability_window": (5, 500)},
+            {"gc_endowment_sigma": -1.0},
+            {"gc_lifespan_sigma": -1.0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -367,6 +369,51 @@ class TestDecisionRoutes:
             assert policy.calls[config.entry_pool_size:] == roster
 
 
+SCHEDULES = st.one_of(
+    st.builds(VestingSchedule.cliff_linear, cliff_months=st.integers(0, 24),
+              unlock_at_cliff=st.floats(0.0, 1.0), linear_months=st.integers(1, 36)),
+    st.builds(VestingSchedule.halving, period_months=st.integers(1, 48)),
+)
+
+
+class TestRunInvariants:
+    """Supply conservation, sale-pool accounting and node-count bookkeeping
+    over random valid configs near the default, stressed and churn regimes."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        regime=st.sampled_from([{}, STRESSED, CHURN]),
+        horizon_months=st.integers(1, 36),
+        initial_nodes=st.integers(0, 60),
+        entry_pool_size=st.integers(0, 15),
+        patience=st.integers(1, 5),
+        gc_arrival_rate=st.floats(0.0, 3.0),
+        gc_endowment_mu=st.floats(10.0, 15.0),
+        gc_endowment_sigma=st.floats(0.0, 1.5),
+        gc_lifespan_mu=st.floats(0.5, 3.5),
+        gc_lifespan_sigma=st.floats(0.0, 1.0),
+        tokens_on_sale_fraction=st.just(0.0) | st.floats(1e-3, 0.2),  # a subnormal pool prices a trade at inf
+        team_schedule=SCHEDULES,
+        vc_schedule=SCHEDULES,
+        node_schedule=SCHEDULES,
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_supply_sale_pool_and_node_count(self, regime, **kwargs):
+        config = replace(SimulationConfig(**regime), **kwargs)
+        schedules = (config.team_schedule, config.vc_schedule, config.node_schedule)
+        alloc = config.allocation()
+        nodes = config.initial_nodes
+        sale = config.tokens_on_sale_fraction * circulating_supply(1, alloc, *schedules)
+        trajectory = run(config)
+        for state, event in zip(trajectory.states, trajectory.events):
+            assert state.circulating_supply == pytest.approx(
+                circulating_supply(state.month, alloc, *schedules), rel=1e-12)
+            assert state.tokens_on_sale >= sale
+            sale = state.tokens_on_sale
+            nodes += event.entries - event.exits
+            assert state.active_nodes == nodes
+
+
 # Arbitrary JSON, NaN and Infinity included.
 JSON_SCALAR = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -462,5 +509,5 @@ class TestStepErrors:
         sim.gcs.remove(bad)
         for month in range(2, config.horizon_months + 1):
             sim.step(month)
-        retried = Trajectory(states=sim.states, events=sim.events, config=config.to_dict(), seed=config.seed)
+        retried = Trajectory(states=sim.states, events=sim.events, config=config)
         assert retried.to_csv_string() == run(config, policy=make_policy()).to_csv_string()

@@ -137,7 +137,7 @@ def build_trajectory(prices, entries, n_init=50):
             )
         )
         events.append(MonthEvents(month=month, entries=added))
-    return Trajectory(states=states, events=events, config={"initial_nodes": n_init}, seed=0)
+    return Trajectory(states=states, events=events, config=SimulationConfig(initial_nodes=n_init))
 
 
 class TestReport:
@@ -185,7 +185,7 @@ class TestReport:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            report(Trajectory(states=[], events=[], config={}, seed=0))
+            report(Trajectory(states=[], events=[], config=SimulationConfig()))
 
 
 class TestScoreSeries:
