@@ -8,11 +8,11 @@ lifespans and sell their holdings back to the market when they leave.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-import threading
 from dataclasses import dataclass
-from typing import List, Optional, Protocol
+from typing import Callable, List, Optional, Protocol
 
 import numpy as np
 
@@ -24,7 +24,8 @@ class NodeProvider:
     """One node operator; exits only after `patience` consecutive signals.
 
     The engine keeps its roster as arrays; this record carries one node's
-    signal run through `apply_patience` on the per-decision route.
+    signal run through `apply_patience` on the per-decision route, the one
+    taken by policies whose class provides no batch methods.
     """
 
     id: int
@@ -78,16 +79,46 @@ class DecisionContext:
 class DecisionPolicy(Protocol):
     """What the engine asks of a node policy.
 
-    The engine evaluates `HeuristicPolicy` itself (exactly, not a subclass)
-    over the whole roster as arrays, with `heuristic_entry`/`heuristic_exit`
-    reading array-valued contexts.  Any other policy is called once per
-    decision: `decide_entry` for each candidate of the month's pool, then
-    `decide_exit` for each incumbent in roster order.
+    A policy whose class provides its own batch methods (see
+    `decides_in_batches`) decides each month in two calls:
+    `decide_entries` over the candidate pool, then `decide_exits` over the
+    roster, each given the month's revenue and the nodes' cost and tolerance
+    arrays and returning one verdict per node.  Any other policy is called
+    once per decision: `decide_entry` for each candidate of the month's
+    pool, then `decide_exit` for each incumbent in roster order.
     """
 
     def decide_entry(self, ctx: DecisionContext) -> bool: ...
 
     def decide_exit(self, ctx: DecisionContext) -> bool: ...
+
+    def decide_entries(self, revenue: float, costs: np.ndarray, tolerances: np.ndarray, month: int) -> np.ndarray: ...
+
+    def decide_exits(self, revenue: float, costs: np.ndarray, tolerances: np.ndarray, month: int) -> np.ndarray: ...
+
+
+_BATCH_METHODS = (("decide_entries", "decide_entry"), ("decide_exits", "decide_exit"))
+
+
+def decides_in_batches(policy) -> bool:
+    """Whether `policy`'s class provides its own batch methods.
+
+    Each batch method must be defined on the class, or on an ancestor no
+    further up than the one defining the scalar method it stands for.  A
+    subclass that overrides only `decide_entry` or `decide_exit` therefore
+    takes the per-decision route, and its override is honoured.
+    """
+    return _class_decides_in_batches(type(policy))
+
+
+@functools.lru_cache(maxsize=128)  # the engine asks every month; the MRO walk costs ~20 cache hits
+def _class_decides_in_batches(cls: type) -> bool:
+    mro = cls.__mro__
+
+    def owner(name: str) -> int:  # MRO position of the class defining `name`, past the end if none
+        return next((i for i, base in enumerate(mro) if name in vars(base)), len(mro))
+
+    return all(owner(batch) < len(mro) and owner(batch) <= owner(scalar) for batch, scalar in _BATCH_METHODS)
 
 
 def heuristic_entry(ctx: DecisionContext) -> bool:
@@ -105,13 +136,19 @@ def heuristic_exit(ctx: DecisionContext) -> bool:
 
 
 class HeuristicPolicy:
-    """Rule-based benchmark policy."""
+    """Rule-based benchmark policy; its batch methods are one array pass each."""
 
     def decide_entry(self, ctx: DecisionContext) -> bool:
         return heuristic_entry(ctx)
 
     def decide_exit(self, ctx: DecisionContext) -> bool:
         return heuristic_exit(ctx)
+
+    def decide_entries(self, revenue, costs, tolerances, month) -> np.ndarray:
+        return heuristic_entry(DecisionContext(revenue, costs, tolerances, month))
+
+    def decide_exits(self, revenue, costs, tolerances, month) -> np.ndarray:
+        return heuristic_exit(DecisionContext(revenue, costs, tolerances, month))
 
 
 ENTRY_PROMPT = (
@@ -125,14 +162,30 @@ EXIT_PROMPT = (
 )
 
 
+def _literal(x: float) -> str:
+    return str(int(x)) if x.is_integer() else repr(x)
+
+
 def _decimal(x: float) -> str:
     """Full-precision decimal literal: '160000' not '160000.0', repr otherwise."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"prompt quantities must be finite, got {x!r}")
-    if x.is_integer():
-        return str(int(x))
-    return repr(x)
+    return _literal(x)
+
+
+def _decimals(*columns: np.ndarray) -> List[List[str]]:
+    """`_decimal` of every value of each equal-length column, checking finiteness once per column.
+
+    A non-finite value raises as `_decimal` does, naming the first one a
+    row-by-row render would meet.
+    """
+    finite = np.logical_and.reduce([np.isfinite(column) for column in columns])
+    if not finite.all():
+        row = int(np.argmin(finite))
+        for column in columns:
+            _decimal(column[row])
+    return [[_literal(x) for x in column.tolist()] for column in columns]
 
 
 def render_entry_prompt(ctx: DecisionContext) -> str:
@@ -166,11 +219,11 @@ def heuristic_prompt_reply(prompt: str) -> str:
     """
     match = _EXIT_RE.search(prompt)
     if match is not None:
-        revenue, cost, tolerance = (float(g) for g in match.groups())
+        revenue, cost, tolerance = map(float, match.groups())
         return "yes" if revenue < tolerance * cost else "no"
     match = _ENTRY_RE.search(prompt)
     if match is not None:
-        revenue, cost = (float(g) for g in match.groups())
+        revenue, cost = map(float, match.groups())
         return "yes" if revenue > cost else "no"
     return ""
 
@@ -178,9 +231,13 @@ def heuristic_prompt_reply(prompt: str) -> str:
 class LlmPolicy:
     """Policy that prompts a completion backend and parses yes/no replies.
 
-    Unparseable replies fall back to the heuristic verdict for that decision
-    and are counted in `fallback_count` so flakiness stays observable.
-    Transport errors are not swallowed; they propagate to the engine.
+    The batch methods render a month's prompts with the revenue rendered
+    once, send them in one `complete_batch` call per kind and parse the
+    replies in order; the scalar methods send one `complete` per decision.
+    Both give the same prompts, verdicts and audit-log lines.  Unparseable
+    replies fall back to the heuristic verdict for that decision and are
+    counted in `fallback_count` so flakiness stays observable.  Transport
+    errors are not swallowed; they propagate to the engine.
     """
 
     def __init__(
@@ -197,30 +254,66 @@ class LlmPolicy:
         self.temperature = temperature
         self.audit_log = audit_log
         self.fallback_count = 0
-        self._lock = threading.Lock()
 
-    def _ask(self, prompt: str, fallback: bool) -> bool:
-        request = CompletionRequest(
+    def _request(self, prompt: str) -> CompletionRequest:
+        return CompletionRequest(
             prompt=prompt,
             max_tokens=self.max_tokens,
             temperature=self.temperature,
             model_name=self.model_name,
         )
+
+    def _ask(self, prompt: str, fallback: bool) -> bool:
+        request = self._request(prompt)
         response = self.backend.complete(request)
         if self.audit_log is not None:
             self.audit_log.record(request, response)
         verdict = parse_yes_no(response.text)
         if verdict is None:
-            with self._lock:
-                self.fallback_count += 1
+            self.fallback_count += 1
             return fallback
         return verdict
+
+    def _ask_batch(self, prompts: List[str], fallback: Callable[[], np.ndarray]) -> np.ndarray:
+        """One verdict per prompt; `fallback()` gives the heuristic verdicts that stand in."""
+        batch = [self._request(prompt) for prompt in prompts]
+        responses = self.backend.complete_batch(batch)
+        if self.audit_log is not None:
+            self.audit_log.record_batch(batch, responses)
+        texts = [response.text for response in responses]
+        parsed = {text: parse_yes_no(text) for text in set(texts)}  # replies repeat a few texts
+        verdicts = [parsed[text] for text in texts]
+        misses = [i for i, verdict in enumerate(verdicts) if verdict is None]
+        if misses:
+            self.fallback_count += len(misses)
+            heuristic = fallback()
+            for i in misses:
+                verdicts[i] = bool(heuristic[i])
+        return np.array(verdicts, dtype=bool)
 
     def decide_entry(self, ctx: DecisionContext) -> bool:
         return self._ask(render_entry_prompt(ctx), heuristic_entry(ctx))
 
     def decide_exit(self, ctx: DecisionContext) -> bool:
         return self._ask(render_exit_prompt(ctx), heuristic_exit(ctx))
+
+    def decide_entries(self, revenue, costs, tolerances, month) -> np.ndarray:
+        if not len(costs):
+            return np.zeros(0, dtype=bool)
+        literal = _decimal(revenue)
+        (cost_literals,) = _decimals(costs)
+        prompts = [ENTRY_PROMPT.format(revenue=literal, cost=cost) for cost in cost_literals]
+        return self._ask_batch(prompts, lambda: heuristic_entry(DecisionContext(revenue, costs, tolerances, month)))
+
+    def decide_exits(self, revenue, costs, tolerances, month) -> np.ndarray:
+        if not len(costs):
+            return np.zeros(0, dtype=bool)
+        literal = _decimal(revenue)
+        prompts = [
+            EXIT_PROMPT.format(revenue=literal, cost=cost, tolerance=tolerance)
+            for cost, tolerance in zip(*_decimals(costs, tolerances))
+        ]
+        return self._ask_batch(prompts, lambda: heuristic_exit(DecisionContext(revenue, costs, tolerances, month)))
 
 
 def apply_patience(node: NodeProvider, exit_signal: bool) -> bool:

@@ -30,8 +30,7 @@ from .agents import (
     LlmPolicy,
     NodeProvider,
     apply_patience,
-    heuristic_entry,
-    heuristic_exit,
+    decides_in_batches,
     spawn_growth_capitalists,
     total_endowment,
 )
@@ -355,15 +354,24 @@ def build_policy(config: SimulationConfig, audit_log: Optional[AuditLog] = None)
     raise ValueError(f"unknown policy {config.policy!r}")
 
 
+def _verdicts(values, count: int) -> np.ndarray:
+    """A batch method's answer as a boolean mask, which must hold one verdict per node."""
+    mask = np.asarray(values, dtype=bool)
+    if mask.shape != (count,):
+        raise ValueError(f"a batch decision gave verdicts of shape {mask.shape} for {count} nodes")
+    return mask
+
+
 class Simulation:
     """Mutable run state: node roster, growth capitalists, last snapshot.
 
     The roster is three parallel arrays in roster order: each active node's
     `cost`, `tolerance` and `streak` of consecutive exit signals.  Within a
     month every decision reads the same frozen start-of-month
-    context, so agent evaluation order cannot change the outcome.
-    `HeuristicPolicy` is evaluated over the whole roster as arrays; any
-    other policy is called once per decision, in roster order.
+    context, so agent evaluation order cannot change the outcome.  A policy
+    whose class provides its own batch methods (`HeuristicPolicy`,
+    `LlmPolicy`) decides the candidate pool and the roster in one call each;
+    any other policy is called once per decision, in roster order.
     """
 
     def __init__(self, config: SimulationConfig, policy=None, audit_log: Optional[AuditLog] = None):
@@ -407,18 +415,19 @@ class Simulation:
         return costs, tolerances
 
     def _decide_roster(self, revenue, costs, tolerances, month):
-        """The heuristic over the whole candidate pool and roster in one pass;
-        returns the entry and leave masks and the roster's new streaks."""
-        enters = heuristic_entry(DecisionContext(revenue, costs, tolerances, month))
+        """The policy's batch methods over the whole candidate pool, then the
+        roster; returns the entry and leave masks and the roster's new streaks."""
+        enters = _verdicts(self.policy.decide_entries(revenue, costs, tolerances, month), len(costs))
         if not len(self.cost):
             return enters, np.zeros(0, dtype=bool), self.streak
-        signals = heuristic_exit(DecisionContext(revenue, self.cost, self.tolerance, month))
+        signals = _verdicts(self.policy.decide_exits(revenue, self.cost, self.tolerance, month), len(self.cost))
         streak = (self.streak + 1) * signals
         return enters, streak >= self.config.patience, streak
 
     def _decide_each(self, revenue, costs, tolerances, month):
-        """Any other policy, called once per candidate, then once per node in
-        roster order; `apply_patience` turns each exit signal into a verdict."""
+        """A policy without batch methods, called once per candidate, then once
+        per node in roster order; `apply_patience` turns each exit signal into
+        a verdict."""
         policy = self.policy
         enters = [
             bool(policy.decide_entry(DecisionContext(revenue, cost, tolerance, month)))
@@ -466,10 +475,8 @@ class Simulation:
             fallbacks_before = getattr(self.policy, "fallback_count", 0)
             rng = _stream(cfg.seed, month, _STREAM_CANDIDATES)
             costs, tolerances = self._draw_node_params(rng, cfg.entry_pool_size)
-            if type(self.policy) is HeuristicPolicy:
-                enters, leaves, streak = self._decide_roster(revenue, costs, tolerances, month)
-            else:
-                enters, leaves, streak = self._decide_each(revenue, costs, tolerances, month)
+            decide = self._decide_roster if decides_in_batches(self.policy) else self._decide_each
+            enters, leaves, streak = decide(revenue, costs, tolerances, month)
             exits = int(np.count_nonzero(leaves))
             entries = int(np.count_nonzero(enters))
             n_now = len(self.cost) - exits + entries

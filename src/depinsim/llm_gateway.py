@@ -1,7 +1,8 @@
 """Uniform completion interface over two backends.
 
 ScriptedBackend maps prompts to canned replies for reproducible tests;
-HttpBackend speaks the OpenAI-compatible completions protocol.  Both return
+HttpBackend speaks the OpenAI-compatible completions protocol.  Both answer
+one request (`complete`) or a batch of them in order (`complete_batch`) with
 raw text; parse_yes_no turns it into a verdict without ever matching inside
 longer words.
 """
@@ -12,11 +13,10 @@ import fnmatch
 import json
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import requests
 
@@ -62,7 +62,7 @@ class CompletionRequest:
 @dataclass(frozen=True)
 class CompletionResponse:
     text: str
-    latency: float  # seconds
+    latency: float  # seconds taken by the call, or the batch chunk, that produced it
     backend: str  # "scripted" | "http"
 
 
@@ -86,9 +86,14 @@ class ScriptedBackend:
         self._default = default
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
+        return self.complete_batch([request])[0]
+
+    def complete_batch(self, batch: Sequence[CompletionRequest]) -> List[CompletionResponse]:
+        """One reply per request, in order; each carries the whole batch's latency."""
         start = time.perf_counter()
-        text = self._reply(request.prompt)
-        return CompletionResponse(text=text, latency=time.perf_counter() - start, backend=self.name)
+        texts = [self._reply(request.prompt) for request in batch]
+        latency = time.perf_counter() - start
+        return [CompletionResponse(text=text, latency=latency, backend=self.name) for text in texts]
 
     def _reply(self, prompt: str) -> str:
         if self._callable is not None:
@@ -104,14 +109,19 @@ class ScriptedBackend:
 class HttpBackend:
     """OpenAI-compatible completions client with a bounded retry budget.
 
-    Transport failures, 429 and 5xx answers are retried with exponential
-    backoff, or after the answer's delta-seconds Retry-After (capped at the
-    timeout).  Once the budget is spent a transport failure surfaces as
+    Requests go over one reused `requests.Session`.  `complete_batch` sends
+    the prompts as a list, at most `max_batch` to a POST, and places each
+    answer's choices by their `index`.  Transport failures, 429 and 5xx
+    answers are retried (a batch chunk as a whole) with exponential backoff,
+    or after the answer's delta-seconds Retry-After (capped at the timeout).
+    Once the budget is spent a transport failure surfaces as
     BackendUnavailableError and a 429/5xx as ProtocolError; any other
-    non-2xx answer raises ProtocolError immediately.
+    non-2xx answer, or a body without one text per prompt, raises
+    ProtocolError immediately.
     """
 
     name = "http"
+    max_batch = 64  # prompts per POST in complete_batch
 
     def __init__(
         self,
@@ -128,23 +138,49 @@ class HttpBackend:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        self.session = requests.Session()
+        if api_key:
+            self.session.headers["Authorization"] = f"Bearer {api_key}"
+
+    def close(self) -> None:
+        """Close the session's pooled connections."""
+        self.session.close()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        payload = {
-            "model": request.model_name,
-            "prompt": request.prompt,
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-        }
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
         start = time.perf_counter()
+        text = self._post(_payload(request, request.prompt), lambda body: body["choices"][0]["text"])
+        return CompletionResponse(text=text, latency=time.perf_counter() - start, backend=self.name)
+
+    def complete_batch(self, batch: Sequence[CompletionRequest]) -> List[CompletionResponse]:
+        """One reply per request, in order; each carries its chunk's latency.
+
+        The requests must share model, max_tokens and temperature, since a
+        POST carries one of each.  An empty batch sends nothing.
+        """
+        if len({(r.model_name, r.max_tokens, r.temperature) for r in batch}) > 1:
+            raise ValueError("a batch's requests must share model_name, max_tokens and temperature")
+        responses: List[CompletionResponse] = []
+        for lo in range(0, len(batch), self.max_batch):
+            chunk = batch[lo:lo + self.max_batch]
+            start = time.perf_counter()
+            texts = self._post(
+                _payload(chunk[0], [request.prompt for request in chunk]),
+                lambda body: _texts_by_index(body["choices"], len(chunk)),
+            )
+            latency = time.perf_counter() - start
+            responses += [CompletionResponse(text=text, latency=latency, backend=self.name) for text in texts]
+        return responses
+
+    def _post(self, payload: dict, read: Callable):
+        """`read` of the decoded body of a 2xx answer to `payload`, within the retry budget.
+
+        `read` raising ValueError, KeyError, IndexError or TypeError marks
+        the body malformed.
+        """
         last_error: Optional[Exception] = None
         for attempt in range(self.retries + 1):
             try:
-                resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
+                resp = self.session.post(self.url, json=payload, timeout=self.timeout)
             except requests.RequestException as err:
                 last_error = err
                 if attempt < self.retries:
@@ -156,10 +192,10 @@ class HttpBackend:
             if not 200 <= resp.status_code < 300:
                 raise ProtocolError(resp.status_code, resp.text[:200])
             try:
-                text = resp.json()["choices"][0]["text"]
+                return read(resp.json())
             except (ValueError, KeyError, IndexError, TypeError) as err:
-                raise ProtocolError(resp.status_code, f"malformed completion body: {resp.text[:200]}") from err
-            return CompletionResponse(text=text, latency=time.perf_counter() - start, backend=self.name)
+                raise ProtocolError(
+                    resp.status_code, f"malformed completion body ({err}): {resp.text[:200]}") from err
         raise BackendUnavailableError(
             f"{self.url} unreachable after {self.retries + 1} attempts: {last_error}"
         )
@@ -170,6 +206,28 @@ class HttpBackend:
         if retry_after.isascii() and retry_after.isdigit():
             return min(float(retry_after), self.timeout)
         return self.backoff * 2**attempt
+
+
+def _payload(request: CompletionRequest, prompt: Union[str, List[str]]) -> dict:
+    return {
+        "model": request.model_name,
+        "prompt": prompt,
+        "max_tokens": request.max_tokens,
+        "temperature": request.temperature,
+    }
+
+
+def _texts_by_index(choices, count: int) -> List[str]:
+    """The texts of a batched answer's `choices`, placed by their `index` among `count` prompts."""
+    texts = {}
+    for choice in choices:
+        index = choice["index"]
+        if type(index) is not int or not 0 <= index < count or index in texts:
+            raise ValueError(f"choice index {index!r} is out of range or repeated")
+        texts[index] = choice["text"]
+    if len(texts) < count:
+        raise ValueError(f"no choice for prompt {min(set(range(count)) - texts.keys())}")
+    return [texts[index] for index in range(count)]
 
 
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
@@ -192,20 +250,28 @@ class AuditLog:
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self._lock = threading.Lock()
 
     def record(self, request: CompletionRequest, response: CompletionResponse) -> None:
-        entry = {
-            "prompt": request.prompt,
-            "model": request.model_name,
-            "response": response.text,
-            "backend": response.backend,
-            "latency_s": response.latency,
-        }
-        line = json.dumps(entry, ensure_ascii=False)
-        with self._lock:
+        self.record_batch([request], [response])
+
+    def record_batch(self, batch: Sequence[CompletionRequest], responses: Sequence[CompletionResponse]) -> None:
+        """Append one line per exchange, opening the file once; an empty batch writes nothing."""
+        lines = [
+            json.dumps(
+                {
+                    "prompt": request.prompt,
+                    "model": request.model_name,
+                    "response": response.text,
+                    "backend": response.backend,
+                    "latency_s": response.latency,
+                },
+                ensure_ascii=False,
+            ) + "\n"
+            for request, response in zip(batch, responses, strict=True)
+        ]
+        if lines:
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.writelines(lines)
 
 
 @dataclass

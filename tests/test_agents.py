@@ -270,6 +270,56 @@ class TestLlmPolicy:
         assert policy.fallback_count == 0
 
 
+class Recording(ScriptedBackend):
+    """Scripted backend that keeps every prompt it answers and every batch size."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.prompts, self.batches = [], []
+
+    def complete_batch(self, batch):
+        self.prompts += [request.prompt for request in batch]
+        self.batches.append(len(batch))
+        return super().complete_batch(batch)
+
+
+class TestLlmPolicyBatch:
+    REVENUES = (1234.0, 0.0, 2.5e-7, 9.87e21)
+
+    @pytest.mark.parametrize("revenue", REVENUES)
+    def test_batch_methods_equal_scalar_methods(self, revenue):
+        # Integral and fractional literals, both fallbacks and parsed replies.
+        costs = np.array([1000.0, 1234.5, 3e20, 0.1, 77.0, 2.5e-7])
+        tolerances = np.array([0.5, 1.0, 0.3333333333333333, 0.9, 0.25, 0.75])
+        script = {"*cost of 1000*": "yes", "*cost of 1234.5*": "no", "*tolerance of 0.9*": "Yes."}
+
+        batched, single = LlmPolicy(Recording(script)), LlmPolicy(Recording(script))
+        enters = batched.decide_entries(revenue, costs, tolerances, 3)
+        exits = batched.decide_exits(revenue, costs, tolerances, 3)
+        contexts = [ctx(revenue, c, t, 3) for c, t in zip(costs.tolist(), tolerances.tolist())]
+        assert enters.tolist() == [single.decide_entry(c) for c in contexts]
+        assert exits.tolist() == [single.decide_exit(c) for c in contexts]
+        assert batched.backend.prompts == single.backend.prompts
+        assert batched.backend.batches == [6, 6]
+        assert batched.fallback_count == single.fallback_count > 0
+
+    @pytest.mark.parametrize("method", ["decide_entries", "decide_exits"])
+    def test_non_finite_quantity_raises_as_a_scalar_render_does(self, method):
+        policy = LlmPolicy(Recording({}))
+        tolerances = np.full(3, 0.5)
+        with pytest.raises(ValueError, match="prompt quantities must be finite, got inf"):
+            getattr(policy, method)(math.inf, np.ones(3), tolerances, 1)
+        with pytest.raises(ValueError, match="got nan"):
+            getattr(policy, method)(1.0, np.array([1.0, math.nan, math.inf]), tolerances, 1)
+        assert policy.backend.batches == []
+
+    def test_empty_pool_or_roster_sends_nothing(self):
+        policy = LlmPolicy(Recording({}))
+        for method in (policy.decide_entries, policy.decide_exits):
+            assert method(math.nan, np.zeros(0), np.zeros(0), 1).tolist() == []
+        assert policy.backend.batches == []
+
+
 class TestNodeProviderValidation:
     def test_tolerance_bounds(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from depinsim.agents import (
+    DecisionContext,
     GrowthCapitalist,
     HeuristicPolicy,
     LlmPolicy,
@@ -19,7 +22,7 @@ from depinsim.agents import (
     heuristic_prompt_reply,
 )
 from depinsim.engine import Simulation, SimulationConfig, SimulationError, Trajectory, run
-from depinsim.llm_gateway import LlmSettings, ScriptedBackend
+from depinsim.llm_gateway import AuditLog, LlmSettings, ScriptedBackend
 from depinsim.tokenomics import (
     TEAM_SCHEDULE,
     ScheduleKind,
@@ -302,7 +305,7 @@ CHURN = {**STRESSED, "node_cost": 250_000.0}
 
 
 class Forwarding:
-    """Not a HeuristicPolicy, so the engine calls it once per decision."""
+    """Has no batch methods, so the engine calls it once per decision."""
 
     def decide_entry(self, ctx):
         return heuristic_entry(ctx)
@@ -311,22 +314,75 @@ class Forwarding:
         return heuristic_exit(ctx)
 
 
+class ScalarOnly:
+    """Forwards only the scalar methods of `inner`, so the engine calls it once per decision."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def decide_entry(self, ctx):
+        return self.inner.decide_entry(ctx)
+
+    def decide_exit(self, ctx):
+        return self.inner.decide_exit(ctx)
+
+    @property
+    def fallback_count(self):
+        return self.inner.fallback_count
+
+
+def mixed_reply(prompt):
+    """Yes, no, or one of two unparseable replies, fixed by the prompt's text."""
+    return ("yes", "No.", "unclear", "")[sum(map(ord, prompt)) % 4]
+
+
+def llm_run(config, reply, scalar_only):
+    """The run's CSV and its audit log's lines without latency."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log = AuditLog(Path(tmp) / "audit.jsonl")
+        policy = LlmPolicy(ScriptedBackend(reply), audit_log=log)
+        text = run(config, policy=ScalarOnly(policy) if scalar_only else policy).to_csv_string()
+        lines = log.path.read_text(encoding="utf-8").splitlines() if log.path.exists() else []
+    exchanges = [json.loads(line) for line in lines]
+    for exchange in exchanges:
+        del exchange["latency_s"]
+    return text, exchanges
+
+
+ROUTE_CONFIGS = dict(
+    patience=st.integers(1, 5),
+    regime=st.sampled_from([{}, STRESSED, CHURN]),
+    entry_pool_size=st.integers(0, 20),
+    initial_nodes=st.integers(0, 50),
+    horizon_months=st.integers(1, 24),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
 class TestDecisionRoutes:
-    """HeuristicPolicy runs over the roster as arrays; every other policy
-    is called once per decision.  Both routes must give the same bytes."""
+    """A policy whose class provides batch methods decides the pool and the
+    roster as arrays; every other policy is called once per decision.  Both
+    routes must give the same bytes."""
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        patience=st.integers(1, 5),
-        regime=st.sampled_from([{}, STRESSED, CHURN]),
-        entry_pool_size=st.integers(0, 20),
-        initial_nodes=st.integers(0, 50),
-        horizon_months=st.integers(1, 24),
-        seed=st.integers(0, 2**31 - 1),
-    )
+    @given(**ROUTE_CONFIGS)
     def test_array_route_equals_per_decision_route(self, regime, **kwargs):
         config = SimulationConfig(**kwargs, **regime)
         assert run(config).to_csv_string() == run(config, policy=Forwarding()).to_csv_string()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(reply=st.sampled_from([heuristic_prompt_reply, mixed_reply]), **ROUTE_CONFIGS)
+    def test_llm_batch_route_equals_per_decision_route(self, reply, regime, **kwargs):
+        # Same CSV bytes, fallbacks column included, and the same exchanges in the same order.
+        config = SimulationConfig(**kwargs, **regime)
+        assert llm_run(config, reply, scalar_only=False) == llm_run(config, reply, scalar_only=True)
+
+    def test_mixed_reply_forces_fallbacks(self):
+        # The differential test above covers fallbacks only if the mixed script causes some.
+        config = SimulationConfig(horizon_months=24, patience=2, **CHURN)
+        events = run(config, policy=LlmPolicy(ScriptedBackend(mixed_reply))).events
+        assert sum(e.fallbacks for e in events) > 0
+        assert sum(e.exits for e in events) > 0
 
     def test_churn_regime_has_exits(self):
         # The differential test above means something only if a regime
@@ -343,6 +399,35 @@ class TestDecisionRoutes:
         config = SimulationConfig(horizon_months=24, **CHURN)
         assert sum(e.exits for e in run(config).events) > 0
         assert sum(e.exits for e in run(config, policy=NeverExit()).events) == 0
+
+    def test_overriding_llm_subclass_is_honoured(self):
+        class NeverExit(LlmPolicy):
+            def decide_exit(self, ctx):
+                return False
+
+        config = SimulationConfig(horizon_months=24, **CHURN)
+        backend = ScriptedBackend(heuristic_prompt_reply)
+        assert sum(e.exits for e in run(config, policy=LlmPolicy(backend)).events) > 0
+        assert sum(e.exits for e in run(config, policy=NeverExit(backend)).events) == 0
+
+    def test_batch_only_policy_takes_the_batch_route(self):
+        class Batches:
+            def decide_entries(self, revenue, costs, tolerances, month):
+                return heuristic_entry(DecisionContext(revenue, costs, tolerances, month))
+
+            def decide_exits(self, revenue, costs, tolerances, month):
+                return heuristic_exit(DecisionContext(revenue, costs, tolerances, month))
+
+        config = SimulationConfig(horizon_months=24, patience=2, **CHURN)
+        assert run(config, policy=Batches()).to_csv_string() == run(config).to_csv_string()
+
+    def test_batch_verdicts_must_cover_every_node(self, null_dynamics_config):
+        class Short(HeuristicPolicy):
+            def decide_exits(self, revenue, costs, tolerances, month):
+                return super().decide_exits(revenue, costs, tolerances, month)[1:]
+
+        with pytest.raises(SimulationError, match="node-decisions.*shape \\(49,\\) for 50 nodes"):
+            Simulation(null_dynamics_config, policy=Short()).step(1)
 
     def test_per_decision_calls_in_roster_order(self):
         class Counting(Forwarding):

@@ -99,6 +99,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         if self.server.raw_payload is not None:
             self.wfile.write(self.server.raw_payload)
+        elif status == 200 and isinstance(body["prompt"], list):  # batched: one indexed choice per prompt
+            choices = [{"index": i, "text": f"{self.server.reply} {p}"} for i, p in enumerate(body["prompt"])]
+            self.wfile.write(json.dumps({"choices": self.server.arrange(choices)}).encode())
         elif status == 200:
             self.wfile.write(json.dumps({"choices": [{"text": self.server.reply}]}).encode())
         else:
@@ -117,7 +120,8 @@ def stub_server():
     server.retry_after = None
     server.reply = "No."
     server.raw_payload = None
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.arrange = list  # reorders or drops a batched answer's choices
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield server
     server.shutdown()
@@ -187,6 +191,79 @@ class TestHttpBackend:
             backend.complete(CompletionRequest(prompt="hello"))
 
 
+def _batch(*prompts):
+    return [CompletionRequest(prompt=prompt, max_tokens=4) for prompt in prompts]
+
+
+class TestHttpBackendBatch:
+    """`complete_batch` against the stub: list prompts, indexed choices."""
+
+    @pytest.fixture
+    def backend(self, stub_server):
+        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, backoff=0.01)
+        yield backend
+        backend.close()
+
+    def test_sends_the_prompts_as_one_list(self, stub_server, backend):
+        responses = backend.complete_batch(_batch("a", "b", "c"))
+        assert [r.text for r in responses] == ["No. a", "No. b", "No. c"]
+        assert all(r.backend == "http" and r.latency >= 0.0 for r in responses)
+        assert [sent["body"] for sent in stub_server.requests] == [{
+            "model": "EleutherAI/gpt-neo-125M",
+            "prompt": ["a", "b", "c"],
+            "max_tokens": 4,
+            "temperature": 0.0,
+        }]
+
+    def test_shuffled_choices_are_placed_by_index(self, stub_server, backend):
+        stub_server.arrange = lambda choices: [choices[i] for i in (2, 0, 3, 1)]
+        assert [r.text for r in backend.complete_batch(_batch("a", "b", "c", "d"))] == ["No. a", "No. b", "No. c",
+                                                                                         "No. d"]
+
+    def test_transient_status_retries_the_whole_chunk_once(self, stub_server, backend):
+        stub_server.statuses = [503]
+        assert [r.text for r in backend.complete_batch(_batch("a", "b"))] == ["No. a", "No. b"]
+        assert [sent["body"]["prompt"] for sent in stub_server.requests] == [["a", "b"], ["a", "b"]]
+
+    @pytest.mark.parametrize(
+        "arrange,match",
+        [(lambda choices: choices[:2], "no choice for prompt 2"),
+         (lambda choices: choices[:2] + choices[1:2], "repeated"),
+         (lambda choices: choices[:2] + [{"index": 7, "text": "yes"}], "out of range")],
+        ids=["missing", "duplicate", "out-of-range"],
+    )
+    def test_choices_not_one_per_prompt_raise_protocol_error(self, stub_server, backend, arrange, match):
+        stub_server.arrange = arrange
+        with pytest.raises(ProtocolError, match=match):
+            backend.complete_batch(_batch("a", "b", "c"))
+        assert len(stub_server.requests) == 1  # a malformed answer is not retried
+
+    def test_empty_batch_sends_nothing(self, stub_server, backend):
+        assert backend.complete_batch([]) == []
+        assert stub_server.requests == []
+
+    def test_chunks_at_max_batch(self, stub_server, backend):
+        backend.max_batch = 2
+        prompts = ["a", "b", "c", "d", "e"]
+        assert [r.text for r in backend.complete_batch(_batch(*prompts))] == [f"No. {p}" for p in prompts]
+        assert [sent["body"]["prompt"] for sent in stub_server.requests] == [["a", "b"], ["c", "d"], ["e"]]
+
+    def test_mixed_settings_rejected(self, stub_server, backend):
+        with pytest.raises(ValueError, match="must share"):
+            backend.complete_batch([CompletionRequest(prompt="a"), CompletionRequest(prompt="b", max_tokens=2)])
+        assert stub_server.requests == []
+
+
+class TestScriptedBatch:
+    def test_batch_answers_in_order_as_single_calls_do(self):
+        backend = ScriptedBackend({"*enter*": "yes", "*exit*": "no"}, default="?")
+        batch = [CompletionRequest(prompt=p) for p in ("exit now", "enter now", "other")]
+        responses = backend.complete_batch(batch)
+        assert [r.text for r in responses] == [backend.complete(r).text for r in batch] == ["no", "yes", "?"]
+        assert len({r.latency for r in responses}) == 1  # one timing pair per batch
+        assert backend.complete_batch([]) == []
+
+
 class TestAuditLog:
     def test_records_json_lines(self, tmp_path):
         log = AuditLog(tmp_path / "audit.jsonl")
@@ -202,6 +279,21 @@ class TestAuditLog:
         assert entry["response"] == "yes"
         assert entry["backend"] == "scripted"
         assert entry["latency_s"] >= 0.0
+
+    def test_batch_writes_the_lines_single_records_write(self, tmp_path, monkeypatch):
+        backend = ScriptedBackend({"*enter*": "yes"}, default="no")
+        batch = [CompletionRequest(prompt=p) for p in ("enter?", "exit?", "ünïcode")]
+        responses = backend.complete_batch(batch)
+        single = AuditLog(tmp_path / "single.jsonl")
+        for request, response in zip(batch, responses):
+            single.record(request, response)
+        opened = []
+        monkeypatch.setattr("builtins.open", lambda *a, _open=open, **k: opened.append(a[0]) or _open(*a, **k))
+        batched = AuditLog(tmp_path / "batched.jsonl")
+        batched.record_batch(batch, responses)
+        batched.record_batch([], [])
+        assert opened == [batched.path]  # once per non-empty batch
+        assert batched.path.read_text(encoding="utf-8") == single.path.read_text(encoding="utf-8")
 
 
 class TestBuildBackend:
