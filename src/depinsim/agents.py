@@ -100,19 +100,15 @@ class DecisionPolicy(Protocol):
 _BATCH_METHODS = (("decide_entries", "decide_entry"), ("decide_exits", "decide_exit"))
 
 
-def decides_in_batches(policy) -> bool:
-    """Whether `policy`'s class provides its own batch methods.
+@functools.lru_cache(maxsize=128)  # the engine asks every month; the MRO walk costs ~20 cache hits
+def decides_in_batches(cls: type) -> bool:
+    """Whether policy class `cls` provides its own batch methods.
 
     Each batch method must be defined on the class, or on an ancestor no
     further up than the one defining the scalar method it stands for.  A
     subclass that overrides only `decide_entry` or `decide_exit` therefore
     takes the per-decision route, and its override is honoured.
     """
-    return _class_decides_in_batches(type(policy))
-
-
-@functools.lru_cache(maxsize=128)  # the engine asks every month; the MRO walk costs ~20 cache hits
-def _class_decides_in_batches(cls: type) -> bool:
     mro = cls.__mro__
 
     def owner(name: str) -> int:  # MRO position of the class defining `name`, past the end if none

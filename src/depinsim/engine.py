@@ -475,7 +475,7 @@ class Simulation:
             fallbacks_before = getattr(self.policy, "fallback_count", 0)
             rng = _stream(cfg.seed, month, _STREAM_CANDIDATES)
             costs, tolerances = self._draw_node_params(rng, cfg.entry_pool_size)
-            decide = self._decide_roster if decides_in_batches(self.policy) else self._decide_each
+            decide = self._decide_roster if decides_in_batches(type(self.policy)) else self._decide_each
             enters, leaves, streak = decide(revenue, costs, tolerances, month)
             exits = int(np.count_nonzero(leaves))
             entries = int(np.count_nonzero(enters))
