@@ -4,8 +4,8 @@ import copy
 import json
 import math
 import tempfile
-from pathlib import Path
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
