@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Protocol
 
 import numpy as np
 
-from .llm_gateway import DEFAULT_MODEL, AuditLog, CompletionRequest, parse_yes_no
+from .llm_gateway import DEFAULT_MODEL, AuditLog, CompletionRequest, GatewayError, parse_yes_no
 
 
 @dataclass
@@ -230,10 +230,11 @@ class LlmPolicy:
     The batch methods render a month's prompts with the revenue rendered
     once, send them in one `complete_batch` call per kind and parse the
     replies in order; the scalar methods send one `complete` per decision.
-    Both give the same prompts, verdicts and audit-log lines.  Unparseable
-    replies fall back to the heuristic verdict for that decision and are
-    counted in `fallback_count` so flakiness stays observable.  Transport
-    errors are not swallowed; they propagate to the engine.
+    Both give the same prompts, verdicts and audit-log lines, also up to a
+    failed request.  Unparseable replies fall back to the heuristic verdict
+    for that decision and are counted in `fallback_count` so flakiness
+    stays observable.  Transport errors are not swallowed; they propagate
+    to the engine.
     """
 
     def __init__(
@@ -273,7 +274,12 @@ class LlmPolicy:
     def _ask_batch(self, prompts: List[str], fallback: Callable[[], np.ndarray]) -> np.ndarray:
         """One verdict per prompt; `fallback()` gives the heuristic verdicts that stand in."""
         batch = [self._request(prompt) for prompt in prompts]
-        responses = self.backend.complete_batch(batch)
+        try:
+            responses = self.backend.complete_batch(batch)
+        except GatewayError as err:  # audit the exchanges before the failure, as the scalar route would
+            if self.audit_log is not None:
+                self.audit_log.record_batch(batch[:len(err.answered)], err.answered)
+            raise
         if self.audit_log is not None:
             self.audit_log.record_batch(batch, responses)
         texts = [response.text for response in responses]

@@ -27,7 +27,13 @@ DEFAULT_MODEL = "EleutherAI/gpt-neo-125M"
 
 
 class GatewayError(Exception):
-    """Base class for completion-backend failures."""
+    """Base class for completion-backend failures.
+
+    `answered` holds the replies a `complete_batch` call received, in
+    order, before the request that failed.
+    """
+
+    answered: Sequence["CompletionResponse"] = ()
 
 
 class BackendUnavailableError(GatewayError):
@@ -62,7 +68,7 @@ class CompletionRequest:
 @dataclass(frozen=True)
 class CompletionResponse:
     text: str
-    latency: float  # seconds taken by the call, or the batch chunk, that produced it
+    latency: float  # seconds taken by the call, or by the scripted batch, that produced it
     backend: str  # "scripted" | "http"
 
 
@@ -109,19 +115,15 @@ class ScriptedBackend:
 class HttpBackend:
     """OpenAI-compatible completions client with a bounded retry budget.
 
-    Requests go over one reused `requests.Session`.  `complete_batch` sends
-    the prompts as a list, at most `max_batch` to a POST, and places each
-    answer's choices by their `index`.  Transport failures, 429 and 5xx
-    answers are retried (a batch chunk as a whole) with exponential backoff,
-    or after the answer's delta-seconds Retry-After (capped at the timeout).
+    `complete_batch` sends one `complete` per request, in order.  Transport
+    failures, 429 and 5xx answers are retried with exponential backoff, or
+    after the answer's delta-seconds Retry-After (capped at the timeout).
     Once the budget is spent a transport failure surfaces as
     BackendUnavailableError and a 429/5xx as ProtocolError; any other
-    non-2xx answer, or a body without one text per prompt, raises
-    ProtocolError immediately.
+    non-2xx answer raises ProtocolError immediately.
     """
 
     name = "http"
-    max_batch = 64  # prompts per POST in complete_batch
 
     def __init__(
         self,
@@ -138,49 +140,34 @@ class HttpBackend:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.session = requests.Session()
-        if api_key:
-            self.session.headers["Authorization"] = f"Bearer {api_key}"
-
-    def close(self) -> None:
-        """Close the session's pooled connections."""
-        self.session.close()
-
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        start = time.perf_counter()
-        text = self._post(_payload(request, request.prompt), lambda body: body["choices"][0]["text"])
-        return CompletionResponse(text=text, latency=time.perf_counter() - start, backend=self.name)
 
     def complete_batch(self, batch: Sequence[CompletionRequest]) -> List[CompletionResponse]:
-        """One reply per request, in order; each carries its chunk's latency.
-
-        The requests must share model, max_tokens and temperature, since a
-        POST carries one of each.  An empty batch sends nothing.
-        """
-        if len({(r.model_name, r.max_tokens, r.temperature) for r in batch}) > 1:
-            raise ValueError("a batch's requests must share model_name, max_tokens and temperature")
+        """One reply per request, in order; a failure carries the replies before it as `answered`."""
         responses: List[CompletionResponse] = []
-        for lo in range(0, len(batch), self.max_batch):
-            chunk = batch[lo:lo + self.max_batch]
-            start = time.perf_counter()
-            texts = self._post(
-                _payload(chunk[0], [request.prompt for request in chunk]),
-                lambda body: _texts_by_index(body["choices"], len(chunk)),
-            )
-            latency = time.perf_counter() - start
-            responses += [CompletionResponse(text=text, latency=latency, backend=self.name) for text in texts]
+        for request in batch:
+            try:
+                responses.append(self.complete(request))
+            except GatewayError as err:
+                err.answered = responses
+                raise
         return responses
 
-    def _post(self, payload: dict, read: Callable):
-        """`read` of the decoded body of a 2xx answer to `payload`, within the retry budget.
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        payload = {
+            "model": request.model_name,
+            "prompt": request.prompt,
+            "max_tokens": request.max_tokens,
+            "temperature": request.temperature,
+        }
+        headers = {}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
 
-        `read` raising ValueError, KeyError, IndexError or TypeError marks
-        the body malformed.
-        """
+        start = time.perf_counter()
         last_error: Optional[Exception] = None
         for attempt in range(self.retries + 1):
             try:
-                resp = self.session.post(self.url, json=payload, timeout=self.timeout)
+                resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
             except requests.RequestException as err:
                 last_error = err
                 if attempt < self.retries:
@@ -192,10 +179,10 @@ class HttpBackend:
             if not 200 <= resp.status_code < 300:
                 raise ProtocolError(resp.status_code, resp.text[:200])
             try:
-                return read(resp.json())
+                text = resp.json()["choices"][0]["text"]
             except (ValueError, KeyError, IndexError, TypeError) as err:
-                raise ProtocolError(
-                    resp.status_code, f"malformed completion body ({err}): {resp.text[:200]}") from err
+                raise ProtocolError(resp.status_code, f"malformed completion body: {resp.text[:200]}") from err
+            return CompletionResponse(text=text, latency=time.perf_counter() - start, backend=self.name)
         raise BackendUnavailableError(
             f"{self.url} unreachable after {self.retries + 1} attempts: {last_error}"
         )
@@ -206,28 +193,6 @@ class HttpBackend:
         if retry_after.isascii() and retry_after.isdigit():
             return min(float(retry_after), self.timeout)
         return self.backoff * 2**attempt
-
-
-def _payload(request: CompletionRequest, prompt: Union[str, List[str]]) -> dict:
-    return {
-        "model": request.model_name,
-        "prompt": prompt,
-        "max_tokens": request.max_tokens,
-        "temperature": request.temperature,
-    }
-
-
-def _texts_by_index(choices, count: int) -> List[str]:
-    """The texts of a batched answer's `choices`, placed by their `index` among `count` prompts."""
-    texts = {}
-    for choice in choices:
-        index = choice["index"]
-        if type(index) is not int or not 0 <= index < count or index in texts:
-            raise ValueError(f"choice index {index!r} is out of range or repeated")
-        texts[index] = choice["text"]
-    if len(texts) < count:
-        raise ValueError(f"no choice for prompt {min(set(range(count)) - texts.keys())}")
-    return [texts[index] for index in range(count)]
 
 
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)

@@ -5,10 +5,12 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import YES_NO_CORPUS
+from depinsim.agents import DecisionContext, LlmPolicy
 from depinsim.engine import decode
 from depinsim.llm_gateway import (
     AuditLog,
@@ -99,9 +101,6 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         if self.server.raw_payload is not None:
             self.wfile.write(self.server.raw_payload)
-        elif status == 200 and isinstance(body["prompt"], list):  # batched: one indexed choice per prompt
-            choices = [{"index": i, "text": f"{self.server.reply} {p}"} for i, p in enumerate(body["prompt"])]
-            self.wfile.write(json.dumps({"choices": self.server.arrange(choices)}).encode())
         elif status == 200:
             self.wfile.write(json.dumps({"choices": [{"text": self.server.reply}]}).encode())
         else:
@@ -120,7 +119,6 @@ def stub_server():
     server.retry_after = None
     server.reply = "No."
     server.raw_payload = None
-    server.arrange = list  # reorders or drops a batched answer's choices
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield server
@@ -196,62 +194,53 @@ def _batch(*prompts):
 
 
 class TestHttpBackendBatch:
-    """`complete_batch` against the stub: list prompts, indexed choices."""
+    """`complete_batch` against the stub: one POST per prompt, in order."""
 
     @pytest.fixture
     def backend(self, stub_server):
-        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, backoff=0.01)
-        yield backend
-        backend.close()
+        return HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, backoff=0.01)
 
-    def test_sends_the_prompts_as_one_list(self, stub_server, backend):
+    def test_one_request_per_prompt_in_order(self, stub_server, backend):
         responses = backend.complete_batch(_batch("a", "b", "c"))
-        assert [r.text for r in responses] == ["No. a", "No. b", "No. c"]
-        assert all(r.backend == "http" and r.latency >= 0.0 for r in responses)
-        assert [sent["body"] for sent in stub_server.requests] == [{
-            "model": "EleutherAI/gpt-neo-125M",
-            "prompt": ["a", "b", "c"],
-            "max_tokens": 4,
-            "temperature": 0.0,
-        }]
+        assert [(r.text, r.backend) for r in responses] == [("No.", "http")] * 3
+        assert [sent["body"] for sent in stub_server.requests] == [
+            {"model": "EleutherAI/gpt-neo-125M", "prompt": prompt, "max_tokens": 4, "temperature": 0.0}
+            for prompt in ("a", "b", "c")
+        ]
 
-    def test_shuffled_choices_are_placed_by_index(self, stub_server, backend):
-        stub_server.arrange = lambda choices: [choices[i] for i in (2, 0, 3, 1)]
-        assert [r.text for r in backend.complete_batch(_batch("a", "b", "c", "d"))] == ["No. a", "No. b", "No. c",
-                                                                                         "No. d"]
+    def test_transient_status_retries_only_that_request(self, stub_server, backend):
+        stub_server.statuses = [200, 503]
+        assert len(backend.complete_batch(_batch("a", "b", "c"))) == 3
+        assert [sent["body"]["prompt"] for sent in stub_server.requests] == ["a", "b", "b", "c"]
 
-    def test_transient_status_retries_the_whole_chunk_once(self, stub_server, backend):
-        stub_server.statuses = [503]
-        assert [r.text for r in backend.complete_batch(_batch("a", "b"))] == ["No. a", "No. b"]
-        assert [sent["body"]["prompt"] for sent in stub_server.requests] == [["a", "b"], ["a", "b"]]
-
-    @pytest.mark.parametrize(
-        "arrange,match",
-        [(lambda choices: choices[:2], "no choice for prompt 2"),
-         (lambda choices: choices[:2] + choices[1:2], "repeated"),
-         (lambda choices: choices[:2] + [{"index": 7, "text": "yes"}], "out of range")],
-        ids=["missing", "duplicate", "out-of-range"],
-    )
-    def test_choices_not_one_per_prompt_raise_protocol_error(self, stub_server, backend, arrange, match):
-        stub_server.arrange = arrange
-        with pytest.raises(ProtocolError, match=match):
-            backend.complete_batch(_batch("a", "b", "c"))
-        assert len(stub_server.requests) == 1  # a malformed answer is not retried
+    def test_failure_carries_the_replies_before_it(self, stub_server, backend):
+        stub_server.statuses = [200, 200, 400]
+        with pytest.raises(ProtocolError) as err:
+            backend.complete_batch(_batch("a", "b", "c", "d"))
+        assert [r.text for r in err.value.answered] == ["No.", "No."]
+        assert len(stub_server.requests) == 3  # nothing is sent after the failure
 
     def test_empty_batch_sends_nothing(self, stub_server, backend):
         assert backend.complete_batch([]) == []
         assert stub_server.requests == []
 
-    def test_chunks_at_max_batch(self, stub_server, backend):
-        backend.max_batch = 2
-        prompts = ["a", "b", "c", "d", "e"]
-        assert [r.text for r in backend.complete_batch(_batch(*prompts))] == [f"No. {p}" for p in prompts]
-        assert [sent["body"]["prompt"] for sent in stub_server.requests] == [["a", "b"], ["c", "d"], ["e"]]
-
-    def test_mixed_settings_rejected(self, stub_server, backend):
-        with pytest.raises(ValueError, match="must share"):
-            backend.complete_batch([CompletionRequest(prompt="a"), CompletionRequest(prompt="b", max_tokens=2)])
-        assert stub_server.requests == []
+    def test_failed_batch_is_audited_up_to_the_failure_as_scalar_calls_are(self, stub_server, backend, tmp_path):
+        costs, tolerances = np.array([1000.0, 2000.0, 3000.0]), np.full(3, 0.5)
+        logs = []
+        for route in ("batch", "scalar"):
+            stub_server.statuses = [200, 200, 400]
+            log = AuditLog(tmp_path / f"{route}.jsonl")
+            policy = LlmPolicy(backend, audit_log=log)
+            with pytest.raises(ProtocolError):
+                if route == "batch":
+                    policy.decide_exits(1500.0, costs, tolerances, 1)
+                else:
+                    for cost, tolerance in zip(costs.tolist(), tolerances.tolist()):
+                        policy.decide_exit(DecisionContext(1500.0, cost, tolerance, 1))
+            logs.append([{k: v for k, v in json.loads(line).items() if k != "latency_s"}
+                         for line in log.path.read_text().splitlines()])
+        assert len(logs[0]) == 2
+        assert logs[0] == logs[1]
 
 
 class TestScriptedBatch:
