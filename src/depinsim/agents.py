@@ -11,11 +11,12 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol
 
 import numpy as np
 
+from .bounds import check_ranges
 from .llm_gateway import DEFAULT_MODEL, AuditLog, CompletionRequest, GatewayError, parse_yes_no
 
 
@@ -339,17 +340,20 @@ def apply_patience(node: NodeProvider, exit_signal: bool) -> bool:
 class GcParams:
     """Arrival and endowment/lifespan distribution parameters."""
 
-    arrival_rate: float = 1.0  # Poisson mean, arrivals per month
-    endowment_mu: float = 13.0  # log-scale; median endowment exp(13) ~ 4.4e5
-    endowment_sigma: float = 1.0
-    lifespan_mu: float = 2.5  # log-scale; median lifespan exp(2.5) ~ 12.2 months
-    lifespan_sigma: float = 0.5
+    # The ranges keep every month's draws allocatable and finite.  NumPy's normal
+    # draws z satisfy |z| < 12.3 (its ziggurat tail is fed 53-bit uniforms), so a
+    # log-normal draw lies within exp(mu +- 13 sigma) = exp(mu +- 32.5): an endowment
+    # within [7e-15, 4e57], so a price (endowments over a finite sale pool) stays
+    # above zero, and a lifespan below 2.9e18 months, inside int64.  A Poisson mean
+    # of at most 1000 keeps a month's arrivals to about a thousand objects.
+    arrival_rate: float = field(default=1.0, metadata={"range": "[0, 1000]"})  # arrivals per month
+    endowment_mu: float = field(default=13.0, metadata={"range": "[0, 100]"})  # median exp(13) ~ 4.4e5
+    endowment_sigma: float = field(default=1.0, metadata={"range": "[0, 2.5]"})
+    lifespan_mu: float = field(default=2.5, metadata={"range": "[0, 10]"})  # median exp(2.5) ~ 12.2 months
+    lifespan_sigma: float = field(default=0.5, metadata={"range": "[0, 2.5]"})
 
     def __post_init__(self):
-        if self.arrival_rate < 0:
-            raise ValueError(f"arrival_rate must be >= 0, got {self.arrival_rate}")
-        if self.endowment_sigma < 0 or self.lifespan_sigma < 0:
-            raise ValueError("distribution sigmas must be >= 0")
+        check_ranges(self)
 
 
 def sample_lifespans(rng: np.random.Generator, mu: float, sigma: float, size: int) -> np.ndarray:

@@ -1,0 +1,50 @@
+"""Declared ranges of numeric config fields.
+
+A field states its range once, as interval text such as "[0, 1]" or "(0, inf)" in its
+metadata; `check_ranges` is the one check against it and `config-reference` prints it.
+"""
+
+from __future__ import annotations
+
+import functools
+import operator
+import re
+from dataclasses import Field, field, fields
+from typing import Optional, Tuple
+
+_INTERVAL = re.compile(r"([\[(])(\S+), (\S+)([\])])")
+_LOWER = {"[": operator.le, "(": operator.lt}  # lo <= value, lo < value
+_UPPER = {"]": operator.le, ")": operator.lt}  # value <= hi, value < hi
+
+
+def config_field(default, doc: str, bounds: Optional[str] = None) -> Field:
+    """A config key: its default, its `config-reference` description and, if numeric, its range."""
+    return field(default=default, metadata={"doc": doc} if bounds is None else {"doc": doc, "range": bounds})
+
+
+def mirrored(cls: type, name: str, doc: str) -> Field:
+    """A config key with the default and range of dataclass `cls`'s field `name`."""
+    source = next(f for f in fields(cls) if f.name == name)
+    return config_field(source.default, doc, source.metadata["range"])
+
+
+@functools.lru_cache(maxsize=None)
+def declared_ranges(cls: type) -> Tuple[tuple, ...]:
+    """(name, interval text, lo, lower test, hi, upper test) per field of dataclass `cls` declaring a range."""
+    ranges = []
+    for f in fields(cls):
+        if "range" in f.metadata:
+            lower, lo, hi, upper = _INTERVAL.fullmatch(f.metadata["range"]).groups()
+            ranges.append((f.name, f.metadata["range"], float(lo), _LOWER[lower], float(hi), _UPPER[upper]))
+    return tuple(ranges)
+
+
+def check_ranges(obj) -> None:
+    """Raise a ValueError naming the first field of dataclass `obj` outside its declared range.
+
+    A tuple's range holds for each element; NaN fails every comparison, so it is never in range.
+    """
+    for name, text, lo, above, hi, below in declared_ranges(type(obj)):
+        value = getattr(obj, name)
+        if not all(above(lo, x) and below(x, hi) for x in (value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must lie in {text}, got {value!r}")

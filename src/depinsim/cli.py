@@ -11,13 +11,14 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
 from . import charts, metrics
+from .bounds import config_field
 from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, csv_text, decode, encode, run
 from .llm_gateway import AuditLog, GatewayError
 from .tokenomics import TokenAllocation, circulating_supply, node_emission, team_release, vc_release
@@ -31,10 +32,9 @@ EXIT_RUNTIME = 3
 class FileOptions:
     """Keys a run-config file may carry on top of SimulationConfig."""
 
-    out_dir: str = field(default="out", metadata={"doc": "directory for emitted artifacts"})
-    charts: bool = field(default=True, metadata={"doc": "emit SVG charts next to the CSVs"})
-    audit_log: Optional[str] = field(
-        default=None, metadata={"doc": "JSON-lines file recording every LLM exchange"})
+    out_dir: str = config_field("out", "directory for emitted artifacts")
+    charts: bool = config_field(True, "emit SVG charts next to the CSVs")
+    audit_log: Optional[str] = config_field(None, "JSON-lines file recording every LLM exchange")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -181,12 +181,7 @@ def cmd_compare(args) -> int:
 def cmd_vesting(args) -> int:
     if args.horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {args.horizon}")
-    alloc = TokenAllocation(
-        total_supply=args.total_supply,
-        team_fraction=args.team_fraction,
-        vc_fraction=args.vc_fraction,
-        node_fraction=args.node_fraction,
-    )
+    alloc = TokenAllocation(**{f.name: getattr(args, f.name) for f in fields(TokenAllocation)})
     header = ("month", "team_release", "vc_release", "node_release",
               "team_cumulative", "vc_cumulative", "node_cumulative", "circulating_supply")
     rows = []
@@ -226,12 +221,12 @@ def cmd_score(args) -> int:
 
 
 def _reference_rows(obj, prefix: str = "") -> List[tuple]:
-    """(key, default, doc) for each field of config dataclass `obj`; a field
-    without a `doc` is an optional section, listed key by key."""
+    """(key, default, range, doc) for each field of config dataclass `obj`; a
+    field without a `doc` is an optional section, listed key by key."""
     rows = []
     for f in fields(obj):
         if "doc" in f.metadata:
-            rows.append((prefix + f.name, encode(getattr(obj, f.name)), f.metadata["doc"]))
+            rows.append((prefix + f.name, encode(getattr(obj, f.name)), f.metadata.get("range"), f.metadata["doc"]))
         else:
             section = get_args(get_type_hints(type(obj))[f.name])[0]  # Optional[section]
             rows += _reference_rows(section(), f"{prefix}{f.name}.")
@@ -239,23 +234,29 @@ def _reference_rows(obj, prefix: str = "") -> List[tuple]:
 
 
 def cmd_config_reference(_args) -> int:
-    """Print every config key with its default, read from the config dataclasses."""
-    print("| key | default | description |")
-    print("| --- | --- | --- |")
-    for key, default, description in _reference_rows(SimulationConfig()) + _reference_rows(FileOptions()):
-        print(f"| `{key}` | `{json.dumps(default)}` | {description} |")
+    """Print every config key with its default and declared range, read from the config dataclasses."""
+    print("| key | default | range | description |")
+    print("| --- | --- | --- | --- |")
+    for key, default, bounds, description in _reference_rows(SimulationConfig()) + _reference_rows(FileOptions()):
+        print(f"| `{key}` | `{json.dumps(default)}` | {f'`{bounds}`' if bounds else ''} | {description} |")
     return EXIT_OK
+
+
+def _count(text: str) -> int:
+    """A command-line integer that must be at least 1: a seed count or a patience level."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
 
 
 def _patience_list(text: str) -> List[int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [_count(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"patience list must be comma-separated integers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("patience list must not be empty")
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("patience values must be >= 1")
     return values
 
 
@@ -283,16 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp)
     p_cmp.add_argument("--patience", dest="patience_list", type=_patience_list, required=True,
                        help="comma-separated patience levels for the LLM cells, e.g. 1,3,5")
-    p_cmp.add_argument("--seeds", type=int, default=5, help="seeds per cell (default: 5)")
+    p_cmp.add_argument("--seeds", type=_count, default=5, help="seeds per cell (default: 5)")
     p_cmp.set_defaults(func=cmd_compare, policy=None, patience=None, audit_log=None)
 
     p_vest = sub.add_parser("vesting", help="emit the per-month release schedule table")
     p_vest.add_argument("--horizon", type=int, default=96, help="months to tabulate (default: 96)")
-    alloc = TokenAllocation()
-    p_vest.add_argument("--total-supply", type=float, default=alloc.total_supply)
-    p_vest.add_argument("--team-fraction", type=float, default=alloc.team_fraction)
-    p_vest.add_argument("--vc-fraction", type=float, default=alloc.vc_fraction)
-    p_vest.add_argument("--node-fraction", type=float, default=alloc.node_fraction)
+    for f in fields(TokenAllocation):  # --total-supply, --team-fraction, --vc-fraction, --node-fraction
+        p_vest.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
     p_vest.add_argument("--out-dir", default="out")
     p_vest.add_argument("--charts", choices=("on", "off"), default="on")
     p_vest.set_defaults(func=cmd_vesting)

@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
@@ -34,6 +34,7 @@ from .agents import (
     spawn_growth_capitalists,
     total_endowment,
 )
+from .bounds import check_ranges, config_field, mirrored
 from .llm_gateway import AuditLog, LlmSettings, build_backend
 from .market import (
     MarketState,
@@ -61,6 +62,10 @@ from .tokenomics import (
 _STREAM_INIT_NODES = 0
 _STREAM_CANDIDATES = 1
 _STREAM_GROWTH_CAPITAL = 2
+
+# The most nodes a run may hold: initial_nodes + horizon_months * entry_pool_size,
+# which keeps every month's roster arrays allocatable.
+MAX_ROSTER = 1_000_000
 
 # The MarketState fields a month must record as finite numbers.
 _STATE_FLOATS = tuple(name for name, hint in get_type_hints(MarketState).items() if hint is float)
@@ -167,99 +172,58 @@ class SimulationConfig:
     Each field's `doc` metadata is its line in `depin-sim config-reference`.
     """
 
-    horizon_months: int = field(default=96, metadata={"doc": "number of simulated months"})
-    initial_nodes: int = field(default=50, metadata={"doc": "nodes deployed by the core team before month 1"})
-    initial_price: float = field(default=1.0, metadata={"doc": "token price carried until the first traded month"})
-    user_revenue_factor: float = field(default=10.0, metadata={"doc": "currency of monthly revenue per user (k)"})
-    node_cost: float = field(default=1000.0, metadata={"doc": "baseline node operating cost per month"})
-    cost_spread: Tuple[float, float] = field(
-        default=(0.8, 1.2), metadata={"doc": "uniform per-node cost multiplier range"})
-    tolerance_range: Tuple[float, float] = field(
-        default=(0.3, 0.9), metadata={"doc": "uniform per-node risk tolerance range"})
-    patience: int = field(default=1, metadata={"doc": "consecutive exit signals required before a node leaves"})
-    entry_pool_size: int = field(default=10, metadata={"doc": "candidate nodes evaluated for entry each month"})
-    gc_arrival_rate: float = field(
-        default=GcParams.arrival_rate, metadata={"doc": "Poisson mean of growth-capitalist arrivals per month"})
-    gc_endowment_mu: float = field(
-        default=GcParams.endowment_mu, metadata={"doc": "log-normal log-mean of GC endowments"})
-    gc_endowment_sigma: float = field(
-        default=GcParams.endowment_sigma, metadata={"doc": "log-normal sigma of GC endowments"})
-    gc_lifespan_mu: float = field(
-        default=GcParams.lifespan_mu, metadata={"doc": "log-normal log-mean of GC lifespans (months)"})
-    gc_lifespan_sigma: float = field(
-        default=GcParams.lifespan_sigma, metadata={"doc": "log-normal sigma of GC lifespans"})
-    tokens_on_sale_fraction: float = field(
-        default=0.05, metadata={"doc": "initial sale pool as a fraction of month-1 supply"})
-    policy: str = field(default="heuristic", metadata={"doc": "decision policy: heuristic | llm"})
-    seed: int = field(default=42, metadata={"doc": "root RNG seed; fixes the whole run"})
-    stability_window: Optional[Tuple[int, int]] = field(
-        default=None, metadata={"doc": "[first, last] months scored for stability (default: full run)"})
-    total_supply: float = field(default=TokenAllocation.total_supply, metadata={"doc": "fixed token supply"})
-    team_fraction: float = field(
-        default=TokenAllocation.team_fraction, metadata={"doc": "share of supply vested to the core team"})
-    vc_fraction: float = field(default=TokenAllocation.vc_fraction, metadata={"doc": "share of supply vested to VCs"})
-    node_fraction: float = field(
-        default=TokenAllocation.node_fraction, metadata={"doc": "share of supply emitted to node providers"})
-    team_schedule: VestingSchedule = field(default=TEAM_SCHEDULE, metadata={"doc": "team vesting rule"})
-    vc_schedule: VestingSchedule = field(default=VC_SCHEDULE, metadata={"doc": "VC vesting rule"})
-    node_schedule: VestingSchedule = field(default=NODE_SCHEDULE, metadata={"doc": "node emission rule"})
+    horizon_months: int = config_field(96, "number of simulated months", "[1, inf)")
+    initial_nodes: int = config_field(50, "nodes deployed by the core team before month 1", "[0, inf)")
+    initial_price: float = config_field(1.0, "token price carried until the first traded month", "(0, inf)")
+    user_revenue_factor: float = config_field(10.0, "currency of monthly revenue per user (k)", "[0, inf)")
+    # node_cost times the top of cost_spread stays below the float maximum (1.8e308).
+    node_cost: float = config_field(1000.0, "baseline node operating cost per month", "(0, 1e300]")
+    cost_spread: Tuple[float, float] = config_field((0.8, 1.2), "uniform per-node cost multiplier range", "(0, 1e8]")
+    tolerance_range: Tuple[float, float] = config_field((0.3, 0.9), "uniform per-node risk tolerance range", "(0, 1]")
+    patience: int = config_field(1, "consecutive exit signals required before a node leaves", "[1, inf)")
+    entry_pool_size: int = config_field(10, "candidate nodes evaluated for entry each month", "[0, inf)")
+    gc_arrival_rate: float = mirrored(GcParams, "arrival_rate", "Poisson mean of growth-capitalist arrivals per month")
+    gc_endowment_mu: float = mirrored(GcParams, "endowment_mu", "log-normal log-mean of GC endowments")
+    gc_endowment_sigma: float = mirrored(GcParams, "endowment_sigma", "log-normal sigma of GC endowments")
+    gc_lifespan_mu: float = mirrored(GcParams, "lifespan_mu", "log-normal log-mean of GC lifespans (months)")
+    gc_lifespan_sigma: float = mirrored(GcParams, "lifespan_sigma", "log-normal sigma of GC lifespans")
+    tokens_on_sale_fraction: float = config_field(0.05, "initial sale pool as a fraction of month-1 supply", "[0, inf)")
+    policy: str = config_field("heuristic", "decision policy: heuristic | llm")
+    seed: int = config_field(42, "root RNG seed; fixes the whole run", "[0, inf)")
+    stability_window: Optional[Tuple[int, int]] = config_field(
+        None, "[first, last] months scored for stability (default: full run)")
+    total_supply: float = mirrored(TokenAllocation, "total_supply", "fixed token supply")
+    team_fraction: float = mirrored(TokenAllocation, "team_fraction", "share of supply vested to the core team")
+    vc_fraction: float = mirrored(TokenAllocation, "vc_fraction", "share of supply vested to VCs")
+    node_fraction: float = mirrored(TokenAllocation, "node_fraction", "share of supply emitted to node providers")
+    team_schedule: VestingSchedule = config_field(TEAM_SCHEDULE, "team vesting rule")
+    vc_schedule: VestingSchedule = config_field(VC_SCHEDULE, "VC vesting rule")
+    node_schedule: VestingSchedule = config_field(NODE_SCHEDULE, "node emission rule")
     llm: Optional[LlmSettings] = None  # documented key by key as llm.* (see LlmSettings)
 
     def validate(self) -> None:
-        if self.horizon_months < 1:
-            raise ValueError(f"horizon_months must be >= 1, got {self.horizon_months}")
-        if self.initial_nodes < 0:
-            raise ValueError(f"initial_nodes must be >= 0, got {self.initial_nodes}")
-        if self.initial_price <= 0:
-            raise ValueError(f"initial_price must be positive, got {self.initial_price}")
-        if self.node_cost <= 0:
-            raise ValueError(f"node_cost must be positive, got {self.node_cost}")
-        if self.user_revenue_factor < 0:
-            raise ValueError("user_revenue_factor must be >= 0")
-        lo, hi = self.cost_spread
-        if not 0 < lo <= hi:
-            raise ValueError(f"cost_spread must satisfy 0 < lo <= hi, got {self.cost_spread}")
-        tlo, thi = self.tolerance_range
-        if not 0 < tlo <= thi <= 1:
-            raise ValueError(f"tolerance_range must lie in (0, 1], got {self.tolerance_range}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.entry_pool_size < 0:
-            raise ValueError("entry_pool_size must be >= 0")
-        for key in ("gc_arrival_rate", "gc_endowment_sigma", "gc_lifespan_sigma"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
-        if self.tokens_on_sale_fraction < 0:
-            raise ValueError("tokens_on_sale_fraction must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        """Check every declared range, then the rules that join fields."""
+        check_ranges(self)
+        for key in ("cost_spread", "tolerance_range"):
+            lo, hi = getattr(self, key)
+            if lo > hi:
+                raise ValueError(f"{key} must satisfy lo <= hi, got {getattr(self, key)}")
+        roster = self.initial_nodes + self.horizon_months * self.entry_pool_size
+        if roster > MAX_ROSTER:
+            raise ValueError(f"initial_nodes + horizon_months * entry_pool_size must be <= {MAX_ROSTER}, got {roster}")
         if self.policy not in ("heuristic", "llm"):
             raise ValueError(f"policy must be 'heuristic' or 'llm', got {self.policy!r}")
-        if self.stability_window is not None:
-            first, last = self.stability_window
-            if not 1 <= first <= last <= self.horizon_months:
-                raise ValueError(
-                    f"stability_window must satisfy 1 <= first <= last <= horizon_months "
-                    f"({self.horizon_months}), got {self.stability_window}"
-                )
+        first, last = self.stability_window or (1, self.horizon_months)
+        if not 1 <= first <= last <= self.horizon_months:
+            raise ValueError(f"stability_window must satisfy 1 <= first <= last <= horizon_months "
+                             f"({self.horizon_months}), got {self.stability_window}")
         self.allocation()  # raises on bad fractions
 
     def allocation(self) -> TokenAllocation:
-        return TokenAllocation(
-            total_supply=self.total_supply,
-            team_fraction=self.team_fraction,
-            vc_fraction=self.vc_fraction,
-            node_fraction=self.node_fraction,
-        )
+        return TokenAllocation(**{f.name: getattr(self, f.name) for f in fields(TokenAllocation)})
 
     def gc_params(self) -> GcParams:
-        return GcParams(
-            arrival_rate=self.gc_arrival_rate,
-            endowment_mu=self.gc_endowment_mu,
-            endowment_sigma=self.gc_endowment_sigma,
-            lifespan_mu=self.gc_lifespan_mu,
-            lifespan_sigma=self.gc_lifespan_sigma,
-        )
+        return GcParams(**{f.name: getattr(self, "gc_" + f.name) for f in fields(GcParams)})
 
     def to_dict(self) -> dict:
         return encode(self)

@@ -14,11 +14,13 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import requests
+
+from .bounds import check_ranges, config_field
 
 ENDPOINT_ENV = "DEPIN_LLM_ENDPOINT"
 API_KEY_ENV = "DEPIN_LLM_KEY"
@@ -243,30 +245,21 @@ class AuditLog:
 class LlmSettings:
     """Backend configuration as read from the run-config file."""
 
-    backend: str = field(default="scripted", metadata={"doc": "completion backend: scripted | http"})
-    script: Optional[Dict[str, str]] = field(
-        default=None, metadata={"doc": "inline prompt-pattern -> reply map (scripted)"})
-    script_file: Optional[str] = field(default=None, metadata={"doc": "JSON file with the scripted reply map"})
-    default_reply: str = field(default="", metadata={"doc": "scripted reply when no pattern matches"})
-    endpoint: Optional[str] = field(
-        default=None, metadata={"doc": f"completions endpoint base URL (or ${ENDPOINT_ENV})"})
-    api_key: Optional[str] = field(default=None, metadata={"doc": f"bearer token (or ${API_KEY_ENV})"})
-    model_name: str = field(default=DEFAULT_MODEL, metadata={"doc": "model identifier sent to the endpoint"})
-    max_tokens: int = field(default=CompletionRequest.max_tokens, metadata={"doc": "completion length limit"})
-    temperature: float = field(
-        default=CompletionRequest.temperature, metadata={"doc": "sampling temperature (0 for determinism)"})
-    timeout: float = field(default=10.0, metadata={"doc": "HTTP timeout in seconds"})
-    retries: int = field(default=2, metadata={"doc": "retries after a transport failure, 429 or 5xx"})
+    backend: str = config_field("scripted", "completion backend: scripted | http")
+    script: Optional[Dict[str, str]] = config_field(None, "inline prompt-pattern -> reply map (scripted)")
+    script_file: Optional[str] = config_field(None, "JSON file with the scripted reply map")
+    default_reply: str = config_field("", "scripted reply when no pattern matches")
+    endpoint: Optional[str] = config_field(None, f"completions endpoint base URL (or ${ENDPOINT_ENV})")
+    api_key: Optional[str] = config_field(None, f"bearer token (or ${API_KEY_ENV})")
+    model_name: str = config_field(DEFAULT_MODEL, "model identifier sent to the endpoint")
+    max_tokens: int = config_field(CompletionRequest.max_tokens, "completion length limit", "[1, inf)")
+    temperature: float = config_field(
+        CompletionRequest.temperature, "sampling temperature (0 for determinism)", "[0, inf)")
+    timeout: float = config_field(10.0, "HTTP timeout in seconds", "(0, inf)")
+    retries: int = config_field(2, "retries after a transport failure, 429 or 5xx", "[0, inf)")
 
     def __post_init__(self):
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        check_ranges(self)
 
 
 def build_backend(settings: LlmSettings):

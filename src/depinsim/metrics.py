@@ -41,8 +41,8 @@ class MetricReport:
 
 def efficiency(circulating: float, price: float) -> float:
     """Market capitalization: circulating tokens times token price."""
-    if circulating < 0 or price < 0:
-        raise ValueError("efficiency inputs must be non-negative")
+    if not (circulating >= 0 and price >= 0 and math.isfinite(circulating * price)):
+        raise ValueError(f"efficiency inputs must be non-negative with a finite product, got {circulating}, {price}")
     return circulating * price
 
 
@@ -69,10 +69,13 @@ def stability(prices: Sequence[float]) -> Optional[float]:
         raise ValueError("price series must be one-dimensional")
     if series.size < 3:
         return None
-    bad = np.nonzero(~(series > 0))[0]
+    bad = np.nonzero(~((series > 0) & (series < np.inf)))[0]
     if bad.size:
-        raise ValueError(f"non-positive price at index {bad[0]}: {series[bad[0]]}")
-    returns = np.log(series[1:] / series[:-1])
+        raise ValueError(f"price not positive and finite at index {bad[0]}: {series[bad[0]]}")
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        returns = np.log(series[1:] / series[:-1])
+    wide = np.abs(returns) > 708.0  # the ratio reached the ends of the float range: difference the logs
+    returns[wide] = np.log(series[1:][wide]) - np.log(series[:-1][wide])
     mean = 0.0
     m2 = 0.0
     for i, r in enumerate(returns, start=1):
@@ -146,8 +149,8 @@ def read_price_series(path: Union[str, Path]) -> list:
                 if row == 1 and not prices:  # header line
                     continue
                 raise ValueError(f"row {row}: not a number: {text!r}") from None
-            if not value > 0:
-                raise ValueError(f"row {row}: non-positive price: {text}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"row {row}: price not positive and finite: {text}")
             prices.append(value)
     if not prices:
         raise ValueError(f"no prices found in {path}")

@@ -6,9 +6,11 @@ month 0 is the pre-launch state with zero circulating supply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Dict, Tuple
+
+from .bounds import check_ranges
 
 
 class ScheduleKind(Enum):
@@ -20,18 +22,13 @@ class ScheduleKind(Enum):
 class TokenAllocation:
     """Fixed total supply split between the three stakeholder classes."""
 
-    total_supply: float = 1_000_000_000.0
-    team_fraction: float = 0.20
-    vc_fraction: float = 0.20
-    node_fraction: float = 0.60
+    total_supply: float = field(default=1_000_000_000.0, metadata={"range": "(0, inf)"})
+    team_fraction: float = field(default=0.20, metadata={"range": "[0, 1]"})
+    vc_fraction: float = field(default=0.20, metadata={"range": "[0, 1]"})
+    node_fraction: float = field(default=0.60, metadata={"range": "[0, 1]"})
 
     def __post_init__(self):
-        if self.total_supply <= 0:
-            raise ValueError(f"total_supply must be positive, got {self.total_supply}")
-        for name in ("team_fraction", "vc_fraction", "node_fraction"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        check_ranges(self)
         total = self.team_fraction + self.vc_fraction + self.node_fraction
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"allocation fractions sum to {total}, expected 1.0")
@@ -67,26 +64,15 @@ class VestingSchedule:
     }
 
     kind: ScheduleKind
-    cliff_months: int = 0
-    unlock_at_cliff: float = 0.0
-    linear_months: int = 1
-    halving_period_months: int = 48
+    cliff_months: int = field(default=0, metadata={"range": "[0, inf)"})
+    unlock_at_cliff: float = field(default=0.0, metadata={"range": "[0, 1]"})
+    linear_months: int = field(default=1, metadata={"range": "[1, inf)"})
+    halving_period_months: int = field(default=48, metadata={"range": "[1, inf)"})
 
     def __post_init__(self):
-        if self.kind is ScheduleKind.CLIFF_LINEAR:
-            if self.cliff_months < 0:
-                raise ValueError(f"cliff_months must be >= 0, got {self.cliff_months}")
-            if not 0.0 <= self.unlock_at_cliff <= 1.0:
-                raise ValueError(f"unlock_at_cliff must be in [0, 1], got {self.unlock_at_cliff}")
-            if self.linear_months <= 0:
-                raise ValueError(f"linear_months must be positive, got {self.linear_months}")
-        elif self.kind is ScheduleKind.HALVING_EMISSION:
-            if self.halving_period_months <= 0:
-                raise ValueError(
-                    f"halving_period_months must be positive, got {self.halving_period_months}"
-                )
-        else:
+        if self.kind not in self.FIELDS_BY_KIND:
             raise ValueError(f"unknown schedule kind: {self.kind!r}")
+        check_ranges(self)
 
     @classmethod
     def cliff_linear(cls, cliff_months: int, unlock_at_cliff: float, linear_months: int) -> "VestingSchedule":

@@ -66,6 +66,15 @@ class TestRun:
             pytest.param("node_cost", 10**400, id="node_cost-beyond-float-range"),
             ("gc_endowment_sigma", -1.0),
             ("gc_lifespan_sigma", -1.0),
+            # Out of the declared ranges: each would fail or stall at run time.
+            ("initial_nodes", 10**30),
+            ("entry_pool_size", 10**30),  # beyond the roster cap
+            ("gc_arrival_rate", 1e300),
+            ("gc_arrival_rate", 1e7),
+            ("gc_lifespan_mu", 1e300),
+            ("gc_lifespan_sigma", 800.0),
+            ("gc_endowment_mu", -1e300),
+            ("gc_endowment_mu", 1e300),
         ],
     )
     def test_rejected_config_value_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
@@ -100,8 +109,7 @@ class TestRun:
         assert main(["run", "--config", config]) == 2
         assert "team_schedule.cliff_months" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "key,value", [("gc_endowment_mu", 1e300), ("tokens_on_sale_fraction", 2.2250738585e-313)])
+    @pytest.mark.parametrize("key,value", [("tokens_on_sale_fraction", 2.2250738585e-313)])
     def test_non_finite_month_exits_3_and_writes_nothing(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, horizon_months=2, **{key: value})
         out = tmp_path / "out"
@@ -217,6 +225,14 @@ class TestCompare:
     def test_compare_without_llm_section_exits_2(self, tmp_path):
         assert main(["compare", "--patience", "1", "--out-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seed_count_below_one_exits_2(self, tmp_path, capsys, seeds):
+        config = write_config(tmp_path, llm={"backend": "scripted", "script": {}})
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--config", config, "--patience", "1", "--seeds", seeds, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
 
 class TestVesting:
     def test_full_horizon_table(self, tmp_path):
@@ -239,6 +255,14 @@ class TestVesting:
 
     def test_zero_horizon_exits_2(self, tmp_path):
         assert main(["vesting", "--horizon", "0", "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--team-fraction", "nan"), ("--total-supply", "nan"), ("--total-supply", "inf")])
+    def test_non_finite_allocation_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        assert main(["vesting", flag, value, "--out-dir", str(out)]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScore:
@@ -270,6 +294,14 @@ class TestScore:
         assert main(["score", str(path), "--circulating", "1", "--price", "1"]) == 2
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("circulating,price", [("nan", "1"), ("1", "inf"), ("1e200", "1e200")])
+    def test_non_finite_efficiency_exits_2(self, tmp_path, capsys, circulating, price):
+        path = tmp_path / "prices.csv"
+        path.write_text("1.0\n2.0\n4.0\n")
+        assert main(["score", str(path), "--circulating", circulating, "--price", price]) == 2
+        captured = capsys.readouterr()
+        assert "efficiency" in captured.err and captured.out == ""
+
     def test_out_file_written(self, tmp_path):
         path = tmp_path / "prices.csv"
         path.write_text("1.0\n2.0\n4.0\n")
@@ -297,3 +329,12 @@ class TestConfigReference:
         expected.update(out_dir="out", charts=True, audit_log=None)
         assert [key for key, _ in rows] == list(expected)
         assert {key: json.loads(default) for key, default in rows} == expected
+
+    def test_range_column_reads_the_declarations(self, capsys):
+        assert main(["config-reference"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "| key | default | range | description |"
+        ranges = dict(re.findall(r"^\| `([^`]+)` \| `.*?` \| `?([^`|]*)`? \|", "\n".join(lines), re.MULTILINE))
+        assert ranges["gc_arrival_rate"] == "[0, 1000]"
+        assert ranges["llm.timeout"] == "(0, inf)"
+        assert ranges["policy"] == ranges["out_dir"] == ""

@@ -3,9 +3,13 @@
 import copy
 import json
 import math
+import re
+import sys
 import tempfile
-from dataclasses import fields, replace
+import warnings
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -14,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from depinsim.agents import (
     DecisionContext,
+    GcParams,
     GrowthCapitalist,
     HeuristicPolicy,
     LlmPolicy,
@@ -21,7 +26,8 @@ from depinsim.agents import (
     heuristic_exit,
     heuristic_prompt_reply,
 )
-from depinsim.engine import Simulation, SimulationConfig, SimulationError, Trajectory, run
+from depinsim.bounds import check_ranges, declared_ranges
+from depinsim.engine import MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, encode, run
 from depinsim.llm_gateway import AuditLog, LlmSettings, ScriptedBackend
 from depinsim.tokenomics import (
     TEAM_SCHEDULE,
@@ -130,6 +136,36 @@ class TestConfig:
     def test_llm_policy_requires_llm_section(self):
         with pytest.raises(ValueError, match="llm"):
             run(SimulationConfig(horizon_months=1, policy="llm"))
+
+    @pytest.mark.parametrize("cls", [SimulationConfig, LlmSettings, VestingSchedule, TokenAllocation, GcParams])
+    def test_every_numeric_field_declares_its_range(self, cls):
+        # stability_window is Optional; its range is the cross-field rule 1 <= first <= last <= horizon.
+        numeric = {name for name, hint in get_type_hints(cls).items()
+                   if hint in (int, float) or get_origin(hint) is tuple}
+        assert {name for name, *_ in declared_ranges(cls)} == numeric
+
+    def test_roster_cap_is_checked_at_load(self):
+        pool = (MAX_ROSTER - 50) // 96
+        SimulationConfig(entry_pool_size=pool).validate()  # validated, never run
+        for kwargs in ({"entry_pool_size": pool + 1}, {"initial_nodes": MAX_ROSTER + 1, "entry_pool_size": 0}):
+            with pytest.raises(ValueError, match="initial_nodes \\+ horizon_months \\* entry_pool_size"):
+                SimulationConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "bounds,inside,outside",
+        [("[0, 1]", [0, 0.5, 1], [-1e-300, 1.0000000000000002, float("nan")]),
+         ("(0, inf)", [5e-324, sys.float_info.max], [0.0, float("inf"), float("nan")])],
+    )
+    def test_check_ranges_honours_open_and_closed_ends(self, bounds, inside, outside):
+        @dataclass
+        class Probe:
+            value: float = field(default=0.0, metadata={"range": bounds})
+
+        for value in inside:
+            check_ranges(Probe(value))
+        for value in outside:
+            with pytest.raises(ValueError, match=f"value must lie in {re.escape(bounds)}"):
+                check_ranges(Probe(value))
 
 
 class TestDeterminism:
@@ -518,6 +554,39 @@ KEY_PATHS = (
 )
 
 
+def near_bounds(cls, name):
+    """Floats in `cls`'s declared range for field `name`, drawn at and next to its ends as often as inside it."""
+    lo, above, hi, below = next(r[2:] for r in declared_ranges(cls) if r[0] == name)
+    top = min(hi, sys.float_info.max)
+    ends = [lo, math.nextafter(lo, math.inf), top, math.nextafter(top, -math.inf)]
+    inside = st.floats(lo, top, exclude_min=not above(lo, lo), exclude_max=not below(top, top))
+    return st.sampled_from([x for x in ends if above(lo, x) and below(x, hi)]) | inside
+
+
+@st.composite
+def config_at_bounds(draw):
+    """Config keys with each float left at its default or drawn at or near a declared bound."""
+    keys = {name: draw(st.none() | near_bounds(SimulationConfig, name))
+            for name, hint in get_type_hints(SimulationConfig).items()
+            if hint is float and name not in ("team_fraction", "vc_fraction", "node_fraction")}
+    keys = {name: value for name, value in keys.items() if value is not None}
+    for name in ("cost_spread", "tolerance_range"):
+        keys[name] = sorted(draw(st.lists(near_bounds(SimulationConfig, name), min_size=2, max_size=2)))
+    team = draw(near_bounds(SimulationConfig, "team_fraction"))
+    vc = draw(st.sampled_from([0.0, 1 - team]) | st.floats(0.0, 1 - team))
+    keys.update(team_fraction=team, vc_fraction=vc, node_fraction=1 - team - vc)
+    keys.update(
+        horizon_months=draw(st.integers(1, 12)),
+        initial_nodes=draw(st.integers(0, 60)),
+        entry_pool_size=draw(st.integers(0, 15)),
+        patience=draw(st.sampled_from([1, 2**63, 10**30]) | st.integers(1, 5)),
+        seed=draw(st.sampled_from([0, 2**32, 10**30]) | st.integers(0, 2**31 - 1)),
+    )
+    for name in ("team_schedule", "vc_schedule", "node_schedule"):
+        keys[name] = encode(draw(SCHEDULES))
+    return keys
+
+
 def assert_rejected_or_round_trips(data):
     try:
         config = SimulationConfig.from_dict(data)
@@ -545,6 +614,31 @@ class TestFromDictFuzz:
             section = section[key]
         section[path[-1]] = value
         assert_rejected_or_round_trips(data)
+
+    def test_subnormal_initial_price_then_a_trade_scores_finitely(self):
+        # No arrival in month 1 carries the initial price; month 2 trades near 1, a ratio beyond the float range.
+        config = SimulationConfig(horizon_months=6, initial_price=5e-324, gc_arrival_rate=0.3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trajectory = run(config)
+        assert trajectory.states[0].token_price == 5e-324 < trajectory.states[-1].token_price
+        assert math.isfinite(trajectory.metrics.stability)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(keys=config_at_bounds())
+    def test_config_at_its_bounds_runs_or_fails_at_record(self, keys):
+        """A config drawn at and near its declared bounds runs to the end, or stops at sub-step
+        'record' on a month that is not finite; no NumPy warning escapes and the metrics are
+        valid JSON.  Roster sizes stay small: the cap, not a huge allocation, covers the rest."""
+        config = SimulationConfig.from_dict(keys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                trajectory = run(config)
+            except SimulationError as err:
+                assert err.substep == "record", err
+                return
+        json.dumps(trajectory.metrics.to_dict(), allow_nan=False)
 
 
 class TestStepErrors:

@@ -1,6 +1,7 @@
 """Metric tests: frozen oracles, invariances, trajectory reports."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +60,21 @@ class TestStability:
         with pytest.raises(ValueError):
             stability([1.0, -1.0, 2.0])
 
+    def test_infinite_price_rejected(self):
+        with pytest.raises(ValueError, match="index 1"):
+            stability([1.0, math.inf, 2.0])
+
+    def test_ratios_beyond_the_float_range_are_finite(self):
+        """Steps whose price ratio overflows or underflows are the differences of the logs."""
+        prices = [5e-324, 1.0, 1e300, 1e-300]
+        logs = [math.log(p) for p in prices]
+        steps = [b - a for a, b in zip(logs, logs[1:])]
+        mean = sum(steps) / 3
+        expected = math.sqrt(sum((r - mean) ** 2 for r in steps) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stability(prices) == pytest.approx(expected, rel=1e-12)
+
     @given(
         st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=3, max_size=60),
         st.floats(min_value=0.001, max_value=1000.0),
@@ -112,6 +128,11 @@ class TestEfficiency:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             efficiency(-1.0, 1.0)
+
+    @pytest.mark.parametrize("circulating,price", [(math.nan, 1.0), (1.0, math.inf), (math.inf, 0.0), (1e200, 1e200)])
+    def test_non_finite_rejected(self, circulating, price):
+        with pytest.raises(ValueError, match="finite"):
+            efficiency(circulating, price)
 
 
 def build_trajectory(prices, entries, n_init=50):
@@ -211,6 +232,12 @@ class TestReadPriceSeries:
     def test_non_positive_names_row(self, tmp_path):
         path = tmp_path / "prices.csv"
         path.write_text("1.0\n0.0\n")
+        with pytest.raises(ValueError, match="row 2"):
+            read_price_series(path)
+
+    def test_infinite_names_row(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text("1.0\ninf\n")
         with pytest.raises(ValueError, match="row 2"):
             read_price_series(path)
 
