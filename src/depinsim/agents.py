@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, Iterable, List, Optional, Protocol
 
 import numpy as np
 
@@ -47,24 +48,13 @@ class NodeProvider:
             raise ValueError("consecutive_exit_signals out of range")
 
 
-@dataclass
+@dataclass(slots=True)
 class GrowthCapitalist:
-    """Token buyer active for [entry_month, entry_month + lifespan)."""
+    """Token buyer resident in the months before `expiry`, when it sells `tokens_held`."""
 
-    id: int
     endowment: float  # currency committed at entry
-    entry_month: int
-    lifespan: int  # whole months
+    expiry: int  # entry month plus log-normal lifespan
     tokens_held: float = 0.0  # set by the engine at entry pricing
-
-    def __post_init__(self):
-        if self.endowment <= 0:
-            raise ValueError(f"endowment must be positive, got {self.endowment}")
-        if self.lifespan < 1:
-            raise ValueError(f"lifespan must be >= 1, got {self.lifespan}")
-
-    def is_active(self, month: int) -> bool:
-        return self.entry_month <= month < self.entry_month + self.lifespan
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,29 +352,27 @@ def sample_lifespans(rng: np.random.Generator, mu: float, sigma: float, size: in
     return np.maximum(draws, 1.0).astype(int)
 
 
-def spawn_growth_capitalists(
-    month: int,
-    params: GcParams,
-    rng: np.random.Generator,
-    id_start: int = 0,
-) -> List[GrowthCapitalist]:
+def spawn_growth_capitalists(month: int, params: GcParams, rng: np.random.Generator) -> List[GrowthCapitalist]:
     """Draw this month's entrants: Poisson count, log-normal endowment/lifespan."""
     count = int(rng.poisson(params.arrival_rate))
     if count == 0:
         return []
     endowments = rng.lognormal(params.endowment_mu, params.endowment_sigma, count)
     lifespans = sample_lifespans(rng, params.lifespan_mu, params.lifespan_sigma, count)
-    return [
-        GrowthCapitalist(
-            id=id_start + i,
-            endowment=float(endowments[i]),
-            entry_month=month,
-            lifespan=int(lifespans[i]),
-        )
-        for i in range(count)
-    ]
+    return [GrowthCapitalist(e, month + n) for e, n in zip(endowments.tolist(), lifespans.tolist())]
 
 
-def total_endowment(gcs: List[GrowthCapitalist], month: int) -> float:
-    """Sum of endowments over growth capitalists active at `month`."""
-    return sum(gc.endowment for gc in gcs if gc.is_active(month))
+def ordered_sum(values: Iterable[float]) -> float:
+    """`values` added left to right from 0, as the builtin `sum` adds them before Python 3.12.
+
+    From 3.12 the builtin `sum` compensates float rounding (Neumaier), and `math.fsum` and
+    NumPy's pairwise sum round differently again, so any of them would make the trajectory
+    bytes depend on the interpreter.  The start is the int 0, as in `sum`, so a month with
+    no growth capitalists still writes its `E_total` as `0`.
+    """
+    return functools.reduce(operator.add, values, 0)
+
+
+def total_endowment(gcs: List[GrowthCapitalist]) -> float:
+    """Sum of the endowments of growth capitalists `gcs`, in list order."""
+    return ordered_sum(gc.endowment for gc in gcs)

@@ -31,6 +31,7 @@ from .agents import (
     NodeProvider,
     apply_patience,
     decides_in_batches,
+    ordered_sum,
     spawn_growth_capitalists,
     total_endowment,
 )
@@ -349,7 +350,6 @@ class Simulation:
         self.cost, self.tolerance = self._draw_node_params(rng, config.initial_nodes)
         self.streak = np.zeros(config.initial_nodes, dtype=np.int64)
         self.gcs: List[GrowthCapitalist] = []
-        self._next_gc_id = 0
 
         # Seed the sale-side of the price ratio so month 1 has a market
         # even before any growth capitalist exits.
@@ -445,15 +445,16 @@ class Simulation:
             entries = int(np.count_nonzero(enters))
             n_now = len(self.cost) - exits + entries
 
-            # 4. Growth-capital arrivals, then expiries feed tokens on sale.
+            # 4. Growth capitalists stay until their expiry month, when their
+            # holdings go on sale; then this month's arrivals join.
             substep = "growth-capital"
             rng_gc = _stream(cfg.seed, month, _STREAM_GROWTH_CAPITAL)
-            arrivals = spawn_growth_capitalists(month, self.gc_params, rng_gc, self._next_gc_id)
-            active, expired = [], []
-            for gc in self.gcs + arrivals:
-                (active if gc.is_active(month) else expired).append(gc)
-            sale = prev.tokens_on_sale + sum(gc.tokens_held for gc in expired)
-            endowment = total_endowment(active, month)
+            arrivals = spawn_growth_capitalists(month, self.gc_params, rng_gc)
+            gcs = [gc for gc in self.gcs if gc.expiry > month]
+            expiries = len(self.gcs) - len(gcs)
+            sale = prev.tokens_on_sale + ordered_sum(gc.tokens_held for gc in self.gcs if gc.expiry <= month)
+            gcs += arrivals
+            endowment = total_endowment(gcs)
 
             # 5. Price; a month with no buyers or no sellers has no trade,
             # so the last price stands.
@@ -487,7 +488,7 @@ class Simulation:
                 entries=entries,
                 exits=exits,
                 gc_arrivals=len(arrivals),
-                gc_expiries=len(expired),
+                gc_expiries=expiries,
                 fallbacks=getattr(self.policy, "fallback_count", 0) - fallbacks_before,
             )
         except SimulationError:
@@ -506,8 +507,7 @@ class Simulation:
             self.tolerance = np.concatenate((self.tolerance, tolerances[enters]))
             streak = np.concatenate((streak, np.zeros(entries, dtype=np.int64)))
         self.streak = streak
-        self.gcs = active
-        self._next_gc_id += len(arrivals)
+        self.gcs = gcs
         self.state = state
         self.states.append(state)
         self.events.append(events)

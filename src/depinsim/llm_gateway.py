@@ -26,6 +26,7 @@ ENDPOINT_ENV = "DEPIN_LLM_ENDPOINT"
 API_KEY_ENV = "DEPIN_LLM_KEY"
 
 DEFAULT_MODEL = "EleutherAI/gpt-neo-125M"
+BACKENDS = ("scripted", "http")  # the values of llm.backend
 
 
 class GatewayError(Exception):
@@ -245,7 +246,7 @@ class AuditLog:
 class LlmSettings:
     """Backend configuration as read from the run-config file."""
 
-    backend: str = config_field("scripted", "completion backend: scripted | http")
+    backend: str = config_field("scripted", f"completion backend: {' | '.join(BACKENDS)}")
     script: Optional[Dict[str, str]] = config_field(None, "inline prompt-pattern -> reply map (scripted)")
     script_file: Optional[str] = config_field(None, "JSON file with the scripted reply map")
     default_reply: str = config_field("", "scripted reply when no pattern matches")
@@ -256,10 +257,13 @@ class LlmSettings:
     temperature: float = config_field(
         CompletionRequest.temperature, "sampling temperature (0 for determinism)", "[0, inf)")
     timeout: float = config_field(10.0, "HTTP timeout in seconds", "(0, inf)")
-    retries: int = config_field(2, "retries after a transport failure, 429 or 5xx", "[0, inf)")
+    # Ten retries bound the backoff to 1023 times the 0.5 s base, about 511 s per prompt.
+    retries: int = config_field(2, "retries after a transport failure, 429 or 5xx", "[0, 10]")
 
     def __post_init__(self):
         check_ranges(self)
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {', '.join(BACKENDS)}, got {self.backend!r}")
 
 
 def build_backend(settings: LlmSettings):
@@ -272,15 +276,13 @@ def build_backend(settings: LlmSettings):
         if script is None:
             raise ValueError("scripted llm backend needs a script or script_file")
         return ScriptedBackend(script, default=settings.default_reply)
-    if settings.backend == "http":
-        endpoint = settings.endpoint or os.environ.get(ENDPOINT_ENV)
-        if not endpoint:
-            raise ValueError(f"http llm backend needs an endpoint (config or ${ENDPOINT_ENV})")
-        api_key = settings.api_key or os.environ.get(API_KEY_ENV)
-        return HttpBackend(
-            endpoint,
-            api_key=api_key,
-            timeout=settings.timeout,
-            retries=settings.retries,
-        )
-    raise ValueError(f"unknown llm backend {settings.backend!r} (expected scripted or http)")
+    endpoint = settings.endpoint or os.environ.get(ENDPOINT_ENV)
+    if not endpoint:
+        raise ValueError(f"http llm backend needs an endpoint (config or ${ENDPOINT_ENV})")
+    api_key = settings.api_key or os.environ.get(API_KEY_ENV)
+    return HttpBackend(
+        endpoint,
+        api_key=api_key,
+        timeout=settings.timeout,
+        retries=settings.retries,
+    )

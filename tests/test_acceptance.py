@@ -71,7 +71,7 @@ def test_criterion_3_formula_oracles():
     # capitalist with a 5e6 endowment, no entries, no arrivals.
     config = SimulationConfig(entry_pool_size=0, gc_arrival_rate=0.0)
     sim = Simulation(config)
-    sim.gcs.append(GrowthCapitalist(id=0, endowment=5e6, entry_month=0, lifespan=100))
+    sim.gcs.append(GrowthCapitalist(endowment=5e6, expiry=100))
     state = sim.step(1)
 
     emission = 0.60 * 1e9 * 0.5 / 48  # 6.25e6

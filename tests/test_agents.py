@@ -23,6 +23,7 @@ from depinsim.agents import (
     spawn_growth_capitalists,
     total_endowment,
 )
+from depinsim.engine import Simulation, SimulationConfig
 from depinsim.llm_gateway import ScriptedBackend
 
 
@@ -191,9 +192,19 @@ class TestGrowthCapital:
 
     def test_fixed_seed_is_reproducible(self):
         params = GcParams(arrival_rate=2.0)
-        first = spawn_growth_capitalists(3, params, np.random.default_rng(11), id_start=5)
-        second = spawn_growth_capitalists(3, params, np.random.default_rng(11), id_start=5)
+        first = spawn_growth_capitalists(3, params, np.random.default_rng(11))
+        second = spawn_growth_capitalists(3, params, np.random.default_rng(11))
         assert first == second
+
+    def test_records_carry_the_draws_in_order(self):
+        params = GcParams(arrival_rate=4.0)
+        gcs = spawn_growth_capitalists(7, params, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        count = int(rng.poisson(params.arrival_rate))
+        endowments = rng.lognormal(params.endowment_mu, params.endowment_sigma, count).tolist()
+        expiries = (7 + sample_lifespans(rng, params.lifespan_mu, params.lifespan_sigma, count)).tolist()
+        assert count > 0
+        assert gcs == [GrowthCapitalist(e, x) for e, x in zip(endowments, expiries)]
 
     def test_lifespan_median_matches_lognormal(self):
         rng = np.random.default_rng(123)
@@ -210,32 +221,25 @@ class TestGrowthCapital:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             GcParams(arrival_rate=-1.0)
-        with pytest.raises(ValueError):
-            GrowthCapitalist(id=0, endowment=0.0, entry_month=1, lifespan=3)
-        with pytest.raises(ValueError):
-            GrowthCapitalist(id=0, endowment=1.0, entry_month=1, lifespan=0)
 
 
 class TestTotalEndowment:
     def test_empty(self):
-        assert total_endowment([], 5) == 0.0
+        assert total_endowment([]) == 0.0
 
     def test_single_active(self):
-        gc = GrowthCapitalist(id=0, endowment=5e6, entry_month=2, lifespan=10)
-        assert total_endowment([gc], 2) == 5e6
-        assert total_endowment([gc], 11) == 5e6
+        assert total_endowment([GrowthCapitalist(endowment=5e6, expiry=12)]) == 5e6
 
     def test_expiry_month_excluded(self):
-        gc = GrowthCapitalist(id=0, endowment=5e6, entry_month=2, lifespan=10)
-        assert total_endowment([gc], 12) == 0.0
-        assert total_endowment([gc], 1) == 0.0
+        # Residency is the engine's rule: an endowment counts in every month before its expiry.
+        sim = Simulation(SimulationConfig(horizon_months=12, entry_pool_size=0, gc_arrival_rate=0.0))
+        sim.gcs.append(GrowthCapitalist(endowment=5e6, expiry=12))
+        endowments = [sim.step(month).total_gc_endowment for month in range(1, 13)]
+        assert endowments == [5e6] * 11 + [0.0]
 
     def test_permutation_invariant(self):
-        gcs = [
-            GrowthCapitalist(id=i, endowment=float(e), entry_month=1, lifespan=20)
-            for i, e in enumerate((1e5, 2e5, 7e5))
-        ]
-        assert total_endowment(gcs, 5) == total_endowment(list(reversed(gcs)), 5)
+        gcs = [GrowthCapitalist(endowment=e, expiry=20) for e in (1e5, 2e5, 7e5)]
+        assert total_endowment(gcs) == total_endowment(list(reversed(gcs)))
 
 
 class TestLlmPolicy:

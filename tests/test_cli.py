@@ -94,6 +94,8 @@ class TestRun:
             ("team_schedule.kind", "weekly"),
             ("vc_schedule.linear_months", 0),
             ("node_schedule.cliff_months", 5),  # the default node schedule is a halving emission
+            ("llm.retries", 11),
+            ("llm.backend", "magic"),
         ],
     )
     def test_rejected_section_value_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
@@ -102,6 +104,12 @@ class TestRun:
         config = write_config(tmp_path, policy="llm", **{section: {name: value}})
         assert main(["run", "--config", config]) == 2
         assert key in capsys.readouterr().err
+
+    def test_unknown_llm_backend_exits_2_under_heuristic_policy(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, policy="heuristic", llm={"backend": "magic"})
+        assert main(["run", "--config", config]) == 2
+        assert "llm.backend" in capsys.readouterr().err
 
     def test_key_the_schedule_kind_does_not_use_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
