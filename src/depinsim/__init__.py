@@ -35,6 +35,8 @@ from .engine import (
 from .llm_gateway import (
     AuditLog,
     BackendUnavailableError,
+    BatchReplies,
+    CompletionBatch,
     CompletionRequest,
     CompletionResponse,
     GatewayError,

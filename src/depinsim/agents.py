@@ -13,12 +13,12 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Protocol
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from .bounds import check_ranges
-from .llm_gateway import DEFAULT_MODEL, AuditLog, CompletionRequest, GatewayError, parse_yes_no
+from .llm_gateway import DEFAULT_MODEL, AuditLog, CompletionBatch, CompletionRequest, GatewayError, parse_yes_no
 
 
 @dataclass
@@ -138,15 +138,13 @@ class HeuristicPolicy:
         return heuristic_exit(DecisionContext(revenue, costs, tolerances, month))
 
 
-ENTRY_PROMPT = (
-    "The global estimated revenue is {revenue}. A node has a cost of {cost}. "
-    "Should the node enter the system? Please answer 'yes' or 'no'."
-)
-EXIT_PROMPT = (
-    "The global estimated revenue is {revenue}. A node has a cost of {cost} "
-    "and a tolerance of {tolerance}. "
-    "Should the node exit the system? Please answer 'yes' or 'no'."
-)
+# Every prompt is the month's head, which names the revenue, then one node's tail.
+_HEAD = "The global estimated revenue is {revenue}. A node has a cost of "
+_ENTRY_END = ". Should the node enter the system? Please answer 'yes' or 'no'."
+_TOLERANCE = " and a tolerance of "
+_EXIT_END = ". Should the node exit the system? Please answer 'yes' or 'no'."
+ENTRY_PROMPT = _HEAD + "{cost}" + _ENTRY_END
+EXIT_PROMPT = _HEAD + "{cost}" + _TOLERANCE + "{tolerance}" + _EXIT_END
 
 
 def _literal(x: float) -> str:
@@ -161,18 +159,17 @@ def _decimal(x: float) -> str:
     return _literal(x)
 
 
-def _decimals(*columns: np.ndarray) -> List[List[str]]:
-    """`_decimal` of every value of each equal-length column, checking finiteness once per column.
+def _check_finite(*columns: np.ndarray) -> None:
+    """Raise as `_decimal` does for the first non-finite value a row-by-row render would meet.
 
-    A non-finite value raises as `_decimal` does, naming the first one a
-    row-by-row render would meet.
+    One `np.isfinite` per equal-length column; a finite value's literal is
+    then `_literal`'s.
     """
     finite = np.logical_and.reduce([np.isfinite(column) for column in columns])
     if not finite.all():
         row = int(np.argmin(finite))
         for column in columns:
             _decimal(column[row])
-    return [[_literal(x) for x in column.tolist()] for column in columns]
 
 
 def render_entry_prompt(ctx: DecisionContext) -> str:
@@ -218,9 +215,11 @@ def heuristic_prompt_reply(prompt: str) -> str:
 class LlmPolicy:
     """Policy that prompts a completion backend and parses yes/no replies.
 
-    The batch methods render a month's prompts with the revenue rendered
-    once, send them in one `complete_batch` call per kind and parse the
-    replies in order; the scalar methods send one `complete` per decision.
+    The batch methods build a month's prompts as the month's head, with the
+    revenue rendered once, plus each node's tail, send them as one
+    `CompletionBatch` per kind and parse the replies in order; the scalar
+    methods send one `complete` per decision.  Exit tails are kept from one
+    `decide_exits` call to the next for the incumbents still in the roster.
     Both give the same prompts, verdicts and audit-log lines, also up to a
     failed request.  Unparseable replies fall back to the heuristic verdict
     for that decision and are counted in `fallback_count` so flakiness
@@ -242,17 +241,12 @@ class LlmPolicy:
         self.temperature = temperature
         self.audit_log = audit_log
         self.fallback_count = 0
-
-    def _request(self, prompt: str) -> CompletionRequest:
-        return CompletionRequest(
-            prompt=prompt,
-            max_tokens=self.max_tokens,
-            temperature=self.temperature,
-            model_name=self.model_name,
-        )
+        # The last roster's exit tails by (cost, tolerance).  `_literal` is a function of
+        # the float value alone (0.0 and -0.0 both give "0"), so a hit is exact.
+        self._exit_tails: Dict[Tuple[float, float], str] = {}
 
     def _ask(self, prompt: str, fallback: bool) -> bool:
-        request = self._request(prompt)
+        request = CompletionRequest(prompt, self.max_tokens, self.temperature, self.model_name)
         response = self.backend.complete(request)
         if self.audit_log is not None:
             self.audit_log.record(request, response)
@@ -264,16 +258,16 @@ class LlmPolicy:
 
     def _ask_batch(self, prompts: List[str], fallback: Callable[[], np.ndarray]) -> np.ndarray:
         """One verdict per prompt; `fallback()` gives the heuristic verdicts that stand in."""
-        batch = [self._request(prompt) for prompt in prompts]
+        batch = CompletionBatch(prompts, self.max_tokens, self.temperature, self.model_name)
         try:
-            responses = self.backend.complete_batch(batch)
+            replies = self.backend.complete_batch(batch)
         except GatewayError as err:  # audit the exchanges before the failure, as the scalar route would
-            if self.audit_log is not None:
-                self.audit_log.record_batch(batch[:len(err.answered)], err.answered)
+            if self.audit_log is not None and err.answered is not None:
+                self.audit_log.record_batch(batch, err.answered)
             raise
         if self.audit_log is not None:
-            self.audit_log.record_batch(batch, responses)
-        texts = [response.text for response in responses]
+            self.audit_log.record_batch(batch, replies)
+        texts = replies.texts
         parsed = {text: parse_yes_no(text) for text in set(texts)}  # replies repeat a few texts
         verdicts = [parsed[text] for text in texts]
         misses = [i for i, verdict in enumerate(verdicts) if verdict is None]
@@ -293,19 +287,21 @@ class LlmPolicy:
     def decide_entries(self, revenue, costs, tolerances, month) -> np.ndarray:
         if not len(costs):
             return np.zeros(0, dtype=bool)
-        literal = _decimal(revenue)
-        (cost_literals,) = _decimals(costs)
-        prompts = [ENTRY_PROMPT.format(revenue=literal, cost=cost) for cost in cost_literals]
+        head = _HEAD.format(revenue=_decimal(revenue))
+        _check_finite(costs)
+        prompts = [head + _literal(cost) + _ENTRY_END for cost in costs.tolist()]
         return self._ask_batch(prompts, lambda: heuristic_entry(DecisionContext(revenue, costs, tolerances, month)))
 
     def decide_exits(self, revenue, costs, tolerances, month) -> np.ndarray:
         if not len(costs):
             return np.zeros(0, dtype=bool)
-        literal = _decimal(revenue)
-        prompts = [
-            EXIT_PROMPT.format(revenue=literal, cost=cost, tolerance=tolerance)
-            for cost, tolerance in zip(*_decimals(costs, tolerances))
-        ]
+        head = _HEAD.format(revenue=_decimal(revenue))
+        _check_finite(costs, tolerances)
+        pairs = list(zip(costs.tolist(), tolerances.tolist()))
+        known = self._exit_tails.get
+        tails = [known(pair) or _literal(pair[0]) + _TOLERANCE + _literal(pair[1]) + _EXIT_END for pair in pairs]
+        self._exit_tails = dict(zip(pairs, tails))
+        prompts = [head + tail for tail in tails]
         return self._ask_batch(prompts, lambda: heuristic_exit(DecisionContext(revenue, costs, tolerances, month)))
 
 

@@ -234,11 +234,15 @@ def _reference_rows(obj, prefix: str = "") -> List[tuple]:
 
 
 def cmd_config_reference(_args) -> int:
-    """Print every config key with its default and declared range, read from the config dataclasses."""
+    """Print every config key with its default and declared range, read from the config dataclasses.
+
+    A `|` inside a cell is written `\\|`, so a description listing choices keeps the row at four cells.
+    """
     print("| key | default | range | description |")
     print("| --- | --- | --- | --- |")
     for key, default, bounds, description in _reference_rows(SimulationConfig()) + _reference_rows(FileOptions()):
-        print(f"| `{key}` | `{json.dumps(default)}` | {f'`{bounds}`' if bounds else ''} | {description} |")
+        cells = (f"`{key}`", f"`{json.dumps(default)}`", f"`{bounds}`" if bounds else "", description)
+        print("| " + " | ".join(cell.replace("|", r"\|") for cell in cells) + " |")
     return EXIT_OK
 
 

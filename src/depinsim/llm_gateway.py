@@ -2,9 +2,11 @@
 
 ScriptedBackend maps prompts to canned replies for reproducible tests;
 HttpBackend speaks the OpenAI-compatible completions protocol.  Both answer
-one request (`complete`) or a batch of them in order (`complete_batch`) with
-raw text; parse_yes_no turns it into a verdict without ever matching inside
-longer words.
+one `CompletionRequest` (`complete`) with a `CompletionResponse`, and one
+`CompletionBatch` -- a prompt list sharing one set of settings -- with one
+`BatchReplies` record of the reply texts and per-prompt latencies, in prompt
+order (`complete_batch`).  parse_yes_no turns a reply into a verdict without
+ever matching inside longer words.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ BACKENDS = ("scripted", "http")  # the values of llm.backend
 class GatewayError(Exception):
     """Base class for completion-backend failures.
 
-    `answered` holds the replies a `complete_batch` call received, in
-    order, before the request that failed.
+    `answered` holds the `BatchReplies` a `complete_batch` call received,
+    in prompt order, before the prompt that failed; None outside a batch.
     """
 
-    answered: Sequence["CompletionResponse"] = ()
+    answered: Optional["BatchReplies"] = None
 
 
 class BackendUnavailableError(GatewayError):
@@ -52,6 +54,15 @@ class ProtocolError(GatewayError):
         self.body_excerpt = body_excerpt
 
 
+def _check_request(prompts: Sequence[str], max_tokens: int, temperature: float) -> None:
+    if not all(prompts):
+        raise ValueError("prompt must be non-empty")
+    if max_tokens < 1:
+        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
+    if temperature < 0:
+        raise ValueError(f"temperature must be >= 0, got {temperature}")
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
@@ -60,18 +71,35 @@ class CompletionRequest:
     model_name: str = DEFAULT_MODEL
 
     def __post_init__(self):
-        if not self.prompt:
-            raise ValueError("prompt must be non-empty")
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        _check_request((self.prompt,), self.max_tokens, self.temperature)
 
 
 @dataclass(frozen=True)
 class CompletionResponse:
     text: str
-    latency: float  # seconds taken by the call, or by the scripted batch, that produced it
+    latency: float  # seconds taken by the call that produced it
+    backend: str  # "scripted" | "http"
+
+
+@dataclass(frozen=True)
+class CompletionBatch:
+    """Prompts asked with one set of settings, checked once as a `CompletionRequest` is."""
+
+    prompts: Sequence[str]
+    max_tokens: int = CompletionRequest.max_tokens
+    temperature: float = CompletionRequest.temperature
+    model_name: str = DEFAULT_MODEL
+
+    def __post_init__(self):
+        _check_request(self.prompts, self.max_tokens, self.temperature)
+
+
+@dataclass(frozen=True)
+class BatchReplies:
+    """A batch's reply texts and latencies, one each per answered prompt in prompt order."""
+
+    texts: Sequence[str]
+    latencies: Sequence[float]  # seconds per prompt; a scripted batch gives each its whole time
     backend: str  # "scripted" | "http"
 
 
@@ -90,23 +118,23 @@ class ScriptedBackend:
         script: Union[Mapping[str, str], Callable[[str], str], None] = None,
         default: str = "",
     ):
-        self._callable = script if callable(script) else None
         self._table = dict(script) if script is not None and not callable(script) else {}
         self._default = default
+        self._reply: Callable[[str], str] = script if callable(script) else self._lookup
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        return self.complete_batch([request])[0]
-
-    def complete_batch(self, batch: Sequence[CompletionRequest]) -> List[CompletionResponse]:
-        """One reply per request, in order; each carries the whole batch's latency."""
         start = time.perf_counter()
-        texts = [self._reply(request.prompt) for request in batch]
-        latency = time.perf_counter() - start
-        return [CompletionResponse(text=text, latency=latency, backend=self.name) for text in texts]
+        text = self._reply(request.prompt)
+        return CompletionResponse(text=text, latency=time.perf_counter() - start, backend=self.name)
 
-    def _reply(self, prompt: str) -> str:
-        if self._callable is not None:
-            return self._callable(prompt)
+    def complete_batch(self, batch: CompletionBatch) -> BatchReplies:
+        """One reply per prompt, in order; each latency is the whole batch's."""
+        start = time.perf_counter()
+        texts = list(map(self._reply, batch.prompts))
+        latency = time.perf_counter() - start
+        return BatchReplies(texts=texts, latencies=[latency] * len(texts), backend=self.name)
+
+    def _lookup(self, prompt: str) -> str:
         if prompt in self._table:
             return self._table[prompt]
         for pattern, reply in self._table.items():
@@ -118,7 +146,7 @@ class ScriptedBackend:
 class HttpBackend:
     """OpenAI-compatible completions client with a bounded retry budget.
 
-    `complete_batch` sends one `complete` per request, in order.  Transport
+    `complete_batch` sends one `complete` per prompt, in order.  Transport
     failures, 429 and 5xx answers are retried with exponential backoff, or
     after the answer's delta-seconds Retry-After (capped at the timeout).
     Once the budget is spent a transport failure surfaces as
@@ -144,16 +172,20 @@ class HttpBackend:
         self.retries = retries
         self.backoff = backoff
 
-    def complete_batch(self, batch: Sequence[CompletionRequest]) -> List[CompletionResponse]:
-        """One reply per request, in order; a failure carries the replies before it as `answered`."""
-        responses: List[CompletionResponse] = []
-        for request in batch:
+    def complete_batch(self, batch: CompletionBatch) -> BatchReplies:
+        """One reply per prompt, in order; a failure carries the replies before it as `answered`."""
+        texts: List[str] = []
+        latencies: List[float] = []
+        for prompt in batch.prompts:
+            request = CompletionRequest(prompt, batch.max_tokens, batch.temperature, batch.model_name)
             try:
-                responses.append(self.complete(request))
+                response = self.complete(request)
             except GatewayError as err:
-                err.answered = responses
+                err.answered = BatchReplies(texts=texts, latencies=latencies, backend=self.name)
                 raise
-        return responses
+            texts.append(response.text)
+            latencies.append(response.latency)
+        return BatchReplies(texts=texts, latencies=latencies, backend=self.name)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         payload = {
@@ -220,26 +252,30 @@ class AuditLog:
         self.path = Path(path)
 
     def record(self, request: CompletionRequest, response: CompletionResponse) -> None:
-        self.record_batch([request], [response])
+        self._append([_line(request.prompt, request.model_name, response.text, response.backend, response.latency)])
 
-    def record_batch(self, batch: Sequence[CompletionRequest], responses: Sequence[CompletionResponse]) -> None:
-        """Append one line per exchange, opening the file once; an empty batch writes nothing."""
-        lines = [
-            json.dumps(
-                {
-                    "prompt": request.prompt,
-                    "model": request.model_name,
-                    "response": response.text,
-                    "backend": response.backend,
-                    "latency_s": response.latency,
-                },
-                ensure_ascii=False,
-            ) + "\n"
-            for request, response in zip(batch, responses, strict=True)
-        ]
+    def record_batch(self, batch: CompletionBatch, replies: BatchReplies) -> None:
+        """Append one line per reply, opening the file once; no replies write nothing.
+
+        Reply i answers `batch.prompts[i]`; a failed batch's `answered`
+        replies cover only the prompts before the failure.
+        """
+        answered = batch.prompts[:len(replies.texts)]
+        self._append([
+            _line(prompt, batch.model_name, text, replies.backend, latency)
+            for prompt, text, latency in zip(answered, replies.texts, replies.latencies, strict=True)
+        ])
+
+    def _append(self, lines: List[str]) -> None:
         if lines:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.writelines(lines)
+
+
+def _line(prompt: str, model: str, text: str, backend: str, latency: float) -> str:
+    """One audit-log JSON line."""
+    entry = {"prompt": prompt, "model": model, "response": text, "backend": backend, "latency_s": latency}
+    return json.dumps(entry, ensure_ascii=False) + "\n"
 
 
 @dataclass

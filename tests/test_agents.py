@@ -1,5 +1,6 @@
 """Agent tests: heuristic rules, prompts, patience, growth-capital draws."""
 
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from depinsim.agents import (
     total_endowment,
 )
 from depinsim.engine import Simulation, SimulationConfig
-from depinsim.llm_gateway import ScriptedBackend
+from depinsim import llm_gateway
+from depinsim.llm_gateway import AuditLog, ScriptedBackend
 
 
 def ctx(revenue=160_000.0, cost=1000.0, tolerance=0.5, month=1):
@@ -281,9 +283,13 @@ class Recording(ScriptedBackend):
         super().__init__(script)
         self.prompts, self.batches = [], []
 
+    def complete(self, request):
+        self.prompts.append(request.prompt)
+        return super().complete(request)
+
     def complete_batch(self, batch):
-        self.prompts += [request.prompt for request in batch]
-        self.batches.append(len(batch))
+        self.prompts += batch.prompts
+        self.batches.append(len(batch.prompts))
         return super().complete_batch(batch)
 
 
@@ -316,6 +322,62 @@ class TestLlmPolicyBatch:
         with pytest.raises(ValueError, match="got nan"):
             getattr(policy, method)(1.0, np.array([1.0, math.nan, math.inf]), tolerances, 1)
         assert policy.backend.batches == []
+
+    def test_consecutive_months_equal_the_scalar_route(self, tmp_path):
+        # Month 2 keeps three of month 1's nodes (exit-tail hits) and adds two (misses), one
+        # with a kept cost but a new tolerance; -0.0 renders, and is keyed, as month 1's 0.0.
+        months = [
+            (1500.0, [(1000.0, 0.5), (2.5e-7, 0.75), (3e20, 1.0), (0.0, 0.25)]),
+            (2.5e-7, [(2.5e-7, 0.75), (-0.0, 0.25), (3e20, 1.0), (1000.0, 0.9), (1234.5, 0.3333333333333333)]),
+        ]
+        script = {"*cost of 1000 *": "yes", "*cost of 0 *": "no", "*tolerance of 0.9*": "Yes."}
+        routes = {}
+        for route in ("batch", "scalar"):
+            policy = LlmPolicy(Recording(script), audit_log=AuditLog(tmp_path / f"{route}.jsonl"))
+            verdicts = []
+            for month, (revenue, roster) in enumerate(months, start=1):
+                if route == "batch":
+                    costs, tolerances = (np.array(column) for column in zip(*roster))
+                    verdicts += policy.decide_entries(revenue, costs, tolerances, month).tolist()
+                    verdicts += policy.decide_exits(revenue, costs, tolerances, month).tolist()
+                else:
+                    contexts = [ctx(revenue, cost, tolerance, month) for cost, tolerance in roster]
+                    verdicts += [policy.decide_entry(c) for c in contexts] + [policy.decide_exit(c) for c in contexts]
+            lines = [{key: value for key, value in json.loads(line).items() if key != "latency_s"}
+                     for line in policy.audit_log.path.read_text(encoding="utf-8").splitlines()]
+            routes[route] = policy.backend.prompts, verdicts, policy.fallback_count, lines
+        assert routes["batch"] == routes["scalar"]
+        prompts, _, fallbacks, lines = routes["batch"]
+        assert len(prompts) == len(lines) == 18 and 0 < fallbacks < 18
+        assert "A node has a cost of 0 and a tolerance of 0.25." in prompts[-4]
+
+    def test_exit_tails_hold_only_the_last_roster(self):
+        policy = LlmPolicy(Recording({}))
+        tolerances = np.full(3, 0.5)
+        policy.decide_exits(1.0, np.array([1.0, 2.0, 3.0]), tolerances, 1)
+        policy.decide_exits(1.0, np.array([3.0, -0.0, 0.0]), tolerances, 2)
+        assert list(policy._exit_tails) == [(3.0, 0.5), (0.0, 0.5)]
+        for bad in (math.nan, math.inf):  # a non-finite value raises as the scalar render does
+            with pytest.raises(ValueError) as batched:
+                policy.decide_exits(1.0, np.array([3.0, bad]), np.full(2, 0.5), 3)
+            with pytest.raises(ValueError) as single:
+                render_exit_prompt(ctx(1.0, bad, 0.5, 3))
+            assert str(batched.value) == str(single.value)
+        assert policy.backend.batches == [3, 3]
+
+    def test_a_batch_builds_one_request_and_one_reply_record(self, monkeypatch):
+        built = []
+        for name in ("CompletionRequest", "CompletionResponse", "CompletionBatch", "BatchReplies"):
+            cls = getattr(llm_gateway, name)
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=cls.__init__, **k: (
+                built.append(type(self).__name__), _init(self, *a, **k))[1])
+        policy = LlmPolicy(ScriptedBackend(heuristic_prompt_reply))
+        rng = np.random.default_rng(1)
+        costs, tolerances = rng.uniform(500, 1500, 1000), rng.uniform(0.1, 1.0, 1000)
+        for method in (policy.decide_entries, policy.decide_exits):
+            built.clear()
+            method(1000.0, costs, tolerances, 1)
+            assert built == ["CompletionBatch", "BatchReplies"]
 
     def test_empty_pool_or_roster_sends_nothing(self):
         policy = LlmPolicy(Recording({}))

@@ -346,3 +346,12 @@ class TestConfigReference:
         assert ranges["gc_arrival_rate"] == "[0, 1000]"
         assert ranges["llm.timeout"] == "(0, inf)"
         assert ranges["policy"] == ranges["out_dir"] == ""
+
+    def test_every_row_has_four_cells(self, capsys):
+        assert main(["config-reference"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = [re.split(r"(?<!\\)\|", line)[1:-1] for line in lines]  # split on unescaped pipes
+        assert len(lines) > 2 and all(len(row) == 4 for row in cells)
+        descriptions = {row[0].strip(): row[3].strip() for row in cells[2:]}
+        assert descriptions["`policy`"].endswith(r"heuristic \| llm")
+        assert descriptions["`llm.backend`"].endswith(r"scripted \| http")

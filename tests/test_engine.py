@@ -15,7 +15,7 @@ from typing import get_origin, get_type_hints
 import numpy as np
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from depinsim.agents import (
     DecisionContext,
@@ -30,6 +30,7 @@ from depinsim.agents import (
 from depinsim.bounds import check_ranges, declared_ranges
 from depinsim.engine import MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, encode, run
 from depinsim.llm_gateway import AuditLog, LlmSettings, ScriptedBackend
+from depinsim.market import MarketState
 from depinsim.tokenomics import (
     TEAM_SCHEDULE,
     ScheduleKind,
@@ -521,7 +522,8 @@ SCHEDULES = st.one_of(
 
 class TestRunInvariants:
     """Supply conservation, sale-pool accounting and node-count bookkeeping
-    over random valid configs near the default, stressed and churn regimes."""
+    over random valid configs near the default, stressed and churn regimes,
+    on every month a run commits."""
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -541,14 +543,34 @@ class TestRunInvariants:
         node_schedule=SCHEDULES,
         seed=st.integers(0, 2**31 - 1),
     )
+    # A subnormal node unlock leaves a month-1 sale pool of 1.7e-303, and so an infinite diluted cap.
+    @example(
+        regime={}, horizon_months=1, initial_nodes=0, entry_pool_size=0, patience=1, gc_arrival_rate=1.0,
+        gc_endowment_mu=10.0, gc_endowment_sigma=0.0, gc_lifespan_mu=1.0, gc_lifespan_sigma=0.0,
+        tokens_on_sale_fraction=0.125, team_schedule=VestingSchedule.cliff_linear(0, 0.0, 1),
+        vc_schedule=VestingSchedule.cliff_linear(0, 0.0, 1),
+        node_schedule=VestingSchedule.cliff_linear(0, 2.225073858507e-311, 1), seed=0,
+    )
     def test_supply_sale_pool_and_node_count(self, regime, **kwargs):
+        """A drawn config runs to the end, or stops at sub-step 'record' on a month that is not
+        finite (a tiny sale pool prices a trade beyond the float range); either way the
+        invariants hold on every committed month."""
         config = replace(SimulationConfig(**regime), **kwargs)
         schedules = (config.team_schedule, config.vc_schedule, config.node_schedule)
         alloc = config.allocation()
         nodes = config.initial_nodes
         sale = config.tokens_on_sale_fraction * circulating_supply(1, alloc, *schedules)
-        trajectory = run(config)
-        for state, event in zip(trajectory.states, trajectory.events):
+        sim = Simulation(config)
+        for month in range(1, config.horizon_months + 1):
+            try:
+                sim.step(month)
+            except SimulationError as err:
+                assert err.substep == "record", err
+                name = re.search(r"(\w+) is not finite", str(err))
+                assert name and name.group(1) in get_type_hints(MarketState), err
+                assert len(sim.states) == month - 1
+                break
+        for state, event in zip(sim.states, sim.events):
             assert state.circulating_supply == pytest.approx(
                 circulating_supply(state.month, alloc, *schedules), rel=1e-12)
             assert state.tokens_on_sale >= sale
@@ -648,19 +670,33 @@ class TestFromDictFuzz:
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(keys=config_at_bounds())
+    @example(keys={"horizon_months": 2, "initial_price": 1e305})  # the LLM route fails at 'node-decisions'
     def test_config_at_its_bounds_runs_or_fails_at_record(self, keys):
         """A config drawn at and near its declared bounds runs to the end, or stops at sub-step
         'record' on a month that is not finite; no NumPy warning escapes and the metrics are
-        valid JSON.  Roster sizes stay small: the cap, not a huge allocation, covers the rest."""
+        valid JSON.  Roster sizes stay small: the cap, not a huge allocation, covers the rest.
+
+        The scripted LLM route gives the same CSV, or fails where the heuristic run fails:
+        at 'record', or at 'node-decisions' when it renders a non-finite revenue first."""
         config = SimulationConfig.from_dict(keys)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                trajectory = run(config)
-            except SimulationError as err:
-                assert err.substep == "record", err
-                return
-        json.dumps(trajectory.metrics.to_dict(), allow_nan=False)
+        outcomes = []
+        for policy in (HeuristicPolicy(), LlmPolicy(ScriptedBackend(heuristic_prompt_reply))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    outcomes.append(run(config, policy=policy))
+                except SimulationError as err:
+                    outcomes.append(err)
+        heuristic, llm = outcomes
+        if isinstance(heuristic, SimulationError):
+            assert heuristic.substep == "record", heuristic
+            assert isinstance(llm, SimulationError), "the LLM route ran a config the heuristic route failed"
+            assert llm.substep == "record" or (
+                llm.substep == "node-decisions" and "prompt quantities must be finite" in str(llm)), llm
+            return
+        assert not isinstance(llm, SimulationError), llm
+        assert llm.to_csv_string() == heuristic.to_csv_string()
+        json.dumps(heuristic.metrics.to_dict(), allow_nan=False)
 
 
 class TestStepErrors:

@@ -15,7 +15,10 @@ from depinsim.engine import decode
 from depinsim.llm_gateway import (
     AuditLog,
     BackendUnavailableError,
+    BatchReplies,
+    CompletionBatch,
     CompletionRequest,
+    CompletionResponse,
     HttpBackend,
     LlmSettings,
     ProtocolError,
@@ -73,6 +76,20 @@ class TestScriptedBackend:
 
 
 class TestCompletionRequestValidation:
+    @pytest.mark.parametrize(
+        "prompt, settings, message",
+        [
+            ("", {}, "prompt must be non-empty"),
+            ("a", {"max_tokens": 0}, "max_tokens must be >= 1, got 0"),
+            ("a", {"temperature": -0.1}, "temperature must be >= 0, got -0.1"),
+        ],
+    )
+    def test_batch_raises_as_a_request_does(self, prompt, settings, message):
+        with pytest.raises(ValueError, match=message):
+            CompletionBatch(["ok", prompt], **settings)
+        with pytest.raises(ValueError, match=message):
+            CompletionRequest(prompt, **settings)
+
     def test_empty_prompt(self):
         with pytest.raises(ValueError):
             CompletionRequest(prompt="")
@@ -190,7 +207,7 @@ class TestHttpBackend:
 
 
 def _batch(*prompts):
-    return [CompletionRequest(prompt=prompt, max_tokens=4) for prompt in prompts]
+    return CompletionBatch(list(prompts), max_tokens=4)
 
 
 class TestHttpBackendBatch:
@@ -201,8 +218,9 @@ class TestHttpBackendBatch:
         return HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, backoff=0.01)
 
     def test_one_request_per_prompt_in_order(self, stub_server, backend):
-        responses = backend.complete_batch(_batch("a", "b", "c"))
-        assert [(r.text, r.backend) for r in responses] == [("No.", "http")] * 3
+        replies = backend.complete_batch(_batch("a", "b", "c"))
+        assert (replies.texts, replies.backend) == (["No."] * 3, "http")
+        assert len(replies.latencies) == 3 and all(latency > 0 for latency in replies.latencies)
         assert [sent["body"] for sent in stub_server.requests] == [
             {"model": "EleutherAI/gpt-neo-125M", "prompt": prompt, "max_tokens": 4, "temperature": 0.0}
             for prompt in ("a", "b", "c")
@@ -210,18 +228,19 @@ class TestHttpBackendBatch:
 
     def test_transient_status_retries_only_that_request(self, stub_server, backend):
         stub_server.statuses = [200, 503]
-        assert len(backend.complete_batch(_batch("a", "b", "c"))) == 3
+        assert len(backend.complete_batch(_batch("a", "b", "c")).texts) == 3
         assert [sent["body"]["prompt"] for sent in stub_server.requests] == ["a", "b", "b", "c"]
 
     def test_failure_carries_the_replies_before_it(self, stub_server, backend):
         stub_server.statuses = [200, 200, 400]
         with pytest.raises(ProtocolError) as err:
             backend.complete_batch(_batch("a", "b", "c", "d"))
-        assert [r.text for r in err.value.answered] == ["No.", "No."]
+        assert err.value.answered.texts == ["No.", "No."]
+        assert len(err.value.answered.latencies) == 2
         assert len(stub_server.requests) == 3  # nothing is sent after the failure
 
     def test_empty_batch_sends_nothing(self, stub_server, backend):
-        assert backend.complete_batch([]) == []
+        assert backend.complete_batch(CompletionBatch([])) == BatchReplies([], [], "http")
         assert stub_server.requests == []
 
     def test_failed_batch_is_audited_up_to_the_failure_as_scalar_calls_are(self, stub_server, backend, tmp_path):
@@ -246,11 +265,12 @@ class TestHttpBackendBatch:
 class TestScriptedBatch:
     def test_batch_answers_in_order_as_single_calls_do(self):
         backend = ScriptedBackend({"*enter*": "yes", "*exit*": "no"}, default="?")
-        batch = [CompletionRequest(prompt=p) for p in ("exit now", "enter now", "other")]
-        responses = backend.complete_batch(batch)
-        assert [r.text for r in responses] == [backend.complete(r).text for r in batch] == ["no", "yes", "?"]
-        assert len({r.latency for r in responses}) == 1  # one timing pair per batch
-        assert backend.complete_batch([]) == []
+        prompts = ["exit now", "enter now", "other"]
+        replies = backend.complete_batch(CompletionBatch(prompts))
+        single = [backend.complete(CompletionRequest(prompt=p)).text for p in prompts]
+        assert replies.texts == single == ["no", "yes", "?"]
+        assert len(replies.latencies) == 3 and len(set(replies.latencies)) == 1  # one timing pair per batch
+        assert backend.complete_batch(CompletionBatch([])).texts == []
 
 
 class TestAuditLog:
@@ -271,16 +291,16 @@ class TestAuditLog:
 
     def test_batch_writes_the_lines_single_records_write(self, tmp_path, monkeypatch):
         backend = ScriptedBackend({"*enter*": "yes"}, default="no")
-        batch = [CompletionRequest(prompt=p) for p in ("enter?", "exit?", "ünïcode")]
-        responses = backend.complete_batch(batch)
+        batch = CompletionBatch(["enter?", "exit?", "ünïcode"], model_name="m")
+        replies = backend.complete_batch(batch)
         single = AuditLog(tmp_path / "single.jsonl")
-        for request, response in zip(batch, responses):
-            single.record(request, response)
+        for prompt, text, latency in zip(batch.prompts, replies.texts, replies.latencies):
+            single.record(CompletionRequest(prompt=prompt, model_name="m"), CompletionResponse(text, latency, "scripted"))
         opened = []
         monkeypatch.setattr("builtins.open", lambda *a, _open=open, **k: opened.append(a[0]) or _open(*a, **k))
         batched = AuditLog(tmp_path / "batched.jsonl")
-        batched.record_batch(batch, responses)
-        batched.record_batch([], [])
+        batched.record_batch(batch, replies)
+        batched.record_batch(batch, BatchReplies([], [], "scripted"))
         assert opened == [batched.path]  # once per non-empty batch
         assert batched.path.read_text(encoding="utf-8") == single.path.read_text(encoding="utf-8")
 
