@@ -74,7 +74,9 @@ class DecisionPolicy(Protocol):
     `decides_in_batches`) decides each month in two calls:
     `decide_entries` over the candidate pool, then `decide_exits` over the
     roster, each given the month's revenue and the nodes' cost and tolerance
-    arrays and returning one verdict per node.  Any other policy is called
+    arrays and returning one verdict per node.  The roster arrays are
+    read-only views of the engine's buffers, valid only during the call; a
+    policy that keeps values past it copies them.  Any other policy is called
     once per decision: `decide_entry` for each candidate of the month's
     pool, then `decide_exit` for each incumbent in roster order.
     """
@@ -184,12 +186,12 @@ def render_exit_prompt(ctx: DecisionContext) -> str:
     )
 
 
-_ENTRY_RE = re.compile(
-    r"The global estimated revenue is (\S+)\. A node has a cost of (\S+)\. Should the node enter"
-)
-_EXIT_RE = re.compile(
-    r"The global estimated revenue is (\S+)\. A node has a cost of (\S+) "
-    r"and a tolerance of (\S+)\. Should the node exit"
+_NODE_RE = r"The global estimated revenue is (\S+)\. A node has a cost of (\S+)"
+_EXIT_END_RE = r" and a tolerance of (\S+)\. Should the node exit"
+# One search answers a prompt.  An exit sentence anywhere in the prompt takes
+# precedence, so an entry sentence counts only when no exit sentence follows it.
+_PROMPT_RE = re.compile(
+    rf"{_NODE_RE}(?:{_EXIT_END_RE}|\. Should the node enter(?!.*{_NODE_RE}{_EXIT_END_RE}))", re.DOTALL
 )
 
 
@@ -201,15 +203,13 @@ def heuristic_prompt_reply(prompt: str) -> str:
     which makes an LLM policy behind it trajectory-equivalent to the
     heuristic one.
     """
-    match = _EXIT_RE.search(prompt)
-    if match is not None:
-        revenue, cost, tolerance = map(float, match.groups())
-        return "yes" if revenue < tolerance * cost else "no"
-    match = _ENTRY_RE.search(prompt)
-    if match is not None:
-        revenue, cost = map(float, match.groups())
-        return "yes" if revenue > cost else "no"
-    return ""
+    match = _PROMPT_RE.search(prompt)
+    if match is None:
+        return ""
+    revenue, cost, tolerance = match.group(1, 2, 3)
+    if tolerance is not None:
+        return "yes" if float(revenue) < float(tolerance) * float(cost) else "no"
+    return "yes" if float(revenue) > float(cost) else "no"
 
 
 class LlmPolicy:

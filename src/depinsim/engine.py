@@ -72,8 +72,24 @@ MAX_ROSTER = 1_000_000
 _STATE_FLOATS = tuple(name for name, hint in get_type_hints(MarketState).items() if hint is float)
 
 
-def _stream(seed: int, month: int, channel: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, month, channel)))
+def _words(value: int) -> List[int]:
+    """`value`'s little-endian 32-bit words, as `SeedSequence` splits an int (0 is one word)."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def _stream(seed_words: List[int], month: int, channel: int) -> np.random.Generator:
+    """The stream of `SeedSequence((seed, month, channel))` for the seed split by `_words`.
+
+    The entropy is handed over as the `uint32` array NumPy would build from the
+    tuple, which skips its per-int coercion.
+    """
+    entropy = np.array(seed_words + _words(month) + _words(channel), dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 class SimulationError(Exception):
@@ -330,13 +346,23 @@ def _verdicts(values, count: int) -> np.ndarray:
 class Simulation:
     """Mutable run state: node roster, growth capitalists, last snapshot.
 
-    The roster is three parallel arrays in roster order: each active node's
-    `cost`, `tolerance` and `streak` of consecutive exit signals.  Within a
-    month every decision reads the same frozen start-of-month
+    The roster is each active node's `cost`, `tolerance` and `streak` of
+    consecutive exit signals, in roster order.  They live in the first `n`
+    slots of buffers allocated once, at the run's largest possible roster
+    (`initial_nodes + horizon_months * entry_pool_size`), so a month
+    allocates no roster arrays; the properties return read-only views of
+    the live slots.  A month's new streaks go into a spare buffer and its
+    leavers into a scratch mask; the commit swaps the spare buffer in,
+    compacts exits within the buffers and writes entrants into the tail.  A month past `horizon_months` is rejected, so
+    the roster never outgrows the buffers.
+
+    Within a month every decision reads the same frozen start-of-month
     context, so agent evaluation order cannot change the outcome.  A policy
     whose class provides its own batch methods (`HeuristicPolicy`,
     `LlmPolicy`) decides the candidate pool and the roster in one call each;
-    any other policy is called once per decision, in roster order.
+    any other policy is called once per decision, in roster order.  The
+    arrays a batch method receives are read-only and valid only during that
+    call: the commit reuses their memory.
     """
 
     def __init__(self, config: SimulationConfig, policy=None, audit_log: Optional[AuditLog] = None):
@@ -345,10 +371,18 @@ class Simulation:
         self.policy = policy if policy is not None else build_policy(config, audit_log)
         self.alloc = config.allocation()
         self.gc_params = config.gc_params()
+        self._seed_words = _words(config.seed)
 
-        rng = _stream(config.seed, 0, _STREAM_INIT_NODES)
-        self.cost, self.tolerance = self._draw_node_params(rng, config.initial_nodes)
-        self.streak = np.zeros(config.initial_nodes, dtype=np.int64)
+        # np.empty and np.zeros leave the slots no month reaches unbacked by memory.
+        capacity = config.initial_nodes + config.horizon_months * config.entry_pool_size
+        self._cost = np.empty(capacity)
+        self._tolerance = np.empty(capacity)
+        self._streak = np.zeros(capacity, dtype=np.int64)
+        self._spare = np.zeros(capacity, dtype=np.int64)  # the month's new streaks until the commit
+        self._leaves = np.empty(capacity, dtype=bool)
+        self._n = config.initial_nodes
+        rng = _stream(self._seed_words, 0, _STREAM_INIT_NODES)
+        self._cost[:self._n], self._tolerance[:self._n] = self._draw_node_params(rng, self._n)
         self.gcs: List[GrowthCapitalist] = []
 
         # Seed the sale-side of the price ratio so month 1 has a market
@@ -371,6 +405,26 @@ class Simulation:
         self.states: List[MarketState] = []
         self.events: List[MonthEvents] = []
 
+    def _live(self, buffer: np.ndarray) -> np.ndarray:
+        view = buffer[:self._n]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def cost(self) -> np.ndarray:
+        """Each active node's monthly cost, in roster order (read-only, valid until the next commit)."""
+        return self._live(self._cost)
+
+    @property
+    def tolerance(self) -> np.ndarray:
+        """Each active node's risk tolerance, in roster order (read-only, valid until the next commit)."""
+        return self._live(self._tolerance)
+
+    @property
+    def streak(self) -> np.ndarray:
+        """Each active node's run of consecutive exit signals (read-only, valid until the next commit)."""
+        return self._live(self._streak)
+
     def _draw_node_params(self, rng: np.random.Generator, count: int):
         lo, hi = self.config.cost_spread
         tlo, thi = self.config.tolerance_range
@@ -378,20 +432,22 @@ class Simulation:
         tolerances = rng.uniform(tlo, thi, count)
         return costs, tolerances
 
-    def _decide_roster(self, revenue, costs, tolerances, month):
+    def _decide_roster(self, revenue, costs, tolerances, month) -> np.ndarray:
         """The policy's batch methods over the whole candidate pool, then the
-        roster; returns the entry and leave masks and the roster's new streaks."""
+        roster; returns the entry mask and writes the roster's new streaks
+        into the spare buffer."""
         enters = _verdicts(self.policy.decide_entries(revenue, costs, tolerances, month), len(costs))
-        if not len(self.cost):
-            return enters, np.zeros(0, dtype=bool), self.streak
-        signals = _verdicts(self.policy.decide_exits(revenue, self.cost, self.tolerance, month), len(self.cost))
-        streak = (self.streak + 1) * signals
-        return enters, streak >= self.config.patience, streak
+        n = self._n
+        if n:
+            signals = _verdicts(self.policy.decide_exits(revenue, self.cost, self.tolerance, month), n)
+            streak = np.add(self._streak[:n], 1, out=self._spare[:n])
+            np.multiply(streak, signals, out=streak)
+        return enters
 
-    def _decide_each(self, revenue, costs, tolerances, month):
+    def _decide_each(self, revenue, costs, tolerances, month) -> np.ndarray:
         """A policy without batch methods, called once per candidate, then once
-        per node in roster order; `apply_patience` turns each exit signal into
-        a verdict."""
+        per node in roster order; `apply_patience` advances each node's
+        streak, which goes into the spare buffer.  Returns the entry mask."""
         policy = self.policy
         enters = [
             bool(policy.decide_entry(DecisionContext(revenue, cost, tolerance, month)))
@@ -400,18 +456,20 @@ class Simulation:
         # One record carries each node's signal run through apply_patience.
         node = NodeProvider(id=0, cost=1.0, tolerance=1.0, patience=self.config.patience)
         streak = self.streak.tolist()
-        leaves = []
         for i, (cost, tolerance) in enumerate(zip(self.cost.tolist(), self.tolerance.tolist())):
             signal = policy.decide_exit(DecisionContext(revenue, cost, tolerance, month))
             node.consecutive_exit_signals = streak[i]
-            leaves.append(apply_patience(node, signal))
+            apply_patience(node, signal)  # its verdict is streak >= patience, which step() reads off
             streak[i] = node.consecutive_exit_signals
-        return np.array(enters, dtype=bool), np.array(leaves, dtype=bool), np.array(streak, dtype=np.int64)
+        self._spare[:self._n] = streak
+        return np.array(enters, dtype=bool)
 
     def step(self, month: int) -> MarketState:
         """Advance one month and commit its record."""
         if month != self.state.month + 1:
             raise SimulationError(month, "ordering", f"expected month {self.state.month + 1}")
+        if month > self.config.horizon_months:
+            raise SimulationError(month, "ordering", f"the horizon is {self.config.horizon_months} months")
         prev = self.state
         cfg = self.config
         substep = "vesting"
@@ -437,18 +495,20 @@ class Simulation:
             # next month on.
             substep = "node-decisions"
             fallbacks_before = getattr(self.policy, "fallback_count", 0)
-            rng = _stream(cfg.seed, month, _STREAM_CANDIDATES)
+            rng = _stream(self._seed_words, month, _STREAM_CANDIDATES)
             costs, tolerances = self._draw_node_params(rng, cfg.entry_pool_size)
             decide = self._decide_roster if decides_in_batches(type(self.policy)) else self._decide_each
-            enters, leaves, streak = decide(revenue, costs, tolerances, month)
+            enters = decide(revenue, costs, tolerances, month)
+            n = self._n
+            leaves = np.greater_equal(self._spare[:n], cfg.patience, out=self._leaves[:n])
             exits = int(np.count_nonzero(leaves))
             entries = int(np.count_nonzero(enters))
-            n_now = len(self.cost) - exits + entries
+            n_now = n - exits + entries
 
             # 4. Growth capitalists stay until their expiry month, when their
             # holdings go on sale; then this month's arrivals join.
             substep = "growth-capital"
-            rng_gc = _stream(cfg.seed, month, _STREAM_GROWTH_CAPITAL)
+            rng_gc = _stream(self._seed_words, month, _STREAM_GROWTH_CAPITAL)
             arrivals = spawn_growth_capitalists(month, self.gc_params, rng_gc)
             gcs = [gc for gc in self.gcs if gc.expiry > month]
             expiries = len(self.gcs) - len(gcs)
@@ -496,17 +556,19 @@ class Simulation:
         except Exception as err:
             raise SimulationError(month, substep, str(err)) from err
 
-        # Commit.  A month that failed above left the simulation as it was.  The
-        # roster is compacted here rather than held as new arrays through
-        # sub-steps 4-6: keeping both rosters alive slowed large-roster months.
+        # Commit.  A month that failed above wrote only the spare buffers, so it
+        # left the simulation as it was.
+        self._streak, self._spare = self._spare, self._streak
+        kept = n - exits
         if exits:
-            stay = ~leaves
-            self.cost, self.tolerance, streak = self.cost[stay], self.tolerance[stay], streak[stay]
+            stay = np.logical_not(leaves, out=leaves)
+            for buffer in (self._cost, self._tolerance, self._streak):
+                buffer[:kept] = buffer[:n][stay]
         if entries:
-            self.cost = np.concatenate((self.cost, costs[enters]))
-            self.tolerance = np.concatenate((self.tolerance, tolerances[enters]))
-            streak = np.concatenate((streak, np.zeros(entries, dtype=np.int64)))
-        self.streak = streak
+            self._cost[kept:n_now] = costs[enters]
+            self._tolerance[kept:n_now] = tolerances[enters]
+            self._streak[kept:n_now] = 0
+        self._n = n_now
         self.gcs = gcs
         self.state = state
         self.states.append(state)

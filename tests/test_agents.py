@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,45 @@ class TestHeuristicPromptReply:
 
     def test_unknown_prompt_gets_empty_reply(self):
         assert heuristic_prompt_reply("What is the weather?") == ""
+
+    @pytest.mark.parametrize("prompt", [
+        render_entry_prompt(ctx(revenue=2.5e-07, cost=3e20)),
+        render_exit_prompt(ctx(revenue=3e20, cost=2.5e-07, tolerance=0.5)),
+        render_entry_prompt(ctx(revenue=160_000.0, cost=1000.0)),
+        render_exit_prompt(ctx(revenue=160_000.0, cost=1000.0, tolerance=1.0)),
+        "Context first. " + render_entry_prompt(ctx(revenue=999.0, cost=1000.0)),
+        "Context first.\n" + render_exit_prompt(ctx(revenue=100.0, cost=1000.0, tolerance=0.5)),
+        "The global estimated revenue is 3e+20. A node has a cost of 2.5e-07 and a tolerance of 1e+300. "
+        "Should the node exit the system?",
+        # Both sentences, with opposite verdicts: the exit sentence answers, whichever comes first.
+        render_entry_prompt(ctx(revenue=2000.0, cost=1000.0)) + " "
+        + render_exit_prompt(ctx(revenue=2000.0, cost=1000.0, tolerance=0.5)),
+        render_exit_prompt(ctx(revenue=2000.0, cost=1000.0, tolerance=0.5)) + "\n"
+        + render_entry_prompt(ctx(revenue=2000.0, cost=1000.0)),
+        "The global estimated revenue is 5. A node has a cost of 4. Should the node leave?",
+        "What is the weather?",
+        "",
+    ])
+    def test_one_search_answers_as_the_exit_then_entry_pair(self, prompt):
+        exit_re = re.compile(r"The global estimated revenue is (\S+)\. A node has a cost of (\S+) "
+                             r"and a tolerance of (\S+)\. Should the node exit")
+        entry_re = re.compile(r"The global estimated revenue is (\S+)\. A node has a cost of (\S+)\. "
+                              r"Should the node enter")
+
+        def pair_reply(text):  # the reference: an exit search, then an entry search
+            match = exit_re.search(text)
+            if match is not None:
+                revenue, cost, tolerance = map(float, match.groups())
+                return "yes" if revenue < tolerance * cost else "no"
+            match = entry_re.search(text)
+            if match is not None:
+                revenue, cost = map(float, match.groups())
+                return "yes" if revenue > cost else "no"
+            return ""
+
+        assert heuristic_prompt_reply(prompt) == pair_reply(prompt)
+        if prompt.count("Should the node") == 2:
+            assert heuristic_prompt_reply(prompt) == "no"  # the entry sentence alone says yes
 
 
 class TestApplyPatience:

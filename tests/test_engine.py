@@ -28,7 +28,9 @@ from depinsim.agents import (
     heuristic_prompt_reply,
 )
 from depinsim.bounds import check_ranges, declared_ranges
-from depinsim.engine import MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, encode, run
+from depinsim.engine import (
+    MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, _stream, _words, encode, run,
+)
 from depinsim.llm_gateway import AuditLog, LlmSettings, ScriptedBackend
 from depinsim.market import MarketState
 from depinsim.tokenomics import (
@@ -197,6 +199,20 @@ class TestDeterminism:
         second = run(small_config)
         assert first.to_csv_string() == second.to_csv_string()
         assert first.to_json() == second.to_json()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70) | st.sampled_from([0, 2**32 - 1, 2**32, 2**64]),
+        month=st.integers(0, 2**40) | st.sampled_from([0, 2**32 - 1, 2**32]),
+        channel=st.integers(0, 2),
+    )
+    def test_stream_words_equal_the_tuple_entropy(self, seed, month, channel):
+        tuple_rng = np.random.default_rng(np.random.SeedSequence((seed, month, channel)))
+        word_rng = _stream(_words(seed), month, channel)
+        assert np.array_equal(word_rng.bit_generator.seed_seq.generate_state(8),
+                              tuple_rng.bit_generator.seed_seq.generate_state(8))
+        assert np.array_equal(word_rng.uniform(size=4), tuple_rng.uniform(size=4))
+        assert word_rng.poisson(3.0) == tuple_rng.poisson(3.0)
 
     def test_different_seed_different_trajectory(self):
         a = run(SimulationConfig(horizon_months=24, seed=1))
@@ -705,6 +721,36 @@ class TestStepErrors:
         sim.step(1)
         with pytest.raises(SimulationError):
             sim.step(5)
+
+    def test_month_past_the_horizon_rejected(self):
+        config = SimulationConfig(horizon_months=2, entry_pool_size=5)
+        sim = Simulation(config)
+        for month in (1, 2):
+            sim.step(month)
+        before = (sim.cost.copy(), sim.tolerance.copy(), sim.streak.copy())
+        with pytest.raises(SimulationError) as err:
+            sim.step(3)
+        assert err.value.substep == "ordering"
+        assert len(sim.states) == len(sim.events) == 2
+        for array, saved in zip((sim.cost, sim.tolerance, sim.streak), before):
+            assert np.array_equal(array, saved)
+
+    def test_policy_cannot_write_the_roster(self):
+        class Scribbling(HeuristicPolicy):
+            def decide_exits(self, revenue, costs, tolerances, month):
+                costs[0] = 0.0
+                return super().decide_exits(revenue, costs, tolerances, month)
+
+        config = SimulationConfig(horizon_months=3)
+        sim = Simulation(config, policy=Scribbling())
+        before = (sim.cost.copy(), sim.tolerance.copy(), sim.streak.copy())
+        with pytest.raises(SimulationError, match="node-decisions.*read-only"):
+            sim.step(1)
+        for array, saved in zip((sim.cost, sim.tolerance, sim.streak), before):
+            assert np.array_equal(array, saved)
+        with pytest.raises(ValueError, match="read-only"):
+            sim.cost[0] = 0.0
+        assert sim.states == []
 
     def test_substep_failures_are_located(self, null_dynamics_config):
         sim = Simulation(null_dynamics_config)
