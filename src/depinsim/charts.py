@@ -14,6 +14,11 @@ _MARGIN_LEFT = 72
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 46
+_TICK_COUNT = 5
+_LINE_WIDTH = 720
+_LINE_HEIGHT = 400
+_PANEL_WIDTH = 340
+_PANEL_HEIGHT = 380
 
 
 def _fmt(value: float) -> str:
@@ -26,11 +31,33 @@ def _fmt_tick(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> List[float]:
+def _ticks(lo: float, hi: float) -> List[float]:
     if hi == lo:
         return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (_TICK_COUNT - 1)
+    return [lo + i * step for i in range(_TICK_COUNT)]
+
+
+def _y_ticks(x: float, lo: float, hi: float, py) -> List[str]:
+    """Tick marks and labels on a y axis drawn at `x`; `py` maps a value to its y coordinate."""
+    parts = []
+    for tick in _ticks(lo, hi):
+        ty = py(tick)
+        parts.append(
+            f'<line x1="{x - 4}" y1="{_fmt(ty)}" x2="{x}" y2="{_fmt(ty)}" stroke="black"/>'
+            f'<text x="{x - 6}" y="{_fmt(ty + 3)}" text-anchor="end">{_fmt_tick(tick)}</text>'
+        )
+    return parts
+
+
+def _svg(width: int, height: int, parts: List[str]) -> str:
+    """A white `width` x `height` SVG document holding `parts`."""
+    header = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">'
+        f'<rect width="{width}" height="{height}" fill="white"/>'
+    )
+    return header + "".join(parts) + "</svg>\n"
 
 
 def _escape(text: str) -> str:
@@ -43,8 +70,6 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 400,
 ) -> str:
     """Render one or more aligned series as SVG polylines with axes."""
     if not x:
@@ -62,8 +87,8 @@ def line_chart(
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1, x_hi + 1
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _LINE_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _LINE_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(value: float) -> float:
         return _MARGIN_LEFT + (value - x_lo) / (x_hi - x_lo) * plot_w
@@ -71,14 +96,10 @@ def line_chart(
     def py(value: float) -> float:
         return _MARGIN_TOP + (y_hi - value) / (y_hi - y_lo) * plot_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = []
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{_escape(title)}</text>'
+            f'<text x="{_LINE_WIDTH / 2:.0f}" y="20" text-anchor="middle" font-size="14">{_escape(title)}</text>'
         )
     # Axes and ticks.
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h
@@ -92,15 +113,10 @@ def line_chart(
             f'<line x1="{_fmt(tx)}" y1="{y0}" x2="{_fmt(tx)}" y2="{y0 + 4}" stroke="black"/>'
             f'<text x="{_fmt(tx)}" y="{y0 + 16}" text-anchor="middle">{_fmt_tick(tick)}</text>'
         )
-    for tick in _ticks(y_lo, y_hi):
-        ty = py(tick)
-        parts.append(
-            f'<line x1="{x0 - 4}" y1="{_fmt(ty)}" x2="{x0}" y2="{_fmt(ty)}" stroke="black"/>'
-            f'<text x="{x0 - 6}" y="{_fmt(ty + 3)}" text-anchor="end">{_fmt_tick(tick)}</text>'
-        )
+    parts += _y_ticks(x0, y_lo, y_hi, py)
     if x_label:
         parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{height - 8}" text-anchor="middle">{_escape(x_label)}</text>'
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{_LINE_HEIGHT - 8}" text-anchor="middle">{_escape(x_label)}</text>'
         )
     if y_label:
         parts.append(
@@ -119,15 +135,10 @@ def line_chart(
                 f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
                 f'<text x="{lx + 24}" y="{ly}">{_escape(name)}</text>'
             )
-    parts.append("</svg>")
-    return "".join(parts) + "\n"
+    return _svg(_LINE_WIDTH, _LINE_HEIGHT, parts)
 
 
-def grouped_bar_panels(
-    panels: Sequence[dict],
-    width_per_panel: int = 340,
-    height: int = 380,
-) -> str:
+def grouped_bar_panels(panels: Sequence[dict]) -> str:
     """Side-by-side bar panels, one per metric.
 
     Each panel is {"title": str, "groups": [label, ...], "values": [float, ...],
@@ -135,23 +146,18 @@ def grouped_bar_panels(
     """
     if not panels:
         raise ValueError("grouped_bar_panels needs at least one panel")
-    width = width_per_panel * len(panels)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = []
     for p_idx, panel in enumerate(panels):
         groups: List[str] = list(panel["groups"])
         values: List[float] = [float(v) for v in panel["values"]]
         errors: Optional[List[float]] = panel.get("errors")
         if len(values) != len(groups):
             raise ValueError("panel values and groups must align")
-        offset = p_idx * width_per_panel
+        offset = p_idx * _PANEL_WIDTH
         plot_x = offset + 56
-        plot_w = width_per_panel - 72
+        plot_w = _PANEL_WIDTH - 72
         plot_y = _MARGIN_TOP
-        plot_h = height - _MARGIN_TOP - 64
+        plot_h = _PANEL_HEIGHT - _MARGIN_TOP - 64
 
         highs = [v + (errors[i] if errors else 0.0) for i, v in enumerate(values)]
         lows = [min(0.0, v - (errors[i] if errors else 0.0)) for i, v in enumerate(values)]
@@ -164,7 +170,7 @@ def grouped_bar_panels(
             return plot_y + (y_hi - value) / (y_hi - y_lo) * plot_h
 
         parts.append(
-            f'<text x="{offset + width_per_panel / 2:.0f}" y="20" text-anchor="middle" '
+            f'<text x="{offset + _PANEL_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
             f'font-size="13">{_escape(str(panel.get("title", "")))}</text>'
         )
         base_y = py(max(0.0, y_lo))
@@ -172,12 +178,7 @@ def grouped_bar_panels(
             f'<line x1="{plot_x}" y1="{plot_y}" x2="{plot_x}" y2="{plot_y + plot_h}" stroke="black"/>'
             f'<line x1="{plot_x}" y1="{_fmt(base_y)}" x2="{plot_x + plot_w}" y2="{_fmt(base_y)}" stroke="black"/>'
         )
-        for tick in _ticks(y_lo, y_hi):
-            ty = py(tick)
-            parts.append(
-                f'<line x1="{plot_x - 4}" y1="{_fmt(ty)}" x2="{plot_x}" y2="{_fmt(ty)}" stroke="black"/>'
-                f'<text x="{plot_x - 6}" y="{_fmt(ty + 3)}" text-anchor="end">{_fmt_tick(tick)}</text>'
-            )
+        parts += _y_ticks(plot_x, y_lo, y_hi, py)
         slot = plot_w / max(1, len(groups))
         bar_w = slot * 0.6
         for g_idx, (label, value) in enumerate(zip(groups, values)):
@@ -199,5 +200,4 @@ def grouped_bar_panels(
                 f'<text x="{_fmt(cx)}" y="{plot_y + plot_h + 16}" text-anchor="middle" '
                 f'transform="rotate(-30 {_fmt(cx)} {plot_y + plot_h + 16})">{_escape(label)}</text>'
             )
-    parts.append("</svg>")
-    return "".join(parts) + "\n"
+    return _svg(_PANEL_WIDTH * len(panels), _PANEL_HEIGHT, parts)

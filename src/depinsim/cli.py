@@ -21,7 +21,9 @@ from . import charts, metrics
 from .bounds import config_field
 from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, csv_text, decode, encode, run
 from .llm_gateway import AuditLog, GatewayError
-from .tokenomics import TokenAllocation, circulating_supply, node_emission, team_release, vc_release
+from .tokenomics import (
+    NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, circulating_supply, cumulative_release, release,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,7 +83,7 @@ def _trajectory_charts(columns: dict) -> dict:
                                             title="Market capitalization", x_label="month", y_label="currency"),
         "diluted_market_cap.svg": charts.line_chart(months, {"diluted cap": columns["diluted_cap"]},
                                                     title="Fully diluted market cap", x_label="month", y_label="currency"),
-        "nodes.svg": charts.line_chart(months, {"nodes": [float(n) for n in columns["nodes"]]},
+        "nodes.svg": charts.line_chart(months, {"nodes": columns["nodes"]},
                                        title="Active nodes", x_label="month", y_label="count"),
         "users.svg": charts.line_chart(months, {"users": columns["users"]},
                                        title="Users", x_label="month", y_label="count"),
@@ -120,6 +122,7 @@ def cmd_compare(args) -> int:
     if config.llm is None:
         raise ValueError("compare needs an llm config section (scripted or http backend)")
     seeds = [config.seed + i for i in range(args.seeds)]
+    audit = AuditLog(opts.audit_log) if opts.audit_log else None  # one log, appended cell by cell, seed by seed
 
     def agg(values: List[Optional[float]]) -> Tuple[float, float]:
         clean = [v for v in values if v is not None]
@@ -136,22 +139,15 @@ def cmd_compare(args) -> int:
         for seed in seeds:
             cell_config = replace(config, policy=policy, patience=patience, seed=seed)
             try:
-                cell_metrics.append(run(cell_config).metrics)
+                cell_metrics.append(run(cell_config, audit_log=audit).metrics)
             except (SimulationError, GatewayError) as err:
                 failures.append((policy, patience, seed, str(err)))
         if not cell_metrics:
             continue
-        eff = agg([m.efficiency for m in cell_metrics])
-        incl = agg([m.inclusion for m in cell_metrics])
-        stab = agg([m.stability for m in cell_metrics])
-        rows.append({
-            "policy": policy,
-            "patience": patience,
-            "seeds": len(cell_metrics),
-            "efficiency_mean": eff[0], "efficiency_std": eff[1],
-            "inclusion_mean": incl[0], "inclusion_std": incl[1],
-            "stability_mean": stab[0], "stability_std": stab[1],
-        })
+        row = {"policy": policy, "patience": patience, "seeds": len(cell_metrics)}
+        for name in metrics.INDICATORS:
+            row[f"{name}_mean"], row[f"{name}_std"] = agg([getattr(m, name) for m in cell_metrics])
+        rows.append(row)
 
     for policy, patience, seed, message in failures:
         print(f"cell ({policy}, patience={patience}, seed={seed}) failed: {message}", file=sys.stderr)
@@ -165,12 +161,9 @@ def cmd_compare(args) -> int:
     if opts.charts:
         labels = [_cell_label(r["policy"], r["patience"]) for r in rows]
         panels = [
-            {"title": "Efficiency", "groups": labels,
-             "values": [r["efficiency_mean"] for r in rows], "errors": [r["efficiency_std"] for r in rows]},
-            {"title": "Inclusion", "groups": labels,
-             "values": [r["inclusion_mean"] for r in rows], "errors": [r["inclusion_std"] for r in rows]},
-            {"title": "Stability", "groups": labels,
-             "values": [r["stability_mean"] for r in rows], "errors": [r["stability_std"] for r in rows]},
+            {"title": name.capitalize(), "groups": labels,
+             "values": [r[f"{name}_mean"] for r in rows], "errors": [r[f"{name}_std"] for r in rows]}
+            for name in metrics.INDICATORS
         ]
         _write_text(out_dir / "compare.svg", charts.grouped_bar_panels(panels))
 
@@ -184,16 +177,13 @@ def cmd_vesting(args) -> int:
     alloc = TokenAllocation(**{f.name: getattr(args, f.name) for f in fields(TokenAllocation)})
     header = ("month", "team_release", "vc_release", "node_release",
               "team_cumulative", "vc_cumulative", "node_cumulative", "circulating_supply")
-    rows = []
-    team_cum = vc_cum = node_cum = 0.0
-    for month in range(1, args.horizon + 1):
-        team = team_release(month, alloc)
-        vc = vc_release(month, alloc)
-        node = node_emission(month, alloc)
-        team_cum += team
-        vc_cum += vc
-        node_cum += node
-        rows.append((month, team, vc, node, team_cum, vc_cum, node_cum, circulating_supply(month, alloc)))
+    classes = ((alloc.team_tokens, TEAM_SCHEDULE), (alloc.vc_tokens, VC_SCHEDULE), (alloc.node_tokens, NODE_SCHEDULE))
+    rows = [
+        (month, *(release(month, tokens, schedule) for tokens, schedule in classes),
+         *(cumulative_release(month, tokens, schedule) for tokens, schedule in classes),
+         circulating_supply(month, alloc))
+        for month in range(1, args.horizon + 1)
+    ]
     out_dir = Path(args.out_dir)
     _write_text(out_dir / "vesting.csv", csv_text(header, rows))
     if args.charts != "off":

@@ -363,10 +363,16 @@ class Simulation:
     any other policy is called once per decision, in roster order.  The
     arrays a batch method receives are read-only and valid only during that
     call: the commit reuses their memory.
+
+    `audit_log` goes to the policy built from the config; a caller that
+    passes its own `policy` gives that policy its log, and passing both is
+    a ValueError.
     """
 
     def __init__(self, config: SimulationConfig, policy=None, audit_log: Optional[AuditLog] = None):
         config.validate()
+        if policy is not None and audit_log is not None:
+            raise ValueError("audit_log is for the policy built from the config; give it to the policy instead")
         self.config = config
         self.policy = policy if policy is not None else build_policy(config, audit_log)
         self.alloc = config.allocation()
@@ -489,6 +495,8 @@ class Simulation:
             revenue = global_revenue(
                 prev.token_price, emission, prev.active_nodes, users, cfg.user_revenue_factor
             )
+            if not math.isfinite(revenue):  # before any policy reads it, so every policy fails here
+                raise ValueError(f"global_revenue is not finite: {revenue!r}")
 
             # 3. Node entries over the candidate pool, then exits with
             # patience; this month's entrants face exit conditions from

@@ -7,7 +7,7 @@ metrics (no nodes, too-short series) are reported as None, never as zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
@@ -15,6 +15,9 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .engine import Trajectory
+
+# The three macro indicators, in report order: each is a MetricReport field and a compare.csv column pair.
+INDICATORS = ("efficiency", "inclusion", "stability")
 
 
 @dataclass(frozen=True)
@@ -28,15 +31,7 @@ class MetricReport:
     window: Tuple[int, int]  # month range, inclusive
 
     def to_dict(self) -> dict:
-        return {
-            "efficiency": self.efficiency,
-            "inclusion": self.inclusion,
-            "stability": self.stability,
-            "n_init": self.n_init,
-            "n_total": self.n_total,
-            "n_ext": self.n_ext,
-            "window": list(self.window),
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 def efficiency(circulating: float, price: float) -> float:
@@ -85,12 +80,13 @@ def stability(prices: Sequence[float]) -> Optional[float]:
     return math.sqrt(m2 / (returns.size - 1))
 
 
-def report(trajectory: "Trajectory", stability_window: Optional[Tuple[int, int]] = None) -> MetricReport:
+def report(trajectory: "Trajectory") -> MetricReport:
     """Score a finished trajectory.
 
     Efficiency comes from the final month's state; inclusion counts every
     node that ever entered (cumulative, so healthy churn is not penalized);
-    stability spans the full price series unless a window is given.
+    stability spans the config's `stability_window`, or the full price
+    series when it is None.
     """
     states = trajectory.states
     if not states:
@@ -99,7 +95,7 @@ def report(trajectory: "Trajectory", stability_window: Optional[Tuple[int, int]]
     n_ext = sum(e.entries for e in trajectory.events)
     n_total = n_init + n_ext
 
-    window = stability_window or trajectory.config.stability_window or (states[0].month, states[-1].month)
+    window = trajectory.config.stability_window or (states[0].month, states[-1].month)
     first, last = int(window[0]), int(window[1])
     offset = states[0].month
     windowed = [s.token_price for s in states if first <= s.month <= last]

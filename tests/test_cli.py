@@ -7,9 +7,10 @@ import re
 import pytest
 
 from depinsim.cli import _trajectory_charts, main
-from depinsim.engine import CSV_COLUMNS, SimulationConfig, encode
-from depinsim.llm_gateway import LlmSettings
+from depinsim.engine import CSV_COLUMNS, SimulationConfig, encode, run
+from depinsim.llm_gateway import AuditLog, LlmSettings
 from depinsim.metrics import stability
+from depinsim.tokenomics import NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, cumulative_release
 
 
 def write_config(tmp_path, **overrides):
@@ -126,6 +127,19 @@ class TestRun:
         assert "month 1" in err and "'record'" in err and "token_price is not finite" in err
         assert not out.exists()
 
+    def test_non_finite_revenue_exits_3_alike_under_either_policy(self, tmp_path, capsys):
+        # 1e305 times month 1's node emission overflows the revenue before any policy reads it.
+        errors = []
+        for policy in ("heuristic", "llm"):
+            config = write_config(tmp_path, horizon_months=2, initial_price=1e305,
+                                  llm={"backend": "scripted", "script": {"*": "no"}})
+            out = tmp_path / policy
+            assert main(["run", "--config", config, "--policy", policy, "--out-dir", str(out)]) == 3
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "month 1" in errors[0] and "'revenue'" in errors[0] and "global_revenue is not finite" in errors[0]
+
     def test_llm_policy_without_backend_exits_2(self, tmp_path):
         assert main(["run", "--policy", "llm", "--out-dir", str(tmp_path / "o")]) == 2
 
@@ -201,6 +215,9 @@ class TestCompare:
         code = main(["compare", "--config", config, "--patience", "1,3,5",
                      "--seeds", "2", "--out-dir", str(out)])
         assert code == 0
+        assert (out / "compare.csv").read_text().splitlines()[0] == (
+            "policy,patience,seeds,efficiency_mean,efficiency_std,"
+            "inclusion_mean,inclusion_std,stability_mean,stability_std")
         rows = list(csv.DictReader(open(out / "compare.csv")))
         assert len(rows) == 4  # heuristic + three llm cells
         assert rows[0]["policy"] == "heuristic"
@@ -223,6 +240,27 @@ class TestCompare:
         metrics = json.loads((out_run / "metrics.json").read_text())
         assert float(rows["heuristic"]["efficiency_mean"]) == pytest.approx(metrics["efficiency"])
         assert float(rows["heuristic"]["stability_mean"]) == pytest.approx(metrics["stability"])
+
+    def test_audit_log_key_logs_every_llm_cell_in_order(self, tmp_path):
+        llm = {"backend": "scripted", "script": {"*enter*": "yes", "*exit*": "no"}}
+        log = tmp_path / "compare.jsonl"
+        config = write_config(tmp_path, horizon_months=3, seed=5, llm=llm, audit_log=str(log))
+        assert main(["compare", "--config", config, "--patience", "1,3", "--seeds", "2",
+                     "--out-dir", str(tmp_path / "out"), "--charts", "off"]) == 0
+        # The same exchanges from separate runs: llm cells in patience order, seeds in order; the
+        # heuristic cell writes nothing.  Latencies are measured, so they are left out.
+        expected = tmp_path / "expected.jsonl"
+        for patience in (1, 3):
+            for seed in (5, 6):
+                cell = SimulationConfig(horizon_months=3, seed=seed, patience=patience, policy="llm",
+                                        llm=LlmSettings(script=llm["script"]))
+                run(cell, audit_log=AuditLog(expected))
+
+        def exchanges(path):
+            return [{k: v for k, v in json.loads(line).items() if k != "latency_s"}
+                    for line in path.read_text(encoding="utf-8").splitlines()]
+
+        assert exchanges(log) == exchanges(expected) != []
 
     def test_empty_patience_list_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, llm={"backend": "scripted", "script": {}})
@@ -254,6 +292,18 @@ class TestVesting:
         month49 = float(rows[48]["node_release"])
         assert month49 == month48 / 2
         assert (out / "vesting.svg").exists()
+
+    def test_cumulative_columns_are_the_closed_form(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["vesting", "--out-dir", str(out), "--charts", "off"]) == 0
+        alloc = TokenAllocation()
+        classes = (("team", alloc.team_tokens, TEAM_SCHEDULE), ("vc", alloc.vc_tokens, VC_SCHEDULE),
+                   ("node", alloc.node_tokens, NODE_SCHEDULE))
+        for row in csv.DictReader(open(out / "vesting.csv")):
+            cumulative = [float(row[f"{name}_cumulative"]) for name, _, _ in classes]
+            month = int(row["month"])
+            assert cumulative == [cumulative_release(month, tokens, schedule) for _, tokens, schedule in classes]
+            assert cumulative[0] + cumulative[1] + cumulative[2] == float(row["circulating_supply"]), month
 
     def test_single_month(self, tmp_path):
         out = tmp_path / "out"

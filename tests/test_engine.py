@@ -358,6 +358,14 @@ class TestPolicyBridge:
         assert heuristic.to_csv_string() == bridged.to_csv_string()
         assert sum(e.fallbacks for e in bridged.events) == 0
 
+    def test_audit_log_beside_an_explicit_policy_rejected(self, tmp_path):
+        log = AuditLog(tmp_path / "audit.jsonl")
+        config = SimulationConfig(horizon_months=2)
+        for start in (Simulation, run):
+            with pytest.raises(ValueError, match="audit_log"):
+                start(config, policy=LlmPolicy(ScriptedBackend(heuristic_prompt_reply)), audit_log=log)
+        assert not log.path.exists()
+
     def test_unparseable_backend_falls_back_and_counts(self):
         backend = ScriptedBackend({}, default="shrug")
         trajectory = run(
@@ -568,8 +576,9 @@ class TestRunInvariants:
         node_schedule=VestingSchedule.cliff_linear(0, 2.225073858507e-311, 1), seed=0,
     )
     def test_supply_sale_pool_and_node_count(self, regime, **kwargs):
-        """A drawn config runs to the end, or stops at sub-step 'record' on a month that is not
-        finite (a tiny sale pool prices a trade beyond the float range); either way the
+        """A drawn config runs to the end, or stops on a month that is not finite: at sub-step
+        'revenue' when its revenue overflows, otherwise at 'record' (a tiny sale pool prices a
+        trade beyond the float range); either way the failed month is not committed and the
         invariants hold on every committed month."""
         config = replace(SimulationConfig(**regime), **kwargs)
         schedules = (config.team_schedule, config.vc_schedule, config.node_schedule)
@@ -581,9 +590,9 @@ class TestRunInvariants:
             try:
                 sim.step(month)
             except SimulationError as err:
-                assert err.substep == "record", err
                 name = re.search(r"(\w+) is not finite", str(err))
                 assert name and name.group(1) in get_type_hints(MarketState), err
+                assert err.substep == ("revenue" if name.group(1) == "global_revenue" else "record"), err
                 assert len(sim.states) == month - 1
                 break
         for state, event in zip(sim.states, sim.events):
@@ -686,14 +695,15 @@ class TestFromDictFuzz:
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(keys=config_at_bounds())
-    @example(keys={"horizon_months": 2, "initial_price": 1e305})  # the LLM route fails at 'node-decisions'
-    def test_config_at_its_bounds_runs_or_fails_at_record(self, keys):
-        """A config drawn at and near its declared bounds runs to the end, or stops at sub-step
-        'record' on a month that is not finite; no NumPy warning escapes and the metrics are
-        valid JSON.  Roster sizes stay small: the cap, not a huge allocation, covers the rest.
+    @example(keys={"horizon_months": 2, "initial_price": 1e305})  # month 1's revenue overflows
+    def test_config_at_its_bounds_runs_or_fails_alike(self, keys):
+        """A config drawn at and near its declared bounds runs to the end, or stops on a month
+        that is not finite: at sub-step 'revenue' naming `global_revenue`, or at 'record'.  No
+        NumPy warning escapes and the metrics are valid JSON.  Roster sizes stay small: the
+        cap, not a huge allocation, covers the rest.
 
-        The scripted LLM route gives the same CSV, or fails where the heuristic run fails:
-        at 'record', or at 'node-decisions' when it renders a non-finite revenue first."""
+        The scripted LLM route gives the same CSV, or the same failure: month, sub-step and
+        message, since revenue is checked before any policy reads it."""
         config = SimulationConfig.from_dict(keys)
         outcomes = []
         for policy in (HeuristicPolicy(), LlmPolicy(ScriptedBackend(heuristic_prompt_reply))):
@@ -705,10 +715,10 @@ class TestFromDictFuzz:
                     outcomes.append(err)
         heuristic, llm = outcomes
         if isinstance(heuristic, SimulationError):
-            assert heuristic.substep == "record", heuristic
+            assert heuristic.substep in ("revenue", "record"), heuristic
+            assert heuristic.substep == "record" or "global_revenue is not finite" in str(heuristic), heuristic
             assert isinstance(llm, SimulationError), "the LLM route ran a config the heuristic route failed"
-            assert llm.substep == "record" or (
-                llm.substep == "node-decisions" and "prompt quantities must be finite" in str(llm)), llm
+            assert (llm.month, llm.substep, str(llm)) == (heuristic.month, heuristic.substep, str(heuristic))
             return
         assert not isinstance(llm, SimulationError), llm
         assert llm.to_csv_string() == heuristic.to_csv_string()

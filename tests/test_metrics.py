@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from depinsim.engine import MonthEvents, SimulationConfig, Trajectory, run
 from depinsim.market import MarketState
 from depinsim.metrics import (
+    MetricReport,
     efficiency,
     inclusion,
     read_price_series,
@@ -199,10 +201,18 @@ class TestReport:
         prices = [1.0, 1.0, 1.0, 1.0, 5.0, 1.0, 5.0]
         trajectory = build_trajectory(prices, entries=[])
         full = report(trajectory)
-        calm = report(trajectory, stability_window=(1, 4))
+        trajectory.config = replace(trajectory.config, stability_window=(1, 4))
+        calm = report(trajectory)
         assert calm.stability == 0.0
         assert full.stability > 0.0
         assert calm.window == (1, 4)
+
+    def test_to_dict_keys_in_field_order_with_window_a_list(self):
+        result = report(build_trajectory([1.0, 2.0, 1.5], entries=[2]))
+        data = result.to_dict()
+        assert list(data) == [f.name for f in fields(MetricReport)]
+        assert data == {**{f.name: getattr(result, f.name) for f in fields(MetricReport)}, "window": [1, 3]}
+        assert type(data["window"]) is list
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
