@@ -6,6 +6,7 @@ every chart can be regenerated from its CSV alone and diffed.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
@@ -142,7 +143,9 @@ def grouped_bar_panels(panels: Sequence[dict]) -> str:
     """Side-by-side bar panels, one per metric.
 
     Each panel is {"title": str, "groups": [label, ...], "values": [float, ...],
-    "errors": [float, ...] or None}; whiskers show +/- one error.
+    "errors": [float, ...] or None}; whiskers show +/- one error.  A group whose
+    value is not finite (an indicator no seed defined) gets "n/a" instead of a
+    bar, a non-finite error no whisker, and neither sets the y range.
     """
     if not panels:
         raise ValueError("grouped_bar_panels needs at least one panel")
@@ -159,10 +162,12 @@ def grouped_bar_panels(panels: Sequence[dict]) -> str:
         plot_y = _MARGIN_TOP
         plot_h = _PANEL_HEIGHT - _MARGIN_TOP - 64
 
-        highs = [v + (errors[i] if errors else 0.0) for i, v in enumerate(values)]
-        lows = [min(0.0, v - (errors[i] if errors else 0.0)) for i, v in enumerate(values)]
-        y_hi = max(highs) if max(highs) > 0 else 1.0
-        y_lo = min(lows)
+        spreads = [errors[i] if errors is not None and math.isfinite(errors[i]) else None
+                   for i in range(len(values))]
+        drawn = [(v, spreads[i] or 0.0) for i, v in enumerate(values) if math.isfinite(v)]
+        top = max((v + err for v, err in drawn), default=0.0)
+        y_hi = top if top > 0 else 1.0
+        y_lo = min((min(0.0, v - err) for v, err in drawn), default=0.0)
         if y_hi == y_lo:
             y_hi = y_lo + 1.0
 
@@ -184,18 +189,21 @@ def grouped_bar_panels(panels: Sequence[dict]) -> str:
         for g_idx, (label, value) in enumerate(zip(groups, values)):
             color = PALETTE[g_idx % len(PALETTE)]
             cx = plot_x + slot * (g_idx + 0.5)
-            top = py(max(0.0, value))
-            bar_h = abs(py(value) - py(0.0))
-            parts.append(
-                f'<rect x="{_fmt(cx - bar_w / 2)}" y="{_fmt(top)}" width="{_fmt(bar_w)}" '
-                f'height="{_fmt(bar_h)}" fill="{color}"/>'
-            )
-            if errors is not None:
-                err = errors[g_idx]
+            if math.isfinite(value):
+                bar_top = py(max(0.0, value))
+                bar_h = abs(py(value) - py(0.0))
                 parts.append(
-                    f'<line x1="{_fmt(cx)}" y1="{_fmt(py(value - err))}" x2="{_fmt(cx)}" '
-                    f'y2="{_fmt(py(value + err))}" stroke="black"/>'
+                    f'<rect x="{_fmt(cx - bar_w / 2)}" y="{_fmt(bar_top)}" width="{_fmt(bar_w)}" '
+                    f'height="{_fmt(bar_h)}" fill="{color}"/>'
                 )
+                err = spreads[g_idx]
+                if err is not None:
+                    parts.append(
+                        f'<line x1="{_fmt(cx)}" y1="{_fmt(py(value - err))}" x2="{_fmt(cx)}" '
+                        f'y2="{_fmt(py(value + err))}" stroke="black"/>'
+                    )
+            else:
+                parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(base_y - 6)}" text-anchor="middle">n/a</text>')
             parts.append(
                 f'<text x="{_fmt(cx)}" y="{plot_y + plot_h + 16}" text-anchor="middle" '
                 f'transform="rotate(-30 {_fmt(cx)} {plot_y + plot_h + 16})">{_escape(label)}</text>'

@@ -57,12 +57,31 @@ from .tokenomics import (
     vc_release,
 )
 
-# RNG stream channels, one per randomized sub-step.  Streams are derived
-# from (seed, month, channel) so adding draws to one sub-step never
-# perturbs another's.
+# RNG stream channels, one per randomized sub-step.  A month's stream on a
+# channel is NumPy's `SeedSequence((seed, month, channel))` stream, so adding
+# draws to one sub-step never perturbs another's.  `_Streams` reaches it by
+# setting the state of one reused PCG64 per channel; a property test pins that
+# state to NumPy's own seeding.  Trajectory bytes therefore depend on NumPy's
+# PCG64 and distribution code.
 _STREAM_INIT_NODES = 0
 _STREAM_CANDIDATES = 1
 _STREAM_GROWTH_CAPITAL = 2
+_STREAM_CHANNELS = 3
+
+# Months whose seeding words `_Streams` computes in one pass; 2**32 is a
+# multiple, so a chunk's months all split into the same number of words.
+_CHUNK_MONTHS = 256
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 # The most nodes a run may hold: initial_nodes + horizon_months * entry_pool_size,
 # which keeps every month's roster arrays allocatable.
@@ -82,14 +101,97 @@ def _words(value: int) -> List[int]:
     return words
 
 
-def _stream(seed_words: List[int], month: int, channel: int) -> np.random.Generator:
-    """The stream of `SeedSequence((seed, month, channel))` for the seed split by `_words`.
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """`init` and its next `count` multiples by `mult` (mod 2**32), as a uint32 column."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, dtype=np.uint32)[:, None]
 
-    The entropy is handed over as the `uint32` array NumPy would build from the
-    tuple, which skips its per-int coercion.
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(column).generate_state(4, np.uint64)` for each column of `entropy`.
+
+    `entropy` is a `(words, columns)` `uint32` array; the result is `(columns, 4)`.
+    This is SeedSequence's mix of the entropy into a 4-word pool and its
+    expansion of the pool, run over all columns at once.  SeedSequence steps
+    its hash constant once per hashed word; the copies of one word hashed for
+    several pool words are hashed in one operation, a row and a constant each.
     """
-    entropy = np.array(seed_words + _words(month) + _words(channel), dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    words, columns = entropy.shape
+    hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(words, _POOL_SIZE))
+    used = 0
+
+    def hashmix(values, rows):  # `values` hashed with each of the next `rows` constants
+        nonlocal used
+        out = values ^ hash_a[used:used + rows]
+        out *= hash_a[used + 1:used + rows + 1]
+        out ^= out >> _XSHIFT
+        used += rows
+        return out
+
+    def mix(x, y):
+        out = x * _MIX_MULT_L
+        out -= y * _MIX_MULT_R
+        out ^= out >> _XSHIFT
+        return out
+
+    pool = np.zeros((_POOL_SIZE, columns), dtype=np.uint32)  # short entropy is padded with zeros
+    pool[:words] = entropy[:_POOL_SIZE]
+    pool = hashmix(pool, _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
+    for src in range(_POOL_SIZE, words):
+        pool = mix(pool, hashmix(entropy[src], _POOL_SIZE))
+
+    hash_b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = np.concatenate((pool, pool)) ^ hash_b[:-1]
+    state *= hash_b[1:]
+    state ^= state >> _XSHIFT
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+
+
+class _Streams:
+    """The stream of `SeedSequence((seed, month, channel))`, one reused generator per channel.
+
+    Calling the source for a month computes the seeding words of its chunk of
+    `_CHUNK_MONTHS` months on every channel in one vectorised pass, once; each
+    call then sets the channel's PCG64 to the state `PCG64(SeedSequence(...))`
+    starts from.  The generator returned is valid until the next call on its
+    channel.
+    """
+
+    def __init__(self, seed: int):
+        self._seed_words = _words(seed)
+        # Seeded with 0 only to exist: every call sets the state before a draw.
+        self._generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(_STREAM_CHANNELS)]
+        self._first = None  # the first month of the chunk in `_state_words`
+        self._state_words = None
+
+    def _chunk(self, first: int) -> np.ndarray:
+        """Seeding words of months `first ..` of a chunk, as `(months, channels, 4)`."""
+        head = self._seed_words + _words(first)  # every month of the chunk shares the higher words
+        entropy = np.empty((len(head) + 1, _CHUNK_MONTHS, _STREAM_CHANNELS), dtype=np.uint32)
+        entropy[:-1] = np.array(head, dtype=np.uint32)[:, None, None]
+        entropy[len(self._seed_words)] += np.arange(_CHUNK_MONTHS, dtype=np.uint32)[:, None]
+        entropy[-1] = np.arange(_STREAM_CHANNELS, dtype=np.uint32)
+        return _seed_state(entropy.reshape(len(entropy), -1)).reshape(_CHUNK_MONTHS, _STREAM_CHANNELS, 4)
+
+    def __call__(self, month: int, channel: int) -> np.random.Generator:
+        first = month - month % _CHUNK_MONTHS
+        if first != self._first:
+            self._state_words = self._chunk(first)
+            self._first = first
+        # pcg64_srandom_r: the first two words seed the state, the last two the increment.
+        high, low, inc_high, inc_low = self._state_words[month - first, channel].tolist()
+        inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
+        state = ((high << 64 | low) + inc) * _PCG64_MULT + inc & _MASK128
+        generator = self._generators[channel]
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+        }
+        return generator
 
 
 class SimulationError(Exception):
@@ -377,7 +479,7 @@ class Simulation:
         self.policy = policy if policy is not None else build_policy(config, audit_log)
         self.alloc = config.allocation()
         self.gc_params = config.gc_params()
-        self._seed_words = _words(config.seed)
+        self._stream = _Streams(config.seed)
 
         # np.empty and np.zeros leave the slots no month reaches unbacked by memory.
         capacity = config.initial_nodes + config.horizon_months * config.entry_pool_size
@@ -387,7 +489,7 @@ class Simulation:
         self._spare = np.zeros(capacity, dtype=np.int64)  # the month's new streaks until the commit
         self._leaves = np.empty(capacity, dtype=bool)
         self._n = config.initial_nodes
-        rng = _stream(self._seed_words, 0, _STREAM_INIT_NODES)
+        rng = self._stream(0, _STREAM_INIT_NODES)
         self._cost[:self._n], self._tolerance[:self._n] = self._draw_node_params(rng, self._n)
         self.gcs: List[GrowthCapitalist] = []
 
@@ -503,7 +605,7 @@ class Simulation:
             # next month on.
             substep = "node-decisions"
             fallbacks_before = getattr(self.policy, "fallback_count", 0)
-            rng = _stream(self._seed_words, month, _STREAM_CANDIDATES)
+            rng = self._stream(month, _STREAM_CANDIDATES)
             costs, tolerances = self._draw_node_params(rng, cfg.entry_pool_size)
             decide = self._decide_roster if decides_in_batches(type(self.policy)) else self._decide_each
             enters = decide(revenue, costs, tolerances, month)
@@ -516,7 +618,7 @@ class Simulation:
             # 4. Growth capitalists stay until their expiry month, when their
             # holdings go on sale; then this month's arrivals join.
             substep = "growth-capital"
-            rng_gc = _stream(self._seed_words, month, _STREAM_GROWTH_CAPITAL)
+            rng_gc = self._stream(month, _STREAM_GROWTH_CAPITAL)
             arrivals = spawn_growth_capitalists(month, self.gc_params, rng_gc)
             gcs = [gc for gc in self.gcs if gc.expiry > month]
             expiries = len(self.gcs) - len(gcs)

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
 import re
 
 import pytest
 
+from depinsim.charts import grouped_bar_panels
 from depinsim.cli import _trajectory_charts, main
 from depinsim.engine import CSV_COLUMNS, SimulationConfig, encode, run
 from depinsim.llm_gateway import AuditLog, LlmSettings
@@ -261,6 +263,27 @@ class TestCompare:
                     for line in path.read_text(encoding="utf-8").splitlines()]
 
         assert exchanges(log) == exchanges(expected) != []
+
+    def test_undefined_indicator_is_drawn_as_n_a(self, tmp_path):
+        # No node ever runs, so no seed defines inclusion: compare.csv holds nan, the chart no nan.
+        config = write_config(tmp_path, horizon_months=3, initial_nodes=0, entry_pool_size=0,
+                              llm={"backend": "scripted", "script": {"*": "no"}})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", config, "--patience", "1", "--seeds", "2", "--out-dir", str(out)]) == 0
+        rows = list(csv.DictReader(open(out / "compare.csv")))
+        assert [math.isnan(float(r["inclusion_mean"])) for r in rows] == [True, True]
+        svg = (out / "compare.svg").read_text()
+        assert "nan" not in svg
+        assert svg.count(">n/a</text>") == 2
+
+    def test_bar_range_ignores_non_finite_values(self):
+        def ticks(values, errors):
+            svg = grouped_bar_panels([{"title": "t", "groups": [str(i) for i in range(len(values))],
+                                       "values": values, "errors": errors}])
+            return re.findall(r'text-anchor="end">([^<]*)<', svg), svg.count("<rect"), svg.count("n/a")
+
+        assert ticks([2.0, math.nan], [0.5, math.nan]) == (ticks([2.0], [0.5])[0], 2, 1)  # frame + one bar
+        assert ticks([math.nan, math.nan], [math.nan, math.nan]) == (["0", "0.25", "0.5", "0.75", "1"], 1, 2)
 
     def test_empty_patience_list_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, llm={"backend": "scripted", "script": {}})
