@@ -437,6 +437,9 @@ def build_policy(config: SimulationConfig, audit_log: Optional[AuditLog] = None)
     raise ValueError(f"unknown policy {config.policy!r}")
 
 
+_NO_NODES = np.empty(0, dtype=np.intp)  # the roster indices that signalled, in a month with no roster
+
+
 def _verdicts(values, count: int) -> np.ndarray:
     """A batch method's answer as a boolean mask, which must hold one verdict per node."""
     mask = np.asarray(values, dtype=bool)
@@ -448,15 +451,21 @@ def _verdicts(values, count: int) -> np.ndarray:
 class Simulation:
     """Mutable run state: node roster, growth capitalists, last snapshot.
 
-    The roster is each active node's `cost`, `tolerance` and `streak` of
-    consecutive exit signals, in roster order.  They live in the first `n`
-    slots of buffers allocated once, at the run's largest possible roster
-    (`initial_nodes + horizon_months * entry_pool_size`), so a month
-    allocates no roster arrays; the properties return read-only views of
-    the live slots.  A month's new streaks go into a spare buffer and its
-    leavers into a scratch mask; the commit swaps the spare buffer in,
-    compacts exits within the buffers and writes entrants into the tail.  A month past `horizon_months` is rejected, so
-    the roster never outgrows the buffers.
+    The roster is each active node's `cost`, `tolerance` and run of exit
+    signals, in roster order.  They live in the first `n` slots of buffers
+    allocated once, at the run's largest possible roster (`initial_nodes +
+    horizon_months * entry_pool_size`), so a month allocates no roster
+    arrays.  A node's run is two slots: the last month it signalled (-1
+    for a node that never has) and the length of its run of consecutive
+    signals up to that month.  A month therefore reads and writes only the
+    slots of the nodes that signalled: a run continues if the node also
+    signalled the month before and restarts at 1 otherwise, and nodes
+    whose run reaches `patience` leave.  The commit writes those slots,
+    compacts exits within the buffers through a scratch mask of stayers and
+    writes entrants into the tail.  A month past `horizon_months` is
+    rejected, so the roster never outgrows the buffers.  `cost` and
+    `tolerance` are read-only views of the live slots; `streak` is
+    computed from the run slots.
 
     Within a month every decision reads the same frozen start-of-month
     context, so agent evaluation order cannot change the outcome.  A policy
@@ -481,13 +490,14 @@ class Simulation:
         self.gc_params = config.gc_params()
         self._stream = _Streams(config.seed)
 
-        # np.empty and np.zeros leave the slots no month reaches unbacked by memory.
+        # np.empty and np.zeros leave the slots no month reaches unbacked by memory;
+        # np.full writes all of `_last`, 8 bytes a slot.
         capacity = config.initial_nodes + config.horizon_months * config.entry_pool_size
         self._cost = np.empty(capacity)
         self._tolerance = np.empty(capacity)
-        self._streak = np.zeros(capacity, dtype=np.int64)
-        self._spare = np.zeros(capacity, dtype=np.int64)  # the month's new streaks until the commit
-        self._leaves = np.empty(capacity, dtype=bool)
+        self._last = np.full(capacity, -1, dtype=np.int64)  # the month each node last signalled exit
+        self._run = np.zeros(capacity, dtype=np.int64)  # its run of consecutive signals up to that month
+        self._stay = np.empty(capacity, dtype=bool)  # in an exit month, the nodes that stay
         self._n = config.initial_nodes
         rng = self._stream(0, _STREAM_INIT_NODES)
         self._cost[:self._n], self._tolerance[:self._n] = self._draw_node_params(rng, self._n)
@@ -530,8 +540,12 @@ class Simulation:
 
     @property
     def streak(self) -> np.ndarray:
-        """Each active node's run of consecutive exit signals (read-only, valid until the next commit)."""
-        return self._live(self._streak)
+        """Each active node's run of consecutive exit signals up to the last committed month,
+        in roster order: its run if it signalled that month, else 0 (a read-only copy)."""
+        n = self._n
+        streak = np.where(self._last[:n] == self.state.month, self._run[:n], 0)
+        streak.flags.writeable = False
+        return streak
 
     def _draw_node_params(self, rng: np.random.Generator, count: int):
         lo, hi = self.config.cost_spread
@@ -540,22 +554,20 @@ class Simulation:
         tolerances = rng.uniform(tlo, thi, count)
         return costs, tolerances
 
-    def _decide_roster(self, revenue, costs, tolerances, month) -> np.ndarray:
+    def _decide_roster(self, revenue, costs, tolerances, month) -> Tuple[np.ndarray, np.ndarray]:
         """The policy's batch methods over the whole candidate pool, then the
-        roster; returns the entry mask and writes the roster's new streaks
-        into the spare buffer."""
+        roster; returns the entry mask and the roster indices that signalled exit."""
         enters = _verdicts(self.policy.decide_entries(revenue, costs, tolerances, month), len(costs))
         n = self._n
-        if n:
-            signals = _verdicts(self.policy.decide_exits(revenue, self.cost, self.tolerance, month), n)
-            streak = np.add(self._streak[:n], 1, out=self._spare[:n])
-            np.multiply(streak, signals, out=streak)
-        return enters
+        if not n:
+            return enters, _NO_NODES
+        signals = _verdicts(self.policy.decide_exits(revenue, self.cost, self.tolerance, month), n)
+        return enters, np.flatnonzero(signals)
 
-    def _decide_each(self, revenue, costs, tolerances, month) -> np.ndarray:
+    def _decide_each(self, revenue, costs, tolerances, month) -> Tuple[np.ndarray, np.ndarray]:
         """A policy without batch methods, called once per candidate, then once
-        per node in roster order; `apply_patience` advances each node's
-        streak, which goes into the spare buffer.  Returns the entry mask."""
+        per node in roster order, with `apply_patience` on each node's run.
+        Returns the entry mask and the roster indices that signalled exit."""
         policy = self.policy
         enters = [
             bool(policy.decide_entry(DecisionContext(revenue, cost, tolerance, month)))
@@ -563,14 +575,13 @@ class Simulation:
         ]
         # One record carries each node's signal run through apply_patience.
         node = NodeProvider(id=0, cost=1.0, tolerance=1.0, patience=self.config.patience)
-        streak = self.streak.tolist()
-        for i, (cost, tolerance) in enumerate(zip(self.cost.tolist(), self.tolerance.tolist())):
+        signals = []
+        for streak, cost, tolerance in zip(self.streak.tolist(), self.cost.tolist(), self.tolerance.tolist()):
             signal = policy.decide_exit(DecisionContext(revenue, cost, tolerance, month))
-            node.consecutive_exit_signals = streak[i]
-            apply_patience(node, signal)  # its verdict is streak >= patience, which step() reads off
-            streak[i] = node.consecutive_exit_signals
-        self._spare[:self._n] = streak
-        return np.array(enters, dtype=bool)
+            node.consecutive_exit_signals = streak
+            apply_patience(node, signal)  # its verdict is run >= patience, which step() reads off
+            signals.append(bool(signal))
+        return np.array(enters, dtype=bool), np.flatnonzero(np.array(signals, dtype=bool))
 
     def step(self, month: int) -> MarketState:
         """Advance one month and commit its record."""
@@ -608,10 +619,14 @@ class Simulation:
             rng = self._stream(month, _STREAM_CANDIDATES)
             costs, tolerances = self._draw_node_params(rng, cfg.entry_pool_size)
             decide = self._decide_roster if decides_in_batches(type(self.policy)) else self._decide_each
-            enters = decide(revenue, costs, tolerances, month)
+            enters, signalled = decide(revenue, costs, tolerances, month)
+            leavers = signalled
+            if len(signalled):  # a run that did not include last month restarts at 1
+                run = self._run[signalled] + 1
+                run[self._last[signalled] != month - 1] = 1
+                leavers = signalled[run >= cfg.patience]
             n = self._n
-            leaves = np.greater_equal(self._spare[:n], cfg.patience, out=self._leaves[:n])
-            exits = int(np.count_nonzero(leaves))
+            exits = len(leavers)
             entries = int(np.count_nonzero(enters))
             n_now = n - exits + entries
 
@@ -666,18 +681,22 @@ class Simulation:
         except Exception as err:
             raise SimulationError(month, substep, str(err)) from err
 
-        # Commit.  A month that failed above wrote only the spare buffers, so it
-        # left the simulation as it was.
-        self._streak, self._spare = self._spare, self._streak
+        # Commit.  A month that failed above wrote no buffer, so it left the
+        # simulation as it was.
+        if len(signalled):
+            self._last[signalled] = month
+            self._run[signalled] = run
         kept = n - exits
         if exits:
-            stay = np.logical_not(leaves, out=leaves)
-            for buffer in (self._cost, self._tolerance, self._streak):
+            stay = self._stay[:n]
+            stay.fill(True)
+            stay[leavers] = False
+            for buffer in (self._cost, self._tolerance, self._last, self._run):
                 buffer[:kept] = buffer[:n][stay]
         if entries:
             self._cost[kept:n_now] = costs[enters]
             self._tolerance[kept:n_now] = tolerances[enters]
-            self._streak[kept:n_now] = 0
+            self._last[kept:n_now] = -1
         self._n = n_now
         self.gcs = gcs
         self.state = state

@@ -15,6 +15,7 @@ import fnmatch
 import json
 import os
 import re
+import reprlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -308,7 +309,13 @@ def build_backend(settings: LlmSettings):
         script = settings.script
         if settings.script_file:
             with open(settings.script_file, encoding="utf-8") as fh:
-                script = json.load(fh)
+                try:
+                    script = json.load(fh)
+                except json.JSONDecodeError as err:
+                    raise ValueError(f"llm.script_file {settings.script_file} is not JSON: {err}") from None
+            if not (isinstance(script, dict) and all(isinstance(v, str) for v in script.values())):
+                raise ValueError(f"llm.script_file {settings.script_file} must hold a JSON object "
+                                 f"of string -> string, got {reprlib.repr(script)}")
         if script is None:
             raise ValueError("scripted llm backend needs a script or script_file")
         return ScriptedBackend(script, default=settings.default_reply)

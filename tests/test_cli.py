@@ -114,6 +114,17 @@ class TestRun:
         assert main(["run", "--config", config]) == 2
         assert "llm.backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ['{"*": 5}', '["a"]', '{"*": null}'])
+    def test_script_file_that_is_not_a_string_map_exits_2_before_any_month(self, tmp_path, capsys, content):
+        script = tmp_path / "script.json"
+        script.write_text(content)
+        config = write_config(tmp_path, policy="llm", llm={"backend": "scripted", "script_file": str(script)})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "llm.script_file" in err and "month" not in err
+        assert not out.exists()
+
     def test_key_the_schedule_kind_does_not_use_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config = write_config(tmp_path, team_schedule={"kind": "halving_emission", "cliff_months": 5})

@@ -567,6 +567,132 @@ class TestDecisionRoutes:
             assert policy.calls[config.entry_pool_size:] == roster
 
 
+PATIENCE = st.sampled_from([2**63, 10**30]) | st.integers(1, 5)
+
+
+@st.composite
+def replayed_runs(draw):
+    """A small config and, for each month, an entry mask over the pool and an exit mask over the largest roster."""
+    config = SimulationConfig(
+        horizon_months=draw(st.integers(1, 10)), initial_nodes=draw(st.integers(0, 6)),
+        entry_pool_size=draw(st.integers(0, 3)), patience=draw(PATIENCE), seed=draw(st.integers(0, 2**31 - 1)))
+    capacity = config.initial_nodes + config.horizon_months * config.entry_pool_size
+
+    def masks(size):
+        mask = st.lists(st.booleans(), min_size=size, max_size=size)
+        return draw(st.lists(mask, min_size=config.horizon_months, max_size=config.horizon_months))
+
+    return config, masks(config.entry_pool_size), masks(capacity)
+
+
+class Replay:
+    """A batch policy that answers month m with the first verdicts of `entries[m - 1]` and
+    `exits[m - 1]`; `pool` is the costs of the last candidate pool it was asked about."""
+
+    def __init__(self, entries, exits):
+        self.entries, self.exits = entries, exits
+        self.pool = []
+
+    def decide_entries(self, revenue, costs, tolerances, month):
+        self.pool = costs.tolist()
+        return self.entries[month - 1][:len(costs)]
+
+    def decide_exits(self, revenue, costs, tolerances, month):
+        return self.exits[month - 1][:len(costs)]
+
+
+class ReplayEach:
+    """`Replay`'s verdicts, asked once per decision: the pool, then the roster, in order."""
+
+    def __init__(self, entries, exits):
+        self.entries, self.exits = entries, exits
+        self.pool, self.month, self.asked = [], None, 0
+
+    def _start(self, month):
+        if month != self.month:
+            self.pool, self.month, self.asked = [], month, 0
+
+    def decide_entry(self, ctx):
+        self._start(ctx.month)
+        self.pool.append(ctx.node_cost)
+        return self.entries[ctx.month - 1][len(self.pool) - 1]
+
+    def decide_exit(self, ctx):
+        self._start(ctx.month)
+        self.asked += 1
+        return self.exits[ctx.month - 1][self.asked - 1]
+
+
+class TestPatienceRule:
+    """The engine's exit bookkeeping against a plain-Python model of the paper's rule:
+    `streak = (streak + 1) * signal`, and a node leaves once `streak >= patience`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=replayed_runs(), batches=st.booleans())
+    def test_engine_follows_the_rule(self, drawn, batches):
+        config, entries, exits = drawn
+        policy = (Replay if batches else ReplayEach)(entries, exits)
+        sim = Simulation(config, policy=policy)
+        roster = [(cost, 0) for cost in sim.cost.tolist()]  # (cost, streak) in roster order
+        for month in range(1, config.horizon_months + 1):
+            sim.step(month)
+            roster = [(cost, (streak + 1) * signal) for (cost, streak), signal in zip(roster, exits[month - 1])]
+            stay = [(cost, streak) for cost, streak in roster if streak < config.patience]
+            assert sim.events[-1].exits == len(roster) - len(stay)
+            roster = stay + [(cost, 0) for cost, enter in zip(policy.pool, entries[month - 1]) if enter]
+            assert sim.cost.tolist() == [cost for cost, _ in roster]
+            assert sim.streak.tolist() == [streak for _, streak in roster]
+
+    def test_a_broken_run_restarts_at_one(self):
+        signals = [True, True, False, True, True, True]
+        config = SimulationConfig(horizon_months=len(signals), initial_nodes=1, entry_pool_size=0, patience=3)
+        sim = Simulation(config, policy=Replay([[]] * len(signals), [[s] for s in signals]))
+        streaks = []
+        for month in range(1, config.horizon_months + 1):
+            sim.step(month)
+            streaks.append(sim.streak.tolist())
+        assert streaks == [[1], [2], [0], [1], [2], []]
+        assert [e.exits for e in sim.events] == [0, 0, 0, 0, 0, 1]
+
+    @pytest.mark.parametrize("entry_month", [2, 3])
+    def test_an_entrant_in_a_vacated_slot_starts_at_zero(self, entry_month):
+        # The second node signals every month and leaves in month 2, its run of 2 still in its slot;
+        # the entrant takes that slot in month 2 or 3, then signals in the month after.
+        config = SimulationConfig(horizon_months=4, initial_nodes=2, entry_pool_size=1, patience=2)
+        entries = [[month == entry_month] for month in range(1, 5)]
+        sim = Simulation(config, policy=Replay(entries, [[False, True]] * 4))
+        for month in range(1, entry_month + 1):
+            sim.step(month)
+        assert [e.exits for e in sim.events] == [0, 1, 0][:entry_month]
+        assert sim.streak.tolist() == [0, 0]
+        sim.step(entry_month + 1)
+        assert sim.events[-1].exits == 0
+        assert sim.streak.tolist() == [0, 1]
+
+    def test_streak_is_read_only(self):
+        config = SimulationConfig(horizon_months=1, initial_nodes=2, entry_pool_size=0, patience=3)
+        sim = Simulation(config, policy=Replay([[]], [[True, False]]))
+        sim.step(1)
+        assert sim.streak.tolist() == [1, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            sim.streak[0] = 0
+
+    def test_a_month_without_signals_writes_no_run_slot(self):
+        # Months 1 and 2 start runs; in month 3 no node signals, so the incumbents' run slots keep
+        # their bytes, and only the entrants' slots are written.
+        config = SimulationConfig(horizon_months=3, initial_nodes=4, entry_pool_size=2, patience=5)
+        exits = [[True, False, True, False] + [False] * 4, [True, True] + [False] * 6, [False] * 8]
+        sim = Simulation(config, policy=Replay([[True, True]] * 3, exits))
+        sim.step(1)
+        sim.step(2)
+        n = len(sim.cost)
+        before = (sim._last[:n].tobytes(), sim._run[:n].tobytes())
+        sim.step(3)
+        assert (sim.events[-1].exits, sim.events[-1].entries) == (0, 2)
+        assert (sim._last[:n].tobytes(), sim._run[:n].tobytes()) == before
+        assert sim.streak.tolist() == [0] * (n + 2)
+
+
 SCHEDULES = st.one_of(
     st.builds(VestingSchedule.cliff_linear, cliff_months=st.integers(0, 24),
               unlock_at_cliff=st.floats(0.0, 1.0), linear_months=st.integers(1, 36)),
@@ -810,27 +936,37 @@ class TestStepErrors:
         assert sim.states == []  # partial month never committed
 
     @pytest.mark.parametrize(
-        "make_policy",
-        [HeuristicPolicy, lambda: LlmPolicy(ScriptedBackend({}, default="shrug"))],  # every reply falls back
-        ids=["heuristic", "llm-fallbacks"],
+        "make_policy,patience",
+        [
+            (HeuristicPolicy, 3),
+            (lambda: LlmPolicy(ScriptedBackend({}, default="shrug")), 3),  # every reply falls back
+            (HeuristicPolicy, 1),  # month 2 has leavers when it fails
+            (lambda: LlmPolicy(ScriptedBackend({}, default="shrug")), 1),
+        ],
+        ids=["heuristic", "llm-fallbacks", "heuristic-patience-1", "llm-fallbacks-patience-1"],
     )
-    def test_failed_month_changes_nothing(self, make_policy):
-        config = SimulationConfig(horizon_months=6, node_cost=250_000.0, patience=3, seed=1)
+    def test_failed_month_changes_nothing(self, make_policy, patience):
+        config = SimulationConfig(horizon_months=6, node_cost=250_000.0, patience=patience, seed=1)
         sim = Simulation(config, policy=make_policy())
         sim.step(1)
         bad = object()
         sim.gcs.append(bad)
-        before = (sim.cost.copy(), sim.tolerance.copy(), sim.streak.copy(), list(sim.gcs))
+        n = len(sim.cost)
+
+        def roster_bytes():
+            return [a.tobytes() for a in (sim.cost, sim.tolerance, sim.streak, sim._last[:n], sim._run[:n])]
+
+        before = (roster_bytes(), list(sim.gcs))
         with pytest.raises(SimulationError) as err:
             sim.step(2)
         assert err.value.substep == "growth-capital"  # after the node decisions ran
-        for array, saved in zip((sim.cost, sim.tolerance, sim.streak), before):
-            assert np.array_equal(array, saved)
-        assert sim.gcs == before[3]
+        assert (roster_bytes(), sim.gcs) == before
         assert len(sim.states) == len(sim.events) == 1
 
         sim.gcs.remove(bad)
         for month in range(2, config.horizon_months + 1):
             sim.step(month)
+        if patience == 1:
+            assert sim.events[1].exits > 0
         retried = Trajectory(states=sim.states, events=sim.events, config=config)
         assert retried.to_csv_string() == run(config, policy=make_policy()).to_csv_string()

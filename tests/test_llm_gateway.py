@@ -316,6 +316,13 @@ class TestBuildBackend:
         backend = build_backend(LlmSettings(backend="scripted", script_file=str(path)))
         assert backend.complete(CompletionRequest(prompt="enter please")).text == "yes"
 
+    @pytest.mark.parametrize("content", ['{"*": 5}', '["a"]', '{"*": null}', '{"*": "yes"'])
+    def test_scripted_file_must_hold_a_string_map(self, tmp_path, content):
+        path = tmp_path / "script.json"
+        path.write_text(content)
+        with pytest.raises(ValueError, match="llm.script_file"):
+            build_backend(LlmSettings(backend="scripted", script_file=str(path)))
+
     def test_scripted_requires_a_script(self):
         with pytest.raises(ValueError):
             build_backend(LlmSettings(backend="scripted"))
