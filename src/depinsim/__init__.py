@@ -12,7 +12,6 @@ from .agents import (
     GrowthCapitalist,
     HeuristicPolicy,
     LlmPolicy,
-    NodeProvider,
     apply_patience,
     heuristic_entry,
     heuristic_exit,

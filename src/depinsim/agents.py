@@ -1,9 +1,9 @@
-"""Agent records and decision policies.
+"""Decision policies, the patience rule and growth-capitalist records.
 
-Node providers enter and exit on profitability signals, either through
-fixed heuristic rules or through a completion backend prompted in natural
-language.  Growth capitalists arrive with log-normal endowments and
-lifespans and sell their holdings back to the market when they leave.
+Node providers, held by the engine as roster arrays, enter and exit on
+profitability signals judged by fixed heuristic rules or by a completion
+backend prompted in natural language.  Growth capitalists arrive with
+log-normal endowments and lifespans and sell their holdings when they leave.
 """
 
 from __future__ import annotations
@@ -19,33 +19,6 @@ import numpy as np
 
 from .bounds import check_ranges
 from .llm_gateway import DEFAULT_MODEL, AuditLog, CompletionBatch, CompletionRequest, GatewayError, parse_yes_no
-
-
-@dataclass
-class NodeProvider:
-    """One node operator; exits only after `patience` consecutive signals.
-
-    The engine keeps its roster as arrays; this record carries one node's
-    signal run through `apply_patience` on the per-decision route, the one
-    taken by policies whose class provides no batch methods.
-    """
-
-    id: int
-    cost: float  # currency per month
-    tolerance: float  # risk tolerance in (0, 1]
-    patience: int = 1
-    consecutive_exit_signals: int = 0
-    active: bool = True
-
-    def __post_init__(self):
-        if self.cost <= 0:
-            raise ValueError(f"cost must be positive, got {self.cost}")
-        if not 0.0 < self.tolerance <= 1.0:
-            raise ValueError(f"tolerance must be in (0, 1], got {self.tolerance}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not 0 <= self.consecutive_exit_signals <= self.patience:
-            raise ValueError("consecutive_exit_signals out of range")
 
 
 @dataclass(slots=True)
@@ -93,7 +66,6 @@ class DecisionPolicy(Protocol):
 _BATCH_METHODS = (("decide_entries", "decide_entry"), ("decide_exits", "decide_exit"))
 
 
-@functools.lru_cache(maxsize=128)  # the engine asks every month; the MRO walk costs ~20 cache hits
 def decides_in_batches(cls: type) -> bool:
     """Whether policy class `cls` provides its own batch methods.
 
@@ -305,21 +277,11 @@ class LlmPolicy:
         return self._ask_batch(prompts, lambda: heuristic_exit(DecisionContext(revenue, costs, tolerances, month)))
 
 
-def apply_patience(node: NodeProvider, exit_signal: bool) -> bool:
-    """Advance the node's exit counter; True means the node leaves now.
-
-    A yes-signal increments the counter and triggers exit once it reaches
-    the node's patience; any no-signal resets it to zero.
-    """
-    if not node.active:
-        raise ValueError(f"node {node.id} is inactive; no exit decision to apply")
-    if exit_signal:
-        node.consecutive_exit_signals += 1
-        if node.consecutive_exit_signals >= node.patience:
-            return True
-    else:
-        node.consecutive_exit_signals = 0
-    return False
+def apply_patience(streak: int, exit_signal: bool, patience: int) -> bool:
+    """Whether a node whose run of consecutive exit signals stood at `streak`
+    leaves on `exit_signal`: a signal extends the run, and the node leaves
+    once the run reaches `patience`."""
+    return bool(exit_signal) and streak + 1 >= patience
 
 
 @dataclass(frozen=True)

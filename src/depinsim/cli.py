@@ -69,6 +69,8 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions]:
     for key in ("out_dir", "audit_log"):
         if getattr(args, key, None) is not None:
             setattr(opts, key, getattr(args, key))
+    if opts.audit_log and not Path(opts.audit_log).parent.is_dir():
+        raise ValueError(f"audit_log {opts.audit_log}: directory {Path(opts.audit_log).parent} does not exist")
     if args.charts is not None:
         opts.charts = args.charts == "on"
     return config, opts

@@ -28,7 +28,6 @@ from .agents import (
     GrowthCapitalist,
     HeuristicPolicy,
     LlmPolicy,
-    NodeProvider,
     apply_patience,
     decides_in_batches,
     ordered_sum,
@@ -471,7 +470,8 @@ class Simulation:
     context, so agent evaluation order cannot change the outcome.  A policy
     whose class provides its own batch methods (`HeuristicPolicy`,
     `LlmPolicy`) decides the candidate pool and the roster in one call each;
-    any other policy is called once per decision, in roster order.  The
+    any other policy is called once per decision, in roster order; the
+    route is chosen once, at construction, from the policy's class.  The
     arrays a batch method receives are read-only and valid only during that
     call: the commit reuses their memory.
 
@@ -486,6 +486,8 @@ class Simulation:
             raise ValueError("audit_log is for the policy built from the config; give it to the policy instead")
         self.config = config
         self.policy = policy if policy is not None else build_policy(config, audit_log)
+        # The route as a plain function: a bound method kept here would make each simulation a reference cycle.
+        self._decide = Simulation._decide_roster if decides_in_batches(type(self.policy)) else Simulation._decide_each
         self.alloc = config.allocation()
         self.gc_params = config.gc_params()
         self._stream = _Streams(config.seed)
@@ -565,21 +567,17 @@ class Simulation:
         return enters, np.flatnonzero(signals)
 
     def _decide_each(self, revenue, costs, tolerances, month) -> Tuple[np.ndarray, np.ndarray]:
-        """A policy without batch methods, called once per candidate, then once
-        per node in roster order, with `apply_patience` on each node's run.
-        Returns the entry mask and the roster indices that signalled exit."""
+        """A policy without batch methods, called once per candidate, then once per node in
+        roster order; returns the entry mask and the roster indices that signalled exit."""
         policy = self.policy
         enters = [
             bool(policy.decide_entry(DecisionContext(revenue, cost, tolerance, month)))
             for cost, tolerance in zip(costs.tolist(), tolerances.tolist())
         ]
-        # One record carries each node's signal run through apply_patience.
-        node = NodeProvider(id=0, cost=1.0, tolerance=1.0, patience=self.config.patience)
         signals = []
         for streak, cost, tolerance in zip(self.streak.tolist(), self.cost.tolist(), self.tolerance.tolist()):
             signal = policy.decide_exit(DecisionContext(revenue, cost, tolerance, month))
-            node.consecutive_exit_signals = streak
-            apply_patience(node, signal)  # its verdict is run >= patience, which step() reads off
+            apply_patience(streak, signal, self.config.patience)  # for traces; step() applies it to the run slots
             signals.append(bool(signal))
         return np.array(enters, dtype=bool), np.flatnonzero(np.array(signals, dtype=bool))
 
@@ -618,8 +616,7 @@ class Simulation:
             fallbacks_before = getattr(self.policy, "fallback_count", 0)
             rng = self._stream(month, _STREAM_CANDIDATES)
             costs, tolerances = self._draw_node_params(rng, cfg.entry_pool_size)
-            decide = self._decide_roster if decides_in_batches(type(self.policy)) else self._decide_each
-            enters, signalled = decide(revenue, costs, tolerances, month)
+            enters, signalled = self._decide(self, revenue, costs, tolerances, month)
             leavers = signalled
             if len(signalled):  # a run that did not include last month restarts at 1
                 run = self._run[signalled] + 1

@@ -30,6 +30,7 @@ API_KEY_ENV = "DEPIN_LLM_KEY"
 
 DEFAULT_MODEL = "EleutherAI/gpt-neo-125M"
 BACKENDS = ("scripted", "http")  # the values of llm.backend
+BACKOFF = 0.5  # seconds before HttpBackend's first retry; each further retry waits twice as long
 
 
 class GatewayError(Exception):
@@ -157,21 +158,13 @@ class HttpBackend:
 
     name = "http"
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: Optional[str] = None,
-        timeout: float = 10.0,
-        retries: int = 2,
-        backoff: float = 0.5,
-    ):
+    def __init__(self, endpoint: str, api_key: Optional[str] = None, timeout: float = 10.0, retries: int = 2):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
         self.url = endpoint.rstrip("/") + "/v1/completions"
         self.api_key = api_key
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
 
     def complete_batch(self, batch: CompletionBatch) -> BatchReplies:
         """One reply per prompt, in order; a failure carries the replies before it as `answered`."""
@@ -207,7 +200,7 @@ class HttpBackend:
             except requests.RequestException as err:
                 last_error = err
                 if attempt < self.retries:
-                    time.sleep(self.backoff * 2**attempt)
+                    time.sleep(BACKOFF * 2**attempt)
                 continue
             if (resp.status_code == 429 or resp.status_code >= 500) and attempt < self.retries:
                 time.sleep(self._retry_delay(resp, attempt))
@@ -216,8 +209,10 @@ class HttpBackend:
                 raise ProtocolError(resp.status_code, resp.text[:200])
             try:
                 text = resp.json()["choices"][0]["text"]
-            except (ValueError, KeyError, IndexError, TypeError) as err:
-                raise ProtocolError(resp.status_code, f"malformed completion body: {resp.text[:200]}") from err
+            except (ValueError, KeyError, IndexError, TypeError):
+                text = None
+            if not isinstance(text, str):  # a null, number or list text is no completion either
+                raise ProtocolError(resp.status_code, f"malformed completion body: {resp.text[:200]}")
             return CompletionResponse(text=text, latency=time.perf_counter() - start, backend=self.name)
         raise BackendUnavailableError(
             f"{self.url} unreachable after {self.retries + 1} attempts: {last_error}"
@@ -228,7 +223,7 @@ class HttpBackend:
         retry_after = resp.headers.get("Retry-After", "").strip()
         if retry_after.isascii() and retry_after.isdigit():
             return min(float(retry_after), self.timeout)
-        return self.backoff * 2**attempt
+        return BACKOFF * 2**attempt
 
 
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
@@ -294,7 +289,7 @@ class LlmSettings:
     temperature: float = config_field(
         CompletionRequest.temperature, "sampling temperature (0 for determinism)", "[0, inf)")
     timeout: float = config_field(10.0, "HTTP timeout in seconds", "(0, inf)")
-    # Ten retries bound the backoff to 1023 times the 0.5 s base, about 511 s per prompt.
+    # Ten retries bound the backoff to 1023 times BACKOFF, about 511 s per prompt.
     retries: int = config_field(2, "retries after a transport failure, 429 or 5xx", "[0, 10]")
 
     def __post_init__(self):

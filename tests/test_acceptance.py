@@ -13,7 +13,6 @@ import pytest
 from conftest import YES_NO_CORPUS
 from depinsim.agents import (
     LlmPolicy,
-    NodeProvider,
     apply_patience,
     heuristic_prompt_reply,
 )
@@ -121,10 +120,11 @@ def test_criterion_5_policy_equivalence_bridge():
 
 
 def _exit_month(signals, patience):
-    node = NodeProvider(id=0, cost=1.0, tolerance=0.5, patience=patience)
+    streak = 0
     for month, signal in enumerate(signals, start=1):
-        if apply_patience(node, signal):
+        if apply_patience(streak, signal, patience):
             return month
+        streak = (streak + 1) * signal
     return None
 
 

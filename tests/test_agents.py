@@ -14,7 +14,6 @@ from depinsim.agents import (
     GrowthCapitalist,
     HeuristicPolicy,
     LlmPolicy,
-    NodeProvider,
     apply_patience,
     heuristic_entry,
     heuristic_exit,
@@ -135,32 +134,31 @@ class TestHeuristicPromptReply:
             assert heuristic_prompt_reply(prompt) == "no"  # the entry sentence alone says yes
 
 
+def patience_verdicts(signals, patience):
+    """`apply_patience` over one node's signals, its run kept as `streak = (streak + 1) * signal`."""
+    streak, verdicts = 0, []
+    for signal in signals:
+        verdicts.append(apply_patience(streak, signal, patience))
+        streak = (streak + 1) * signal
+    return verdicts
+
+
 class TestApplyPatience:
     def test_degenerate_patience_exits_immediately(self):
-        node = NodeProvider(id=0, cost=1000.0, tolerance=0.5, patience=1)
-        assert apply_patience(node, True)
+        assert apply_patience(0, True, 1)
+        assert patience_verdicts([True], 1) == [True]
 
     def test_counter_resets_on_calm_month(self):
-        node = NodeProvider(id=0, cost=1000.0, tolerance=0.5, patience=3)
-        outcomes = [apply_patience(node, s) for s in (True, True, False, True, True, True)]
+        outcomes = patience_verdicts([True, True, False, True, True, True], 3)
         assert outcomes == [False, False, False, False, False, True]
 
     def test_never_exits_without_signals(self):
-        node = NodeProvider(id=0, cost=1000.0, tolerance=0.5, patience=3)
-        assert not any(apply_patience(node, False) for _ in range(50))
-
-    def test_inactive_node_rejected(self):
-        node = NodeProvider(id=0, cost=1000.0, tolerance=0.5, active=False)
-        with pytest.raises(ValueError):
-            apply_patience(node, True)
+        assert not any(patience_verdicts([False] * 50, 3))
 
     @staticmethod
     def exit_month(signals, patience):
-        node = NodeProvider(id=0, cost=1.0, tolerance=0.5, patience=patience)
-        for month, signal in enumerate(signals, start=1):
-            if apply_patience(node, signal):
-                return month
-        return None
+        verdicts = patience_verdicts(signals, patience)
+        return verdicts.index(True) + 1 if True in verdicts else None
 
     @given(st.lists(st.booleans(), max_size=40), st.integers(min_value=1, max_value=6))
     def test_patience_monotonicity(self, signals, patience):
@@ -200,21 +198,17 @@ class TestPseudocodeBoxOracle:
                 (float(rng.uniform(500, 1500)), float(rng.uniform(0.1, 1.0)))
                 for _ in range(8)
             ]
-            nodes = [
-                NodeProvider(id=i, cost=c, tolerance=t, patience=1)
-                for i, (c, t) in enumerate(roster)
-            ]
+            streaks = dict.fromkeys(range(len(roster)), 0)  # each active node's run of exit signals
             exits = {}
             for month, revenue in enumerate(revenues, start=1):
-                for node in nodes:
-                    if not node.active:
-                        continue
-                    signal = policy.decide_exit(
-                        DecisionContext(float(revenue), node.cost, node.tolerance, month)
-                    )
-                    if apply_patience(node, signal):
-                        node.active = False
-                        exits[node.id] = month
+                for i in list(streaks):
+                    cost, tolerance = roster[i]
+                    signal = policy.decide_exit(DecisionContext(float(revenue), cost, tolerance, month))
+                    if apply_patience(streaks[i], signal, 1):
+                        del streaks[i]
+                        exits[i] = month
+                    else:
+                        streaks[i] = (streaks[i] + 1) * signal
             assert exits == self.transcribed_exits(revenues, roster)
 
     def test_entry_verdicts_match_add_rule(self):
@@ -424,19 +418,3 @@ class TestLlmPolicyBatch:
         for method in (policy.decide_entries, policy.decide_exits):
             assert method(math.nan, np.zeros(0), np.zeros(0), 1).tolist() == []
         assert policy.backend.batches == []
-
-
-class TestNodeProviderValidation:
-    def test_tolerance_bounds(self):
-        with pytest.raises(ValueError):
-            NodeProvider(id=0, cost=1.0, tolerance=0.0)
-        with pytest.raises(ValueError):
-            NodeProvider(id=0, cost=1.0, tolerance=1.5)
-
-    def test_patience_bounds(self):
-        with pytest.raises(ValueError):
-            NodeProvider(id=0, cost=1.0, tolerance=0.5, patience=0)
-
-    def test_cost_positive(self):
-        with pytest.raises(ValueError):
-            NodeProvider(id=0, cost=0.0, tolerance=0.5)

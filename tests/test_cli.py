@@ -171,6 +171,16 @@ class TestRun:
         entries = [json.loads(line) for line in audit.read_text().splitlines()]
         assert entries and all(e["backend"] == "scripted" for e in entries)
 
+    @pytest.mark.parametrize("policy", ["heuristic", "llm"])
+    def test_audit_log_in_a_missing_directory_exits_2(self, tmp_path, capsys, policy):
+        config = write_config(tmp_path, horizon_months=2, llm={"backend": "scripted", "script": {"*": "no"}})
+        out = tmp_path / "out"
+        code = main(["run", "--config", config, "--policy", policy, "--out-dir", str(out),
+                     "--audit-log", str(tmp_path / "missing" / "audit.jsonl")])
+        assert code == 2
+        assert "audit_log" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "missing").exists()
+
     def test_unreachable_llm_endpoint_exits_3_with_location(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -274,6 +284,14 @@ class TestCompare:
                     for line in path.read_text(encoding="utf-8").splitlines()]
 
         assert exchanges(log) == exchanges(expected) != []
+
+    def test_audit_log_key_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, horizon_months=2, audit_log=str(tmp_path / "missing" / "audit.jsonl"),
+                              llm={"backend": "scripted", "script": {"*": "no"}})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", config, "--patience", "1", "--seeds", "1", "--out-dir", str(out)]) == 2
+        assert "audit_log" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "missing").exists()
 
     def test_undefined_indicator_is_drawn_as_n_a(self, tmp_path):
         # No node ever runs, so no seed defines inclusion: compare.csv holds nan, the chart no nan.

@@ -2,6 +2,7 @@
 
 import builtins
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import re
 import sys
 import tempfile
 import warnings
+import weakref
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_origin, get_type_hints
@@ -28,6 +30,7 @@ from depinsim.agents import (
     heuristic_exit,
     heuristic_prompt_reply,
 )
+from depinsim import engine
 from depinsim.bounds import check_ranges, declared_ranges
 from depinsim.engine import (
     MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, _Streams, encode, run,
@@ -542,6 +545,26 @@ class TestDecisionRoutes:
         with pytest.raises(SimulationError, match="node-decisions.*shape \\(49,\\) for 50 nodes"):
             Simulation(null_dynamics_config, policy=Short()).step(1)
 
+    @pytest.mark.parametrize("make_policy", [HeuristicPolicy, Forwarding])
+    def test_route_is_chosen_once_per_run(self, monkeypatch, make_policy):
+        asked = []
+        choose = engine.decides_in_batches
+        monkeypatch.setattr(engine, "decides_in_batches", lambda cls: asked.append(cls) or choose(cls))
+        assert len(run(SimulationConfig(horizon_months=12), policy=make_policy()).states) == 12
+        assert asked == [make_policy]
+
+    @pytest.mark.parametrize("make_policy", [HeuristicPolicy, Forwarding])
+    def test_a_dropped_simulation_is_freed_without_the_cycle_collector(self, make_policy):
+        sim = Simulation(SimulationConfig(horizon_months=2), policy=make_policy())
+        sim.step(1)
+        ref = weakref.ref(sim)
+        gc.disable()
+        try:
+            del sim
+            assert ref() is None  # its roster buffers go with it
+        finally:
+            gc.enable()
+
     def test_per_decision_calls_in_roster_order(self):
         class Counting(Forwarding):
             def __init__(self):
@@ -919,8 +942,6 @@ class TestStepErrors:
         assert sim.states == []
 
     def test_substep_failures_are_located(self, null_dynamics_config):
-        sim = Simulation(null_dynamics_config)
-
         class Exploding:
             def decide_entry(self, ctx):
                 raise RuntimeError("boom")
@@ -928,7 +949,7 @@ class TestStepErrors:
             def decide_exit(self, ctx):
                 raise RuntimeError("boom")
 
-        sim.policy = Exploding()
+        sim = Simulation(null_dynamics_config, policy=Exploding())
         with pytest.raises(SimulationError) as err:
             sim.step(1)
         assert err.value.month == 1

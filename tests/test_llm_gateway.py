@@ -143,6 +143,14 @@ def stub_server():
     server.server_close()
 
 
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backend's retry waits, recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr("depinsim.llm_gateway.time.sleep", waits.append)
+    return waits
+
+
 class TestHttpBackend:
     def test_passthrough(self, stub_server):
         endpoint = f"http://127.0.0.1:{stub_server.server_port}"
@@ -170,40 +178,50 @@ class TestHttpBackend:
         assert len(stub_server.requests) == 1  # client errors are not retried
 
     @pytest.mark.parametrize("status", [429, 500, 503])
-    def test_transient_status_is_retried(self, stub_server, status):
+    def test_transient_status_is_retried(self, stub_server, sleeps, status):
         stub_server.statuses = [status]
-        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, backoff=0.01)
+        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0)
         assert backend.complete(CompletionRequest(prompt="hello")).text == "No."
         assert len(stub_server.requests) == 2
+        assert sleeps == [0.5]
 
-    def test_exhausted_budget_raises_protocol_error(self, stub_server):
+    def test_exhausted_budget_raises_protocol_error(self, stub_server, sleeps):
         stub_server.status = 503
-        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, retries=2, backoff=0.01)
+        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, retries=2)
         with pytest.raises(ProtocolError) as err:
             backend.complete(CompletionRequest(prompt="hello"))
         assert err.value.status == 503
         assert len(stub_server.requests) == 3
+        assert sleeps == [0.5, 1.0]
 
-    @pytest.mark.parametrize("header,delay", [("2", 2.0), ("120", 5.0), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.01)])
-    def test_retry_after_is_honoured_up_to_the_timeout(self, stub_server, monkeypatch, header, delay):
-        sleeps = []
-        monkeypatch.setattr("depinsim.llm_gateway.time.sleep", sleeps.append)
+    @pytest.mark.parametrize("header,delay", [("2", 2.0), ("120", 5.0), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5)])
+    def test_retry_after_is_honoured_up_to_the_timeout(self, stub_server, sleeps, header, delay):
         stub_server.statuses = [503]
         stub_server.retry_after = header
-        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, backoff=0.01)
+        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0)
         assert backend.complete(CompletionRequest(prompt="hello")).text == "No."
         assert sleeps == [delay]  # an HTTP-date falls back to the backoff
 
-    def test_unreachable_endpoint_exhausts_retries(self):
-        backend = HttpBackend("http://127.0.0.1:1", timeout=0.2, retries=2, backoff=0.01)
+    def test_unreachable_endpoint_exhausts_retries(self, sleeps):
+        backend = HttpBackend("http://127.0.0.1:1", timeout=0.2, retries=2)
         with pytest.raises(BackendUnavailableError, match="3 attempts"):
             backend.complete(CompletionRequest(prompt="hello"))
+        assert sleeps == [0.5, 1.0]
 
     def test_malformed_body_is_protocol_error(self, stub_server):
         stub_server.raw_payload = b'{"unexpected": true}'
         backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0)
         with pytest.raises(ProtocolError, match="malformed completion body"):
             backend.complete(CompletionRequest(prompt="hello"))
+
+    @pytest.mark.parametrize("text", ["null", "5", '["yes"]'], ids=["null", "number", "list"])
+    def test_non_string_completion_text_is_protocol_error(self, stub_server, text):
+        stub_server.raw_payload = b'{"choices": [{"text": %s}]}' % text.encode()
+        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0)
+        with pytest.raises(ProtocolError, match="malformed completion body") as err:
+            backend.complete(CompletionRequest(prompt="hello"))
+        assert err.value.status == 200
+        assert len(stub_server.requests) == 1  # a malformed answer is not retried
 
 
 def _batch(*prompts):
@@ -214,8 +232,8 @@ class TestHttpBackendBatch:
     """`complete_batch` against the stub: one POST per prompt, in order."""
 
     @pytest.fixture
-    def backend(self, stub_server):
-        return HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0, backoff=0.01)
+    def backend(self, stub_server, sleeps):
+        return HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0)
 
     def test_one_request_per_prompt_in_order(self, stub_server, backend):
         replies = backend.complete_batch(_batch("a", "b", "c"))
