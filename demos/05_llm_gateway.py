@@ -37,7 +37,7 @@ for text in ("Yes, the node should enter.", " NO", "nothing doing", "yesterday",
     print(f"  {text!r:<32} -> {parse_yes_no(text)}")
 
 print("\n-- fallback accounting --")
-policy = LlmPolicy(ScriptedBackend({}, default="inscrutable"))
+policy = LlmPolicy(ScriptedBackend({"*": "inscrutable"}))
 verdict = policy.decide_entry(ctx)
 print(f"  unparseable reply fell back to heuristic verdict {verdict}; "
       f"fallback_count={policy.fallback_count}")

@@ -13,12 +13,14 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import check_ranges
-from .llm_gateway import DEFAULT_MODEL, AuditLog, CompletionBatch, CompletionRequest, GatewayError, parse_yes_no
+from .llm_gateway import (
+    DEFAULT_MODEL, AuditLog, BatchReplies, CompletionBatch, CompletionRequest, GatewayError, parse_yes_no,
+)
 
 
 @dataclass(slots=True)
@@ -117,8 +119,6 @@ _HEAD = "The global estimated revenue is {revenue}. A node has a cost of "
 _ENTRY_END = ". Should the node enter the system? Please answer 'yes' or 'no'."
 _TOLERANCE = " and a tolerance of "
 _EXIT_END = ". Should the node exit the system? Please answer 'yes' or 'no'."
-ENTRY_PROMPT = _HEAD + "{cost}" + _ENTRY_END
-EXIT_PROMPT = _HEAD + "{cost}" + _TOLERANCE + "{tolerance}" + _EXIT_END
 
 
 def _literal(x: float) -> str:
@@ -147,15 +147,12 @@ def _check_finite(*columns: np.ndarray) -> None:
 
 
 def render_entry_prompt(ctx: DecisionContext) -> str:
-    return ENTRY_PROMPT.format(revenue=_decimal(ctx.global_revenue), cost=_decimal(ctx.node_cost))
+    return _HEAD.format(revenue=_decimal(ctx.global_revenue)) + _decimal(ctx.node_cost) + _ENTRY_END
 
 
 def render_exit_prompt(ctx: DecisionContext) -> str:
-    return EXIT_PROMPT.format(
-        revenue=_decimal(ctx.global_revenue),
-        cost=_decimal(ctx.node_cost),
-        tolerance=_decimal(ctx.tolerance),
-    )
+    head = _HEAD.format(revenue=_decimal(ctx.global_revenue))
+    return head + _decimal(ctx.node_cost) + _TOLERANCE + _decimal(ctx.tolerance) + _EXIT_END
 
 
 _NODE_RE = r"The global estimated revenue is (\S+)\. A node has a cost of (\S+)"
@@ -187,16 +184,17 @@ def heuristic_prompt_reply(prompt: str) -> str:
 class LlmPolicy:
     """Policy that prompts a completion backend and parses yes/no replies.
 
-    The batch methods build a month's prompts as the month's head, with the
-    revenue rendered once, plus each node's tail, send them as one
-    `CompletionBatch` per kind and parse the replies in order; the scalar
-    methods send one `complete` per decision.  Exit tails are kept from one
-    `decide_exits` call to the next for the incumbents still in the roster.
-    Both give the same prompts, verdicts and audit-log lines, also up to a
-    failed request.  Unparseable replies fall back to the heuristic verdict
-    for that decision and are counted in `fallback_count` so flakiness
-    stays observable.  Transport errors are not swallowed; they propagate
-    to the engine.
+    Every ask goes through `_ask`: it sends one `CompletionBatch`, audits
+    the replies (also those received before a failed request), parses each
+    distinct reply once and lets the heuristic verdict stand in for an
+    unparseable one, counted in `fallback_count` so flakiness stays
+    observable.  The batch methods ask a month's prompts, the month's head
+    with the revenue rendered once plus each node's tail, in one
+    `complete_batch` per kind; exit tails are kept from one `decide_exits`
+    call to the next for the incumbents still in the roster.  The scalar
+    methods ask one prompt through `complete`.  Both give the same prompts,
+    verdicts and audit-log lines.  Transport errors are not swallowed; they
+    propagate to the engine.
     """
 
     def __init__(
@@ -217,23 +215,13 @@ class LlmPolicy:
         # the float value alone (0.0 and -0.0 both give "0"), so a hit is exact.
         self._exit_tails: Dict[Tuple[float, float], str] = {}
 
-    def _ask(self, prompt: str, fallback: bool) -> bool:
-        request = CompletionRequest(prompt, self.max_tokens, self.temperature, self.model_name)
-        response = self.backend.complete(request)
-        if self.audit_log is not None:
-            self.audit_log.record(request, response)
-        verdict = parse_yes_no(response.text)
-        if verdict is None:
-            self.fallback_count += 1
-            return fallback
-        return verdict
-
-    def _ask_batch(self, prompts: List[str], fallback: Callable[[], np.ndarray]) -> np.ndarray:
+    def _ask(self, prompts: List[str], fallback: Callable[[], Sequence[bool]],
+             send: Callable[[CompletionBatch], BatchReplies]) -> np.ndarray:
         """One verdict per prompt; `fallback()` gives the heuristic verdicts that stand in."""
         batch = CompletionBatch(prompts, self.max_tokens, self.temperature, self.model_name)
         try:
-            replies = self.backend.complete_batch(batch)
-        except GatewayError as err:  # audit the exchanges before the failure, as the scalar route would
+            replies = send(batch)
+        except GatewayError as err:  # audit the exchanges before the failure
             if self.audit_log is not None and err.answered is not None:
                 self.audit_log.record_batch(batch, err.answered)
             raise
@@ -250,11 +238,19 @@ class LlmPolicy:
                 verdicts[i] = bool(heuristic[i])
         return np.array(verdicts, dtype=bool)
 
+    def _complete_one(self, batch: CompletionBatch) -> BatchReplies:
+        # The scalar methods' send.  It goes once perfbench's TracedBackend, which
+        # forwards only `complete`, forwards `complete_batch` (ROADMAP item 1).
+        (prompt,) = batch.prompts
+        request = CompletionRequest(prompt, batch.max_tokens, batch.temperature, batch.model_name)
+        response = self.backend.complete(request)
+        return BatchReplies([response.text], [response.latency], response.backend)
+
     def decide_entry(self, ctx: DecisionContext) -> bool:
-        return self._ask(render_entry_prompt(ctx), heuristic_entry(ctx))
+        return bool(self._ask([render_entry_prompt(ctx)], lambda: [heuristic_entry(ctx)], self._complete_one)[0])
 
     def decide_exit(self, ctx: DecisionContext) -> bool:
-        return self._ask(render_exit_prompt(ctx), heuristic_exit(ctx))
+        return bool(self._ask([render_exit_prompt(ctx)], lambda: [heuristic_exit(ctx)], self._complete_one)[0])
 
     def decide_entries(self, revenue, costs, tolerances, month) -> np.ndarray:
         if not len(costs):
@@ -262,7 +258,8 @@ class LlmPolicy:
         head = _HEAD.format(revenue=_decimal(revenue))
         _check_finite(costs)
         prompts = [head + _literal(cost) + _ENTRY_END for cost in costs.tolist()]
-        return self._ask_batch(prompts, lambda: heuristic_entry(DecisionContext(revenue, costs, tolerances, month)))
+        return self._ask(prompts, lambda: heuristic_entry(DecisionContext(revenue, costs, tolerances, month)),
+                         self.backend.complete_batch)
 
     def decide_exits(self, revenue, costs, tolerances, month) -> np.ndarray:
         if not len(costs):
@@ -274,7 +271,8 @@ class LlmPolicy:
         tails = [known(pair) or _literal(pair[0]) + _TOLERANCE + _literal(pair[1]) + _EXIT_END for pair in pairs]
         self._exit_tails = dict(zip(pairs, tails))
         prompts = [head + tail for tail in tails]
-        return self._ask_batch(prompts, lambda: heuristic_exit(DecisionContext(revenue, costs, tolerances, month)))
+        return self._ask(prompts, lambda: heuristic_exit(DecisionContext(revenue, costs, tolerances, month)),
+                         self.backend.complete_batch)
 
 
 def apply_patience(streak: int, exit_signal: bool, patience: int) -> bool:

@@ -61,18 +61,21 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions]:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
+    flags = {key: getattr(args, key, None) for key in ("seed", "policy", "patience", "out_dir", "audit_log")}
+    flags["charts"] = None if args.charts is None else args.charts == "on"
+    data.update((key, value) for key, value in flags.items() if value is not None)
     opts = decode(FileOptions(), {f.name: data.pop(f.name) for f in fields(FileOptions) if f.name in data})
-    for key in ("seed", "policy", "patience"):
-        if getattr(args, key, None) is not None:
-            data[key] = getattr(args, key)
     config = SimulationConfig.from_dict(data)
-    for key in ("out_dir", "audit_log"):
-        if getattr(args, key, None) is not None:
-            setattr(opts, key, getattr(args, key))
-    if opts.audit_log and not Path(opts.audit_log).parent.is_dir():
-        raise ValueError(f"audit_log {opts.audit_log}: directory {Path(opts.audit_log).parent} does not exist")
-    if args.charts is not None:
-        opts.charts = args.charts == "on"
+    out_dir = Path(opts.out_dir)
+    nearest = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"out_dir {opts.out_dir}: {nearest} is not a directory")
+    if opts.audit_log:
+        audit_log = Path(opts.audit_log)
+        if not audit_log.parent.is_dir():
+            raise ValueError(f"audit_log {opts.audit_log}: directory {audit_log.parent} does not exist")
+        if audit_log.is_dir():
+            raise ValueError(f"audit_log {opts.audit_log} is a directory")
     return config, opts
 
 
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--patience", dest="patience_list", type=_patience_list, required=True,
                        help="comma-separated patience levels for the LLM cells, e.g. 1,3,5")
     p_cmp.add_argument("--seeds", type=_count, default=5, help="seeds per cell (default: 5)")
-    p_cmp.set_defaults(func=cmd_compare, policy=None, patience=None, audit_log=None)
+    p_cmp.set_defaults(func=cmd_compare)
 
     p_vest = sub.add_parser("vesting", help="emit the per-month release schedule table")
     p_vest.add_argument("--horizon", type=int, default=96, help="months to tabulate (default: 96)")

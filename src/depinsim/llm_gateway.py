@@ -110,18 +110,14 @@ class ScriptedBackend:
 
     `script` may be a mapping from prompts (exact strings or fnmatch
     patterns, checked in insertion order) to replies, or a callable
-    computing the reply from the prompt.  Unmatched prompts get `default`.
+    computing the reply from the prompt.  Unmatched prompts get "", so a
+    catch-all reply is a last "*" pattern.
     """
 
     name = "scripted"
 
-    def __init__(
-        self,
-        script: Union[Mapping[str, str], Callable[[str], str], None] = None,
-        default: str = "",
-    ):
+    def __init__(self, script: Union[Mapping[str, str], Callable[[str], str], None] = None):
         self._table = dict(script) if script is not None and not callable(script) else {}
-        self._default = default
         self._reply: Callable[[str], str] = script if callable(script) else self._lookup
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
@@ -142,7 +138,7 @@ class ScriptedBackend:
         for pattern, reply in self._table.items():
             if fnmatch.fnmatchcase(prompt, pattern):
                 return reply
-        return self._default
+        return ""
 
 
 class HttpBackend:
@@ -247,9 +243,6 @@ class AuditLog:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
 
-    def record(self, request: CompletionRequest, response: CompletionResponse) -> None:
-        self._append([_line(request.prompt, request.model_name, response.text, response.backend, response.latency)])
-
     def record_batch(self, batch: CompletionBatch, replies: BatchReplies) -> None:
         """Append one line per reply, opening the file once; no replies write nothing.
 
@@ -257,21 +250,14 @@ class AuditLog:
         replies cover only the prompts before the failure.
         """
         answered = batch.prompts[:len(replies.texts)]
-        self._append([
-            _line(prompt, batch.model_name, text, replies.backend, latency)
+        lines = [
+            json.dumps({"prompt": prompt, "model": batch.model_name, "response": text,
+                        "backend": replies.backend, "latency_s": latency}, ensure_ascii=False) + "\n"
             for prompt, text, latency in zip(answered, replies.texts, replies.latencies, strict=True)
-        ])
-
-    def _append(self, lines: List[str]) -> None:
+        ]
         if lines:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.writelines(lines)
-
-
-def _line(prompt: str, model: str, text: str, backend: str, latency: float) -> str:
-    """One audit-log JSON line."""
-    entry = {"prompt": prompt, "model": model, "response": text, "backend": backend, "latency_s": latency}
-    return json.dumps(entry, ensure_ascii=False) + "\n"
 
 
 @dataclass
@@ -281,7 +267,6 @@ class LlmSettings:
     backend: str = config_field("scripted", f"completion backend: {' | '.join(BACKENDS)}")
     script: Optional[Dict[str, str]] = config_field(None, "inline prompt-pattern -> reply map (scripted)")
     script_file: Optional[str] = config_field(None, "JSON file with the scripted reply map")
-    default_reply: str = config_field("", "scripted reply when no pattern matches")
     endpoint: Optional[str] = config_field(None, f"completions endpoint base URL (or ${ENDPOINT_ENV})")
     api_key: Optional[str] = config_field(None, f"bearer token (or ${API_KEY_ENV})")
     model_name: str = config_field(DEFAULT_MODEL, "model identifier sent to the endpoint")
@@ -296,6 +281,8 @@ class LlmSettings:
         check_ranges(self)
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {', '.join(BACKENDS)}, got {self.backend!r}")
+        if self.script is not None and self.script_file is not None:
+            raise ValueError("script cannot be combined with script_file; keep one of them")
 
 
 def build_backend(settings: LlmSettings):
@@ -313,7 +300,7 @@ def build_backend(settings: LlmSettings):
                                  f"of string -> string, got {reprlib.repr(script)}")
         if script is None:
             raise ValueError("scripted llm backend needs a script or script_file")
-        return ScriptedBackend(script, default=settings.default_reply)
+        return ScriptedBackend(script)
     endpoint = settings.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise ValueError(f"http llm backend needs an endpoint (config or ${ENDPOINT_ENV})")

@@ -169,7 +169,7 @@ def test_criterion_8_parse_robustness():
     for text, expected in YES_NO_CORPUS:
         assert parse_yes_no(text) is expected, text
 
-    policy = LlmPolicy(ScriptedBackend({}, default="unintelligible"))
+    policy = LlmPolicy(ScriptedBackend({"*": "unintelligible"}))
     from depinsim.agents import DecisionContext
 
     ctx = DecisionContext(global_revenue=2000.0, node_cost=1000.0, tolerance=0.5, month=1)

@@ -287,7 +287,7 @@ class TestLlmPolicy:
         assert policy.fallback_count == 0
 
     def test_unparseable_reply_falls_back_to_heuristic(self):
-        backend = ScriptedBackend({}, default="hmm, unclear")
+        backend = ScriptedBackend({"*": "hmm, unclear"})
         policy = LlmPolicy(backend)
         enters = policy.decide_entry(ctx(revenue=2000.0, cost=1000.0))
         exits = policy.decide_exit(ctx(revenue=2000.0, cost=1000.0, tolerance=0.5))
@@ -412,6 +412,20 @@ class TestLlmPolicyBatch:
             built.clear()
             method(1000.0, costs, tolerances, 1)
             assert built == ["CompletionBatch", "BatchReplies"]
+
+    def test_scalar_methods_send_only_complete_and_batch_methods_only_complete_batch(self):
+        def refusing(name):
+            backend = ScriptedBackend(heuristic_prompt_reply)
+            setattr(backend, name, lambda _: pytest.fail(f"{name} called"))
+            return LlmPolicy(backend)
+
+        scalar = refusing("complete_batch")
+        assert scalar.decide_entry(ctx(2000.0, 1000.0, 0.5)) is True
+        assert scalar.decide_exit(ctx(400.0, 1000.0, 0.5)) is True
+        batched = refusing("complete")
+        costs, tolerances = np.array([1000.0, 3000.0]), np.array([0.5, 0.5])
+        assert batched.decide_entries(2000.0, costs, tolerances, 1).tolist() == [True, False]
+        assert batched.decide_exits(1000.0, costs, tolerances, 1).tolist() == [False, True]
 
     def test_empty_pool_or_roster_sends_nothing(self):
         policy = LlmPolicy(Recording({}))

@@ -99,6 +99,7 @@ class TestRun:
             ("node_schedule.cliff_months", 5),  # the default node schedule is a halving emission
             ("llm.retries", 11),
             ("llm.backend", "magic"),
+            ("llm.default_reply", "no"),  # removed key: a last "*" pattern answers unmatched prompts
         ],
     )
     def test_rejected_section_value_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
@@ -180,6 +181,27 @@ class TestRun:
         assert code == 2
         assert "audit_log" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "missing").exists()
+        # An audit log that names a directory is rejected alike, before any month.
+        code = main(["run", "--config", config, "--policy", policy, "--out-dir", str(out),
+                     "--audit-log", str(tmp_path)])
+        assert code == 2
+        assert "audit_log" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("under", ["afile", "afile/sub"])
+    def test_out_dir_under_a_file_exits_2_before_any_month(self, tmp_path, capsys, monkeypatch, command, under):
+        def never(*args, **kwargs):
+            raise AssertionError("no month may run")
+
+        monkeypatch.setattr("depinsim.cli.run", never)
+        (tmp_path / "afile").write_text("kept")
+        config = write_config(tmp_path, horizon_months=2, llm={"backend": "scripted", "script": {"*": "no"}})
+        extra = ["--patience", "1", "--seeds", "1"] if command == "compare" else []
+        assert main([command, "--config", config, "--out-dir", str(tmp_path / under), *extra]) == 2
+        assert "out_dir" in capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
 
     def test_unreachable_llm_endpoint_exits_3_with_location(self, tmp_path, capsys):
         config = write_config(
@@ -292,6 +314,12 @@ class TestCompare:
         assert main(["compare", "--config", config, "--patience", "1", "--seeds", "1", "--out-dir", str(out)]) == 2
         assert "audit_log" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "missing").exists()
+        # An audit_log key that names a directory is rejected alike, before any cell runs.
+        config = write_config(tmp_path, horizon_months=2, audit_log=str(tmp_path),
+                              llm={"backend": "scripted", "script": {"*": "no"}})
+        assert main(["compare", "--config", config, "--patience", "1", "--seeds", "1", "--out-dir", str(out)]) == 2
+        assert "audit_log" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_undefined_indicator_is_drawn_as_n_a(self, tmp_path):
         # No node ever runs, so no seed defines inclusion: compare.csv holds nan, the chart no nan.

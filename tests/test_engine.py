@@ -400,7 +400,7 @@ class TestPolicyBridge:
         assert not log.path.exists()
 
     def test_unparseable_backend_falls_back_and_counts(self):
-        backend = ScriptedBackend({}, default="shrug")
+        backend = ScriptedBackend({"*": "shrug"})
         trajectory = run(
             SimulationConfig(horizon_months=12, policy="llm",
                              llm=LlmSettings(backend="scripted", script={})),
@@ -960,9 +960,9 @@ class TestStepErrors:
         "make_policy,patience",
         [
             (HeuristicPolicy, 3),
-            (lambda: LlmPolicy(ScriptedBackend({}, default="shrug")), 3),  # every reply falls back
+            (lambda: LlmPolicy(ScriptedBackend({"*": "shrug"})), 3),  # every reply falls back
             (HeuristicPolicy, 1),  # month 2 has leavers when it fails
-            (lambda: LlmPolicy(ScriptedBackend({}, default="shrug")), 1),
+            (lambda: LlmPolicy(ScriptedBackend({"*": "shrug"})), 1),
         ],
         ids=["heuristic", "llm-fallbacks", "heuristic-patience-1", "llm-fallbacks-patience-1"],
     )

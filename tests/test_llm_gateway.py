@@ -18,7 +18,6 @@ from depinsim.llm_gateway import (
     BatchReplies,
     CompletionBatch,
     CompletionRequest,
-    CompletionResponse,
     HttpBackend,
     LlmSettings,
     ProtocolError,
@@ -62,7 +61,7 @@ class TestScriptedBackend:
         assert response.backend == "scripted"
 
     def test_default_reply(self):
-        backend = ScriptedBackend({"*enter*": "yes"}, default="no idea")
+        backend = ScriptedBackend({"*enter*": "yes", "*": "no idea"})
         assert backend.complete(CompletionRequest(prompt="unrelated")).text == "no idea"
 
     def test_callable_script(self):
@@ -282,7 +281,7 @@ class TestHttpBackendBatch:
 
 class TestScriptedBatch:
     def test_batch_answers_in_order_as_single_calls_do(self):
-        backend = ScriptedBackend({"*enter*": "yes", "*exit*": "no"}, default="?")
+        backend = ScriptedBackend({"*enter*": "yes", "*exit*": "no", "*": "?"})
         prompts = ["exit now", "enter now", "other"]
         replies = backend.complete_batch(CompletionBatch(prompts))
         single = [backend.complete(CompletionRequest(prompt=p)).text for p in prompts]
@@ -295,10 +294,10 @@ class TestAuditLog:
     def test_records_json_lines(self, tmp_path):
         log = AuditLog(tmp_path / "audit.jsonl")
         backend = ScriptedBackend({"*": "yes"})
-        request = CompletionRequest(prompt="Should the node enter?")
-        response = backend.complete(request)
-        log.record(request, response)
-        log.record(request, response)
+        batch = CompletionBatch(["Should the node enter?"])
+        replies = backend.complete_batch(batch)
+        log.record_batch(batch, replies)
+        log.record_batch(batch, replies)
         lines = (tmp_path / "audit.jsonl").read_text().strip().splitlines()
         assert len(lines) == 2
         entry = json.loads(lines[0])
@@ -308,12 +307,12 @@ class TestAuditLog:
         assert entry["latency_s"] >= 0.0
 
     def test_batch_writes_the_lines_single_records_write(self, tmp_path, monkeypatch):
-        backend = ScriptedBackend({"*enter*": "yes"}, default="no")
+        backend = ScriptedBackend({"*enter*": "yes", "*": "no"})
         batch = CompletionBatch(["enter?", "exit?", "ünïcode"], model_name="m")
         replies = backend.complete_batch(batch)
         single = AuditLog(tmp_path / "single.jsonl")
         for prompt, text, latency in zip(batch.prompts, replies.texts, replies.latencies):
-            single.record(CompletionRequest(prompt=prompt, model_name="m"), CompletionResponse(text, latency, "scripted"))
+            single.record_batch(CompletionBatch([prompt], model_name="m"), BatchReplies([text], [latency], "scripted"))
         opened = []
         monkeypatch.setattr("builtins.open", lambda *a, _open=open, **k: opened.append(a[0]) or _open(*a, **k))
         batched = AuditLog(tmp_path / "batched.jsonl")
@@ -340,6 +339,15 @@ class TestBuildBackend:
         path.write_text(content)
         with pytest.raises(ValueError, match="llm.script_file"):
             build_backend(LlmSettings(backend="scripted", script_file=str(path)))
+
+    def test_script_with_script_file_is_rejected(self, tmp_path):
+        # Both set used to drop the inline script without a word: the file's "yes" answered.
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({"*": "yes"}))
+        with pytest.raises(ValueError, match="llm.script cannot be combined with script_file"):
+            decode(LlmSettings(), {"script": {"*": "no"}, "script_file": str(path)}, "llm.")
+        with pytest.raises(ValueError, match="script_file"):
+            LlmSettings(script={"*": "no"}, script_file=str(path))
 
     def test_scripted_requires_a_script(self):
         with pytest.raises(ValueError):
