@@ -20,7 +20,7 @@ import numpy as np
 from . import charts, metrics
 from .bounds import config_field
 from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, csv_text, decode, encode, run
-from .llm_gateway import AuditLog, GatewayError
+from .llm_gateway import AuditLog, GatewayError, build_backend
 from .tokenomics import (
     NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, circulating_supply, cumulative_release, release,
 )
@@ -126,6 +126,7 @@ def cmd_compare(args) -> int:
     patience_values = args.patience_list
     if config.llm is None:
         raise ValueError("compare needs an llm config section (scripted or http backend)")
+    build_backend(config.llm)  # a missing script_file or endpoint fails here, before the heuristic cell runs
     seeds = [config.seed + i for i in range(args.seeds)]
     audit = AuditLog(opts.audit_log) if opts.audit_log else None  # one log, appended cell by cell, seed by seed
 
@@ -177,8 +178,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_vesting(args) -> int:
-    if args.horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {args.horizon}")
     alloc = TokenAllocation(**{f.name: getattr(args, f.name) for f in fields(TokenAllocation)})
     header = ("month", "team_release", "vc_release", "node_release",
               "team_cumulative", "vc_cumulative", "node_cumulative", "circulating_supply")
@@ -242,7 +241,7 @@ def cmd_config_reference(_args) -> int:
 
 
 def _count(text: str) -> int:
-    """A command-line integer that must be at least 1: a seed count or a patience level."""
+    """A command-line integer that must be at least 1: a seed count, a patience level or a horizon."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_vest = sub.add_parser("vesting", help="emit the per-month release schedule table")
-    p_vest.add_argument("--horizon", type=int, default=96, help="months to tabulate (default: 96)")
+    p_vest.add_argument("--horizon", type=_count, default=96, help="months to tabulate (default: 96)")
     for f in fields(TokenAllocation):  # --total-supply, --team-fraction, --vc-fraction, --node-fraction
         p_vest.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
     p_vest.add_argument("--out-dir", default="out")
@@ -312,7 +311,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:  # json.JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationError, GatewayError) as err:

@@ -273,7 +273,10 @@ class LlmSettings:
     max_tokens: int = config_field(CompletionRequest.max_tokens, "completion length limit", "[1, inf)")
     temperature: float = config_field(
         CompletionRequest.temperature, "sampling temperature (0 for determinism)", "[0, inf)")
-    timeout: float = config_field(10.0, "HTTP timeout in seconds", "(0, inf)")
+    timeout: float = config_field(
+        10.0, "seconds for each connect and each read of one HTTP attempt, not a whole request; "
+        "each prompt's retries add backoff (at most about 511 s at retries 10); a batch has no total bound",
+        "(0, inf)")
     # Ten retries bound the backoff to 1023 times BACKOFF, about 511 s per prompt.
     retries: int = config_field(2, "retries after a transport failure, 429 or 5xx", "[0, 10]")
 

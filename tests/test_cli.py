@@ -3,14 +3,23 @@
 import csv
 import json
 import math
+import os
 import re
+import reprlib
+import shlex
+import subprocess
+import sys
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Dict, Optional, Tuple
 
 import pytest
 
+import depinsim
 from depinsim.charts import grouped_bar_panels
 from depinsim.cli import _trajectory_charts, main
-from depinsim.engine import CSV_COLUMNS, SimulationConfig, encode, run
-from depinsim.llm_gateway import AuditLog, LlmSettings
+from depinsim.engine import CSV_COLUMNS, Simulation, SimulationConfig, encode, run
+from depinsim.llm_gateway import ENDPOINT_ENV, AuditLog, LlmSettings
 from depinsim.metrics import stability
 from depinsim.tokenomics import NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, cumulative_release
 
@@ -41,122 +50,6 @@ class TestRun:
         assert len(rows) == 13
         assert not (out / "price.svg").exists()
 
-    def test_malformed_json_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["run", "--config", str(path)]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_unknown_key_exits_2(self, tmp_path, capsys):
-        config = write_config(tmp_path, horizon_month=12)
-        assert main(["run", "--config", config]) == 2
-        assert "horizon_month" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "key,value",
-        [
-            ("horizon_months", "3"),
-            ("cost_spread", 1.0),
-            ("llm", "scripted"),
-            ("team_schedule", [1, 2]),
-            ("team_schedule", None),
-            ("out_dir", 5),
-            ("parallel_decisions", True),  # removed key: decisions always run in order
-            ("initial_price", float("nan")),  # json.load reads NaN and Infinity
-            ("node_cost", float("inf")),
-            ("total_supply", float("inf")),
-            ("cost_spread", [1.0, float("inf")]),
-            pytest.param("node_cost", 10**400, id="node_cost-beyond-float-range"),
-            ("gc_endowment_sigma", -1.0),
-            ("gc_lifespan_sigma", -1.0),
-            # Out of the declared ranges: each would fail or stall at run time.
-            ("initial_nodes", 10**30),
-            ("entry_pool_size", 10**30),  # beyond the roster cap
-            ("gc_arrival_rate", 1e300),
-            ("gc_arrival_rate", 1e7),
-            ("gc_lifespan_mu", 1e300),
-            ("gc_lifespan_sigma", 800.0),
-            ("gc_endowment_mu", -1e300),
-            ("gc_endowment_mu", 1e300),
-        ],
-    )
-    def test_rejected_config_value_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
-        monkeypatch.chdir(tmp_path)
-        config = write_config(tmp_path, **{key: value})
-        assert main(["run", "--config", config]) == 2
-        assert key in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "key,value",
-        [
-            ("llm.max_tokens", 0),
-            ("llm.temperature", -1),
-            ("llm.retries", -1),
-            ("llm.timeout", -1),
-            ("llm.script", {"*": 1}),
-            ("team_schedule.kind", "weekly"),
-            ("vc_schedule.linear_months", 0),
-            ("node_schedule.cliff_months", 5),  # the default node schedule is a halving emission
-            ("llm.retries", 11),
-            ("llm.backend", "magic"),
-            ("llm.default_reply", "no"),  # removed key: a last "*" pattern answers unmatched prompts
-        ],
-    )
-    def test_rejected_section_value_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
-        monkeypatch.chdir(tmp_path)
-        section, name = key.split(".")
-        config = write_config(tmp_path, policy="llm", **{section: {name: value}})
-        assert main(["run", "--config", config]) == 2
-        assert key in capsys.readouterr().err
-
-    def test_unknown_llm_backend_exits_2_under_heuristic_policy(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        config = write_config(tmp_path, policy="heuristic", llm={"backend": "magic"})
-        assert main(["run", "--config", config]) == 2
-        assert "llm.backend" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("content", ['{"*": 5}', '["a"]', '{"*": null}'])
-    def test_script_file_that_is_not_a_string_map_exits_2_before_any_month(self, tmp_path, capsys, content):
-        script = tmp_path / "script.json"
-        script.write_text(content)
-        config = write_config(tmp_path, policy="llm", llm={"backend": "scripted", "script_file": str(script)})
-        out = tmp_path / "out"
-        assert main(["run", "--config", config, "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "llm.script_file" in err and "month" not in err
-        assert not out.exists()
-
-    def test_key_the_schedule_kind_does_not_use_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        config = write_config(tmp_path, team_schedule={"kind": "halving_emission", "cliff_months": 5})
-        assert main(["run", "--config", config]) == 2
-        assert "team_schedule.cliff_months" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key,value", [("tokens_on_sale_fraction", 2.2250738585e-313)])
-    def test_non_finite_month_exits_3_and_writes_nothing(self, tmp_path, capsys, key, value):
-        config = write_config(tmp_path, horizon_months=2, **{key: value})
-        out = tmp_path / "out"
-        assert main(["run", "--config", config, "--out-dir", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "month 1" in err and "'record'" in err and "token_price is not finite" in err
-        assert not out.exists()
-
-    def test_non_finite_revenue_exits_3_alike_under_either_policy(self, tmp_path, capsys):
-        # 1e305 times month 1's node emission overflows the revenue before any policy reads it.
-        errors = []
-        for policy in ("heuristic", "llm"):
-            config = write_config(tmp_path, horizon_months=2, initial_price=1e305,
-                                  llm={"backend": "scripted", "script": {"*": "no"}})
-            out = tmp_path / policy
-            assert main(["run", "--config", config, "--policy", policy, "--out-dir", str(out)]) == 3
-            assert not out.exists()
-            errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1]
-        assert "month 1" in errors[0] and "'revenue'" in errors[0] and "global_revenue is not finite" in errors[0]
-
-    def test_llm_policy_without_backend_exits_2(self, tmp_path):
-        assert main(["run", "--policy", "llm", "--out-dir", str(tmp_path / "o")]) == 2
-
     def test_scripted_llm_run(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -171,48 +64,6 @@ class TestRun:
         assert code == 0
         entries = [json.loads(line) for line in audit.read_text().splitlines()]
         assert entries and all(e["backend"] == "scripted" for e in entries)
-
-    @pytest.mark.parametrize("policy", ["heuristic", "llm"])
-    def test_audit_log_in_a_missing_directory_exits_2(self, tmp_path, capsys, policy):
-        config = write_config(tmp_path, horizon_months=2, llm={"backend": "scripted", "script": {"*": "no"}})
-        out = tmp_path / "out"
-        code = main(["run", "--config", config, "--policy", policy, "--out-dir", str(out),
-                     "--audit-log", str(tmp_path / "missing" / "audit.jsonl")])
-        assert code == 2
-        assert "audit_log" in capsys.readouterr().err
-        assert not out.exists() and not (tmp_path / "missing").exists()
-        # An audit log that names a directory is rejected alike, before any month.
-        code = main(["run", "--config", config, "--policy", policy, "--out-dir", str(out),
-                     "--audit-log", str(tmp_path)])
-        assert code == 2
-        assert "audit_log" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    @pytest.mark.parametrize("under", ["afile", "afile/sub"])
-    def test_out_dir_under_a_file_exits_2_before_any_month(self, tmp_path, capsys, monkeypatch, command, under):
-        def never(*args, **kwargs):
-            raise AssertionError("no month may run")
-
-        monkeypatch.setattr("depinsim.cli.run", never)
-        (tmp_path / "afile").write_text("kept")
-        config = write_config(tmp_path, horizon_months=2, llm={"backend": "scripted", "script": {"*": "no"}})
-        extra = ["--patience", "1", "--seeds", "1"] if command == "compare" else []
-        assert main([command, "--config", config, "--out-dir", str(tmp_path / under), *extra]) == 2
-        assert "out_dir" in capsys.readouterr().err
-        assert (tmp_path / "afile").read_text() == "kept"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
-
-    def test_unreachable_llm_endpoint_exits_3_with_location(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            horizon_months=3,
-            policy="llm",
-            llm={"backend": "http", "endpoint": "http://127.0.0.1:1", "timeout": 0.2, "retries": 0},
-        )
-        assert main(["run", "--config", config, "--out-dir", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err
-        assert "month 1" in err and "node-decisions" in err
 
     def test_seed_override_changes_output(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -307,20 +158,6 @@ class TestCompare:
 
         assert exchanges(log) == exchanges(expected) != []
 
-    def test_audit_log_key_in_a_missing_directory_exits_2(self, tmp_path, capsys):
-        config = write_config(tmp_path, horizon_months=2, audit_log=str(tmp_path / "missing" / "audit.jsonl"),
-                              llm={"backend": "scripted", "script": {"*": "no"}})
-        out = tmp_path / "out"
-        assert main(["compare", "--config", config, "--patience", "1", "--seeds", "1", "--out-dir", str(out)]) == 2
-        assert "audit_log" in capsys.readouterr().err
-        assert not out.exists() and not (tmp_path / "missing").exists()
-        # An audit_log key that names a directory is rejected alike, before any cell runs.
-        config = write_config(tmp_path, horizon_months=2, audit_log=str(tmp_path),
-                              llm={"backend": "scripted", "script": {"*": "no"}})
-        assert main(["compare", "--config", config, "--patience", "1", "--seeds", "1", "--out-dir", str(out)]) == 2
-        assert "audit_log" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_undefined_indicator_is_drawn_as_n_a(self, tmp_path):
         # No node ever runs, so no seed defines inclusion: compare.csv holds nan, the chart no nan.
         config = write_config(tmp_path, horizon_months=3, initial_nodes=0, entry_pool_size=0,
@@ -341,23 +178,6 @@ class TestCompare:
 
         assert ticks([2.0, math.nan], [0.5, math.nan]) == (ticks([2.0], [0.5])[0], 2, 1)  # frame + one bar
         assert ticks([math.nan, math.nan], [math.nan, math.nan]) == (["0", "0.25", "0.5", "0.75", "1"], 1, 2)
-
-    def test_empty_patience_list_exits_2(self, tmp_path, capsys):
-        config = write_config(tmp_path, llm={"backend": "scripted", "script": {}})
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", "--config", config, "--patience", "", "--out-dir", str(tmp_path)])
-        assert exc.value.code == 2
-
-    def test_compare_without_llm_section_exits_2(self, tmp_path):
-        assert main(["compare", "--patience", "1", "--out-dir", str(tmp_path / "o")]) == 2
-
-    @pytest.mark.parametrize("seeds", ["0", "-2"])
-    def test_seed_count_below_one_exits_2(self, tmp_path, capsys, seeds):
-        config = write_config(tmp_path, llm={"backend": "scripted", "script": {}})
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", "--config", config, "--patience", "1", "--seeds", seeds, "--out-dir", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "--seeds" in capsys.readouterr().err
 
 
 class TestVesting:
@@ -391,17 +211,6 @@ class TestVesting:
         rows = list(csv.DictReader(open(out / "vesting.csv")))
         assert len(rows) == 1
 
-    def test_zero_horizon_exits_2(self, tmp_path):
-        assert main(["vesting", "--horizon", "0", "--out-dir", str(tmp_path / "o")]) == 2
-
-    @pytest.mark.parametrize(
-        "flag,value", [("--team-fraction", "nan"), ("--total-supply", "nan"), ("--total-supply", "inf")])
-    def test_non_finite_allocation_exits_2(self, tmp_path, capsys, flag, value):
-        out = tmp_path / "o"
-        assert main(["vesting", flag, value, "--out-dir", str(out)]) == 2
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestScore:
     def test_constant_series(self, tmp_path, capsys):
@@ -420,25 +229,6 @@ class TestScore:
         assert main(["score", str(path), "--circulating", str(implied_supply), "--price", "12.13"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["efficiency"] == pytest.approx(5.631971226e9, rel=1e-4)
-
-    def test_empty_file_exits_2(self, tmp_path):
-        path = tmp_path / "prices.csv"
-        path.write_text("")
-        assert main(["score", str(path), "--circulating", "1", "--price", "1"]) == 2
-
-    def test_non_positive_row_reported(self, tmp_path, capsys):
-        path = tmp_path / "prices.csv"
-        path.write_text("1.0\n2.0\n-3.0\n")
-        assert main(["score", str(path), "--circulating", "1", "--price", "1"]) == 2
-        assert "row 3" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("circulating,price", [("nan", "1"), ("1", "inf"), ("1e200", "1e200")])
-    def test_non_finite_efficiency_exits_2(self, tmp_path, capsys, circulating, price):
-        path = tmp_path / "prices.csv"
-        path.write_text("1.0\n2.0\n4.0\n")
-        assert main(["score", str(path), "--circulating", circulating, "--price", price]) == 2
-        captured = capsys.readouterr()
-        assert "efficiency" in captured.err and captured.out == ""
 
     def test_out_file_written(self, tmp_path):
         path = tmp_path / "prices.csv"
@@ -485,3 +275,224 @@ class TestConfigReference:
         descriptions = {row[0].strip(): row[3].strip() for row in cells[2:]}
         assert descriptions["`policy`"].endswith(r"heuristic \| llm")
         assert descriptions["`llm.backend`"].endswith(r"scripted \| http")
+
+
+# Exit codes: every console case that must end in a given exit code, in one table.
+
+SCRIPTED = {"backend": "scripted", "script": {"*": "no"}}
+OVERFLOW = {"horizon_months": 2, "initial_price": 1e305, "llm": SCRIPTED}  # revenue beyond the float range
+
+REJECTED_VALUES = [  # (key, value): `run` exits 2 naming the key
+    ("horizon_months", "3"),
+    ("cost_spread", 1.0),
+    ("llm", "scripted"),
+    ("team_schedule", [1, 2]),
+    ("team_schedule", None),
+    ("out_dir", 5),
+    ("parallel_decisions", True),  # removed key: decisions always run in order
+    ("initial_price", float("nan")),  # json.load reads NaN and Infinity
+    ("node_cost", float("inf")),
+    ("total_supply", float("inf")),
+    ("cost_spread", [1.0, float("inf")]),
+    ("node_cost", 10**400),  # beyond the float range
+    ("gc_endowment_sigma", -1.0),
+    ("gc_lifespan_sigma", -1.0),
+    # Out of the declared ranges: each would fail or stall at run time.
+    ("initial_nodes", 10**30),
+    ("entry_pool_size", 10**30),  # beyond the roster cap
+    ("gc_arrival_rate", 1e300),
+    ("gc_arrival_rate", 1e7),
+    ("gc_lifespan_mu", 1e300),
+    ("gc_lifespan_sigma", 800.0),
+    ("gc_endowment_mu", -1e300),
+    ("gc_endowment_mu", 1e300),
+    # Keys of a section, under the LLM policy.
+    ("llm.max_tokens", 0),
+    ("llm.temperature", -1),
+    ("llm.retries", -1),
+    ("llm.timeout", -1),
+    ("llm.script", {"*": 1}),
+    ("team_schedule.kind", "weekly"),
+    ("vc_schedule.linear_months", 0),
+    ("node_schedule.cliff_months", 5),  # the default node schedule is a halving emission
+    ("llm.retries", 11),
+    ("llm.backend", "magic"),
+    ("llm.default_reply", "no"),  # removed key: a last "*" pattern answers unmatched prompts
+]
+
+
+def _config_setting(key, value):
+    """The config data that sets one key, a dotted key in its section under the LLM policy."""
+    if "." not in key:
+        return {key: value}
+    section, name = key.split(".")
+    return {"policy": "llm", section: {name: value}}
+
+
+@dataclass(frozen=True)
+class Case:
+    """One console invocation and how it must end.
+
+    `files` are written to the working directory and `config`, when set, to config.json,
+    which is passed as `--config`.  Each of `err` must appear in stderr and none of
+    `not_err`; `wrote` maps an output file to text it must contain.
+    """
+
+    id: str
+    argv: str  # split as a shell would
+    code: int
+    err: Tuple[str, ...] = ()
+    config: Optional[dict] = None
+    files: Dict[str, str] = field(default_factory=dict)
+    not_err: Tuple[str, ...] = ()
+    wrote: Dict[str, str] = field(default_factory=dict)
+
+
+CASES = [
+    # run: a config that cannot be honoured exits 2, naming what is wrong.
+    Case("run malformed json", "run --config bad.json", 2, ("error",), files={"bad.json": "{not json"}),
+    Case("run unknown key", "run", 2, ("horizon_month",), config={"horizon_month": 12}),
+    *(Case(f"run {key}={reprlib.repr(value)}", "run", 2, (key,), config=_config_setting(key, value))
+      for key, value in REJECTED_VALUES),
+    Case("run unknown llm backend under heuristic", "run", 2, ("llm.backend",),
+         config={"policy": "heuristic", "llm": {"backend": "magic"}}),
+    Case("run schedule key its kind does not use", "run", 2, ("team_schedule.cliff_months",),
+         config={"team_schedule": {"kind": "halving_emission", "cliff_months": 5}}),
+    *(Case(f"run script_file {content}", "run --out-dir out", 2, ("llm.script_file",),
+           config={"policy": "llm", "llm": {"backend": "scripted", "script_file": "script.json"}},
+           files={"script.json": content}, not_err=("month",))
+      for content in ('{"*": 5}', '["a"]', '{"*": null}')),
+    Case("run script with script_file", "run --policy llm --out-dir out", 2, ("llm.script", "script_file"),
+         config={"horizon_months": 2, "llm": {**SCRIPTED, "script_file": "script.json"}},
+         files={"script.json": '{"*": 5}'}),
+    Case("run llm policy without llm section", "run --policy llm --out-dir o", 2, ("requires an llm config section",)),
+    Case("run one node over the roster cap", "run --out-dir over-cap", 2,
+         ("initial_nodes + horizon_months * entry_pool_size must be <= 1000000",),
+         config={"horizon_months": 2, "entry_pool_size": 499976}),
+    *(Case(f"run --audit-log {path} under {policy}", f"run --policy {policy} --out-dir out --audit-log {path}", 2,
+           ("audit_log",), config={"horizon_months": 2, "llm": SCRIPTED})
+      for policy in ("heuristic", "llm") for path in ("missing/audit.jsonl", ".")),
+    *(Case(f"{command} --out-dir {path}", f"{command} --out-dir {path} {extra}", 2, ("out_dir",),
+           config={"horizon_months": 2, "llm": SCRIPTED}, files={"afile": "kept"})
+      for command, extra in (("run", ""), ("compare", "--patience 1 --seeds 1")) for path in ("afile", "afile/sub")),
+    # run: the roster cap itself fits, 50 + 2 * 499,975 = 1,000,000 nodes in month 2.
+    Case("run at the roster cap", "run --charts off --out-dir at-cap", 0,
+         config={"horizon_months": 2, "entry_pool_size": 499975}, wrote={"at-cap/trajectory.csv": "\n2,1000000,"}),
+    # run: a month that cannot be computed exits 3, naming the month and sub-step.
+    Case("run infinite price", "run --out-dir out", 3, ("month 1", "'record'", "token_price is not finite"),
+         config={"horizon_months": 2, "tokens_on_sale_fraction": 2.2250738585e-313}),
+    *(Case(f"run revenue overflow under {policy}", f"run --policy {policy} --out-dir out", 3,
+           ("month 1", "'revenue'", "global_revenue is not finite"), config=OVERFLOW)
+      for policy in ("heuristic", "llm")),
+    Case("run unreachable llm endpoint", "run --out-dir o", 3, ("month 1", "node-decisions"),
+         config={"horizon_months": 3, "policy": "llm",
+                 "llm": {"backend": "http", "endpoint": "http://127.0.0.1:1", "timeout": 0.2, "retries": 0}}),
+    # compare: the llm section and the flags are checked before the heuristic cell runs.
+    Case("compare without llm section", "compare --patience 1 --out-dir o", 2, ("compare needs an llm config section",)),
+    Case("compare missing script_file", "compare --patience 1 --out-dir out", 2, ("No such file", "missing.json"),
+         config={"llm": {"backend": "scripted", "script_file": "missing.json"}}),
+    Case("compare script_file not a map", "compare --patience 1 --out-dir out", 2, ("llm.script_file",),
+         config={"llm": {"backend": "scripted", "script_file": "script.json"}}, files={"script.json": '{"*": 5}'}),
+    Case("compare http backend without endpoint", "compare --patience 1 --out-dir out", 2, ("needs an endpoint",),
+         config={"llm": {"backend": "http"}}),
+    *(Case(f"compare audit_log {path}", "compare --patience 1 --seeds 1 --out-dir out", 2, ("audit_log",),
+           config={"horizon_months": 2, "audit_log": path, "llm": SCRIPTED})
+      for path in ("missing/audit.jsonl", ".")),
+    Case("compare empty --patience", "compare --patience '' --out-dir .", 2, ("patience list must not be empty",),
+         config={"llm": SCRIPTED}),
+    *(Case(f"compare --seeds {seeds}", f"compare --patience 1 --seeds {seeds} --out-dir .", 2, ("--seeds",),
+           config={"llm": SCRIPTED})
+      for seeds in ("0", "-2")),
+    # vesting and score check their flags and inputs.
+    *(Case(f"vesting --horizon {horizon}", f"vesting --horizon {horizon} --out-dir o", 2, ("--horizon",))
+      for horizon in ("0", "-3")),
+    *(Case(f"vesting {flag} {value}", f"vesting {flag} {value} --out-dir o", 2, (flag[2:].replace("-", "_"),))
+      for flag, value in (("--team-fraction", "nan"), ("--total-supply", "nan"), ("--total-supply", "inf"))),
+    Case("score empty file", "score prices.csv --circulating 1 --price 1", 2, ("no prices",),
+         files={"prices.csv": ""}),
+    Case("score non-positive row", "score prices.csv --circulating 1 --price 1", 2, ("row 3",),
+         files={"prices.csv": "1.0\n2.0\n-3.0\n"}),
+    *(Case(f"score --circulating {circulating} --price {price}",
+           f"score prices.csv --circulating {circulating} --price {price}", 2, ("efficiency",),
+           files={"prices.csv": "1.0\n2.0\n4.0\n"})
+      for circulating, price in (("nan", "1"), ("1", "inf"), ("1e200", "1e200"))),
+]
+CASE = {case.id: case for case in CASES}
+
+
+def run_case(case: Case, root: Path, invoke) -> str:
+    """Run `case` in directory `root` through `invoke(argv) -> (code, stdout, stderr)`; return stderr.
+
+    Beyond the row's own checks, a command that fails prints nothing to stdout and leaves
+    `root` as it found it: no path created, every input file unchanged.
+    """
+    for name, text in case.files.items():
+        (root / name).write_text(text)
+    argv = shlex.split(case.argv)
+    if case.config is not None:
+        (root / "config.json").write_text(json.dumps(case.config))
+        argv += ["--config", "config.json"]
+    before = sorted(root.rglob("*"))
+    code, out, err = invoke(argv)
+    assert code == case.code, err
+    assert all(text in err for text in case.err), err
+    assert not any(text in err for text in case.not_err), err
+    for name, text in case.wrote.items():
+        assert text in (root / name).read_text()
+    if case.code != 0:
+        assert out == ""
+        assert sorted(root.rglob("*")) == before
+        assert all((root / name).read_text() == text for name, text in case.files.items())
+    return err
+
+
+def in_process(capsys):
+    """An `invoke` that calls `cli.main`, reading an argparse rejection's SystemExit as its code."""
+    def invoke(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+    return invoke
+
+
+def no_month(self, month):
+    raise AssertionError("a config error must stop the command before any month")
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
+def test_exit_code(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    if case.code == 2:  # rejected at load: no month may be stepped
+        monkeypatch.setattr(Simulation, "step", no_month)
+    run_case(case, tmp_path, in_process(capsys))
+
+
+def test_revenue_overflow_fails_alike_under_either_policy(tmp_path, monkeypatch, capsys):
+    # The overflow precedes any policy's decision, so both policies stop with the same message.
+    errors = []
+    for policy in ("heuristic", "llm"):
+        root = tmp_path / policy
+        root.mkdir()
+        monkeypatch.chdir(root)
+        errors.append(run_case(CASE[f"run revenue overflow under {policy}"], root, in_process(capsys)))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize(
+    "case_id", ["run at the roster cap", "run gc_arrival_rate=10000000.0", "run revenue overflow under heuristic"])
+def test_exit_code_of_the_process(case_id, tmp_path):
+    # One row per exit code through `python -m depinsim.cli`; a process costs about 0.3 s, so not every row.
+    package_root = str(Path(depinsim.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items() if key != ENDPOINT_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+    def invoke(argv):
+        proc = subprocess.run([sys.executable, "-m", "depinsim.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    run_case(CASE[case_id], tmp_path, invoke)
