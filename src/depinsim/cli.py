@@ -76,6 +76,8 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions]:
             raise ValueError(f"audit_log {opts.audit_log}: directory {audit_log.parent} does not exist")
         if audit_log.is_dir():
             raise ValueError(f"audit_log {opts.audit_log} is a directory")
+    if config.llm is not None:  # a missing script_file or endpoint fails here, under either policy, before any month
+        build_backend(config.llm)
     return config, opts
 
 
@@ -126,7 +128,6 @@ def cmd_compare(args) -> int:
     patience_values = args.patience_list
     if config.llm is None:
         raise ValueError("compare needs an llm config section (scripted or http backend)")
-    build_backend(config.llm)  # a missing script_file or endpoint fails here, before the heuristic cell runs
     seeds = [config.seed + i for i in range(args.seeds)]
     audit = AuditLog(opts.audit_log) if opts.audit_log else None  # one log, appended cell by cell, seed by seed
 

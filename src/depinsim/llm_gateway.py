@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
-import requests
-
 from .bounds import check_ranges, config_field
 
 ENDPOINT_ENV = "DEPIN_LLM_ENDPOINT"
@@ -157,6 +155,9 @@ class HttpBackend:
     def __init__(self, endpoint: str, api_key: Optional[str] = None, timeout: float = 10.0, retries: int = 2):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
+        import requests  # here, not at module level: heuristic and scripted runs never load the HTTP stack
+
+        self._requests = requests
         self.url = endpoint.rstrip("/") + "/v1/completions"
         self.api_key = api_key
         self.timeout = timeout
@@ -192,8 +193,8 @@ class HttpBackend:
         last_error: Optional[Exception] = None
         for attempt in range(self.retries + 1):
             try:
-                resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as err:
+                resp = self._requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
+            except self._requests.RequestException as err:
                 last_error = err
                 if attempt < self.retries:
                     time.sleep(BACKOFF * 2**attempt)

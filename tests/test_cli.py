@@ -362,6 +362,12 @@ CASES = [
            config={"policy": "llm", "llm": {"backend": "scripted", "script_file": "script.json"}},
            files={"script.json": content}, not_err=("month",))
       for content in ('{"*": 5}', '["a"]', '{"*": null}')),
+    Case("run missing script_file under heuristic", "run --policy heuristic --out-dir out", 2,
+         ("No such file", "missing.json"),
+         config={"horizon_months": 2, "llm": {"backend": "scripted", "script_file": "missing.json"}}),
+    Case("run script_file not a map under heuristic", "run --policy heuristic --out-dir out", 2, ("llm.script_file",),
+         config={"horizon_months": 2, "llm": {"backend": "scripted", "script_file": "script.json"}},
+         files={"script.json": '{"*": 5}'}),
     Case("run script with script_file", "run --policy llm --out-dir out", 2, ("llm.script", "script_file"),
          config={"horizon_months": 2, "llm": {**SCRIPTED, "script_file": "script.json"}},
          files={"script.json": '{"*": 5}'}),
