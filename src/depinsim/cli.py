@@ -19,8 +19,9 @@ import numpy as np
 
 from . import charts, metrics
 from .bounds import config_field
-from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, csv_text, decode, encode, run
-from .llm_gateway import AuditLog, GatewayError, build_backend
+from .agents import LlmPolicy
+from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, build_policy, csv_text, decode, encode, run
+from .llm_gateway import AuditLog, GatewayError
 from .tokenomics import (
     NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, circulating_supply, cumulative_release, release,
 )
@@ -53,8 +54,9 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _load_config(args) -> Tuple[SimulationConfig, FileOptions]:
-    """Build the simulation config from file plus CLI overrides."""
+def _load_config(args) -> Tuple[SimulationConfig, FileOptions, Optional[LlmPolicy]]:
+    """Build the simulation config from file plus CLI overrides, and the one
+    LLM policy every LLM run of the command uses (None without an `llm` section)."""
     data = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
@@ -76,9 +78,10 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions]:
             raise ValueError(f"audit_log {opts.audit_log}: directory {audit_log.parent} does not exist")
         if audit_log.is_dir():
             raise ValueError(f"audit_log {opts.audit_log} is a directory")
+    llm_policy = None
     if config.llm is not None:  # a missing script_file or endpoint fails here, under either policy, before any month
-        build_backend(config.llm)
-    return config, opts
+        llm_policy = build_policy(replace(config, policy="llm"), AuditLog(opts.audit_log) if opts.audit_log else None)
+    return config, opts, llm_policy
 
 
 def _trajectory_charts(columns: dict) -> dict:
@@ -98,9 +101,8 @@ def _trajectory_charts(columns: dict) -> dict:
 
 
 def cmd_run(args) -> int:
-    config, opts = _load_config(args)
-    audit = AuditLog(opts.audit_log) if opts.audit_log else None
-    trajectory = run(config, audit_log=audit)
+    config, opts, llm_policy = _load_config(args)
+    trajectory = run(config, policy=llm_policy if config.policy == "llm" else None)
 
     out_dir = Path(opts.out_dir)
     csv_path = out_dir / "trajectory.csv"
@@ -124,12 +126,11 @@ def _cell_label(policy: str, patience: int) -> str:
 
 
 def cmd_compare(args) -> int:
-    config, opts = _load_config(args)
+    config, opts, llm_policy = _load_config(args)
     patience_values = args.patience_list
-    if config.llm is None:
+    if llm_policy is None:
         raise ValueError("compare needs an llm config section (scripted or http backend)")
     seeds = [config.seed + i for i in range(args.seeds)]
-    audit = AuditLog(opts.audit_log) if opts.audit_log else None  # one log, appended cell by cell, seed by seed
 
     def agg(values: List[Optional[float]]) -> Tuple[float, float]:
         clean = [v for v in values if v is not None]
@@ -146,7 +147,8 @@ def cmd_compare(args) -> int:
         for seed in seeds:
             cell_config = replace(config, policy=policy, patience=patience, seed=seed)
             try:
-                cell_metrics.append(run(cell_config, audit_log=audit).metrics)
+                # One policy, and so one audit log, for every LLM cell and seed, in order.
+                cell_metrics.append(run(cell_config, policy=llm_policy if policy == "llm" else None).metrics)
             except (SimulationError, GatewayError) as err:
                 failures.append((policy, patience, seed, str(err)))
         if not cell_metrics:
@@ -174,7 +176,8 @@ def cmd_compare(args) -> int:
         ]
         _write_text(out_dir / "compare.svg", charts.grouped_bar_panels(panels))
 
-    print(f"wrote {out_dir / 'compare.csv'} ({len(rows)} cells, {args.seeds} seeds each)")
+    scored = ", ".join(str(row["seeds"]) for row in rows)  # failed seeds are not scored
+    print(f"wrote {out_dir / 'compare.csv'} ({len(rows)} cells, seeds scored per cell: {scored})")
     return EXIT_OK
 
 

@@ -419,7 +419,7 @@ class Trajectory:
 
 
 def build_policy(config: SimulationConfig, audit_log: Optional[AuditLog] = None):
-    """Construct the configured decision policy."""
+    """Construct the configured decision policy; an LLM policy appends its exchanges to `audit_log`."""
     if config.policy == "heuristic":
         return HeuristicPolicy()
     if config.policy == "llm":
@@ -474,18 +474,12 @@ class Simulation:
     route is chosen once, at construction, from the policy's class.  The
     arrays a batch method receives are read-only and valid only during that
     call: the commit reuses their memory.
-
-    `audit_log` goes to the policy built from the config; a caller that
-    passes its own `policy` gives that policy its log, and passing both is
-    a ValueError.
     """
 
-    def __init__(self, config: SimulationConfig, policy=None, audit_log: Optional[AuditLog] = None):
+    def __init__(self, config: SimulationConfig, policy=None):
         config.validate()
-        if policy is not None and audit_log is not None:
-            raise ValueError("audit_log is for the policy built from the config; give it to the policy instead")
         self.config = config
-        self.policy = policy if policy is not None else build_policy(config, audit_log)
+        self.policy = policy if policy is not None else build_policy(config)
         # The route as a plain function: a bound method kept here would make each simulation a reference cycle.
         self._decide = Simulation._decide_roster if decides_in_batches(type(self.policy)) else Simulation._decide_each
         self.alloc = config.allocation()
@@ -702,13 +696,9 @@ class Simulation:
         return state
 
 
-def run(
-    config: SimulationConfig,
-    policy=None,
-    audit_log: Optional[AuditLog] = None,
-) -> Trajectory:
+def run(config: SimulationConfig, policy=None) -> Trajectory:
     """Run the full horizon and attach the metric summary."""
-    sim = Simulation(config, policy=policy, audit_log=audit_log)
+    sim = Simulation(config, policy=policy)
     for month in range(1, config.horizon_months + 1):
         sim.step(month)
     trajectory = Trajectory(states=sim.states, events=sim.events, config=config)

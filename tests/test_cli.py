@@ -1,5 +1,6 @@
 """CLI tests: exit codes, artifacts, round trips, chart regeneration."""
 
+import builtins
 import csv
 import json
 import math
@@ -18,8 +19,8 @@ import pytest
 import depinsim
 from depinsim.charts import grouped_bar_panels
 from depinsim.cli import _trajectory_charts, main
-from depinsim.engine import CSV_COLUMNS, Simulation, SimulationConfig, encode, run
-from depinsim.llm_gateway import ENDPOINT_ENV, AuditLog, LlmSettings
+from depinsim.engine import CSV_COLUMNS, Simulation, SimulationConfig, build_policy, encode, run
+from depinsim.llm_gateway import ENDPOINT_ENV, AuditLog, LlmSettings, ScriptedBackend
 from depinsim.metrics import stability
 from depinsim.tokenomics import NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, cumulative_release
 
@@ -150,13 +151,46 @@ class TestCompare:
             for seed in (5, 6):
                 cell = SimulationConfig(horizon_months=3, seed=seed, patience=patience, policy="llm",
                                         llm=LlmSettings(script=llm["script"]))
-                run(cell, audit_log=AuditLog(expected))
+                run(cell, policy=build_policy(cell, AuditLog(expected)))
 
         def exchanges(path):
             return [{k: v for k, v in json.loads(line).items() if k != "latency_s"}
                     for line in path.read_text(encoding="utf-8").splitlines()]
 
         assert exchanges(log) == exchanges(expected) != []
+
+    def test_script_file_is_read_once_per_command(self, tmp_path, monkeypatch):
+        # Every cell and seed uses the backend built at load, so the file checked there is the file used.
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"*enter*": "yes", "*exit*": "no"}))
+        config = write_config(tmp_path, horizon_months=2, llm={"backend": "scripted", "script_file": str(script)})
+        opened, built = [], []
+        real_open, real_init = builtins.open, ScriptedBackend.__init__
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(ScriptedBackend, "__init__", counting_init)
+        assert main(["compare", "--config", config, "--patience", "1,3,5", "--seeds", "5",
+                     "--out-dir", str(tmp_path / "out"), "--charts", "off"]) == 0
+        assert len(built) == 1
+        assert opened.count(str(script)) == 1
+
+    def test_summary_counts_the_seeds_each_cell_scored(self, tmp_path, capsys):
+        # Four of the five seeds price the token at infinity in every cell, so each cell scores one seed.
+        config = write_config(tmp_path, horizon_months=3, tokens_on_sale_fraction=1e-300, gc_arrival_rate=0.3,
+                              gc_endowment_mu=100, llm=SCRIPTED)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", config, "--patience", "1,3", "--seeds", "5",
+                     "--out-dir", str(out), "--charts", "off"]) == 0
+        assert [row["seeds"] for row in csv.DictReader(open(out / "compare.csv"))] == ["1", "1", "1"]
+        assert capsys.readouterr().out.endswith("(3 cells, seeds scored per cell: 1, 1, 1)\n")
 
     def test_undefined_indicator_is_drawn_as_n_a(self, tmp_path):
         # No node ever runs, so no seed defines inclusion: compare.csv holds nan, the chart no nan.

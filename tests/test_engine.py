@@ -391,13 +391,27 @@ class TestPolicyBridge:
         assert heuristic.to_csv_string() == bridged.to_csv_string()
         assert sum(e.fallbacks for e in bridged.events) == 0
 
-    def test_audit_log_beside_an_explicit_policy_rejected(self, tmp_path):
-        log = AuditLog(tmp_path / "audit.jsonl")
-        config = SimulationConfig(horizon_months=2)
-        for start in (Simulation, run):
-            with pytest.raises(ValueError, match="audit_log"):
-                start(config, policy=LlmPolicy(ScriptedBackend(heuristic_prompt_reply)), audit_log=log)
-        assert not log.path.exists()
+    def test_one_policy_across_runs_equals_a_fresh_policy_per_run(self, tmp_path):
+        # The CLI gives every LLM run of a command one policy.  The engine reads its
+        # fallback count per month as a difference, and its exit tails hit only on
+        # exact (cost, tolerance) keys, so sharing it changes no run.
+        script = {"*enter*": "yes", "*exit*": "unclear"}  # every exit reply falls back to the heuristic
+        configs = [SimulationConfig(horizon_months=24, seed=seed, patience=patience, **CHURN)
+                   for seed, patience in ((7, 1), (7, 3), (7, 5), (8, 3))]
+        shared = LlmPolicy(ScriptedBackend(script), audit_log=AuditLog(tmp_path / "shared.jsonl"))
+        fresh_log = AuditLog(tmp_path / "fresh.jsonl")
+        for config in configs:
+            once = run(config, policy=shared)
+            fresh = run(config, policy=LlmPolicy(ScriptedBackend(script), audit_log=fresh_log))
+            assert once.to_csv_string() == fresh.to_csv_string()
+            fallbacks = [e.fallbacks for e in once.events]
+            assert fallbacks == [e.fallbacks for e in fresh.events] and sum(fallbacks) > 0
+
+        def exchanges(log):  # latencies are measured, so they are left out
+            return [{k: v for k, v in json.loads(line).items() if k != "latency_s"}
+                    for line in log.path.read_text(encoding="utf-8").splitlines()]
+
+        assert exchanges(shared.audit_log) == exchanges(fresh_log) != []
 
     def test_unparseable_backend_falls_back_and_counts(self):
         backend = ScriptedBackend({"*": "shrug"})
