@@ -8,12 +8,10 @@ log-normal endowments and lifespans and sell their holdings when they leave.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -318,17 +316,16 @@ def spawn_growth_capitalists(month: int, params: GcParams, rng: np.random.Genera
     return [GrowthCapitalist(e, month + n) for e, n in zip(endowments.tolist(), lifespans.tolist())]
 
 
-def ordered_sum(values: Iterable[float]) -> float:
-    """`values` added left to right from 0, as the builtin `sum` adds them before Python 3.12.
-
-    From 3.12 the builtin `sum` compensates float rounding (Neumaier), and `math.fsum` and
-    NumPy's pairwise sum round differently again, so any of them would make the trajectory
-    bytes depend on the interpreter.  The start is the int 0, as in `sum`, so a month with
-    no growth capitalists still writes its `E_total` as `0`.
-    """
-    return functools.reduce(operator.add, values, 0)
-
-
 def total_endowment(gcs: List[GrowthCapitalist]) -> float:
-    """Sum of the endowments of growth capitalists `gcs`, in list order."""
-    return ordered_sum(gc.endowment for gc in gcs)
+    """Sum of the endowments of growth capitalists `gcs`, added left to right from the int 0.
+
+    Not the builtin `sum`, which from Python 3.12 compensates float rounding
+    (Neumaier), nor `math.fsum` or NumPy's pairwise sum, which round differently
+    again: any of them would make the trajectory bytes depend on the interpreter.
+    The start is the int 0, so a month with no growth capitalists writes its
+    `E_total` as `0`.  The engine adds the expiring holdings the same way.
+    """
+    total = 0
+    for gc in gcs:
+        total += gc.endowment
+    return total

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import metrics as metrics_mod
 from .agents import (
@@ -30,7 +31,6 @@ from .agents import (
     LlmPolicy,
     apply_patience,
     decides_in_batches,
-    ordered_sum,
     spawn_growth_capitalists,
     total_endowment,
 )
@@ -58,10 +58,10 @@ from .tokenomics import (
 
 # RNG stream channels, one per randomized sub-step.  A month's stream on a
 # channel is NumPy's `SeedSequence((seed, month, channel))` stream, so adding
-# draws to one sub-step never perturbs another's.  `_Streams` reaches it by
-# setting the state of one reused PCG64 per channel; a property test pins that
-# state to NumPy's own seeding.  Trajectory bytes therefore depend on NumPy's
-# PCG64 and distribution code.
+# draws to one sub-step never perturbs another's.  `_Streams` computes those
+# seeding words itself and hands them to NumPy's own PCG64 seeding; a property
+# test pins the result to `default_rng(SeedSequence(...))`.  Trajectory bytes
+# therefore depend on NumPy's PCG64 and distribution code.
 _STREAM_INIT_NODES = 0
 _STREAM_CANDIDATES = 1
 _STREAM_GROWTH_CAPITAL = 2
@@ -71,16 +71,13 @@ _STREAM_CHANNELS = 3
 # multiple, so a chunk's months all split into the same number of words.
 _CHUNK_MONTHS = 256
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the
-# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 # The most nodes a run may hold: initial_nodes + horizon_months * entry_pool_size,
 # which keeps every month's roster arrays allocatable.
@@ -148,23 +145,31 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
     state = np.concatenate((pool, pool)) ^ hash_b[:-1]
     state *= hash_b[1:]
     state ^= state >> _XSHIFT
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)  # native order
+
+
+class _Words(ISeedSequence):
+    """Seeds PCG64 with `words`, a `SeedSequence`'s `generate_state(4, np.uint64)` computed
+    elsewhere; PCG64 reads the array's memory, so it is contiguous and in native order."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 class _Streams:
-    """The stream of `SeedSequence((seed, month, channel))`, one reused generator per channel.
+    """The stream of `SeedSequence((seed, month, channel))`, a new generator per call.
 
     Calling the source for a month computes the seeding words of its chunk of
     `_CHUNK_MONTHS` months on every channel in one vectorised pass, once; each
-    call then sets the channel's PCG64 to the state `PCG64(SeedSequence(...))`
-    starts from.  The generator returned is valid until the next call on its
-    channel.
+    call then hands its words to NumPy's own PCG64 seeding, as
+    `default_rng(SeedSequence(...))` does after hashing the entropy.
     """
 
     def __init__(self, seed: int):
         self._seed_words = _words(seed)
-        # Seeded with 0 only to exist: every call sets the state before a draw.
-        self._generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(_STREAM_CHANNELS)]
         self._first = None  # the first month of the chunk in `_state_words`
         self._state_words = None
 
@@ -182,15 +187,7 @@ class _Streams:
         if first != self._first:
             self._state_words = self._chunk(first)
             self._first = first
-        # pcg64_srandom_r: the first two words seed the state, the last two the increment.
-        high, low, inc_high, inc_low = self._state_words[month - first, channel].tolist()
-        inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
-        state = ((high << 64 | low) + inc) * _PCG64_MULT + inc & _MASK128
-        generator = self._generators[channel]
-        generator.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
-        }
-        return generator
+        return np.random.Generator(np.random.PCG64(_Words(self._state_words[month - first, channel])))
 
 
 class SimulationError(Exception):
@@ -436,7 +433,7 @@ def build_policy(config: SimulationConfig, audit_log: Optional[AuditLog] = None)
     raise ValueError(f"unknown policy {config.policy!r}")
 
 
-_NO_NODES = np.empty(0, dtype=np.intp)  # the roster indices that signalled, in a month with no roster
+_NO_NODES = np.empty(0, dtype=np.intp)  # the roster indices that signalled, in a month where none did
 
 
 def _verdicts(values, count: int) -> np.ndarray:
@@ -494,6 +491,8 @@ class Simulation:
         self._last = np.full(capacity, -1, dtype=np.int64)  # the month each node last signalled exit
         self._run = np.zeros(capacity, dtype=np.int64)  # its run of consecutive signals up to that month
         self._stay = np.empty(capacity, dtype=bool)  # in an exit month, the nodes that stay
+        self._cost_view, self._tolerance_view = self._cost.view(), self._tolerance.view()
+        self._cost_view.flags.writeable = self._tolerance_view.flags.writeable = False
         self._n = config.initial_nodes
         rng = self._stream(0, _STREAM_INIT_NODES)
         self._cost[:self._n], self._tolerance[:self._n] = self._draw_node_params(rng, self._n)
@@ -519,20 +518,15 @@ class Simulation:
         self.states: List[MarketState] = []
         self.events: List[MonthEvents] = []
 
-    def _live(self, buffer: np.ndarray) -> np.ndarray:
-        view = buffer[:self._n]
-        view.flags.writeable = False
-        return view
-
     @property
     def cost(self) -> np.ndarray:
         """Each active node's monthly cost, in roster order (read-only, valid until the next commit)."""
-        return self._live(self._cost)
+        return self._cost_view[:self._n]
 
     @property
     def tolerance(self) -> np.ndarray:
         """Each active node's risk tolerance, in roster order (read-only, valid until the next commit)."""
-        return self._live(self._tolerance)
+        return self._tolerance_view[:self._n]
 
     @property
     def streak(self) -> np.ndarray:
@@ -558,7 +552,7 @@ class Simulation:
         if not n:
             return enters, _NO_NODES
         signals = _verdicts(self.policy.decide_exits(revenue, self.cost, self.tolerance, month), n)
-        return enters, np.flatnonzero(signals)
+        return enters, np.flatnonzero(signals) if signals.any() else _NO_NODES
 
     def _decide_each(self, revenue, costs, tolerances, month) -> Tuple[np.ndarray, np.ndarray]:
         """A policy without batch methods, called once per candidate, then once per node in
@@ -626,9 +620,14 @@ class Simulation:
             substep = "growth-capital"
             rng_gc = self._stream(month, _STREAM_GROWTH_CAPITAL)
             arrivals = spawn_growth_capitalists(month, self.gc_params, rng_gc)
-            gcs = [gc for gc in self.gcs if gc.expiry > month]
+            gcs, expiring = [], 0  # expiring holdings add left to right from the int 0, then join the pool at once
+            for gc in self.gcs:
+                if gc.expiry > month:
+                    gcs.append(gc)
+                else:
+                    expiring += gc.tokens_held
             expiries = len(self.gcs) - len(gcs)
-            sale = prev.tokens_on_sale + ordered_sum(gc.tokens_held for gc in self.gcs if gc.expiry <= month)
+            sale = prev.tokens_on_sale + expiring
             gcs += arrivals
             endowment = total_endowment(gcs)
 

@@ -73,7 +73,7 @@ def stability(prices: Sequence[float]) -> Optional[float]:
     returns[wide] = np.log(series[1:][wide]) - np.log(series[:-1][wide])
     mean = 0.0
     m2 = 0.0
-    for i, r in enumerate(returns, start=1):
+    for i, r in enumerate(returns.tolist(), start=1):  # Python floats: the same IEEE steps, faster
         delta = r - mean
         mean += delta / i
         m2 += delta * (r - mean)

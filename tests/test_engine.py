@@ -11,11 +11,12 @@ import sys
 import tempfile
 import warnings
 import weakref
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_origin, get_type_hints
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -44,6 +45,7 @@ from depinsim.tokenomics import (
     VestingSchedule,
     circulating_supply,
 )
+from reference_model import reference_run
 
 # A valid config with every section present.
 VALID_CONFIG = SimulationConfig(stability_window=(1, 96), llm=LlmSettings(script={"*": "no"})).to_dict()
@@ -225,19 +227,29 @@ class TestDeterminism:
             assert rng.poisson(3.0) == expected.poisson(3.0)
             assert rng.lognormal(0.5, 1.5) == expected.lognormal(0.5, 1.5)
 
-    def test_months_build_no_generators(self, monkeypatch):
+    def test_months_seed_one_generator_per_stream_without_hashing(self, monkeypatch):
+        # Each month asks for two streams (candidates, growth capital); each is one PCG64
+        # in one Generator, seeded from precomputed words, never through a SeedSequence.
         sim = Simulation(SimulationConfig(horizon_months=600, seed=3))
         built = []
+        hashing = (int, np.random.SeedSequence)  # seeds PCG64 would hash itself
 
         def counted(name):
             real = getattr(np.random, name)
-            return lambda *args, **kwargs: built.append(name) or real(*args, **kwargs)
+
+            def build(*args, **kwargs):
+                built.append(name)
+                if name == "PCG64":
+                    assert isinstance(args[0], ISeedSequence) and not isinstance(args[0], hashing)
+                return real(*args, **kwargs)
+
+            return build
 
         for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
             monkeypatch.setattr(np.random, name, counted(name))
         for month in range(1, 601):
             sim.step(month)
-        assert built == []
+        assert built == ["PCG64", "Generator"] * 2 * 600
 
     def test_multi_word_seed_across_chunk_edges_keeps_its_bytes(self):
         # A 3-word seed over 600 months, which cross two chunk edges; the digest was
@@ -795,6 +807,104 @@ class TestRunInvariants:
             sale = state.tokens_on_sale
             nodes += event.entries - event.exits
             assert state.active_nodes == nodes
+
+
+class EveryThirdMonth:
+    """Has no batch methods, so the engine calls it once per decision.  It signals exit in
+    two months of three, by cost, so runs of signals build up and break off."""
+
+    def decide_entry(self, ctx):
+        return heuristic_entry(ctx)
+
+    def decide_exit(self, ctx):
+        return (ctx.month + int(ctx.node_cost)) % 3 != 0
+
+
+REPLIES = st.sampled_from(["yes", "no", "maybe"])  # "maybe" parses to nothing: the heuristic stands in
+
+POLICIES = st.one_of(  # each a factory: the engine and the reference run each get a fresh policy
+    st.just(HeuristicPolicy),
+    st.just(lambda: LlmPolicy(ScriptedBackend(heuristic_prompt_reply))),
+    st.builds(lambda enter, leave: lambda: LlmPolicy(ScriptedBackend({"*enter*": enter, "*exit*": leave})),
+              REPLIES, REPLIES),
+    st.just(EveryThirdMonth),
+)
+
+
+def engine_months(config, policy):
+    """The engine's CSV and events over the months it commits, and the month that failed, if one did."""
+    sim = Simulation(config, policy=policy)
+    failed = None
+    for month in range(1, config.horizon_months + 1):
+        try:
+            sim.step(month)
+        except SimulationError as err:
+            failed = err.month
+            break
+    csv = Trajectory(states=sim.states, events=sim.events, config=config).to_csv_string()
+    return csv, [asdict(event) for event in sim.events], failed
+
+
+class TestReferenceRun:
+    """The engine against the plain-Python reference run (tests/reference_model.py)."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        regime=st.sampled_from([{}, STRESSED, CHURN]),
+        policy=POLICIES,
+        horizon_months=st.integers(1, 36),
+        initial_nodes=st.integers(0, 60),
+        entry_pool_size=st.integers(0, 15),
+        patience=st.integers(1, 6),
+        gc_arrival_rate=st.floats(0.0, 3.0) | st.floats(0.0, 1000.0),
+        gc_endowment_mu=st.floats(10.0, 15.0) | st.floats(0.0, 100.0),
+        gc_endowment_sigma=st.floats(0.0, 2.5),
+        gc_lifespan_mu=st.floats(0.5, 3.5) | st.floats(0.0, 10.0),
+        gc_lifespan_sigma=st.floats(0.0, 2.5),
+        tokens_on_sale_fraction=st.just(0.0) | st.floats(1e-3, 0.2),
+        team_schedule=SCHEDULES,
+        vc_schedule=SCHEDULES,
+        node_schedule=SCHEDULES,
+        seed=st.integers(0, 2**70) | st.sampled_from([2**32 - 1, 2**32, 2**64]),
+    )
+    # Across the edge of the engine's 256-month seeding chunks, with a 3-word seed.
+    @example(
+        regime=STRESSED, policy=EveryThirdMonth, horizon_months=260, initial_nodes=3, entry_pool_size=1,
+        patience=2, gc_arrival_rate=0.5, gc_endowment_mu=13.0, gc_endowment_sigma=1.0, gc_lifespan_mu=2.5,
+        gc_lifespan_sigma=0.5, tokens_on_sale_fraction=0.05, team_schedule=VestingSchedule.halving(12),
+        vc_schedule=VestingSchedule.cliff_linear(3, 0.5, 6), node_schedule=VestingSchedule.halving(48), seed=2**70,
+    )
+    # A subnormal node unlock leaves a month-1 sale pool of 1.7e-303, so the month-1 record is not finite.
+    @example(
+        regime={}, policy=HeuristicPolicy, horizon_months=3, initial_nodes=0, entry_pool_size=0, patience=1,
+        gc_arrival_rate=1.0, gc_endowment_mu=10.0, gc_endowment_sigma=0.0, gc_lifespan_mu=1.0, gc_lifespan_sigma=0.0,
+        tokens_on_sale_fraction=0.125, team_schedule=VestingSchedule.cliff_linear(0, 0.0, 1),
+        vc_schedule=VestingSchedule.cliff_linear(0, 0.0, 1),
+        node_schedule=VestingSchedule.cliff_linear(0, 2.225073858507e-311, 1), seed=0,
+    )
+    def test_engine_matches_the_reference_run(self, regime, policy, **kwargs):
+        """Equal CSV bytes and equal MonthEvents on every committed month; a month the
+        engine aborts is the month the reference run fails at."""
+        config = replace(SimulationConfig(**regime), **kwargs)
+        expected = reference_run(config, policy())
+        if expected.failed_month is None:
+            trajectory = run(config, policy=policy())
+            assert trajectory.to_csv_string() == expected.csv()
+            assert [asdict(event) for event in trajectory.events] == expected.events
+        else:
+            with pytest.raises(SimulationError) as err:
+                run(config, policy=policy())
+            assert err.value.month == expected.failed_month
+            csv, events, failed = engine_months(config, policy())
+            assert (csv, events, failed) == (expected.csv(), expected.events, expected.failed_month)
+
+    def test_price_overflow_fails_both_at_month_one(self):
+        # global_revenue overflows in month 1: prev price 1e305 times the month's emission.
+        config = SimulationConfig(horizon_months=2, initial_price=1e305)
+        assert reference_run(config, HeuristicPolicy()).failed_month == 1
+        with pytest.raises(SimulationError, match="global_revenue") as err:
+            run(config)
+        assert err.value.month == 1
 
 
 # Arbitrary JSON, NaN and Infinity included.
