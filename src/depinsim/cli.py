@@ -85,18 +85,17 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions, Optional[LlmPolic
 
 
 def _trajectory_charts(columns: dict) -> dict:
-    months = columns["month"]
+    """`depin-sim run`'s charts by file name, one CSV column each; one series draws no legend."""
     return {
-        "price.svg": charts.line_chart(months, {"price": columns["price"]},
-                                       title="Token price", x_label="month", y_label="currency/token"),
-        "market_cap.svg": charts.line_chart(months, {"market cap": columns["market_cap"]},
-                                            title="Market capitalization", x_label="month", y_label="currency"),
-        "diluted_market_cap.svg": charts.line_chart(months, {"diluted cap": columns["diluted_cap"]},
-                                                    title="Fully diluted market cap", x_label="month", y_label="currency"),
-        "nodes.svg": charts.line_chart(months, {"nodes": columns["nodes"]},
-                                       title="Active nodes", x_label="month", y_label="count"),
-        "users.svg": charts.line_chart(months, {"users": columns["users"]},
-                                       title="Users", x_label="month", y_label="count"),
+        name: charts.line_chart(columns["month"], {column: columns[column]},
+                                title=title, x_label="month", y_label=y_label)
+        for name, column, title, y_label in (  # file, CSV column, title, y label
+            ("price.svg", "price", "Token price", "currency/token"),
+            ("market_cap.svg", "market_cap", "Market capitalization", "currency"),
+            ("diluted_market_cap.svg", "diluted_cap", "Fully diluted market cap", "currency"),
+            ("nodes.svg", "nodes", "Active nodes", "count"),
+            ("users.svg", "users", "Users", "count"),
+        )
     }
 
 

@@ -328,6 +328,8 @@ class SimulationConfig:
             raise ValueError(f"initial_nodes + horizon_months * entry_pool_size must be <= {MAX_ROSTER}, got {roster}")
         if self.policy not in ("heuristic", "llm"):
             raise ValueError(f"policy must be 'heuristic' or 'llm', got {self.policy!r}")
+        if self.policy == "llm" and self.llm is None:
+            raise ValueError("policy 'llm' requires an llm config section")
         first, last = self.stability_window or (1, self.horizon_months)
         if not 1 <= first <= last <= self.horizon_months:
             raise ValueError(f"stability_window must satisfy 1 <= first <= last <= horizon_months "
@@ -416,21 +418,16 @@ class Trajectory:
 
 
 def build_policy(config: SimulationConfig, audit_log: Optional[AuditLog] = None):
-    """Construct the configured decision policy; an LLM policy appends its exchanges to `audit_log`."""
+    """Construct the decision policy of a validated `config`; an LLM policy appends its exchanges to `audit_log`."""
     if config.policy == "heuristic":
         return HeuristicPolicy()
-    if config.policy == "llm":
-        if config.llm is None:
-            raise ValueError("policy 'llm' requires an llm config section")
-        backend = build_backend(config.llm)
-        return LlmPolicy(
-            backend,
-            model_name=config.llm.model_name,
-            max_tokens=config.llm.max_tokens,
-            temperature=config.llm.temperature,
-            audit_log=audit_log,
-        )
-    raise ValueError(f"unknown policy {config.policy!r}")
+    return LlmPolicy(
+        build_backend(config.llm),
+        model_name=config.llm.model_name,
+        max_tokens=config.llm.max_tokens,
+        temperature=config.llm.temperature,
+        audit_log=audit_log,
+    )
 
 
 _NO_NODES = np.empty(0, dtype=np.intp)  # the roster indices that signalled, in a month where none did

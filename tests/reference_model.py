@@ -6,8 +6,10 @@ exit signals is `streak = (streak + 1) * signal`, growth capitalists are
 `[endowment, expiry, tokens_held]` lists, every total is added left to right
 from the int 0, and each month's random streams are built afresh from
 `np.random.default_rng(np.random.SeedSequence((seed, month, channel)))`.
-Only the model's formulas (`market`, `tokenomics`) are shared with the
-engine.  It is written for reading, not for speed.
+`ReferenceLlm` is the LLM policy one decision at a time.  Only the model's
+formulas (`market`, `tokenomics`, the heuristic rules, the prompts and the
+yes/no parser) are shared with the engine.  It is written for reading, not
+for speed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from depinsim.agents import DecisionContext
+from depinsim.agents import (
+    DecisionContext, heuristic_entry, heuristic_exit, render_entry_prompt, render_exit_prompt,
+)
+from depinsim.llm_gateway import DEFAULT_MODEL, CompletionBatch, parse_yes_no
 from depinsim.market import diluted_market_cap, global_revenue, market_cap, token_price, user_count
 from depinsim.tokenomics import circulating_supply, node_emission, team_release, vc_release
 
@@ -66,10 +71,39 @@ def total(values) -> float:
     return result
 
 
+class ReferenceLlm:
+    """An LLM policy at its default settings that sends each decision's prompt to `backend`
+    as a batch of one.  A reply with no standalone yes or no leaves the heuristic's verdict,
+    counted in `fallback_count`.  `exchanges` holds each exchange as the audit log writes it,
+    less its latency."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.fallback_count = 0
+        self.exchanges: List[dict] = []
+
+    def decide_entry(self, ctx: DecisionContext) -> bool:
+        return self._ask(render_entry_prompt(ctx), heuristic_entry(ctx))
+
+    def decide_exit(self, ctx: DecisionContext) -> bool:
+        return self._ask(render_exit_prompt(ctx), heuristic_exit(ctx))
+
+    def _ask(self, prompt: str, heuristic: bool) -> bool:
+        replies = self.backend.complete_batch(CompletionBatch([prompt]))
+        (text,) = replies.texts
+        self.exchanges.append({"prompt": prompt, "model": DEFAULT_MODEL, "response": text, "backend": replies.backend})
+        verdict = parse_yes_no(text)
+        if verdict is None:
+            self.fallback_count += 1
+            return bool(heuristic)
+        return verdict
+
+
 def reference_run(config, policy) -> ReferenceRun:
     """Run `config` month by month with `policy`'s `decide_entry` and `decide_exit`.
 
-    A month that raises, or whose record holds a number that is not finite,
+    A month that raises, whose revenue is not finite (checked before any
+    decision is asked) or whose record holds a number that is not finite,
     fails: it is not committed and the run stops there.
     """
     alloc = config.allocation()
@@ -91,6 +125,8 @@ def reference_run(config, policy) -> ReferenceRun:
                 + emission)
             users = user_count(nodes)
             revenue = global_revenue(price, emission, nodes, users, config.user_revenue_factor)
+            if not math.isfinite(revenue):
+                raise ArithmeticError(f"month {month} revenue is not finite")
 
             # Candidates decide to enter, then incumbents to exit, all on this revenue.
             fallbacks_before = getattr(policy, "fallback_count", 0)
@@ -131,7 +167,7 @@ def reference_run(config, policy) -> ReferenceRun:
                 diluted_market_cap(price_now, alloc.total_supply), endowment, sale_now,
                 len(entrants), exits, getattr(policy, "fallback_count", 0) - fallbacks_before,
             )
-            if not all(math.isfinite(value) for value in row) or not math.isfinite(revenue):
+            if not all(math.isfinite(value) for value in row):
                 raise ArithmeticError(f"month {month} is not finite")
         except Exception:
             result.failed_month = month

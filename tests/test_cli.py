@@ -2,6 +2,7 @@
 
 import builtins
 import csv
+import hashlib
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 import depinsim
-from depinsim.charts import grouped_bar_panels
+from depinsim.charts import grouped_bar_panels, line_chart
 from depinsim.cli import _trajectory_charts, main
 from depinsim.engine import CSV_COLUMNS, Simulation, SimulationConfig, build_policy, encode, run
 from depinsim.llm_gateway import ENDPOINT_ENV, AuditLog, LlmSettings, ScriptedBackend
@@ -71,6 +72,26 @@ class TestRun:
         main(["run", "--seed", "1", "--out-dir", str(out_a), "--charts", "off"])
         main(["run", "--seed", "2", "--out-dir", str(out_b), "--charts", "off"])
         assert (out_a / "trajectory.csv").read_text() != (out_b / "trajectory.csv").read_text()
+
+    def test_run_charts_keep_their_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--seed", "1", "--out-dir", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("price.svg", "market_cap.svg", "diluted_market_cap.svg", "nodes.svg", "users.svg")}
+        assert digests == {
+            "price.svg": "ac092613ce97694ef329fc16ffcfc3f282ce8f191d410ab569bdc4750b76d568",
+            "market_cap.svg": "8919cec117827b43f6de3d2b5ef747852ab10bd8b80a5c7617d911f9385540dd",
+            "diluted_market_cap.svg": "bc454a60954d21df30f48b91623a30c95ab2b807d39820304f101cd15204ab06",
+            "nodes.svg": "6193010316d06dd21be5972aa43f62a48610593b937fa0d388940cf86786be3a",
+            "users.svg": "b3741f3ac8e02f922761634f72a1325382afb7dbe0bb2c0e07821358ec16787b",
+        }
+
+    def test_one_series_chart_draws_no_legend(self):
+        # So `run`'s charts may name their one series after its CSV column.
+        months, values = [1, 2, 3], [1.0, 4.0, 2.0]
+        assert line_chart(months, {"price": values}) == line_chart(months, {"token price": values})
+        both = line_chart(months, {"price": values, "token price": values[::-1]})
+        assert ">price</text>" in both and ">token price</text>" in both
 
     def test_repeat_run_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

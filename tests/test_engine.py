@@ -45,7 +45,7 @@ from depinsim.tokenomics import (
     VestingSchedule,
     circulating_supply,
 )
-from reference_model import reference_run
+from reference_model import ReferenceLlm, reference_run
 
 # A valid config with every section present.
 VALID_CONFIG = SimulationConfig(stability_window=(1, 96), llm=LlmSettings(script={"*": "no"})).to_dict()
@@ -144,8 +144,18 @@ class TestConfig:
             SimulationConfig.from_dict({"team_schedule": {"cliff_month": 3}})
 
     def test_llm_policy_requires_llm_section(self):
-        with pytest.raises(ValueError, match="llm"):
+        with pytest.raises(ValueError, match="policy 'llm' requires an llm config section"):
+            SimulationConfig.from_dict({"policy": "llm"})
+
+    def test_llm_policy_without_llm_section_fails_before_the_run(self):
+        # A config built in code skips from_dict; the Simulation validates it before
+        # build_policy reads its llm section.
+        with pytest.raises(ValueError, match="policy 'llm' requires an llm config section"):
             run(SimulationConfig(horizon_months=1, policy="llm"))
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="policy must be 'heuristic' or 'llm', got 'random'"):
+            SimulationConfig.from_dict({"policy": "random"})
 
     @pytest.mark.parametrize("cls", [SimulationConfig, LlmSettings, VestingSchedule, TokenAllocation, GcParams])
     def test_every_numeric_field_declares_its_range(self, cls):
@@ -394,14 +404,15 @@ class TestOneMonthOracle:
 
 
 class TestPolicyBridge:
-    def test_scripted_llm_equals_heuristic(self):
-        config_h = SimulationConfig(horizon_months=48, seed=21)
-        config_l = SimulationConfig(horizon_months=48, seed=21, policy="llm",
-                                    llm=LlmSettings(backend="scripted", script={}))
-        heuristic = run(config_h)
-        bridged = run(config_l, policy=LlmPolicy(ScriptedBackend(heuristic_prompt_reply)))
-        assert heuristic.to_csv_string() == bridged.to_csv_string()
-        assert sum(e.fallbacks for e in bridged.events) == 0
+    def test_build_policy_hands_on_the_llm_section(self, tmp_path):
+        section = LlmSettings(backend="scripted", script={"*": "no"}, model_name="m-1",
+                            max_tokens=7, temperature=0.25)
+        log = AuditLog(tmp_path / "audit.jsonl")
+        policy = engine.build_policy(SimulationConfig(policy="llm", llm=section), log)
+        assert isinstance(policy, LlmPolicy) and isinstance(policy.backend, ScriptedBackend)
+        assert (policy.model_name, policy.max_tokens, policy.temperature) == ("m-1", 7, 0.25)
+        assert policy.audit_log is log
+        assert isinstance(engine.build_policy(SimulationConfig(llm=section)), HeuristicPolicy)
 
     def test_one_policy_across_runs_equals_a_fresh_policy_per_run(self, tmp_path):
         # The CLI gives every LLM run of a command one policy.  The engine reads its
@@ -418,11 +429,6 @@ class TestPolicyBridge:
             assert once.to_csv_string() == fresh.to_csv_string()
             fallbacks = [e.fallbacks for e in once.events]
             assert fallbacks == [e.fallbacks for e in fresh.events] and sum(fallbacks) > 0
-
-        def exchanges(log):  # latencies are measured, so they are left out
-            return [{k: v for k, v in json.loads(line).items() if k != "latency_s"}
-                    for line in log.path.read_text(encoding="utf-8").splitlines()]
-
         assert exchanges(shared.audit_log) == exchanges(fresh_log) != []
 
     def test_unparseable_backend_falls_back_and_counts(self):
@@ -456,79 +462,16 @@ class Forwarding:
         return heuristic_exit(ctx)
 
 
-class ScalarOnly:
-    """Forwards only the scalar methods of `inner`, so the engine calls it once per decision."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def decide_entry(self, ctx):
-        return self.inner.decide_entry(ctx)
-
-    def decide_exit(self, ctx):
-        return self.inner.decide_exit(ctx)
-
-    @property
-    def fallback_count(self):
-        return self.inner.fallback_count
-
-
-def mixed_reply(prompt):
-    """Yes, no, or one of two unparseable replies, fixed by the prompt's text."""
-    return ("yes", "No.", "unclear", "")[sum(map(ord, prompt)) % 4]
-
-
-def llm_run(config, reply, scalar_only):
-    """The run's CSV and its audit log's lines without latency."""
-    with tempfile.TemporaryDirectory() as tmp:
-        log = AuditLog(Path(tmp) / "audit.jsonl")
-        policy = LlmPolicy(ScriptedBackend(reply), audit_log=log)
-        text = run(config, policy=ScalarOnly(policy) if scalar_only else policy).to_csv_string()
-        lines = log.path.read_text(encoding="utf-8").splitlines() if log.path.exists() else []
-    exchanges = [json.loads(line) for line in lines]
-    for exchange in exchanges:
-        del exchange["latency_s"]
-    return text, exchanges
-
-
-ROUTE_CONFIGS = dict(
-    patience=st.integers(1, 5),
-    regime=st.sampled_from([{}, STRESSED, CHURN]),
-    entry_pool_size=st.integers(0, 20),
-    initial_nodes=st.integers(0, 50),
-    horizon_months=st.integers(1, 24),
-    seed=st.integers(0, 2**31 - 1),
-)
-
-
 class TestDecisionRoutes:
     """A policy whose class provides batch methods decides the pool and the
-    roster as arrays; every other policy is called once per decision.  Both
-    routes must give the same bytes."""
-
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(**ROUTE_CONFIGS)
-    def test_array_route_equals_per_decision_route(self, regime, **kwargs):
-        config = SimulationConfig(**kwargs, **regime)
-        assert run(config).to_csv_string() == run(config, policy=Forwarding()).to_csv_string()
-
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(reply=st.sampled_from([heuristic_prompt_reply, mixed_reply]), **ROUTE_CONFIGS)
-    def test_llm_batch_route_equals_per_decision_route(self, reply, regime, **kwargs):
-        # Same CSV bytes, fallbacks column included, and the same exchanges in the same order.
-        config = SimulationConfig(**kwargs, **regime)
-        assert llm_run(config, reply, scalar_only=False) == llm_run(config, reply, scalar_only=True)
-
-    def test_mixed_reply_forces_fallbacks(self):
-        # The differential test above covers fallbacks only if the mixed script causes some.
-        config = SimulationConfig(horizon_months=24, patience=2, **CHURN)
-        events = run(config, policy=LlmPolicy(ScriptedBackend(mixed_reply))).events
-        assert sum(e.fallbacks for e in events) > 0
-        assert sum(e.exits for e in events) > 0
+    roster as arrays; every other policy is called once per decision.
+    `TestReferenceRun` checks both routes against one per-decision reference
+    run; these tests and `TestPatienceRule` check what it cannot see: which
+    route a policy takes, the order of its calls and the run slots."""
 
     def test_churn_regime_has_exits(self):
-        # The differential test above means something only if a regime
-        # reaches the patience and compaction code.
+        # The reference run means something only if a regime reaches the
+        # patience and compaction code.
         events = run(SimulationConfig(horizon_months=24, patience=2, **CHURN)).events
         assert sum(e.exits for e in events) > 0
         assert sum(e.entries for e in events) > 0
@@ -749,66 +692,6 @@ SCHEDULES = st.one_of(
 )
 
 
-class TestRunInvariants:
-    """Supply conservation, sale-pool accounting and node-count bookkeeping
-    over random valid configs near the default, stressed and churn regimes,
-    on every month a run commits."""
-
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        regime=st.sampled_from([{}, STRESSED, CHURN]),
-        horizon_months=st.integers(1, 36),
-        initial_nodes=st.integers(0, 60),
-        entry_pool_size=st.integers(0, 15),
-        patience=st.integers(1, 5),
-        gc_arrival_rate=st.floats(0.0, 3.0),
-        gc_endowment_mu=st.floats(10.0, 15.0),
-        gc_endowment_sigma=st.floats(0.0, 1.5),
-        gc_lifespan_mu=st.floats(0.5, 3.5),
-        gc_lifespan_sigma=st.floats(0.0, 1.0),
-        tokens_on_sale_fraction=st.just(0.0) | st.floats(1e-3, 0.2),  # a subnormal pool prices a trade at inf
-        team_schedule=SCHEDULES,
-        vc_schedule=SCHEDULES,
-        node_schedule=SCHEDULES,
-        seed=st.integers(0, 2**31 - 1),
-    )
-    # A subnormal node unlock leaves a month-1 sale pool of 1.7e-303, and so an infinite diluted cap.
-    @example(
-        regime={}, horizon_months=1, initial_nodes=0, entry_pool_size=0, patience=1, gc_arrival_rate=1.0,
-        gc_endowment_mu=10.0, gc_endowment_sigma=0.0, gc_lifespan_mu=1.0, gc_lifespan_sigma=0.0,
-        tokens_on_sale_fraction=0.125, team_schedule=VestingSchedule.cliff_linear(0, 0.0, 1),
-        vc_schedule=VestingSchedule.cliff_linear(0, 0.0, 1),
-        node_schedule=VestingSchedule.cliff_linear(0, 2.225073858507e-311, 1), seed=0,
-    )
-    def test_supply_sale_pool_and_node_count(self, regime, **kwargs):
-        """A drawn config runs to the end, or stops on a month that is not finite: at sub-step
-        'revenue' when its revenue overflows, otherwise at 'record' (a tiny sale pool prices a
-        trade beyond the float range); either way the failed month is not committed and the
-        invariants hold on every committed month."""
-        config = replace(SimulationConfig(**regime), **kwargs)
-        schedules = (config.team_schedule, config.vc_schedule, config.node_schedule)
-        alloc = config.allocation()
-        nodes = config.initial_nodes
-        sale = config.tokens_on_sale_fraction * circulating_supply(1, alloc, *schedules)
-        sim = Simulation(config)
-        for month in range(1, config.horizon_months + 1):
-            try:
-                sim.step(month)
-            except SimulationError as err:
-                name = re.search(r"(\w+) is not finite", str(err))
-                assert name and name.group(1) in get_type_hints(MarketState), err
-                assert err.substep == ("revenue" if name.group(1) == "global_revenue" else "record"), err
-                assert len(sim.states) == month - 1
-                break
-        for state, event in zip(sim.states, sim.events):
-            assert state.circulating_supply == pytest.approx(
-                circulating_supply(state.month, alloc, *schedules), rel=1e-12)
-            assert state.tokens_on_sale >= sale
-            sale = state.tokens_on_sale
-            nodes += event.entries - event.exits
-            assert state.active_nodes == nodes
-
-
 class EveryThirdMonth:
     """Has no batch methods, so the engine calls it once per decision.  It signals exit in
     two months of three, by cost, so runs of signals build up and break off."""
@@ -820,33 +703,28 @@ class EveryThirdMonth:
         return (ctx.month + int(ctx.node_cost)) % 3 != 0
 
 
-REPLIES = st.sampled_from(["yes", "no", "maybe"])  # "maybe" parses to nothing: the heuristic stands in
-
-POLICIES = st.one_of(  # each a factory: the engine and the reference run each get a fresh policy
-    st.just(HeuristicPolicy),
-    st.just(lambda: LlmPolicy(ScriptedBackend(heuristic_prompt_reply))),
-    st.builds(lambda enter, leave: lambda: LlmPolicy(ScriptedBackend({"*enter*": enter, "*exit*": leave})),
-              REPLIES, REPLIES),
-    st.just(EveryThirdMonth),
-)
+def mixed_reply(prompt):
+    """Yes, no, or one of two unparseable replies, fixed by the prompt's text."""
+    return ("yes", "No.", "unclear", "")[sum(map(ord, prompt)) % 4]
 
 
-def engine_months(config, policy):
-    """The engine's CSV and events over the months it commits, and the month that failed, if one did."""
-    sim = Simulation(config, policy=policy)
-    failed = None
-    for month in range(1, config.horizon_months + 1):
-        try:
-            sim.step(month)
-        except SimulationError as err:
-            failed = err.month
-            break
-    csv = Trajectory(states=sim.states, events=sim.events, config=config).to_csv_string()
-    return csv, [asdict(event) for event in sim.events], failed
+# The LLM policy's scripts: "maybe", "unclear" and "" parse to nothing, so the heuristic stands in.
+REPLIES = ("yes", "no", "maybe")
+SCRIPTS = [heuristic_prompt_reply, mixed_reply] + [
+    {"*enter*": enter, "*exit*": leave} for enter in REPLIES for leave in REPLIES]
+POLICIES = st.sampled_from([HeuristicPolicy, EveryThirdMonth]) | st.sampled_from(SCRIPTS)  # a class or a script
+
+
+def exchanges(log):
+    """An audit log's exchanges, less their measured latencies."""
+    lines = log.path.read_text(encoding="utf-8").splitlines() if log.path.exists() else []
+    return [{k: v for k, v in json.loads(line).items() if k != "latency_s"} for line in lines]
 
 
 class TestReferenceRun:
-    """The engine against the plain-Python reference run (tests/reference_model.py)."""
+    """The engine against the plain-Python reference run (tests/reference_model.py), which asks
+    every decision on its own.  The batch route (`HeuristicPolicy`, `LlmPolicy`) and the
+    per-decision route (`EveryThirdMonth`) are each checked against it."""
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -854,14 +732,14 @@ class TestReferenceRun:
         policy=POLICIES,
         horizon_months=st.integers(1, 36),
         initial_nodes=st.integers(0, 60),
-        entry_pool_size=st.integers(0, 15),
+        entry_pool_size=st.integers(0, 20),
         patience=st.integers(1, 6),
         gc_arrival_rate=st.floats(0.0, 3.0) | st.floats(0.0, 1000.0),
         gc_endowment_mu=st.floats(10.0, 15.0) | st.floats(0.0, 100.0),
         gc_endowment_sigma=st.floats(0.0, 2.5),
         gc_lifespan_mu=st.floats(0.5, 3.5) | st.floats(0.0, 10.0),
         gc_lifespan_sigma=st.floats(0.0, 2.5),
-        tokens_on_sale_fraction=st.just(0.0) | st.floats(1e-3, 0.2),
+        tokens_on_sale_fraction=st.just(0.0) | st.floats(1e-3, 0.2),  # a subnormal pool prices a trade at inf
         team_schedule=SCHEDULES,
         vc_schedule=SCHEDULES,
         node_schedule=SCHEDULES,
@@ -883,20 +761,55 @@ class TestReferenceRun:
         node_schedule=VestingSchedule.cliff_linear(0, 2.225073858507e-311, 1), seed=0,
     )
     def test_engine_matches_the_reference_run(self, regime, policy, **kwargs):
-        """Equal CSV bytes and equal MonthEvents on every committed month; a month the
-        engine aborts is the month the reference run fails at."""
+        """Every committed month conserves supply, keeps the sale pool from shrinking and
+        counts its nodes; an aborted month names a MarketState field that is not finite, at
+        sub-step 'revenue' for the revenue and 'record' otherwise.  Against the reference run:
+        equal CSV bytes, MonthEvents and, for an LLM policy, audit-log exchanges on every
+        committed month, and the same aborted month."""
         config = replace(SimulationConfig(**regime), **kwargs)
-        expected = reference_run(config, policy())
-        if expected.failed_month is None:
-            trajectory = run(config, policy=policy())
-            assert trajectory.to_csv_string() == expected.csv()
-            assert [asdict(event) for event in trajectory.events] == expected.events
-        else:
-            with pytest.raises(SimulationError) as err:
-                run(config, policy=policy())
-            assert err.value.month == expected.failed_month
-            csv, events, failed = engine_months(config, policy())
-            assert (csv, events, failed) == (expected.csv(), expected.events, expected.failed_month)
+        llm = not isinstance(policy, type)
+        with tempfile.TemporaryDirectory() as tmp:
+            audit_log = AuditLog(Path(tmp) / "audit.jsonl")
+            sim = Simulation(config, policy=LlmPolicy(ScriptedBackend(policy), audit_log=audit_log) if llm else policy())
+            failure = None
+            for month in range(1, config.horizon_months + 1):
+                try:
+                    sim.step(month)
+                except SimulationError as err:
+                    failure = err
+                    break
+            logged = exchanges(audit_log)
+
+        schedules = (config.team_schedule, config.vc_schedule, config.node_schedule)
+        alloc = config.allocation()
+        sale = config.tokens_on_sale_fraction * circulating_supply(1, alloc, *schedules)
+        nodes = config.initial_nodes
+        for state, event in zip(sim.states, sim.events):
+            assert state.circulating_supply == pytest.approx(
+                circulating_supply(state.month, alloc, *schedules), rel=1e-12)
+            assert state.tokens_on_sale >= sale
+            sale = state.tokens_on_sale
+            nodes += event.entries - event.exits
+            assert state.active_nodes == nodes
+        if failure is not None:
+            name = re.search(r"(\w+) is not finite", str(failure))
+            assert name and name.group(1) in get_type_hints(MarketState), failure
+            assert failure.substep == ("revenue" if name.group(1) == "global_revenue" else "record"), failure
+
+        reference = ReferenceLlm(ScriptedBackend(policy)) if llm else policy()
+        expected = reference_run(config, reference)
+        csv = Trajectory(states=sim.states, events=sim.events, config=config).to_csv_string()
+        assert csv.split("\n") == expected.csv().split("\n")  # by line: a failure names the first month that differs
+        assert [asdict(event) for event in sim.events] == expected.events
+        assert logged == (reference.exchanges if llm else [])
+        assert (failure.month if failure else None) == expected.failed_month
+
+    def test_llm_draws_force_fallbacks_and_exits(self):
+        # The LLM draws above check fallbacks, and the patience and compaction code, only if a
+        # drawn script reaches them: on the churn regime one run must have both.
+        config = SimulationConfig(horizon_months=24, patience=2, **CHURN)
+        runs = [run(config, policy=LlmPolicy(ScriptedBackend(script))).events for script in SCRIPTS]
+        assert any(sum(e.fallbacks for e in events) and sum(e.exits for e in events) for events in runs)
 
     def test_price_overflow_fails_both_at_month_one(self):
         # global_revenue overflows in month 1: prev price 1e305 times the month's emission.
