@@ -15,43 +15,18 @@ model.
 
 import numpy as np
 
-from depinsim import LlmPolicy, ScriptedBackend, SimulationConfig, heuristic_prompt_reply, run
+from depinsim import LlmPolicy, ScriptedBackend, SimulationConfig, compare, heuristic_prompt_reply
 
-SEEDS = range(5)
-PATIENCE_LEVELS = (1, 3, 5)
-
-
-def stressed_config(seed, patience):
-    return SimulationConfig(
-        seed=seed,
-        patience=patience,
-        user_revenue_factor=0.0,  # token-side revenue only
-        node_cost=5000.0,
-        gc_arrival_rate=0.5,
-    )
-
-
-def cell(policy_name, patience):
-    exits, node_months, inclusions = [], [], []
-    for seed in SEEDS:
-        config = stressed_config(seed, patience)
-        if policy_name == "llm":
-            trajectory = run(config, policy=LlmPolicy(ScriptedBackend(heuristic_prompt_reply)))
-        else:
-            trajectory = run(config)
-        exits.append(sum(e.exits for e in trajectory.events))
-        node_months.append(sum(s.active_nodes for s in trajectory.states))
-        inclusions.append(trajectory.metrics.inclusion)
-    return exits, node_months, inclusions
-
+STRESSED = SimulationConfig(patience=1, user_revenue_factor=0.0, node_cost=5000.0, gc_arrival_rate=0.5)
 
 print(f"{'cell':<12} {'exits':>14} {'node-months':>18} {'inclusion':>18}")
-rows = [("heuristic", 1)] + [("llm", p) for p in PATIENCE_LEVELS]
-for policy_name, patience in rows:
-    label = policy_name if policy_name == "heuristic" else f"llm p={patience}"
-    exits, node_months, inclusions = cell(policy_name, patience)
+for cell in compare(STRESSED, [1, 3, 5], range(5), LlmPolicy(ScriptedBackend(heuristic_prompt_reply))):
+    trajectories = [trajectory for _, trajectory in cell.runs]  # this config fails no seed
+    exits = [sum(e.exits for e in t.events) for t in trajectories]
+    node_months = [sum(s.active_nodes for s in t.states) for t in trajectories]
+    inclusions = [t.metrics.inclusion for t in trajectories]
     print(
-        f"{label:<12} {np.mean(exits):>8.0f} ±{np.std(exits, ddof=1):>4.0f}"
+        f"{cell.label:<12} {np.mean(exits):>8.0f} ±{np.std(exits, ddof=1):>4.0f}"
         f" {np.mean(node_months):>12,.0f} ±{np.std(node_months, ddof=1):>5,.0f}"
         f" {np.mean(inclusions):>12.4f} ±{np.std(inclusions, ddof=1):.4f}"
     )

@@ -23,12 +23,14 @@ from .agents import (
     total_endowment,
 )
 from .engine import (
+    Cell,
     MonthEvents,
     Simulation,
     SimulationConfig,
     SimulationError,
     Trajectory,
     build_policy,
+    compare,
     run,
 )
 from .llm_gateway import (

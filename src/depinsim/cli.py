@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
@@ -20,7 +19,9 @@ import numpy as np
 from . import charts, metrics
 from .bounds import config_field
 from .agents import LlmPolicy
-from .engine import CSV_COLUMNS, SimulationConfig, SimulationError, build_policy, csv_text, decode, encode, run
+from .engine import (
+    CSV_COLUMNS, SimulationConfig, SimulationError, build_policy, compare, csv_text, decode, encode, run,
+)
 from .llm_gateway import AuditLog, GatewayError
 from .tokenomics import (
     NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, circulating_supply, cumulative_release, release,
@@ -41,9 +42,11 @@ class FileOptions:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: a new file in the target directory, then rename.  The file's mode is 0666
+    less the umask, as `open(path, "w")` would give a new file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -84,18 +87,21 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions, Optional[LlmPolic
     return config, opts, llm_policy
 
 
+_TRAJECTORY_CHARTS = (  # `depin-sim run`'s charts: file, CSV column, title, y label
+    ("price.svg", "price", "Token price", "currency/token"),
+    ("market_cap.svg", "market_cap", "Market capitalization", "currency"),
+    ("diluted_market_cap.svg", "diluted_cap", "Fully diluted market cap", "currency"),
+    ("nodes.svg", "nodes", "Active nodes", "count"),
+    ("users.svg", "users", "Users", "count"),
+)
+
+
 def _trajectory_charts(columns: dict) -> dict:
     """`depin-sim run`'s charts by file name, one CSV column each; one series draws no legend."""
     return {
         name: charts.line_chart(columns["month"], {column: columns[column]},
                                 title=title, x_label="month", y_label=y_label)
-        for name, column, title, y_label in (  # file, CSV column, title, y label
-            ("price.svg", "price", "Token price", "currency/token"),
-            ("market_cap.svg", "market_cap", "Market capitalization", "currency"),
-            ("diluted_market_cap.svg", "diluted_cap", "Fully diluted market cap", "currency"),
-            ("nodes.svg", "nodes", "Active nodes", "count"),
-            ("users.svg", "users", "Users", "count"),
-        )
+        for name, column, title, y_label in _TRAJECTORY_CHARTS
     }
 
 
@@ -111,6 +117,9 @@ def cmd_run(args) -> int:
         columns = dict(zip(CSV_COLUMNS, zip(*trajectory.rows())))
         for name, svg in _trajectory_charts(columns).items():
             _write_text(out_dir / name, svg)
+    else:  # no chart of an earlier run is left beside this run's CSV; no other file is touched
+        for name, *_ in _TRAJECTORY_CHARTS:
+            (out_dir / name).unlink(missing_ok=True)
     m = trajectory.metrics
     print(f"wrote {csv_path} ({len(trajectory.states)} months)")
     print(
@@ -120,13 +129,8 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cell_label(policy: str, patience: int) -> str:
-    return "heuristic" if policy == "heuristic" else f"llm p={patience}"
-
-
 def cmd_compare(args) -> int:
     config, opts, llm_policy = _load_config(args)
-    patience_values = args.patience_list
     if llm_policy is None:
         raise ValueError("compare needs an llm config section (scripted or http backend)")
     seeds = [config.seed + i for i in range(args.seeds)]
@@ -138,27 +142,20 @@ def cmd_compare(args) -> int:
         arr = np.asarray(clean)
         return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
-    cells = [("heuristic", config.patience)] + [("llm", p) for p in patience_values]
-    rows = []
-    failures = []
-    for policy, patience in cells:
-        cell_metrics = []
-        for seed in seeds:
-            cell_config = replace(config, policy=policy, patience=patience, seed=seed)
-            try:
-                # One policy, and so one audit log, for every LLM cell and seed, in order.
-                cell_metrics.append(run(cell_config, policy=llm_policy if policy == "llm" else None).metrics)
-            except (SimulationError, GatewayError) as err:
-                failures.append((policy, patience, seed, str(err)))
+    rows, labels = [], []
+    for cell in compare(config, args.patience_list, seeds, llm_policy):
+        for seed, outcome in cell.runs:
+            if isinstance(outcome, SimulationError):
+                print(f"cell ({cell.policy}, patience={cell.patience}, seed={seed}) failed: {outcome}", file=sys.stderr)
+        cell_metrics = [outcome.metrics for _, outcome in cell.runs if not isinstance(outcome, SimulationError)]
         if not cell_metrics:
             continue
-        row = {"policy": policy, "patience": patience, "seeds": len(cell_metrics)}
+        row = {"policy": cell.policy, "patience": cell.patience, "seeds": len(cell_metrics)}
         for name in metrics.INDICATORS:
             row[f"{name}_mean"], row[f"{name}_std"] = agg([getattr(m, name) for m in cell_metrics])
         rows.append(row)
+        labels.append(cell.label)
 
-    for policy, patience, seed, message in failures:
-        print(f"cell ({policy}, patience={patience}, seed={seed}) failed: {message}", file=sys.stderr)
     if not rows:
         print("all comparison cells failed", file=sys.stderr)
         return EXIT_RUNTIME
@@ -167,13 +164,14 @@ def cmd_compare(args) -> int:
     _write_text(out_dir / "compare.csv", csv_text(rows[0].keys(), (row.values() for row in rows)))
 
     if opts.charts:
-        labels = [_cell_label(r["policy"], r["patience"]) for r in rows]
         panels = [
             {"title": name.capitalize(), "groups": labels,
              "values": [r[f"{name}_mean"] for r in rows], "errors": [r[f"{name}_std"] for r in rows]}
             for name in metrics.INDICATORS
         ]
         _write_text(out_dir / "compare.svg", charts.grouped_bar_panels(panels))
+    else:
+        (out_dir / "compare.svg").unlink(missing_ok=True)
 
     scored = ", ".join(str(row["seeds"]) for row in rows)  # failed seeds are not scored
     print(f"wrote {out_dir / 'compare.csv'} ({len(rows)} cells, seeds scored per cell: {scored})")
@@ -203,6 +201,8 @@ def cmd_vesting(args) -> int:
             y_label="tokens",
         )
         _write_text(out_dir / "vesting.svg", svg)
+    else:
+        (out_dir / "vesting.svg").unlink(missing_ok=True)
     print(f"wrote {out_dir / 'vesting.csv'} ({args.horizon} months)")
     return EXIT_OK
 

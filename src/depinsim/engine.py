@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
@@ -700,3 +700,33 @@ def run(config: SimulationConfig, policy=None) -> Trajectory:
     trajectory = Trajectory(states=sim.states, events=sim.events, config=config)
     trajectory.metrics = metrics_mod.report(trajectory)
     return trajectory
+
+
+@dataclass
+class Cell:
+    """A comparison cell: `policy` ("heuristic" or "llm") at `patience`, with one `(seed, Trajectory or
+    SimulationError)` pair per seed.  `policy`, not a trajectory's `config.policy`, names the policy that ran."""
+
+    policy: str
+    patience: int
+    runs: List[Tuple[int, Union[Trajectory, SimulationError]]] = field(default_factory=list)
+
+    @property
+    def label(self) -> str:
+        return "heuristic" if self.policy == "heuristic" else f"llm p={self.patience}"
+
+
+def compare(config: SimulationConfig, patience_levels, seeds, llm_policy) -> List[Cell]:
+    """The heuristic benchmark at `config.patience`, then `llm_policy` at each of `patience_levels`, in order,
+    each run on every seed; a seed that fails is kept as its error.  The one `llm_policy`, and so its audit
+    log, serves every LLM cell and seed, in order."""
+    cells = [Cell("heuristic", config.patience), *(Cell("llm", patience) for patience in patience_levels)]
+    for cell in cells:
+        policy = HeuristicPolicy() if cell.policy == "heuristic" else llm_policy
+        for seed in seeds:
+            try:
+                outcome = run(replace(config, patience=cell.patience, seed=seed), policy=policy)
+            except SimulationError as err:
+                outcome = err
+            cell.runs.append((seed, outcome))
+    return cells

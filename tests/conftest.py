@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import pytest
 
 from depinsim import SimulationConfig
+
+
+def assert_same_csv(actual: str, expected: str, context: str = "") -> None:
+    """Fail unless two trajectory CSVs are equal, naming the first month where they differ.
+
+    The texts are compared line by line, and the message shows only the first line pair that
+    differs: `==` on the whole texts would have pytest diff every line after it.
+    """
+    __tracebackhide__ = True  # a failure points at the caller's line
+    if actual == expected:
+        return
+    pairs = enumerate(zip_longest(actual.split("\n"), expected.split("\n")))
+    line, (got, want) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
+    where = "the header" if line == 0 else f"month {(got or want).split(',', 1)[0]}"
+    pytest.fail(f"{context}trajectories first differ at {where}:\n  got:      {got}\n  expected: {want}")
+
 
 # Fifty-string corpus for the yes/no parser: (text, expected verdict).
 # Expected is True for yes, False for no, None for parse failure.  The

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import YES_NO_CORPUS
+from conftest import YES_NO_CORPUS, assert_same_csv
 from depinsim.agents import (
     LlmPolicy,
     apply_patience,
@@ -113,7 +113,7 @@ def test_criterion_5_policy_equivalence_bridge():
     for seed in range(10):
         heuristic = run(SimulationConfig(seed=seed))
         bridged = run(SimulationConfig(seed=seed), policy=LlmPolicy(backend))
-        assert heuristic.to_csv_string() == bridged.to_csv_string(), seed
+        assert_same_csv(bridged.to_csv_string(), heuristic.to_csv_string(), f"seed {seed}: ")
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"bridge took {elapsed:.2f}s"
     verdict(5, "policy-equivalence bridge")
@@ -149,7 +149,7 @@ def test_criterion_6_patience_monotonicity():
 
 def test_criterion_7_determinism_and_totality():
     config = SimulationConfig(seed=42)
-    assert run(config).to_csv_string() == run(config).to_csv_string()
+    assert_same_csv(run(config).to_csv_string(), run(config).to_csv_string())
 
     seeds = np.random.default_rng(7).integers(0, 2**31 - 1, size=100)
     for seed in seeds:

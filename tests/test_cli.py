@@ -335,6 +335,9 @@ class TestConfigReference:
 # Exit codes: every console case that must end in a given exit code, in one table.
 
 SCRIPTED = {"backend": "scripted", "script": {"*": "no"}}
+RUN_CHARTS = ("price.svg", "market_cap.svg", "diluted_market_cap.svg", "nodes.svg", "users.svg")
+# Every command's charts, as an earlier run left them, beside a file no command writes.
+STALE = {**{name: "stale" for name in (*RUN_CHARTS, "compare.svg", "vesting.svg")}, "notes.txt": "kept"}
 OVERFLOW = {"horizon_months": 2, "initial_price": 1e305, "llm": SCRIPTED}  # revenue beyond the float range
 
 REJECTED_VALUES = [  # (key, value): `run` exits 2 naming the key
@@ -390,7 +393,8 @@ class Case:
 
     `files` are written to the working directory and `config`, when set, to config.json,
     which is passed as `--config`.  Each of `err` must appear in stderr and none of
-    `not_err`; `wrote` maps an output file to text it must contain.
+    `not_err`; `wrote` maps an output file to text it must contain.  Of `files`, the
+    command deletes those in `gone` and leaves every other one as it was.
     """
 
     id: str
@@ -401,6 +405,7 @@ class Case:
     files: Dict[str, str] = field(default_factory=dict)
     not_err: Tuple[str, ...] = ()
     wrote: Dict[str, str] = field(default_factory=dict)
+    gone: Tuple[str, ...] = ()
 
 
 CASES = [
@@ -439,6 +444,13 @@ CASES = [
     # run: the roster cap itself fits, 50 + 2 * 499,975 = 1,000,000 nodes in month 2.
     Case("run at the roster cap", "run --charts off --out-dir at-cap", 0,
          config={"horizon_months": 2, "entry_pool_size": 499975}, wrote={"at-cap/trajectory.csv": "\n2,1000000,"}),
+    # --charts off: a rerun deletes the command's own charts from an earlier run, and no other file.
+    Case("run --charts off deletes its charts", "run --charts off --out-dir .", 0,
+         config={"horizon_months": 2}, files=STALE, gone=RUN_CHARTS),
+    Case("compare --charts off deletes its chart", "compare --patience 1 --seeds 1 --charts off --out-dir .", 0,
+         config={"horizon_months": 2, "llm": SCRIPTED}, files=STALE, gone=("compare.svg",)),
+    Case("vesting --charts off deletes its chart", "vesting --horizon 2 --charts off --out-dir .", 0,
+         files=STALE, gone=("vesting.svg",)),
     # run: a month that cannot be computed exits 3, naming the month and sub-step.
     Case("run infinite price", "run --out-dir out", 3, ("month 1", "'record'", "token_price is not finite"),
          config={"horizon_months": 2, "tokens_on_sale_fraction": 2.2250738585e-313}),
@@ -485,7 +497,7 @@ def run_case(case: Case, root: Path, invoke) -> str:
     """Run `case` in directory `root` through `invoke(argv) -> (code, stdout, stderr)`; return stderr.
 
     Beyond the row's own checks, a command that fails prints nothing to stdout and leaves
-    `root` as it found it: no path created, every input file unchanged.
+    `root` as it found it: no path created, no file changed.
     """
     for name, text in case.files.items():
         (root / name).write_text(text)
@@ -500,10 +512,11 @@ def run_case(case: Case, root: Path, invoke) -> str:
     assert not any(text in err for text in case.not_err), err
     for name, text in case.wrote.items():
         assert text in (root / name).read_text()
+    assert [name for name in case.gone if (root / name).exists()] == []
+    assert all((root / name).read_text() == text for name, text in case.files.items() if name not in case.gone)
     if case.code != 0:
         assert out == ""
         assert sorted(root.rglob("*")) == before
-        assert all((root / name).read_text() == text for name, text in case.files.items())
     return err
 
 
@@ -543,17 +556,33 @@ def test_revenue_overflow_fails_alike_under_either_policy(tmp_path, monkeypatch,
     assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize(
-    "case_id", ["run at the roster cap", "run gc_arrival_rate=10000000.0", "run revenue overflow under heuristic"])
-def test_exit_code_of_the_process(case_id, tmp_path):
-    # One row per exit code through `python -m depinsim.cli`; a process costs about 0.3 s, so not every row.
+def in_a_process(root: Path, umask: int = -1):
+    """An `invoke` that runs `python -m depinsim.cli` in `root` under `umask` (-1 keeps this process's);
+    a process costs about 0.3 s."""
     package_root = str(Path(depinsim.__file__).parents[1])
     env = {key: value for key, value in os.environ.items() if key != ENDPOINT_ENV}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
 
     def invoke(argv):
-        proc = subprocess.run([sys.executable, "-m", "depinsim.cli", *argv], cwd=tmp_path, env=env,
+        proc = subprocess.run([sys.executable, "-m", "depinsim.cli", *argv], cwd=root, env=env, umask=umask,
                               capture_output=True, text=True, timeout=120)
         return proc.returncode, proc.stdout, proc.stderr
+    return invoke
 
-    run_case(CASE[case_id], tmp_path, invoke)
+
+@pytest.mark.parametrize(
+    "case_id", ["run at the roster cap", "run gc_arrival_rate=10000000.0", "run revenue overflow under heuristic"])
+def test_exit_code_of_the_process(case_id, tmp_path):
+    # One row per exit code through the process, not every row.
+    run_case(CASE[case_id], tmp_path, in_a_process(tmp_path))
+
+
+def test_artifacts_follow_the_umask(tmp_path):
+    # Each artifact is created as `open(path, "w")` creates a file, 0666 less the umask, and a rewrite
+    # under another umask takes the new mode.
+    artifacts = {"trajectory.csv", "metrics.json", *RUN_CHARTS}
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        code, _, err = in_a_process(tmp_path, umask)(["run", "--seed", "1", "--out-dir", "out"])
+        assert code == 0, err
+        modes = {path.name: oct(path.stat().st_mode & 0o777) for path in (tmp_path / "out").iterdir()}
+        assert modes == dict.fromkeys(artifacts, oct(mode))

@@ -34,7 +34,7 @@ from depinsim.agents import (
 from depinsim import engine
 from depinsim.bounds import check_ranges, declared_ranges
 from depinsim.engine import (
-    MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, _Streams, encode, run,
+    MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, _Streams, compare, encode, run,
 )
 from depinsim.llm_gateway import AuditLog, LlmSettings, ScriptedBackend
 from depinsim.market import MarketState
@@ -45,6 +45,7 @@ from depinsim.tokenomics import (
     VestingSchedule,
     circulating_supply,
 )
+from conftest import assert_same_csv
 from reference_model import ReferenceLlm, reference_run
 
 # A valid config with every section present.
@@ -208,12 +209,12 @@ class TestDeterminism:
         config = SimulationConfig(seed=0)
         expected = run(config).to_csv_string()
         monkeypatch.setattr(builtins, "sum", compensated_sum)
-        assert run(config).to_csv_string() == expected
+        assert_same_csv(run(config).to_csv_string(), expected)
 
     def test_same_seed_same_bytes(self, small_config):
         first = run(small_config)
         second = run(small_config)
-        assert first.to_csv_string() == second.to_csv_string()
+        assert_same_csv(second.to_csv_string(), first.to_csv_string())
         assert first.to_json() == second.to_json()
 
     @settings(max_examples=300, deadline=None)
@@ -426,7 +427,7 @@ class TestPolicyBridge:
         for config in configs:
             once = run(config, policy=shared)
             fresh = run(config, policy=LlmPolicy(ScriptedBackend(script), audit_log=fresh_log))
-            assert once.to_csv_string() == fresh.to_csv_string()
+            assert_same_csv(once.to_csv_string(), fresh.to_csv_string())
             fallbacks = [e.fallbacks for e in once.events]
             assert fallbacks == [e.fallbacks for e in fresh.events] and sum(fallbacks) > 0
         assert exchanges(shared.audit_log) == exchanges(fresh_log) != []
@@ -504,7 +505,7 @@ class TestDecisionRoutes:
                 return heuristic_exit(DecisionContext(revenue, costs, tolerances, month))
 
         config = SimulationConfig(horizon_months=24, patience=2, **CHURN)
-        assert run(config, policy=Batches()).to_csv_string() == run(config).to_csv_string()
+        assert_same_csv(run(config, policy=Batches()).to_csv_string(), run(config).to_csv_string())
 
     def test_batch_verdicts_must_cover_every_node(self, null_dynamics_config):
         class Short(HeuristicPolicy):
@@ -799,7 +800,7 @@ class TestReferenceRun:
         reference = ReferenceLlm(ScriptedBackend(policy)) if llm else policy()
         expected = reference_run(config, reference)
         csv = Trajectory(states=sim.states, events=sim.events, config=config).to_csv_string()
-        assert csv.split("\n") == expected.csv().split("\n")  # by line: a failure names the first month that differs
+        assert_same_csv(csv, expected.csv())
         assert [asdict(event) for event in sim.events] == expected.events
         assert logged == (reference.exchanges if llm else [])
         assert (failure.month if failure else None) == expected.failed_month
@@ -818,6 +819,63 @@ class TestReferenceRun:
         with pytest.raises(SimulationError, match="global_revenue") as err:
             run(config)
         assert err.value.month == 1
+
+
+class TestCompare:
+    """`compare()`: the heuristic benchmark at the config's patience, then one LLM cell per requested level."""
+
+    @staticmethod
+    def assert_price_metrics_agree(cells):
+        # Price forms from growth capital alone, so on one seed every cell has the same efficiency and
+        # stability (or fails alike), whatever its policy and patience.
+        for runs in zip(*(cell.runs for cell in cells)):
+            outcomes = [(outcome.metrics.efficiency, outcome.metrics.stability)
+                        if isinstance(outcome, Trajectory) else str(outcome) for _, outcome in runs]
+            assert outcomes == outcomes[:1] * len(cells), runs[0][0]
+
+    def test_price_metrics_agree_across_the_demo_cells(self):
+        config = SimulationConfig(patience=1, **STRESSED)
+        cells = compare(config, [1, 3, 5], range(2), LlmPolicy(ScriptedBackend(heuristic_prompt_reply)))
+        assert [cell.label for cell in cells] == ["heuristic", "llm p=1", "llm p=3", "llm p=5"]
+        self.assert_price_metrics_agree(cells)
+        assert len({cell.runs[0][1].metrics.inclusion for cell in cells}) > 1  # the cells differ in participation
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        regime=st.sampled_from([{}, STRESSED, CHURN]),
+        script=st.sampled_from(SCRIPTS),
+        levels=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32),
+        horizon_months=st.integers(1, 24),
+        patience=st.integers(1, 6),
+    )
+    def test_price_metrics_agree_across_cells(self, regime, script, levels, seed, **kwargs):
+        config = replace(SimulationConfig(**regime), **kwargs)
+        self.assert_price_metrics_agree(compare(config, levels, [seed, seed + 1], LlmPolicy(ScriptedBackend(script))))
+
+    def test_a_repeated_level_is_a_cell_of_its_own(self):
+        # The config has no llm section and keeps its policy: compare() passes the policy that runs.
+        config = SimulationConfig(horizon_months=12, patience=3, **CHURN)
+        cells = compare(config, [1, 1], [0], LlmPolicy(ScriptedBackend(heuristic_prompt_reply)))
+        assert [(cell.policy, cell.patience, cell.label) for cell in cells] == [
+            ("heuristic", 3, "heuristic"), ("llm", 1, "llm p=1"), ("llm", 1, "llm p=1")]
+        assert [trajectory.config for cell in cells for _, trajectory in cell.runs] == [
+            replace(config, patience=patience, seed=0) for patience in (3, 1, 1)]
+        assert_same_csv(cells[2].runs[0][1].to_csv_string(), cells[1].runs[0][1].to_csv_string())
+
+    def test_a_failed_seed_is_kept_and_the_next_seed_runs(self):
+        # Seeds 43 and 44 price the token at infinity in month 2 under every policy; seed 42 runs.
+        config = SimulationConfig(horizon_months=3, tokens_on_sale_fraction=1e-300, gc_arrival_rate=0.3,
+                                  gc_endowment_mu=100)
+        for cell in compare(config, [1, 3], [43, 44, 42], LlmPolicy(ScriptedBackend({"*": "no"}))):
+            assert [seed for seed, _ in cell.runs] == [43, 44, 42]
+            assert [type(outcome) for _, outcome in cell.runs] == [SimulationError, SimulationError, Trajectory]
+            assert cell.runs[0][1].month == 2
+
+    def test_only_a_failed_month_is_caught(self):
+        # A config the engine rejects is the caller's error, not a failed seed.
+        with pytest.raises(ValueError, match="requires an llm config section"):
+            compare(SimulationConfig(policy="llm"), [1], [0], LlmPolicy(ScriptedBackend({"*": "no"})))
 
 
 # Arbitrary JSON, NaN and Infinity included.
@@ -937,7 +995,7 @@ class TestFromDictFuzz:
             assert (llm.month, llm.substep, str(llm)) == (heuristic.month, heuristic.substep, str(heuristic))
             return
         assert not isinstance(llm, SimulationError), llm
-        assert llm.to_csv_string() == heuristic.to_csv_string()
+        assert_same_csv(llm.to_csv_string(), heuristic.to_csv_string())
         json.dumps(heuristic.metrics.to_dict(), allow_nan=False)
 
 
@@ -1027,4 +1085,4 @@ class TestStepErrors:
         if patience == 1:
             assert sim.events[1].exits > 0
         retried = Trajectory(states=sim.states, events=sim.events, config=config)
-        assert retried.to_csv_string() == run(config, policy=make_policy()).to_csv_string()
+        assert_same_csv(retried.to_csv_string(), run(config, policy=make_policy()).to_csv_string())
