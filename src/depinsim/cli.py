@@ -17,10 +17,10 @@ from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
 import numpy as np
 
 from . import charts, metrics
-from .bounds import config_field
+from .bounds import check_ranges, config_field
 from .agents import LlmPolicy
 from .engine import (
-    CSV_COLUMNS, SimulationConfig, SimulationError, build_policy, compare, csv_text, decode, encode, run,
+    CSV_COLUMNS, MAX_HORIZON, SimulationConfig, SimulationError, build_policy, compare, csv_text, decode, encode, run,
 )
 from .llm_gateway import AuditLog, GatewayError
 from .tokenomics import (
@@ -57,6 +57,13 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
+def _check_dir(option: str, value: str, directory: Path) -> None:
+    """Raise a ValueError naming `option`, set to `value`, unless `directory` is a directory or can be made one."""
+    nearest = next(path for path in (directory, *directory.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"{option} {value}: {nearest} is not a directory")
+
+
 def _load_config(args) -> Tuple[SimulationConfig, FileOptions, Optional[LlmPolicy]]:
     """Build the simulation config from file plus CLI overrides, and the one
     LLM policy every LLM run of the command uses (None without an `llm` section)."""
@@ -71,10 +78,7 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions, Optional[LlmPolic
     data.update((key, value) for key, value in flags.items() if value is not None)
     opts = decode(FileOptions(), {f.name: data.pop(f.name) for f in fields(FileOptions) if f.name in data})
     config = SimulationConfig.from_dict(data)
-    out_dir = Path(opts.out_dir)
-    nearest = next(path for path in (out_dir, *out_dir.parents) if path.exists())
-    if not nearest.is_dir():
-        raise ValueError(f"out_dir {opts.out_dir}: {nearest} is not a directory")
+    _check_dir("out_dir", opts.out_dir, Path(opts.out_dir))
     if opts.audit_log:
         audit_log = Path(opts.audit_log)
         if not audit_log.parent.is_dir():
@@ -112,7 +116,6 @@ def cmd_run(args) -> int:
     out_dir = Path(opts.out_dir)
     csv_path = out_dir / "trajectory.csv"
     _write_text(csv_path, trajectory.to_csv_string())
-    _write_text(out_dir / "metrics.json", json.dumps(trajectory.metrics.to_dict(), indent=2) + "\n")
     if opts.charts:  # charts are views of the table the CSV holds
         columns = dict(zip(CSV_COLUMNS, zip(*trajectory.rows())))
         for name, svg in _trajectory_charts(columns).items():
@@ -120,6 +123,8 @@ def cmd_run(args) -> int:
     else:  # no chart of an earlier run is left beside this run's CSV; no other file is touched
         for name, *_ in _TRAJECTORY_CHARTS:
             (out_dir / name).unlink(missing_ok=True)
+    # Last: a metrics.json older than trajectory.csv marks a run that stopped while writing.
+    _write_text(out_dir / "metrics.json", json.dumps(trajectory.metrics.to_dict(), indent=2) + "\n")
     m = trajectory.metrics
     print(f"wrote {csv_path} ({len(trajectory.states)} months)")
     print(
@@ -179,6 +184,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_vesting(args) -> int:
+    _check_dir("--out-dir", args.out_dir, Path(args.out_dir))
     alloc = TokenAllocation(**{f.name: getattr(args, f.name) for f in fields(TokenAllocation)})
     header = ("month", "team_release", "vc_release", "node_release",
               "team_cumulative", "vc_cumulative", "node_cumulative", "circulating_supply")
@@ -208,6 +214,11 @@ def cmd_vesting(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.out:
+        out = Path(args.out)
+        if out.is_dir():
+            raise ValueError(f"--out {args.out} is a directory")
+        _check_dir("--out", args.out, out.parent)
     prices = metrics.read_price_series(args.prices)
     report = metrics.score_series(prices, circulating=args.circulating, price=args.price)
     text = json.dumps(report.to_dict(), indent=2)
@@ -244,10 +255,20 @@ def cmd_config_reference(_args) -> int:
 
 
 def _count(text: str) -> int:
-    """A command-line integer that must be at least 1: a seed count, a patience level or a horizon."""
+    """A command-line integer that must be at least 1: a seed count or a patience level."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
+def _horizon(text: str) -> int:
+    """A command-line month count, checked against the declared range of `horizon_months`."""
+    value = int(text)
+    try:
+        check_ranges(SimulationConfig(horizon_months=value))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -289,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_vest = sub.add_parser("vesting", help="emit the per-month release schedule table")
-    p_vest.add_argument("--horizon", type=_count, default=96, help="months to tabulate (default: 96)")
+    p_vest.add_argument("--horizon", type=_horizon, default=96,
+                        help=f"months to tabulate, 1 to {MAX_HORIZON} (default: 96)")
     for f in fields(TokenAllocation):  # --total-supply, --team-fraction, --vc-fraction, --node-fraction
         p_vest.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
     p_vest.add_argument("--out-dir", default="out")

@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -67,10 +67,6 @@ _STREAM_CANDIDATES = 1
 _STREAM_GROWTH_CAPITAL = 2
 _STREAM_CHANNELS = 3
 
-# Months whose seeding words `_Streams` computes in one pass; 2**32 is a
-# multiple, so a chunk's months all split into the same number of words.
-_CHUNK_MONTHS = 256
-
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -82,6 +78,9 @@ _MASK32 = 0xFFFFFFFF
 # The most nodes a run may hold: initial_nodes + horizon_months * entry_pool_size,
 # which keeps every month's roster arrays allocatable.
 MAX_ROSTER = 1_000_000
+# The longest run: a run keeps its month records and seeds every month's streams
+# at construction, so a horizon beyond this could pass load and never finish.
+MAX_HORIZON = 100_000
 
 # The MarketState fields a month must record as finite numbers.
 _STATE_FLOATS = tuple(name for name, hint in get_type_hints(MarketState).items() if hint is float)
@@ -105,16 +104,19 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(constants, dtype=np.uint32)[:, None]
 
 
-def _seed_state(entropy: np.ndarray) -> np.ndarray:
+def _seed_state(entropy: Sequence[np.ndarray]) -> np.ndarray:
     """`SeedSequence(column).generate_state(4, np.uint64)` for each column of `entropy`.
 
-    `entropy` is a `(words, columns)` `uint32` array; the result is `(columns, 4)`.
-    This is SeedSequence's mix of the entropy into a 4-word pool and its
-    expansion of the pool, run over all columns at once.  SeedSequence steps
-    its hash constant once per hashed word; the copies of one word hashed for
-    several pool words are hashed in one operation, a row and a constant each.
+    `entropy` is a sequence of `uint32` rows, one per entropy word, each of
+    length 1 (a word every column shares) or `columns`; the result is
+    `(columns, 4)`.  This is SeedSequence's mix of the entropy into a 4-word
+    pool and its expansion of the pool, run over all columns at once; a shared
+    word is hashed once and broadcast, so memory does not grow with the number
+    of shared words.  SeedSequence steps its hash constant once per hashed word;
+    the copies of one word hashed for several pool words are hashed in one
+    operation, a row and a constant each.
     """
-    words, columns = entropy.shape
+    words, columns = len(entropy), max(map(len, entropy))
     hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(words, _POOL_SIZE))
     used = 0
 
@@ -127,14 +129,12 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
         return out
 
     def mix(x, y):
-        out = x * _MIX_MULT_L
-        out -= y * _MIX_MULT_R
+        out = x * _MIX_MULT_L - y * _MIX_MULT_R  # x or y may be a shared, one-column row
         out ^= out >> _XSHIFT
         return out
 
-    pool = np.zeros((_POOL_SIZE, columns), dtype=np.uint32)  # short entropy is padded with zeros
-    pool[:words] = entropy[:_POOL_SIZE]
-    pool = hashmix(pool, _POOL_SIZE)
+    padding = [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - words)  # short entropy is padded with zeros
+    pool = hashmix(np.stack(np.broadcast_arrays(*entropy[:_POOL_SIZE], *padding)), _POOL_SIZE)
     for src in range(_POOL_SIZE):
         dst = [i for i in range(_POOL_SIZE) if i != src]
         pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
@@ -145,6 +145,7 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
     state = np.concatenate((pool, pool)) ^ hash_b[:-1]
     state *= hash_b[1:]
     state ^= state >> _XSHIFT
+    state = np.broadcast_to(state, (2 * _POOL_SIZE, columns))
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)  # native order
 
 
@@ -162,32 +163,20 @@ class _Words(ISeedSequence):
 class _Streams:
     """The stream of `SeedSequence((seed, month, channel))`, a new generator per call.
 
-    Calling the source for a month computes the seeding words of its chunk of
-    `_CHUNK_MONTHS` months on every channel in one vectorised pass, once; each
-    call then hands its words to NumPy's own PCG64 seeding, as
-    `default_rng(SeedSequence(...))` does after hashing the entropy.
+    The seeding words of months `0 .. months` on every channel are computed in
+    one vectorised pass, at construction; each call hands its words to NumPy's
+    own PCG64 seeding, as `default_rng(SeedSequence(...))` does after hashing
+    the entropy.  A month is at most MAX_HORIZON, so it is one entropy word.
     """
 
-    def __init__(self, seed: int):
-        self._seed_words = _words(seed)
-        self._first = None  # the first month of the chunk in `_state_words`
-        self._state_words = None
-
-    def _chunk(self, first: int) -> np.ndarray:
-        """Seeding words of months `first ..` of a chunk, as `(months, channels, 4)`."""
-        head = self._seed_words + _words(first)  # every month of the chunk shares the higher words
-        entropy = np.empty((len(head) + 1, _CHUNK_MONTHS, _STREAM_CHANNELS), dtype=np.uint32)
-        entropy[:-1] = np.array(head, dtype=np.uint32)[:, None, None]
-        entropy[len(self._seed_words)] += np.arange(_CHUNK_MONTHS, dtype=np.uint32)[:, None]
-        entropy[-1] = np.arange(_STREAM_CHANNELS, dtype=np.uint32)
-        return _seed_state(entropy.reshape(len(entropy), -1)).reshape(_CHUNK_MONTHS, _STREAM_CHANNELS, 4)
+    def __init__(self, seed: int, months: int):
+        seed_words = np.array(_words(seed), dtype=np.uint32)[:, None]  # one shared row per word
+        month = np.repeat(np.arange(months + 1, dtype=np.uint32), _STREAM_CHANNELS)
+        channel = np.tile(np.arange(_STREAM_CHANNELS, dtype=np.uint32), months + 1)
+        self._state_words = _seed_state([*seed_words, month, channel]).reshape(months + 1, _STREAM_CHANNELS, 4)
 
     def __call__(self, month: int, channel: int) -> np.random.Generator:
-        first = month - month % _CHUNK_MONTHS
-        if first != self._first:
-            self._state_words = self._chunk(first)
-            self._first = first
-        return np.random.Generator(np.random.PCG64(_Words(self._state_words[month - first, channel])))
+        return np.random.Generator(np.random.PCG64(_Words(self._state_words[month, channel])))
 
 
 class SimulationError(Exception):
@@ -287,7 +276,7 @@ class SimulationConfig:
     Each field's `doc` metadata is its line in `depin-sim config-reference`.
     """
 
-    horizon_months: int = config_field(96, "number of simulated months", "[1, inf)")
+    horizon_months: int = config_field(96, "number of simulated months", f"[1, {MAX_HORIZON}]")
     initial_nodes: int = config_field(50, "nodes deployed by the core team before month 1", "[0, inf)")
     initial_price: float = config_field(1.0, "token price carried until the first traded month", "(0, inf)")
     user_revenue_factor: float = config_field(10.0, "currency of monthly revenue per user (k)", "[0, inf)")
@@ -478,7 +467,7 @@ class Simulation:
         self._decide = Simulation._decide_roster if decides_in_batches(type(self.policy)) else Simulation._decide_each
         self.alloc = config.allocation()
         self.gc_params = config.gc_params()
-        self._stream = _Streams(config.seed)
+        self._stream = _Streams(config.seed, config.horizon_months)
 
         # np.empty and np.zeros leave the slots no month reaches unbacked by memory;
         # np.full writes all of `_last`, 8 bytes a slot.

@@ -18,6 +18,7 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 import depinsim
+from depinsim import cli
 from depinsim.charts import grouped_bar_panels, line_chart
 from depinsim.cli import _trajectory_charts, main
 from depinsim.engine import CSV_COLUMNS, Simulation, SimulationConfig, build_policy, encode, run
@@ -92,6 +93,18 @@ class TestRun:
         assert line_chart(months, {"price": values}) == line_chart(months, {"token price": values})
         both = line_chart(months, {"price": values, "token price": values[::-1]})
         assert ">price</text>" in both and ">token price</text>" in both
+
+    def test_metrics_json_is_written_last(self, tmp_path, monkeypatch):
+        written = []
+        write_text = cli._write_text
+
+        def recorded(path, text):
+            written.append(path.name)
+            write_text(path, text)
+
+        monkeypatch.setattr(cli, "_write_text", recorded)
+        assert main(["run", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+        assert written == ["trajectory.csv", *RUN_CHARTS, "metrics.json"]
 
     def test_repeat_run_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -342,6 +355,7 @@ OVERFLOW = {"horizon_months": 2, "initial_price": 1e305, "llm": SCRIPTED}  # rev
 
 REJECTED_VALUES = [  # (key, value): `run` exits 2 naming the key
     ("horizon_months", "3"),
+    ("horizon_months", 100001),
     ("cost_spread", 1.0),
     ("llm", "scripted"),
     ("team_schedule", [1, 2]),
@@ -391,10 +405,11 @@ def _config_setting(key, value):
 class Case:
     """One console invocation and how it must end.
 
-    `files` are written to the working directory and `config`, when set, to config.json,
-    which is passed as `--config`.  Each of `err` must appear in stderr and none of
-    `not_err`; `wrote` maps an output file to text it must contain.  Of `files`, the
-    command deletes those in `gone` and leaves every other one as it was.
+    `files` are written to the working directory, each after its parent directory,
+    and `config`, when set, to config.json, which is passed as `--config`.  Each of
+    `err` must appear in stderr and none of `not_err`; `wrote` maps an output file
+    to text it must contain.  Of `files`, the command deletes those in `gone` and
+    leaves every other one as it was.
     """
 
     id: str
@@ -435,12 +450,21 @@ CASES = [
     Case("run one node over the roster cap", "run --out-dir over-cap", 2,
          ("initial_nodes + horizon_months * entry_pool_size must be <= 1000000",),
          config={"horizon_months": 2, "entry_pool_size": 499976}),
+    Case("run one month over the horizon cap", "run --out-dir over-cap", 2,
+         ("horizon_months must lie in [1, 100000], got 100001",),
+         config={"horizon_months": 100001, "entry_pool_size": 0}),
     *(Case(f"run --audit-log {path} under {policy}", f"run --policy {policy} --out-dir out --audit-log {path}", 2,
            ("audit_log",), config={"horizon_months": 2, "llm": SCRIPTED})
       for policy in ("heuristic", "llm") for path in ("missing/audit.jsonl", ".")),
     *(Case(f"{command} --out-dir {path}", f"{command} --out-dir {path} {extra}", 2, ("out_dir",),
            config={"horizon_months": 2, "llm": SCRIPTED}, files={"afile": "kept"})
       for command, extra in (("run", ""), ("compare", "--patience 1 --seeds 1")) for path in ("afile", "afile/sub")),
+    *(Case(f"vesting --out-dir {path}", f"vesting --out-dir {path}", 2,
+           (f"--out-dir {path}: afile is not a directory",), files={"afile": "kept"})
+      for path in ("afile", "afile/sub")),
+    *(Case(f"score --out {path}", f"score prices.csv --circulating 1 --price 1 --out {path}", 2,
+           (f"--out {path}", error), files={"prices.csv": "1.0\n2.0\n", "afile": "kept", "adir/kept": "kept"})
+      for path, error in (("adir", "is a directory"), ("afile/report.json", "afile is not a directory"))),
     # run: the roster cap itself fits, 50 + 2 * 499,975 = 1,000,000 nodes in month 2.
     Case("run at the roster cap", "run --charts off --out-dir at-cap", 0,
          config={"horizon_months": 2, "entry_pool_size": 499975}, wrote={"at-cap/trajectory.csv": "\n2,1000000,"}),
@@ -478,7 +502,7 @@ CASES = [
       for seeds in ("0", "-2")),
     # vesting and score check their flags and inputs.
     *(Case(f"vesting --horizon {horizon}", f"vesting --horizon {horizon} --out-dir o", 2, ("--horizon",))
-      for horizon in ("0", "-3")),
+      for horizon in ("0", "-3", "100001")),
     *(Case(f"vesting {flag} {value}", f"vesting {flag} {value} --out-dir o", 2, (flag[2:].replace("-", "_"),))
       for flag, value in (("--team-fraction", "nan"), ("--total-supply", "nan"), ("--total-supply", "inf"))),
     Case("score empty file", "score prices.csv --circulating 1 --price 1", 2, ("no prices",),
@@ -500,6 +524,7 @@ def run_case(case: Case, root: Path, invoke) -> str:
     `root` as it found it: no path created, no file changed.
     """
     for name, text in case.files.items():
+        (root / name).parent.mkdir(exist_ok=True)
         (root / name).write_text(text)
     argv = shlex.split(case.argv)
     if case.config is not None:
