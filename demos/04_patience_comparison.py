@@ -20,11 +20,12 @@ from depinsim import LlmPolicy, ScriptedBackend, SimulationConfig, compare, heur
 STRESSED = SimulationConfig(patience=1, user_revenue_factor=0.0, node_cost=5000.0, gc_arrival_rate=0.5)
 
 print(f"{'cell':<12} {'exits':>14} {'node-months':>18} {'inclusion':>18}")
-for cell in compare(STRESSED, [1, 3, 5], range(5), LlmPolicy(ScriptedBackend(heuristic_prompt_reply))):
-    trajectories = [trajectory for _, trajectory in cell.runs]  # this config fails no seed
-    exits = [sum(e.exits for e in t.events) for t in trajectories]
-    node_months = [sum(s.active_nodes for s in t.states) for t in trajectories]
-    inclusions = [t.metrics.inclusion for t in trajectories]
+kept = {}  # per cell, each seed's exits, node-months and inclusion: all the demo keeps of a run
+for cell, _, t in compare(STRESSED, [1, 3, 5], range(5), LlmPolicy(ScriptedBackend(heuristic_prompt_reply))):
+    kept.setdefault(cell, []).append(  # this config fails no seed
+        (sum(e.exits for e in t.events), sum(s.active_nodes for s in t.states), t.metrics.inclusion))
+for cell, numbers in kept.items():
+    exits, node_months, inclusions = zip(*numbers)
     print(
         f"{cell.label:<12} {np.mean(exits):>8.0f} ±{np.std(exits, ddof=1):>4.0f}"
         f" {np.mean(node_months):>12,.0f} ±{np.std(node_months, ddof=1):>5,.0f}"

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
 import numpy as np
 
 from . import charts, metrics
-from .bounds import check_ranges, config_field
+from .bounds import config_field
 from .agents import LlmPolicy
 from .engine import (
     CSV_COLUMNS, MAX_HORIZON, SimulationConfig, SimulationError, build_policy, compare, csv_text, decode, encode, run,
@@ -32,7 +32,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileOptions:
     """Keys a run-config file may carry on top of SimulationConfig."""
 
@@ -79,15 +79,10 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions, Optional[LlmPolic
     opts = decode(FileOptions(), {f.name: data.pop(f.name) for f in fields(FileOptions) if f.name in data})
     config = SimulationConfig.from_dict(data)
     _check_dir("out_dir", opts.out_dir, Path(opts.out_dir))
-    if opts.audit_log:
-        audit_log = Path(opts.audit_log)
-        if not audit_log.parent.is_dir():
-            raise ValueError(f"audit_log {opts.audit_log}: directory {audit_log.parent} does not exist")
-        if audit_log.is_dir():
-            raise ValueError(f"audit_log {opts.audit_log} is a directory")
+    audit_log = AuditLog(opts.audit_log) if opts.audit_log else None  # checks its path under either policy
     llm_policy = None
     if config.llm is not None:  # a missing script_file or endpoint fails here, under either policy, before any month
-        llm_policy = build_policy(replace(config, policy="llm"), AuditLog(opts.audit_log) if opts.audit_log else None)
+        llm_policy = build_policy(replace(config, policy="llm"), audit_log)
     return config, opts, llm_policy
 
 
@@ -138,7 +133,7 @@ def cmd_compare(args) -> int:
     config, opts, llm_policy = _load_config(args)
     if llm_policy is None:
         raise ValueError("compare needs an llm config section (scripted or http backend)")
-    seeds = [config.seed + i for i in range(args.seeds)]
+    seeds = range(config.seed, config.seed + args.seeds)
 
     def agg(values: List[Optional[float]]) -> Tuple[float, float]:
         clean = [v for v in values if v is not None]
@@ -147,19 +142,18 @@ def cmd_compare(args) -> int:
         arr = np.asarray(clean)
         return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
-    rows, labels = [], []
-    for cell in compare(config, args.patience_list, seeds, llm_policy):
-        for seed, outcome in cell.runs:
-            if isinstance(outcome, SimulationError):
-                print(f"cell ({cell.policy}, patience={cell.patience}, seed={seed}) failed: {outcome}", file=sys.stderr)
-        cell_metrics = [outcome.metrics for _, outcome in cell.runs if not isinstance(outcome, SimulationError)]
-        if not cell_metrics:
-            continue
+    reports = {}  # per cell, the metrics of each seed it scored: all the command keeps of a run
+    for cell, seed, outcome in compare(config, args.patience_list, seeds, llm_policy):
+        if isinstance(outcome, SimulationError):
+            print(f"cell ({cell.policy}, patience={cell.patience}, seed={seed}) failed: {outcome}", file=sys.stderr)
+        else:
+            reports.setdefault(cell, []).append(outcome.metrics)
+    rows = []
+    for cell, cell_metrics in reports.items():
         row = {"policy": cell.policy, "patience": cell.patience, "seeds": len(cell_metrics)}
         for name in metrics.INDICATORS:
             row[f"{name}_mean"], row[f"{name}_std"] = agg([getattr(m, name) for m in cell_metrics])
         rows.append(row)
-        labels.append(cell.label)
 
     if not rows:
         print("all comparison cells failed", file=sys.stderr)
@@ -170,7 +164,7 @@ def cmd_compare(args) -> int:
 
     if opts.charts:
         panels = [
-            {"title": name.capitalize(), "groups": labels,
+            {"title": name.capitalize(), "groups": [cell.label for cell in reports],
              "values": [r[f"{name}_mean"] for r in rows], "errors": [r[f"{name}_std"] for r in rows]}
             for name in metrics.INDICATORS
         ]
@@ -266,7 +260,7 @@ def _horizon(text: str) -> int:
     """A command-line month count, checked against the declared range of `horizon_months`."""
     value = int(text)
     try:
-        check_ranges(SimulationConfig(horizon_months=value))
+        SimulationConfig(horizon_months=value, entry_pool_size=0)  # no roster: only the horizon's range applies
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value

@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
@@ -269,7 +269,7 @@ def encode(obj):
     return list(obj) if isinstance(obj, tuple) else obj
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
     """Everything a run needs; a fixed seed makes the run fully reproducible.
 
@@ -305,8 +305,8 @@ class SimulationConfig:
     node_schedule: VestingSchedule = config_field(NODE_SCHEDULE, "node emission rule")
     llm: Optional[LlmSettings] = None  # documented key by key as llm.* (see LlmSettings)
 
-    def validate(self) -> None:
-        """Check every declared range, then the rules that join fields."""
+    def __post_init__(self):
+        """Check every declared range, then the rules that join fields, as the config is built."""
         check_ranges(self)
         for key in ("cost_spread", "tolerance_range"):
             lo, hi = getattr(self, key)
@@ -336,10 +336,8 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":
-        """Build and validate a config from decoded JSON; any bad input raises ValueError."""
-        config = decode(cls(), data)
-        config.validate()
-        return config
+        """Build a config from decoded JSON; any bad input raises ValueError."""
+        return decode(cls(), data)
 
 
 @dataclass
@@ -407,7 +405,7 @@ class Trajectory:
 
 
 def build_policy(config: SimulationConfig, audit_log: Optional[AuditLog] = None):
-    """Construct the decision policy of a validated `config`; an LLM policy appends its exchanges to `audit_log`."""
+    """Construct the decision policy of `config`; an LLM policy appends its exchanges to `audit_log`."""
     if config.policy == "heuristic":
         return HeuristicPolicy()
     return LlmPolicy(
@@ -460,7 +458,6 @@ class Simulation:
     """
 
     def __init__(self, config: SimulationConfig, policy=None):
-        config.validate()
         self.config = config
         self.policy = policy if policy is not None else build_policy(config)
         # The route as a plain function: a bound method kept here would make each simulation a reference cycle.
@@ -691,31 +688,28 @@ def run(config: SimulationConfig, policy=None) -> Trajectory:
     return trajectory
 
 
-@dataclass
+@dataclass(eq=False)
 class Cell:
-    """A comparison cell: `policy` ("heuristic" or "llm") at `patience`, with one `(seed, Trajectory or
-    SimulationError)` pair per seed.  `policy`, not a trajectory's `config.policy`, names the policy that ran."""
+    """A comparison cell: `policy` ("heuristic" or "llm") at `patience`.  `policy`, not a trajectory's
+    `config.policy`, names the policy that ran.  Cells compare by identity, so a repeated level is a cell of its own."""
 
     policy: str
     patience: int
-    runs: List[Tuple[int, Union[Trajectory, SimulationError]]] = field(default_factory=list)
 
     @property
     def label(self) -> str:
         return "heuristic" if self.policy == "heuristic" else f"llm p={self.patience}"
 
 
-def compare(config: SimulationConfig, patience_levels, seeds, llm_policy) -> List[Cell]:
-    """The heuristic benchmark at `config.patience`, then `llm_policy` at each of `patience_levels`, in order,
-    each run on every seed; a seed that fails is kept as its error.  The one `llm_policy`, and so its audit
-    log, serves every LLM cell and seed, in order."""
-    cells = [Cell("heuristic", config.patience), *(Cell("llm", patience) for patience in patience_levels)]
-    for cell in cells:
+def compare(config: SimulationConfig, patience_levels, seeds, llm_policy) -> Iterator[tuple]:
+    """Yield `(cell, seed, Trajectory or SimulationError)` as each run ends, keeping none: the heuristic
+    benchmark at `config.patience`, then `llm_policy` at each of `patience_levels`, in order, each run on
+    every seed; a seed that fails yields its error.  The one `llm_policy`, and so its audit log, serves
+    every LLM cell and seed, in order."""
+    for cell in [Cell("heuristic", config.patience), *(Cell("llm", patience) for patience in patience_levels)]:
         policy = HeuristicPolicy() if cell.policy == "heuristic" else llm_policy
         for seed in seeds:
             try:
-                outcome = run(replace(config, patience=cell.patience, seed=seed), policy=policy)
+                yield cell, seed, run(replace(config, patience=cell.patience, seed=seed), policy=policy)
             except SimulationError as err:
-                outcome = err
-            cell.runs.append((seed, outcome))
-    return cells
+                yield cell, seed, err

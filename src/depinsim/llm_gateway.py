@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from urllib.parse import urlsplit
 
 from .bounds import check_ranges, config_field
 
@@ -153,8 +154,13 @@ class HttpBackend:
     name = "http"
 
     def __init__(self, endpoint: str, api_key: Optional[str] = None, timeout: float = 10.0, retries: int = 2):
-        if not endpoint:
-            raise ValueError("endpoint must be non-empty")
+        try:
+            parts = urlsplit(endpoint)
+            parts.port  # raises on a port that is not an integer from 0 to 65535
+        except ValueError as err:
+            raise ValueError(f"endpoint {endpoint!r} is not a URL: {err}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}")
         import requests  # here, not at module level: heuristic and scripted runs never load the HTTP stack
 
         self._requests = requests
@@ -239,10 +245,17 @@ def parse_yes_no(text: str) -> Optional[bool]:
 
 
 class AuditLog:
-    """Append-only JSON-lines record of every prompt/response exchange."""
+    """Append-only JSON-lines record of every prompt/response exchange.
+
+    The path is checked when the log is built: its directory must exist and it must not name a directory.
+    """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
+        if not self.path.parent.is_dir():
+            raise ValueError(f"audit_log {path}: directory {self.path.parent} does not exist")
+        if self.path.is_dir():
+            raise ValueError(f"audit_log {path} is a directory")
 
     def record_batch(self, batch: CompletionBatch, replies: BatchReplies) -> None:
         """Append one line per reply, opening the file once; no replies write nothing.
@@ -261,7 +274,7 @@ class AuditLog:
                 fh.writelines(lines)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LlmSettings:
     """Backend configuration as read from the run-config file."""
 
@@ -277,7 +290,8 @@ class LlmSettings:
     timeout: float = config_field(
         10.0, "seconds for each connect and each read of one HTTP attempt, not a whole request; "
         "each prompt's retries add backoff (at most about 511 s at retries 10); a batch has no total bound",
-        "(0, inf)")
+        "(0, 86400]")
+    # A socket timeout is at most about 9.2e9 s (int64 nanoseconds); one day is far inside it.
     # Ten retries bound the backoff to 1023 times BACKOFF, about 511 s per prompt.
     retries: int = config_field(2, "retries after a transport failure, 429 or 5xx", "[0, 10]")
 

@@ -332,7 +332,7 @@ class TestConfigReference:
         assert lines[0] == "| key | default | range | description |"
         ranges = dict(re.findall(r"^\| `([^`]+)` \| `.*?` \| `?([^`|]*)`? \|", "\n".join(lines), re.MULTILINE))
         assert ranges["gc_arrival_rate"] == "[0, 1000]"
-        assert ranges["llm.timeout"] == "(0, inf)"
+        assert ranges["llm.timeout"] == "(0, 86400]"
         assert ranges["policy"] == ranges["out_dir"] == ""
 
     def test_every_row_has_four_cells(self, capsys):
@@ -383,6 +383,7 @@ REJECTED_VALUES = [  # (key, value): `run` exits 2 naming the key
     ("llm.temperature", -1),
     ("llm.retries", -1),
     ("llm.timeout", -1),
+    ("llm.timeout", 1e10),  # beyond a socket timeout's range: every request would raise OverflowError
     ("llm.script", {"*": 1}),
     ("team_schedule.kind", "weekly"),
     ("vc_schedule.linear_months", 0),
@@ -481,6 +482,10 @@ CASES = [
     *(Case(f"run revenue overflow under {policy}", f"run --policy {policy} --out-dir out", 3,
            ("month 1", "'revenue'", "global_revenue is not finite"), config=OVERFLOW)
       for policy in ("heuristic", "llm")),
+    *(Case(f"{command} malformed llm endpoint", f"{command} --out-dir o", 2, ("endpoint", "'localhost:8000'"),
+           config={"horizon_months": 2, "policy": "llm",
+                   "llm": {"backend": "http", "endpoint": "localhost:8000", "timeout": 0.2, "retries": 0}})
+      for command in ("run", "compare --patience 1 --seeds 1")),
     Case("run unreachable llm endpoint", "run --out-dir o", 3, ("month 1", "node-decisions"),
          config={"horizon_months": 3, "policy": "llm",
                  "llm": {"backend": "http", "endpoint": "http://127.0.0.1:1", "timeout": 0.2, "retries": 0}}),

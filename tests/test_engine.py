@@ -12,7 +12,7 @@ import tempfile
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import FrozenInstanceError, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_origin, get_type_hints
 
@@ -34,6 +34,7 @@ from depinsim.agents import (
 )
 from depinsim import engine
 from depinsim.bounds import check_ranges, declared_ranges
+from depinsim.cli import FileOptions
 from depinsim.engine import (
     MAX_HORIZON, MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, _Streams, compare, encode, run,
 )
@@ -54,8 +55,8 @@ VALID_CONFIG = SimulationConfig(stability_window=(1, 96), llm=LlmSettings(script
 
 
 class TestConfig:
-    def test_defaults_validate(self):
-        SimulationConfig().validate()
+    def test_defaults_are_a_valid_config(self):
+        SimulationConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -78,7 +79,7 @@ class TestConfig:
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            SimulationConfig(**kwargs).validate()
+            SimulationConfig(**kwargs)
 
     def test_dict_round_trip(self):
         config = SimulationConfig(horizon_months=12, patience=3, seed=7)
@@ -146,14 +147,17 @@ class TestConfig:
             SimulationConfig.from_dict({"team_schedule": {"cliff_month": 3}})
 
     def test_llm_policy_requires_llm_section(self):
-        with pytest.raises(ValueError, match="policy 'llm' requires an llm config section"):
-            SimulationConfig.from_dict({"policy": "llm"})
+        # A config built in code is checked as one read from a file is, before build_policy reads its llm section.
+        for build in (lambda: SimulationConfig.from_dict({"policy": "llm"}), lambda: SimulationConfig(policy="llm")):
+            with pytest.raises(ValueError, match="policy 'llm' requires an llm config section"):
+                build()
 
-    def test_llm_policy_without_llm_section_fails_before_the_run(self):
-        # A config built in code skips from_dict; the Simulation validates it before
-        # build_policy reads its llm section.
-        with pytest.raises(ValueError, match="policy 'llm' requires an llm config section"):
-            run(SimulationConfig(horizon_months=1, policy="llm"))
+    @pytest.mark.parametrize("config,key", [(SimulationConfig(), "patience"), (LlmSettings(), "timeout"),
+                                            (FileOptions(), "out_dir")])
+    def test_a_config_is_never_changed_after_its_checks(self, config, key):
+        # Frozen: a config is checked once, when it is built, so no later assignment can make it invalid.
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, key, getattr(config, key))
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy must be 'heuristic' or 'llm', got 'random'"):
@@ -168,15 +172,15 @@ class TestConfig:
 
     def test_roster_cap_is_checked_at_load(self):
         pool = (MAX_ROSTER - 50) // 96
-        SimulationConfig(entry_pool_size=pool).validate()  # validated, never run
+        SimulationConfig(entry_pool_size=pool)  # built, never run
         for kwargs in ({"entry_pool_size": pool + 1}, {"initial_nodes": MAX_ROSTER + 1, "entry_pool_size": 0}):
             with pytest.raises(ValueError, match="initial_nodes \\+ horizon_months \\* entry_pool_size"):
-                SimulationConfig(**kwargs).validate()
+                SimulationConfig(**kwargs)
 
     def test_horizon_cap_is_checked_at_load(self):
-        SimulationConfig(horizon_months=MAX_HORIZON, entry_pool_size=0).validate()  # validated, never run
+        SimulationConfig(horizon_months=MAX_HORIZON, entry_pool_size=0)  # built, never run
         with pytest.raises(ValueError, match=re.escape("horizon_months must lie in [1, 100000], got 100001")):
-            Simulation(SimulationConfig(horizon_months=MAX_HORIZON + 1, entry_pool_size=0))
+            SimulationConfig(horizon_months=MAX_HORIZON + 1, entry_pool_size=0)
 
     @pytest.mark.parametrize(
         "bounds,inside,outside",
@@ -844,20 +848,28 @@ class TestCompare:
     """`compare()`: the heuristic benchmark at the config's patience, then one LLM cell per requested level."""
 
     @staticmethod
+    def by_cell(runs) -> dict:
+        """`compare()`'s runs as {cell: [(seed, outcome), ...]}, in order; cells key by identity."""
+        cells = {}
+        for cell, seed, outcome in runs:
+            cells.setdefault(cell, []).append((seed, outcome))
+        return cells
+
+    @staticmethod
     def assert_price_metrics_agree(cells):
         # Price forms from growth capital alone, so on one seed every cell has the same efficiency and
         # stability (or fails alike), whatever its policy and patience.
-        for runs in zip(*(cell.runs for cell in cells)):
+        for runs in zip(*cells.values()):
             outcomes = [(outcome.metrics.efficiency, outcome.metrics.stability)
                         if isinstance(outcome, Trajectory) else str(outcome) for _, outcome in runs]
             assert outcomes == outcomes[:1] * len(cells), runs[0][0]
 
     def test_price_metrics_agree_across_the_demo_cells(self):
         config = SimulationConfig(patience=1, **STRESSED)
-        cells = compare(config, [1, 3, 5], range(2), LlmPolicy(ScriptedBackend(heuristic_prompt_reply)))
+        cells = self.by_cell(compare(config, [1, 3, 5], range(2), LlmPolicy(ScriptedBackend(heuristic_prompt_reply))))
         assert [cell.label for cell in cells] == ["heuristic", "llm p=1", "llm p=3", "llm p=5"]
         self.assert_price_metrics_agree(cells)
-        assert len({cell.runs[0][1].metrics.inclusion for cell in cells}) > 1  # the cells differ in participation
+        assert len({runs[0][1].metrics.inclusion for runs in cells.values()}) > 1  # the cells differ in participation
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -870,31 +882,45 @@ class TestCompare:
     )
     def test_price_metrics_agree_across_cells(self, regime, script, levels, seed, **kwargs):
         config = replace(SimulationConfig(**regime), **kwargs)
-        self.assert_price_metrics_agree(compare(config, levels, [seed, seed + 1], LlmPolicy(ScriptedBackend(script))))
+        runs = compare(config, levels, [seed, seed + 1], LlmPolicy(ScriptedBackend(script)))
+        self.assert_price_metrics_agree(self.by_cell(runs))
 
     def test_a_repeated_level_is_a_cell_of_its_own(self):
         # The config has no llm section and keeps its policy: compare() passes the policy that runs.
         config = SimulationConfig(horizon_months=12, patience=3, **CHURN)
-        cells = compare(config, [1, 1], [0], LlmPolicy(ScriptedBackend(heuristic_prompt_reply)))
+        cells = self.by_cell(compare(config, [1, 1], [0], LlmPolicy(ScriptedBackend(heuristic_prompt_reply))))
         assert [(cell.policy, cell.patience, cell.label) for cell in cells] == [
             ("heuristic", 3, "heuristic"), ("llm", 1, "llm p=1"), ("llm", 1, "llm p=1")]
-        assert [trajectory.config for cell in cells for _, trajectory in cell.runs] == [
+        assert [trajectory.config for runs in cells.values() for _, trajectory in runs] == [
             replace(config, patience=patience, seed=0) for patience in (3, 1, 1)]
-        assert_same_csv(cells[2].runs[0][1].to_csv_string(), cells[1].runs[0][1].to_csv_string())
+        _, first, second = (runs[0][1] for runs in cells.values())
+        assert_same_csv(second.to_csv_string(), first.to_csv_string())
 
     def test_a_failed_seed_is_kept_and_the_next_seed_runs(self):
         # Seeds 43 and 44 price the token at infinity in month 2 under every policy; seed 42 runs.
         config = SimulationConfig(horizon_months=3, tokens_on_sale_fraction=1e-300, gc_arrival_rate=0.3,
                                   gc_endowment_mu=100)
-        for cell in compare(config, [1, 3], [43, 44, 42], LlmPolicy(ScriptedBackend({"*": "no"}))):
-            assert [seed for seed, _ in cell.runs] == [43, 44, 42]
-            assert [type(outcome) for _, outcome in cell.runs] == [SimulationError, SimulationError, Trajectory]
-            assert cell.runs[0][1].month == 2
+        cells = self.by_cell(compare(config, [1, 3], [43, 44, 42], LlmPolicy(ScriptedBackend({"*": "no"}))))
+        for runs in cells.values():
+            assert [seed for seed, _ in runs] == [43, 44, 42]
+            assert [type(outcome) for _, outcome in runs] == [SimulationError, SimulationError, Trajectory]
+            assert runs[0][1].month == 2
 
     def test_only_a_failed_month_is_caught(self):
-        # A config the engine rejects is the caller's error, not a failed seed.
-        with pytest.raises(ValueError, match="requires an llm config section"):
-            compare(SimulationConfig(policy="llm"), [1], [0], LlmPolicy(ScriptedBackend({"*": "no"})))
+        # A config the engine rejects is the caller's error, not a failed seed: patience 0 builds no config.
+        runs = compare(SimulationConfig(horizon_months=2), [0], [0], LlmPolicy(ScriptedBackend({"*": "no"})))
+        with pytest.raises(ValueError, match=re.escape("patience must lie in [1, inf), got 0")):
+            list(runs)
+
+    def test_no_run_is_kept_once_the_caller_drops_it(self):
+        # compare() yields each run as it ends and holds none, so a comparison's memory is one run's.
+        config = SimulationConfig(horizon_months=12, patience=3, **CHURN)
+        refs = []
+        for _, _, trajectory in compare(config, [1, 3], range(2), LlmPolicy(ScriptedBackend(heuristic_prompt_reply))):
+            assert [ref() for ref in refs] == [None] * len(refs)  # every earlier run is freed
+            refs.append(weakref.ref(trajectory))
+        del trajectory
+        assert len(refs) == 6 and refs[-1]() is None
 
 
 # Arbitrary JSON, NaN and Infinity included.

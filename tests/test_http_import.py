@@ -61,6 +61,10 @@ def test_building_an_http_backend_loads_requests(tmp_path):
     proc = run_python("""
         import sys
         from depinsim.llm_gateway import HttpBackend
+        try:
+            HttpBackend("localhost:9")  # no scheme: rejected before the HTTP stack loads
+        except ValueError:
+            pass
         assert "requests" not in sys.modules
         HttpBackend("http://127.0.0.1:9")  # sends nothing
         assert "requests" in sys.modules

@@ -306,6 +306,15 @@ class TestAuditLog:
         assert entry["backend"] == "scripted"
         assert entry["latency_s"] >= 0.0
 
+    @pytest.mark.parametrize("path,error", [("missing/audit.jsonl", "directory missing does not exist"),
+                                            (".", "is a directory")])
+    def test_path_is_checked_when_the_log_is_built(self, tmp_path, monkeypatch, path, error):
+        # A library caller gets the check the CLI makes at load, not a failed month when the first line is written.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=f"audit_log {re.escape(path)}.* {error}"):
+            AuditLog(path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_batch_writes_the_lines_single_records_write(self, tmp_path, monkeypatch):
         backend = ScriptedBackend({"*enter*": "yes", "*": "no"})
         batch = CompletionBatch(["enter?", "exit?", "ünïcode"], model_name="m")
@@ -364,6 +373,17 @@ class TestBuildBackend:
         backend = build_backend(LlmSettings(backend="http"))
         assert backend.url == "http://example.test/v1/completions"
         assert backend.api_key == "sk-env"
+
+    @pytest.mark.parametrize("endpoint", ["localhost:8000", "127.0.0.1:8000", "ftp://example.test", "http://", "",
+                                          "http://127.0.0.1:99999", "http://127.0.0.1:x", "http://[::1"])
+    def test_http_endpoint_must_be_an_http_url_with_a_host(self, monkeypatch, endpoint):
+        # Such an endpoint would fail every request at month 1, after the retries' backoff: it is rejected at load.
+        monkeypatch.setenv("DEPIN_LLM_ENDPOINT", endpoint)
+        for settings in (LlmSettings(backend="http", endpoint=endpoint), LlmSettings(backend="http")):
+            with pytest.raises(ValueError, match=re.escape(repr(endpoint)) if endpoint else "needs an endpoint"):
+                build_backend(settings)
+        with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
+            HttpBackend(endpoint)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
