@@ -47,11 +47,13 @@ class DecisionPolicy(Protocol):
     `decides_in_batches`) decides each month in two calls:
     `decide_entries` over the candidate pool, then `decide_exits` over the
     roster, each given the month's revenue and the nodes' cost and tolerance
-    arrays and returning one verdict per node.  The roster arrays are
-    read-only views of the engine's buffers, valid only during the call; a
-    policy that keeps values past it copies them.  Any other policy is called
-    once per decision: `decide_entry` for each candidate of the month's
-    pool, then `decide_exit` for each incumbent in roster order.
+    arrays and returning one verdict per node.  Every array is read-only:
+    `decide_entries` receives the month's row of the run's candidate table,
+    and `decide_exits` views of the engine's roster buffers, valid only
+    during the call; a policy that keeps roster values past it copies them.
+    Any other policy is called once per decision: `decide_entry` for each
+    candidate of the month's pool, then `decide_exit` for each incumbent in
+    roster order.
     """
 
     def decide_entry(self, ctx: DecisionContext) -> bool: ...

@@ -39,12 +39,19 @@ def declared_ranges(cls: type) -> Tuple[tuple, ...]:
     return tuple(ranges)
 
 
-def check_ranges(obj) -> None:
-    """Raise a ValueError naming the first field of dataclass `obj` outside its declared range.
+def _check(name: str, text: str, lo: float, above, hi: float, below, value) -> None:
+    """Raise a ValueError naming `name` unless `value` lies in the interval `text`; a tuple's range holds for
+    each element, and NaN fails every comparison, so it is never in range."""
+    if not all(above(lo, x) and below(x, hi) for x in (value if isinstance(value, tuple) else (value,))):
+        raise ValueError(f"{name} must lie in {text}, got {value!r}")
 
-    A tuple's range holds for each element; NaN fails every comparison, so it is never in range.
-    """
-    for name, text, lo, above, hi, below in declared_ranges(type(obj)):
-        value = getattr(obj, name)
-        if not all(above(lo, x) and below(x, hi) for x in (value if isinstance(value, tuple) else (value,))):
-            raise ValueError(f"{name} must lie in {text}, got {value!r}")
+
+def check_ranges(obj) -> None:
+    """Raise a ValueError naming the first field of dataclass `obj` outside its declared range."""
+    for name, *interval in declared_ranges(type(obj)):
+        _check(name, *interval, getattr(obj, name))
+
+
+def check_range(cls: type, name: str, value) -> None:
+    """Raise a ValueError naming `name` unless `value` lies in the range dataclass `cls` declares for that field."""
+    _check(*next(declared for declared in declared_ranges(cls) if declared[0] == name), value)

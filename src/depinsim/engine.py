@@ -76,10 +76,11 @@ _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
 # The most nodes a run may hold: initial_nodes + horizon_months * entry_pool_size,
-# which keeps every month's roster arrays allocatable.
+# which keeps every month's roster arrays and the run's candidate table allocatable.
 MAX_ROSTER = 1_000_000
-# The longest run: a run keeps its month records and seeds every month's streams
-# at construction, so a horizon beyond this could pass load and never finish.
+# The longest run: a run keeps its month records, and seeds every month's streams and
+# draws every month's candidates at construction (16 bytes a candidate slot), so a
+# horizon beyond this could pass load and never finish.
 MAX_HORIZON = 100_000
 
 # The MarketState fields a month must record as finite numbers.
@@ -177,6 +178,35 @@ class _Streams:
 
     def __call__(self, month: int, channel: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(_Words(self._state_words[month, channel])))
+
+    def words(self, channel: int) -> np.ndarray:
+        """The PCG64 seeding words of every month's stream on `channel`, one row per month."""
+        return self._state_words[:, channel]
+
+
+def _node_draws(state_words: np.ndarray, count: int, config: SimulationConfig) -> np.ndarray:
+    """`count` nodes drawn from each stream of `state_words` (PCG64 seeding words, one
+    row per stream), as an array of shape `(streams, 2, count)`: costs, then tolerances.
+
+    A stream's draws are its first `2 * count` raw words, all taken by one PCG64 and
+    converted together, in place, by the formula of `Generator.uniform`:
+    `lo + (hi - lo) * ((raw >> 11) * 2**-53)`.  A property test pins each row to
+    `node_cost * rng.uniform(lo, hi, count)`, then `rng.uniform(tlo, thi, count)`.
+    """
+    raw = np.empty(len(state_words) * 2 * count, dtype=np.uint64)
+    if count:
+        for row, words in zip(raw.reshape(len(state_words), 2 * count), state_words):
+            row[:] = np.random.PCG64(_Words(words)).random_raw(2 * count)
+    raw >>= 11
+    uniform = raw.view(np.float64)
+    uniform[...] = raw  # exact below 2**53; one-dimensional, so NumPy casts in place, element by element
+    uniform *= 2.0**-53
+    table = uniform.reshape(len(state_words), 2, count)
+    for draws, (lo, hi) in ((table[:, 0], config.cost_spread), (table[:, 1], config.tolerance_range)):
+        draws *= hi - lo
+        draws += lo
+    table[:, 0] *= config.node_cost
+    return table
 
 
 class SimulationError(Exception):
@@ -447,14 +477,22 @@ class Simulation:
     `tolerance` are read-only views of the live slots; `streak` is
     computed from the run slots.
 
+    The inputs no month computes are built with the run, each in one
+    vectorised pass: every month's releases and circulating supply, and
+    the candidate table, one row of `entry_pool_size` costs and tolerances
+    a month, drawn from that month's candidate stream.  A month indexes
+    them; it draws only growth capital.
+
     Within a month every decision reads the same frozen start-of-month
     context, so agent evaluation order cannot change the outcome.  A policy
     whose class provides its own batch methods (`HeuristicPolicy`,
     `LlmPolicy`) decides the candidate pool and the roster in one call each;
     any other policy is called once per decision, in roster order; the
     route is chosen once, at construction, from the policy's class.  The
-    arrays a batch method receives are read-only and valid only during that
-    call: the commit reuses their memory.
+    arrays a batch method receives are read-only: `decide_entries` gets the
+    month's row of the run's candidate table, and the roster arrays
+    `decide_exits` gets are valid only during that call, as the commit
+    reuses their memory.
     """
 
     def __init__(self, config: SimulationConfig, policy=None):
@@ -477,9 +515,23 @@ class Simulation:
         self._cost_view, self._tolerance_view = self._cost.view(), self._tolerance.view()
         self._cost_view.flags.writeable = self._tolerance_view.flags.writeable = False
         self._n = config.initial_nodes
-        rng = self._stream(0, _STREAM_INIT_NODES)
-        self._cost[:self._n], self._tolerance[:self._n] = self._draw_node_params(rng, self._n)
+        initial = _node_draws(self._stream.words(_STREAM_INIT_NODES)[:1], self._n, config)[0]
+        self._cost[:self._n], self._tolerance[:self._n] = initial
         self.gcs: List[GrowthCapitalist] = []
+
+        # The inputs no month computes, one entry a month from month 1: the node emission, the circulating
+        # supply (np.cumsum adds left to right, so each is the month before's plus its releases) and the
+        # candidate pool.  The table comes last and is converted in place, so the build's peak is the
+        # memory the run keeps plus one month's raw draws.
+        months = np.arange(1, config.horizon_months + 1)
+        emission = node_emission(months, self.alloc, config.node_schedule)
+        with np.errstate(over="ignore"):  # a supply beyond the float range fails its month's record
+            released = (team_release(months, self.alloc, config.team_schedule)
+                        + vc_release(months, self.alloc, config.vc_schedule) + emission)
+            self._circulating = np.cumsum(released).tolist()
+        self._emission = emission.tolist()
+        self._candidates = _node_draws(self._stream.words(_STREAM_CANDIDATES)[1:], config.entry_pool_size, config)
+        self._candidates.flags.writeable = False
 
         # Seed the sale-side of the price ratio so month 1 has a market
         # even before any growth capitalist exits.
@@ -520,13 +572,6 @@ class Simulation:
         streak.flags.writeable = False
         return streak
 
-    def _draw_node_params(self, rng: np.random.Generator, count: int):
-        lo, hi = self.config.cost_spread
-        tlo, thi = self.config.tolerance_range
-        costs = self.config.node_cost * rng.uniform(lo, hi, count)
-        tolerances = rng.uniform(tlo, thi, count)
-        return costs, tolerances
-
     def _decide_roster(self, revenue, costs, tolerances, month) -> Tuple[np.ndarray, np.ndarray]:
         """The policy's batch methods over the whole candidate pool, then the
         roster; returns the entry mask and the roster indices that signalled exit."""
@@ -562,14 +607,9 @@ class Simulation:
         cfg = self.config
         substep = "vesting"
         try:
-            # 1. Token releases and circulating supply.
-            emission = node_emission(month, self.alloc, cfg.node_schedule)
-            released = (
-                team_release(month, self.alloc, cfg.team_schedule)
-                + vc_release(month, self.alloc, cfg.vc_schedule)
-                + emission
-            )
-            circ = prev.circulating_supply + released
+            # 1. Token releases and circulating supply, as built with the run.
+            emission = self._emission[month - 1]
+            circ = self._circulating[month - 1]
 
             # 2. Users and global revenue from the frozen snapshot.
             substep = "revenue"
@@ -585,8 +625,7 @@ class Simulation:
             # next month on.
             substep = "node-decisions"
             fallbacks_before = getattr(self.policy, "fallback_count", 0)
-            rng = self._stream(month, _STREAM_CANDIDATES)
-            costs, tolerances = self._draw_node_params(rng, cfg.entry_pool_size)
+            costs, tolerances = self._candidates[month - 1]
             enters, signalled = self._decide(self, revenue, costs, tolerances, month)
             leavers = signalled
             if len(signalled):  # a run that did not include last month restarts at 1

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
-from .bounds import check_ranges, config_field
+from .bounds import check_range, check_ranges, config_field
 
 ENDPOINT_ENV = "DEPIN_LLM_ENDPOINT"
 API_KEY_ENV = "DEPIN_LLM_KEY"
@@ -148,7 +148,8 @@ class HttpBackend:
     after the answer's delta-seconds Retry-After (capped at the timeout).
     Once the budget is spent a transport failure surfaces as
     BackendUnavailableError and a 429/5xx as ProtocolError; any other
-    non-2xx answer raises ProtocolError immediately.
+    non-2xx answer raises ProtocolError immediately.  `timeout` and
+    `retries` must lie in the ranges `LlmSettings` declares for them.
     """
 
     name = "http"
@@ -161,6 +162,8 @@ class HttpBackend:
             raise ValueError(f"endpoint {endpoint!r} is not a URL: {err}") from None
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}")
+        check_range(LlmSettings, "timeout", timeout)
+        check_range(LlmSettings, "retries", retries)
         import requests  # here, not at module level: heuristic and scripted runs never load the HTTP stack
 
         self._requests = requests

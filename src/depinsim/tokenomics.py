@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import ClassVar, Dict, Tuple
+from typing import ClassVar, Dict, Tuple, Union
+
+import numpy as np
 
 from .bounds import check_ranges
 
@@ -66,8 +68,9 @@ class VestingSchedule:
     kind: ScheduleKind
     cliff_months: int = field(default=0, metadata={"range": "[0, inf)"})
     unlock_at_cliff: float = field(default=0.0, metadata={"range": "[0, 1]"})
-    linear_months: int = field(default=1, metadata={"range": "[1, inf)"})
-    halving_period_months: int = field(default=48, metadata={"range": "[1, inf)"})
+    # A release divides by these lengths, so each must convert to a float.
+    linear_months: int = field(default=1, metadata={"range": "[1, 1e300]"})
+    halving_period_months: int = field(default=48, metadata={"range": "[1, 1e300]"})
 
     def __post_init__(self):
         if self.kind not in self.FIELDS_BY_KIND:
@@ -95,28 +98,43 @@ VC_SCHEDULE = VestingSchedule.cliff_linear(cliff_months=11, unlock_at_cliff=0.50
 NODE_SCHEDULE = VestingSchedule.halving(period_months=48)
 
 
-def _check_month(month: int, minimum: int = 1) -> int:
+Months = Union[int, np.ndarray]  # a month, or an integer array of months
+Tokens = Union[float, np.ndarray]  # a float per month
+
+
+def _check_month(month, minimum: int = 1) -> Months:
+    """`month` as an int, or an integer array of months as int64; each must be at least `minimum`."""
+    if isinstance(month, np.ndarray):
+        months = month.astype(np.int64, copy=False) if month.dtype.kind in "iu" else None
+        if months is None or (months.size and months.min() < minimum):
+            raise ValueError(f"month must be an integer >= {minimum}, got {month!r}")
+        return months
     m = int(month)
     if m != month or m < minimum:
         raise ValueError(f"month must be an integer >= {minimum}, got {month!r}")
     return m
 
 
-def release(month: int, total: float, schedule: VestingSchedule) -> float:
-    """Tokens released in `month` out of `total` under `schedule`."""
+def release(month: Months, total: float, schedule: VestingSchedule) -> Tokens:
+    """Tokens released in `month` out of `total` under `schedule`.
+
+    Like `heuristic_entry`, it broadcasts: over an integer array of months it
+    returns one value per month, each equal to that month's scalar call.
+    """
     month = _check_month(month)
     if schedule.kind is ScheduleKind.CLIFF_LINEAR:
-        if month <= schedule.cliff_months:
-            return 0.0
-        if month == schedule.cliff_months + 1:
-            return schedule.unlock_at_cliff * total
-        if month <= schedule.cliff_months + 1 + schedule.linear_months:
-            return (1.0 - schedule.unlock_at_cliff) * total / schedule.linear_months
-        return 0.0
+        cliff, unlock, linear = schedule.cliff_months, schedule.unlock_at_cliff, schedule.linear_months
+        # Each month's phase: 0 up to the cliff, 1 the month after it, 2 over the tranches, 3 after them.
+        phase = 0 + (month > cliff) + (month > cliff + 1) + (month > cliff + 1 + linear)
+        tokens = (0.0, unlock * total, (1.0 - unlock) * total / linear, 0.0)
+        return np.array(tokens)[phase] if isinstance(month, np.ndarray) else tokens[phase]
     # Halving emission: period p covers months [p*L+1, (p+1)*L] and pays
-    # total * 2^-(p+1) spread equally over its L months.
-    period = (month - 1) // schedule.halving_period_months
-    return total * 0.5 ** (period + 1) / schedule.halving_period_months
+    # total * 2^-(p+1) spread equally over its L months.  An int64 month lies
+    # in period 0 of any period at least the largest int64, so an array of
+    # months is divided by at most that.
+    length = schedule.halving_period_months
+    period = (month - 1) // (length if isinstance(month, int) else min(length, np.iinfo(np.int64).max))
+    return total * 0.5 ** (period + 1) / length
 
 
 def cumulative_release(month: int, total: float, schedule: VestingSchedule) -> float:
@@ -137,18 +155,18 @@ def cumulative_release(month: int, total: float, schedule: VestingSchedule) -> f
     return completed + remainder * (total * 0.5 ** (full_periods + 1) / length)
 
 
-def team_release(month: int, alloc: TokenAllocation, schedule: VestingSchedule = TEAM_SCHEDULE) -> float:
-    """Core-team tokens released in `month`."""
+def team_release(month: Months, alloc: TokenAllocation, schedule: VestingSchedule = TEAM_SCHEDULE) -> Tokens:
+    """Core-team tokens released in `month` (one value per month of an array)."""
     return release(month, alloc.team_tokens, schedule)
 
 
-def vc_release(month: int, alloc: TokenAllocation, schedule: VestingSchedule = VC_SCHEDULE) -> float:
-    """Venture-capital tokens released in `month`."""
+def vc_release(month: Months, alloc: TokenAllocation, schedule: VestingSchedule = VC_SCHEDULE) -> Tokens:
+    """Venture-capital tokens released in `month` (one value per month of an array)."""
     return release(month, alloc.vc_tokens, schedule)
 
 
-def node_emission(month: int, alloc: TokenAllocation, schedule: VestingSchedule = NODE_SCHEDULE) -> float:
-    """Node-provider tokens emitted in `month`."""
+def node_emission(month: Months, alloc: TokenAllocation, schedule: VestingSchedule = NODE_SCHEDULE) -> Tokens:
+    """Node-provider tokens emitted in `month` (one value per month of an array)."""
     return release(month, alloc.node_tokens, schedule)
 
 

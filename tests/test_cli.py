@@ -387,6 +387,8 @@ REJECTED_VALUES = [  # (key, value): `run` exits 2 naming the key
     ("llm.script", {"*": 1}),
     ("team_schedule.kind", "weekly"),
     ("vc_schedule.linear_months", 0),
+    ("team_schedule.linear_months", 10**400),  # a release divides by it: beyond the float range it would raise
+    ("node_schedule.halving_period_months", 10**400),
     ("node_schedule.cliff_months", 5),  # the default node schedule is a halving emission
     ("llm.retries", 11),
     ("llm.backend", "magic"),

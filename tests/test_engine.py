@@ -256,9 +256,10 @@ class TestDeterminism:
             assert rng.lognormal(0.5, 1.5) == expected.lognormal(0.5, 1.5)
 
     def test_months_seed_one_generator_per_stream_without_hashing(self, monkeypatch):
-        # Each month asks for two streams (candidates, growth capital); each is one PCG64
-        # in one Generator, seeded from words hashed in one pass when the run is built,
-        # never through a SeedSequence.
+        # The run's build takes each month's candidates from one PCG64, and the initial
+        # roster's from one more; each month while stepping asks for one stream (growth
+        # capital), one PCG64 in one Generator.  Every PCG64 is seeded from words hashed
+        # in one pass when the run is built, never through a SeedSequence.
         hashed = []
         seed_state = engine._seed_state
 
@@ -267,7 +268,6 @@ class TestDeterminism:
             return seed_state(entropy)
 
         monkeypatch.setattr(engine, "_seed_state", counted_seed_state)
-        sim = Simulation(SimulationConfig(horizon_months=600, seed=3))
         built = []
         hashing = (int, np.random.SeedSequence)  # seeds PCG64 would hash itself
 
@@ -284,9 +284,12 @@ class TestDeterminism:
 
         for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
             monkeypatch.setattr(np.random, name, counted(name))
+        sim = Simulation(SimulationConfig(horizon_months=600, seed=3))
+        assert built == ["PCG64"] * (600 + 1)
+        built.clear()
         for month in range(1, 601):
             sim.step(month)
-        assert built == ["PCG64", "Generator"] * 2 * 600
+        assert built == ["PCG64", "Generator"] * 600
         # Words (seed, month, channel); the seed's one row is shared by every column,
         # one column per month and channel.
         assert hashed == [[1, 601 * 3, 601 * 3]]
@@ -314,6 +317,75 @@ class TestDeterminism:
         a = run(SimulationConfig(horizon_months=24, seed=1))
         b = run(SimulationConfig(horizon_months=24, seed=2))
         assert a.to_csv_string() != b.to_csv_string()
+
+
+class Recording(HeuristicPolicy):
+    """The heuristic policy, keeping a copy of each month's candidate pool and whether it could be written."""
+
+    def __init__(self):
+        self.pools = []
+
+    def decide_entries(self, revenue, costs, tolerances, month):
+        self.pools.append((costs.copy(), tolerances.copy(), costs.flags.writeable or tolerances.flags.writeable))
+        return super().decide_entries(revenue, costs, tolerances, month)
+
+
+def spreads(top):
+    """A (lo, hi) range within (0, top], its ends sometimes equal and sometimes at the top."""
+    ends = st.floats(0.0, top, exclude_min=True) | st.just(top)
+    return st.lists(ends, min_size=1, max_size=2).map(lambda xs: (min(xs), max(xs)))
+
+
+class TestCandidateTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70) | st.sampled_from([2**64, 2**200]),
+        pool=st.sampled_from([0, 1, 7, 100]) | st.integers(0, 15),
+        initial=st.sampled_from([0, 1, 9, 100]),
+        horizon=st.integers(1, 4),
+        node_cost=st.floats(1e-300, 1e300) | st.just(1e300),
+        cost_spread=spreads(1e8),
+        tolerance_range=spreads(1.0),
+    )
+    @example(seed=2**200, pool=100, initial=100, horizon=2, node_cost=1e300, cost_spread=(1e8, 1e8),
+             tolerance_range=(1.0, 1.0))
+    def test_pools_and_initial_roster_equal_numpys_uniform_draws(
+            self, seed, pool, initial, horizon, node_cost, cost_spread, tolerance_range):
+        # Bit for bit, each stream's draws are `node_cost * rng.uniform(lo, hi, n)`, then
+        # `rng.uniform(tlo, thi, n)`: this pins the table's conversion to NumPy's own.
+        config = SimulationConfig(seed=seed, entry_pool_size=pool, initial_nodes=initial, horizon_months=horizon,
+                                  node_cost=node_cost, cost_spread=cost_spread, tolerance_range=tolerance_range)
+
+        def drawn(month, channel, count):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, month, channel)))
+            return node_cost * rng.uniform(*cost_spread, count), rng.uniform(*tolerance_range, count)
+
+        policy = Recording()
+        sim = Simulation(config, policy=policy)
+        expected_cost, expected_tolerance = drawn(0, 0, initial)
+        assert sim.cost.tobytes() == expected_cost.tobytes()
+        assert sim.tolerance.tobytes() == expected_tolerance.tobytes()
+        for month in range(1, horizon + 1):
+            sim.step(month)
+        assert len(policy.pools) == horizon
+        for month, (costs, tolerances, writeable) in enumerate(policy.pools, start=1):
+            expected_cost, expected_tolerance = drawn(month, 1, pool)
+            assert costs.tobytes() == expected_cost.tobytes() and tolerances.tobytes() == expected_tolerance.tobytes()
+            assert not writeable
+
+    def test_build_converts_the_largest_table_in_place(self):
+        # The largest admitted roster: 1,000,000 slots, all of them candidates.  The run keeps
+        # its roster buffers (33 B a slot), the candidate table (16 B a slot), the stream words
+        # (96 B a month) and its releases and supply (about 64 B a month): 65 MB.  Converting
+        # the table's raw words through a copy would add 16 MB to the build's peak.
+        config = SimulationConfig(initial_nodes=0, horizon_months=MAX_HORIZON, entry_pool_size=10)
+        tracemalloc.start()
+        try:
+            Simulation(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70 * 2**20
 
 
 class TestNullDynamics:

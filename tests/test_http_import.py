@@ -65,6 +65,11 @@ def test_building_an_http_backend_loads_requests(tmp_path):
             HttpBackend("localhost:9")  # no scheme: rejected before the HTTP stack loads
         except ValueError:
             pass
+        for bad in ({"timeout": 1e10}, {"retries": -1}):  # outside the llm settings' ranges: rejected as early
+            try:
+                HttpBackend("http://127.0.0.1:9", **bad)
+            except ValueError:
+                pass
         assert "requests" not in sys.modules
         HttpBackend("http://127.0.0.1:9")  # sends nothing
         assert "requests" in sys.modules

@@ -1,6 +1,7 @@
 """Gateway tests: yes/no parsing, scripted replies, HTTP protocol and retries."""
 
 import json
+import math
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -384,6 +385,17 @@ class TestBuildBackend:
                 build_backend(settings)
         with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
             HttpBackend(endpoint)
+
+    @pytest.mark.parametrize("name,bad,good", [
+        ("timeout", 0.0, 5e-324), ("timeout", math.nextafter(86400.0, math.inf), 86400.0),
+        ("retries", -1, 0), ("retries", 11, 10),
+    ])
+    def test_http_timeout_and_retries_lie_in_the_settings_ranges(self, name, bad, good):
+        # The ranges LlmSettings declares: a timeout of 1e10 s would raise OverflowError on every request,
+        # and retries of -1 would send nothing.
+        HttpBackend("http://127.0.0.1:9", **{name: good})  # sends nothing
+        with pytest.raises(ValueError, match=f"^{name} must lie in "):
+            HttpBackend("http://127.0.0.1:9", **{name: bad})
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
 """Vesting schedule tests: frozen examples, conservation, halving law."""
 
-import pytest
+import re
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from depinsim.engine import MAX_HORIZON
 from depinsim.tokenomics import (
     NODE_SCHEDULE,
     TEAM_SCHEDULE,
@@ -193,3 +198,59 @@ class TestAllocationValidation:
         assert ALLOC.team_tokens == 200_000_000.0
         assert ALLOC.vc_tokens == 200_000_000.0
         assert ALLOC.node_tokens == 600_000_000.0
+
+
+MONTHS = np.arange(1, MAX_HORIZON + 1)
+# Both kinds of schedule, with lengths out to the longest run; short halving periods
+# reach the periods whose rate underflows (2**-1022 and below) within it.
+SCHEDULES = st.one_of(
+    st.builds(VestingSchedule.cliff_linear, cliff_months=st.integers(0, MAX_HORIZON),
+              unlock_at_cliff=st.floats(0.0, 1.0), linear_months=st.integers(1, MAX_HORIZON)),
+    st.builds(VestingSchedule.halving, period_months=st.integers(1, 100) | st.integers(1, MAX_HORIZON)),
+)
+
+
+def boundary_months(schedule: VestingSchedule):
+    """The months where `schedule`'s rate changes, and their neighbours."""
+    if schedule.kind is ScheduleKind.CLIFF_LINEAR:
+        edges = (schedule.cliff_months, schedule.cliff_months + 1 + schedule.linear_months)
+    else:  # period starts, up to those whose rate is subnormal or zero
+        edges = [p * schedule.halving_period_months for p in (1, 2, 1020, 1021, 1022, 1023, 1073, 1074, 1075)]
+    return [edge + step for edge in edges for step in (0, 1, 2)]
+
+
+class TestBroadcastRelease:
+    @settings(max_examples=60, deadline=None)
+    @given(schedule=SCHEDULES, total=st.floats(1e-300, 1e300) | st.just(1e9),
+           months=st.lists(st.integers(1, MAX_HORIZON), max_size=10))
+    @example(schedule=VestingSchedule.halving(1), total=1e300, months=list(range(1000, 1100)))
+    @example(schedule=VestingSchedule.halving(1), total=1e-300, months=list(range(1, 60)))
+    def test_array_call_equals_the_scalar_calls(self, schedule, total, months):
+        tokens = release(MONTHS, total, schedule)
+        assert tokens.dtype == np.float64 and tokens.shape == MONTHS.shape
+        for month in {m for m in (*boundary_months(schedule), *months, 1, MAX_HORIZON) if 1 <= m <= MAX_HORIZON}:
+            scalar = release(month, total, schedule)
+            assert type(scalar) is float
+            assert tokens[month - 1].tobytes() == np.float64(scalar).tobytes(), month
+
+    def test_class_releases_broadcast(self):
+        months = np.arange(1, 121)
+        for fn in (team_release, vc_release, node_emission):
+            assert fn(months, ALLOC).tolist() == [fn(int(m), ALLOC) for m in months]
+
+    def test_scalar_calls_return_floats_and_keep_their_errors(self):
+        for month in (1, 12, np.int64(13), 14.0):
+            assert type(release(month, TOTAL, TEAM_SCHEDULE)) is float
+            assert type(release(month, TOTAL, NODE_SCHEDULE)) is float
+        for month in (2.5, -1, 0, np.float64(1.5)):
+            with pytest.raises(ValueError, match=re.escape(f"month must be an integer >= 1, got {month!r}")):
+                release(month, TOTAL, TEAM_SCHEDULE)
+        for months in (np.array([1, 0]), np.array([1.0, 2.0]), np.array([True])):
+            with pytest.raises(ValueError, match="month must be an integer >= 1"):
+                release(months, TOTAL, NODE_SCHEDULE)
+
+    def test_lengths_must_convert_to_floats(self):
+        # A release divides by them: beyond the float range, every release past the cliff would raise.
+        for kwargs in ({"linear_months": 10**400}, {"halving_period_months": 10**400}):
+            with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must lie in"):
+                VestingSchedule(kind=ScheduleKind.CLIFF_LINEAR, **kwargs)
