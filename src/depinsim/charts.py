@@ -1,4 +1,4 @@
-"""Minimal dependency-free SVG charts.
+"""Minimal SVG charts, written as text with no plotting library.
 
 Charts are pure views: the same data always yields byte-identical SVG, so
 every chart can be regenerated from its CSV alone and diffed.
@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -59,6 +61,16 @@ def _svg(width: int, height: int, parts: List[str]) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>'
     )
     return header + "".join(parts) + "</svg>\n"
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The polyline points `_fmt(x),_fmt(y)` of each pair, space-separated, formatted in one pass.
+
+    Every number is written with exactly two decimals, so a "0" before a comma, a space or the
+    end is a decimal zero: dropping one such "0", then a bare ".0", leaves the text of `_fmt`.
+    """
+    text = ("%.2f,%.2f " * len(xs)) % tuple(np.column_stack((xs, ys)).ravel().tolist())
+    return text.replace("0,", ",").replace("0 ", " ").replace(".0,", ",").replace(".0 ", " ")[:-1]
 
 
 def _escape(text: str) -> str:
@@ -124,11 +136,12 @@ def line_chart(
             f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
             f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.0f})">{_escape(y_label)}</text>'
         )
-    # Series polylines and legend.
+    # Series polylines and legend: px and py over whole series, as float64 arrays.
+    xs = _MARGIN_LEFT + (np.asarray(x, dtype=np.float64) - x_lo) / (x_hi - x_lo) * plot_w
     for idx, (name, values) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{_fmt(px(xi))},{_fmt(py(yi))}" for xi, yi in zip(x, values))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        ys = _MARGIN_TOP + (y_hi - np.asarray(values, dtype=np.float64)) / (y_hi - y_lo) * plot_h
+        parts.append(f'<polyline points="{_points(xs, ys)}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if len(series) > 1:
             lx = _MARGIN_LEFT + 10
             ly = _MARGIN_TOP + 14 + 14 * idx

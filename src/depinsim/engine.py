@@ -8,8 +8,6 @@ one MarketState record.  Partial months are never committed.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import re
@@ -58,7 +56,7 @@ from .tokenomics import (
 
 # RNG stream channels, one per randomized sub-step.  A month's stream on a
 # channel is NumPy's `SeedSequence((seed, month, channel))` stream, so adding
-# draws to one sub-step never perturbs another's.  `_Streams` computes those
+# draws to one sub-step never perturbs another's.  `_stream_words` computes those
 # seeding words itself and hands them to NumPy's own PCG64 seeding; a property
 # test pins the result to `default_rng(SeedSequence(...))`.  Trajectory bytes
 # therefore depend on NumPy's PCG64 and distribution code.
@@ -161,27 +159,18 @@ class _Words(ISeedSequence):
         return self.words
 
 
-class _Streams:
-    """The stream of `SeedSequence((seed, month, channel))`, a new generator per call.
+def _stream_words(seed: int, months: int) -> np.ndarray:
+    """The PCG64 seeding words of `SeedSequence((seed, month, channel))` for months `0 .. months`
+    on every channel, of shape `(months + 1, channels, 4)`, computed in one vectorised pass.
 
-    The seeding words of months `0 .. months` on every channel are computed in
-    one vectorised pass, at construction; each call hands its words to NumPy's
-    own PCG64 seeding, as `default_rng(SeedSequence(...))` does after hashing
-    the entropy.  A month is at most MAX_HORIZON, so it is one entropy word.
+    A stream's generator is `Generator(PCG64(_Words(row)))`: NumPy's own PCG64
+    seeding, as `default_rng(SeedSequence(...))` does after hashing the entropy.
+    A month is at most MAX_HORIZON, so it is one entropy word.
     """
-
-    def __init__(self, seed: int, months: int):
-        seed_words = np.array(_words(seed), dtype=np.uint32)[:, None]  # one shared row per word
-        month = np.repeat(np.arange(months + 1, dtype=np.uint32), _STREAM_CHANNELS)
-        channel = np.tile(np.arange(_STREAM_CHANNELS, dtype=np.uint32), months + 1)
-        self._state_words = _seed_state([*seed_words, month, channel]).reshape(months + 1, _STREAM_CHANNELS, 4)
-
-    def __call__(self, month: int, channel: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(_Words(self._state_words[month, channel])))
-
-    def words(self, channel: int) -> np.ndarray:
-        """The PCG64 seeding words of every month's stream on `channel`, one row per month."""
-        return self._state_words[:, channel]
+    seed_words = np.array(_words(seed), dtype=np.uint32)[:, None]  # one shared row per word
+    month = np.repeat(np.arange(months + 1, dtype=np.uint32), _STREAM_CHANNELS)
+    channel = np.tile(np.arange(_STREAM_CHANNELS, dtype=np.uint32), months + 1)
+    return _seed_state([*seed_words, month, channel]).reshape(months + 1, _STREAM_CHANNELS, 4)
 
 
 def _node_draws(state_words: np.ndarray, count: int, config: SimulationConfig) -> np.ndarray:
@@ -370,7 +359,7 @@ class SimulationConfig:
         return decode(cls(), data)
 
 
-@dataclass
+@dataclass(slots=True)
 class MonthEvents:
     """What happened during one committed month."""
 
@@ -389,12 +378,25 @@ CSV_COLUMNS = (
 
 
 def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
-    """`header` then `rows` as CSV text with "\n" line ends; floats are written with repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """`header` then `rows` as CSV text with "\n" line ends, in one template pass.
+
+    Each field is written as its `str` (a float's is its repr) and none is quoted, so the text
+    is what `csv.writer(lineterminator="\n")` writes for fields that need no quoting.  A field
+    that would need quoting, one holding a comma, a quote, a "\n" or a "\r", or an empty field
+    alone on its line, raises ValueError, as does a row whose length differs from the header's.
+    """
+    header = tuple(header)
+    line = ",".join(["%s"] * len(header)) + "\n"
+    try:
+        lines = [line % header, *map(line.__mod__, map(tuple, rows))]
+    except TypeError as err:  # a row of more or fewer fields than the header
+        raise ValueError(f"a CSV row must hold {len(header)} fields: {err}") from None
+    text = "".join(lines)
+    if (text.count(",") != (len(header) - 1) * len(lines) or text.count("\n") != len(lines)
+            or '"' in text or "\r" in text or "\n\n" in text or text.startswith("\n")):
+        raise ValueError('a CSV field needs quoting: it holds a comma, a quote, a "\\n" or a "\\r", '
+                         "or is empty and alone on its line")
+    return text
 
 
 @dataclass
@@ -502,7 +504,13 @@ class Simulation:
         self._decide = Simulation._decide_roster if decides_in_batches(type(self.policy)) else Simulation._decide_each
         self.alloc = config.allocation()
         self.gc_params = config.gc_params()
-        self._stream = _Streams(config.seed, config.horizon_months)
+        # Every stream's words are hashed in one pass; the run keeps only growth capital's, the one
+        # channel drawn while stepping, and drops the rest once the initial roster and candidates are drawn.
+        words = _stream_words(config.seed, config.horizon_months)
+        initial = _node_draws(words[:1, _STREAM_INIT_NODES], config.initial_nodes, config)[0]
+        candidate_words = words[1:, _STREAM_CANDIDATES].copy()
+        self._gc_words = words[:, _STREAM_GROWTH_CAPITAL].copy()
+        del words
 
         # np.empty and np.zeros leave the slots no month reaches unbacked by memory;
         # np.full writes all of `_last`, 8 bytes a slot.
@@ -515,14 +523,13 @@ class Simulation:
         self._cost_view, self._tolerance_view = self._cost.view(), self._tolerance.view()
         self._cost_view.flags.writeable = self._tolerance_view.flags.writeable = False
         self._n = config.initial_nodes
-        initial = _node_draws(self._stream.words(_STREAM_INIT_NODES)[:1], self._n, config)[0]
         self._cost[:self._n], self._tolerance[:self._n] = initial
         self.gcs: List[GrowthCapitalist] = []
 
         # The inputs no month computes, one entry a month from month 1: the node emission, the circulating
         # supply (np.cumsum adds left to right, so each is the month before's plus its releases) and the
         # candidate pool.  The table comes last and is converted in place, so the build's peak is the
-        # memory the run keeps plus one month's raw draws.
+        # memory the run keeps plus the candidates' seeding words and one month's raw draws.
         months = np.arange(1, config.horizon_months + 1)
         emission = node_emission(months, self.alloc, config.node_schedule)
         with np.errstate(over="ignore"):  # a supply beyond the float range fails its month's record
@@ -530,7 +537,7 @@ class Simulation:
                         + vc_release(months, self.alloc, config.vc_schedule) + emission)
             self._circulating = np.cumsum(released).tolist()
         self._emission = emission.tolist()
-        self._candidates = _node_draws(self._stream.words(_STREAM_CANDIDATES)[1:], config.entry_pool_size, config)
+        self._candidates = _node_draws(candidate_words, config.entry_pool_size, config)
         self._candidates.flags.writeable = False
 
         # Seed the sale-side of the price ratio so month 1 has a market
@@ -640,7 +647,7 @@ class Simulation:
             # 4. Growth capitalists stay until their expiry month, when their
             # holdings go on sale; then this month's arrivals join.
             substep = "growth-capital"
-            rng_gc = self._stream(month, _STREAM_GROWTH_CAPITAL)
+            rng_gc = np.random.Generator(np.random.PCG64(_Words(self._gc_words[month])))
             arrivals = spawn_growth_capitalists(month, self.gc_params, rng_gc)
             gcs, expiring = [], 0  # expiring holdings add left to right from the int 0, then join the pool at once
             for gc in self.gcs:

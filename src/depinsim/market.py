@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarketState:
     """Committed per-month snapshot of the simulated market."""
 

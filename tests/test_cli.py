@@ -87,6 +87,35 @@ class TestRun:
             "users.svg": "b3741f3ac8e02f922761634f72a1325382afb7dbe0bb2c0e07821358ec16787b",
         }
 
+    def test_stressed_long_run_keeps_its_bytes(self, tmp_path):
+        # perfbench's cli-artifacts config at seed 0: 1,200 stressed months, one candidate a month,
+        # a node series flat at 0 for most of the run.  Its CSV digest is reference_digests.json's.
+        config = write_config(tmp_path, seed=0, horizon_months=1200, entry_pool_size=1,
+                              user_revenue_factor=0.0, node_cost=5000.0, gc_arrival_rate=0.5)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out-dir", str(out), "--charts", "on"]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        assert digests == {
+            "trajectory.csv": "204b84ffa6ee3d083023b84930b8173a9768ae0dc767b0ce2a69ef546d525460",
+            "metrics.json": "5e1664c15a91991280f544a7bd1f5bf9b00899b6ae25827797226584aefc016c",
+            "price.svg": "77a01802fa8d93647824013937411013d9da561187baf25508609707a90af2d9",
+            "market_cap.svg": "3b9d01b976d9e50090c3718bf26c5b2ab25e36b12bf731adf8bbb492d1f21d78",
+            "diluted_market_cap.svg": "c25e7ca40f7b4c3e39970caecbb07044bb7090f6b0d2f5c044c98de8c884cb68",
+            "nodes.svg": "2245c95bd0e128f20f39da0d375e84a4f50db44a02a671156c03324c93040822",
+            "users.svg": "0b476eb9211d97249cc73395a5f11f866076db3052f678be25d30b1a84a8f5ac",
+        }
+
+    def test_months_without_growth_capital_keep_their_bytes(self, tmp_path):
+        # Seed 8 of the same config has five months with no growth capitalist, whose E_total is the int 0.
+        config = write_config(tmp_path, seed=8, horizon_months=1200, entry_pool_size=1,
+                              user_revenue_factor=0.0, node_cost=5000.0, gc_arrival_rate=0.5)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out-dir", str(out), "--charts", "off"]) == 0
+        text = (out / "trajectory.csv").read_text()
+        assert sum(line.split(",")[CSV_COLUMNS.index("E_total")] == "0" for line in text.splitlines()) == 5
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "65450aca47f1ab607cae45ec98005ae917a04cf8afbaadc93a160302d59b7adf")
+
     def test_one_series_chart_draws_no_legend(self):
         # So `run`'s charts may name their one series after its CSV column.
         months, values = [1, 2, 3], [1.0, 4.0, 2.0]
@@ -136,6 +165,18 @@ class TestRoundTrips:
 
 
 class TestCompare:
+    def test_scripted_comparison_keeps_its_bytes(self, tmp_path):
+        # The comparison CI's console step runs.
+        config = write_config(tmp_path, horizon_months=12,
+                              llm={"backend": "scripted", "script": {"*enter*": "yes", "*exit*": "no"}})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", config, "--patience", "1,3", "--seeds", "2", "--out-dir", str(out)]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        assert digests == {
+            "compare.csv": "ba531d9f7509198c8ee4c87391384989bec364a3251275880b124b98a4c834b1",
+            "compare.svg": "5d6b32597d1579f81e1f6028b785b67536c43f7dfcda0c1b98e97720169a6706",
+        }
+
     def test_cells_and_shape(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -249,6 +290,16 @@ class TestCompare:
 
 
 class TestVesting:
+    def test_default_table_and_chart_keep_their_bytes(self, tmp_path):
+        # The chart draws three series with a legend.
+        out = tmp_path / "out"
+        assert main(["vesting", "--out-dir", str(out)]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        assert digests == {
+            "vesting.csv": "669b8b44ff0e62c6a1533cdc88cac2fe1862b107ef5a88c7ac010509663f5ffe",
+            "vesting.svg": "96ad68dc2d6c7622da6ebe2755eb3e9833ea21ce09c868050926480527a060d5",
+        }
+
     def test_full_horizon_table(self, tmp_path):
         out = tmp_path / "out"
         assert main(["vesting", "--horizon", "96", "--out-dir", str(out)]) == 0

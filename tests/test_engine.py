@@ -36,7 +36,8 @@ from depinsim import engine
 from depinsim.bounds import check_ranges, declared_ranges
 from depinsim.cli import FileOptions
 from depinsim.engine import (
-    MAX_HORIZON, MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, _Streams, compare, encode, run,
+    MAX_HORIZON, MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, _Words, _stream_words,
+    compare, encode, run,
 )
 from depinsim.llm_gateway import AuditLog, LlmSettings, ScriptedBackend
 from depinsim.market import MarketState
@@ -246,10 +247,10 @@ class TestDeterminism:
     def test_stream_words_equal_the_tuple_entropy(self, seed, calls):
         # One source seeded up to the latest month called.  This pins NumPy's
         # seeding: a NumPy that seeds PCG64 differently fails here.
-        streams = _Streams(seed, max(month for month, _ in calls))
+        words = _stream_words(seed, max(month for month, _ in calls))
         for month, channel in calls:
             expected = np.random.default_rng(np.random.SeedSequence((seed, month, channel)))
-            rng = streams(month, channel)
+            rng = np.random.Generator(np.random.PCG64(_Words(words[month, channel])))
             assert rng.bit_generator.state == expected.bit_generator.state
             assert rng.uniform() == expected.uniform()
             assert rng.poisson(3.0) == expected.poisson(3.0)
@@ -300,7 +301,7 @@ class TestDeterminism:
         peaks = []
         for seed in (0, 10**4299):
             tracemalloc.start()
-            _Streams(seed, MAX_HORIZON)
+            _stream_words(seed, MAX_HORIZON)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < peaks[0] + 2**20
@@ -375,17 +376,49 @@ class TestCandidateTable:
 
     def test_build_converts_the_largest_table_in_place(self):
         # The largest admitted roster: 1,000,000 slots, all of them candidates.  The run keeps
-        # its roster buffers (33 B a slot), the candidate table (16 B a slot), the stream words
-        # (96 B a month) and its releases and supply (about 64 B a month): 65 MB.  Converting
-        # the table's raw words through a copy would add 16 MB to the build's peak.
+        # its roster buffers (33 B a slot), the candidate table (16 B a slot), growth capital's
+        # stream words (32 B a month) and its releases and supply (about 64 B a month): 59 MB.
+        # Converting the table's raw words through a copy would add 16 MB to the build's peak,
+        # and keeping every channel's stream words (96 B a month) 6.4 MB to what the run holds.
         config = SimulationConfig(initial_nodes=0, horizon_months=MAX_HORIZON, entry_pool_size=10)
         tracemalloc.start()
         try:
-            Simulation(config)
-            peak = tracemalloc.get_traced_memory()[1]
+            sim = Simulation(config)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 70 * 2**20
+        assert held < 58 * 2**20
+        assert sim._gc_words.nbytes == (MAX_HORIZON + 1) * 32
+
+
+class TestRecords:
+    def test_a_long_runs_records_take_under_400_bytes_a_month(self):
+        # Each month keeps one MarketState and one MonthEvents, both slotted, and the floats
+        # they hold: about 380 B a month.  As `__dict__`-backed dataclasses they took 480 B.
+        months = 5000
+        config = SimulationConfig(initial_nodes=0, horizon_months=months, entry_pool_size=10,
+                                  node_cost=1e300, gc_arrival_rate=0)
+        tracemalloc.start()
+        try:
+            sim = Simulation(config)
+            for month in range(1, months + 1):
+                sim.step(month)
+            records = sim.states, sim.events
+            del sim
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(records[0]) == len(records[1]) == months
+        assert held / months < 400
+
+    def test_records_are_slotted_and_still_replace_and_serialise(self, small_config):
+        trajectory = run(small_config)
+        state, events = trajectory.states[0], trajectory.events[0]
+        assert not hasattr(state, "__dict__") and not hasattr(events, "__dict__")
+        assert replace(state, month=7).month == 7 and replace(events, exits=3).exits == 3
+        assert json.loads(trajectory.to_json())["states"][0] == asdict(state)
 
 
 class TestNullDynamics:
