@@ -47,7 +47,9 @@ class DecisionPolicy(Protocol):
     `decides_in_batches`) decides each month in two calls:
     `decide_entries` over the candidate pool, then `decide_exits` over the
     roster, each given the month's revenue and the nodes' cost and tolerance
-    arrays and returning one verdict per node.  Every array is read-only:
+    arrays and returning one verdict per node.  `decide_exits` is also given
+    each node's exit threshold, `tolerance * cost`, which the engine stores
+    when the node joins the roster.  Every array is read-only:
     `decide_entries` receives the month's row of the run's candidate table,
     and `decide_exits` views of the engine's roster buffers, valid only
     during the call; a policy that keeps roster values past it copies them.
@@ -62,7 +64,8 @@ class DecisionPolicy(Protocol):
 
     def decide_entries(self, revenue: float, costs: np.ndarray, tolerances: np.ndarray, month: int) -> np.ndarray: ...
 
-    def decide_exits(self, revenue: float, costs: np.ndarray, tolerances: np.ndarray, month: int) -> np.ndarray: ...
+    def decide_exits(self, revenue: float, costs: np.ndarray, tolerances: np.ndarray, thresholds: np.ndarray,
+                     month: int) -> np.ndarray: ...
 
 
 _BATCH_METHODS = (("decide_entries", "decide_entry"), ("decide_exits", "decide_exit"))
@@ -87,8 +90,9 @@ def decides_in_batches(cls: type) -> bool:
 def heuristic_entry(ctx: DecisionContext) -> bool:
     """Enter iff global revenue strictly exceeds the node's cost.
 
-    Like `heuristic_exit`, it broadcasts: given array costs and tolerances
-    it returns one verdict per node.
+    `HeuristicPolicy`'s batch methods apply this rule and `heuristic_exit`'s
+    to whole arrays: `revenue > costs`, and `revenue < thresholds` against
+    each node's stored `tolerance * cost`, the same product bit for bit.
     """
     return ctx.global_revenue > ctx.node_cost
 
@@ -99,7 +103,7 @@ def heuristic_exit(ctx: DecisionContext) -> bool:
 
 
 class HeuristicPolicy:
-    """Rule-based benchmark policy; its batch methods are one array pass each."""
+    """Rule-based benchmark policy; its batch methods are one array comparison each."""
 
     def decide_entry(self, ctx: DecisionContext) -> bool:
         return heuristic_entry(ctx)
@@ -108,10 +112,10 @@ class HeuristicPolicy:
         return heuristic_exit(ctx)
 
     def decide_entries(self, revenue, costs, tolerances, month) -> np.ndarray:
-        return heuristic_entry(DecisionContext(revenue, costs, tolerances, month))
+        return revenue > costs
 
-    def decide_exits(self, revenue, costs, tolerances, month) -> np.ndarray:
-        return heuristic_exit(DecisionContext(revenue, costs, tolerances, month))
+    def decide_exits(self, revenue, costs, tolerances, thresholds, month) -> np.ndarray:
+        return revenue < thresholds
 
 
 # Every prompt is the month's head, which names the revenue, then one node's tail.
@@ -258,10 +262,9 @@ class LlmPolicy:
         head = _HEAD.format(revenue=_decimal(revenue))
         _check_finite(costs)
         prompts = [head + _literal(cost) + _ENTRY_END for cost in costs.tolist()]
-        return self._ask(prompts, lambda: heuristic_entry(DecisionContext(revenue, costs, tolerances, month)),
-                         self.backend.complete_batch)
+        return self._ask(prompts, lambda: revenue > costs, self.backend.complete_batch)
 
-    def decide_exits(self, revenue, costs, tolerances, month) -> np.ndarray:
+    def decide_exits(self, revenue, costs, tolerances, thresholds, month) -> np.ndarray:
         if not len(costs):
             return np.zeros(0, dtype=bool)
         head = _HEAD.format(revenue=_decimal(revenue))
@@ -271,8 +274,7 @@ class LlmPolicy:
         tails = [known(pair) or _literal(pair[0]) + _TOLERANCE + _literal(pair[1]) + _EXIT_END for pair in pairs]
         self._exit_tails = dict(zip(pairs, tails))
         prompts = [head + tail for tail in tails]
-        return self._ask(prompts, lambda: heuristic_exit(DecisionContext(revenue, costs, tolerances, month)),
-                         self.backend.complete_batch)
+        return self._ask(prompts, lambda: revenue < thresholds, self.backend.complete_batch)
 
 
 def apply_patience(streak: int, exit_signal: bool, patience: int) -> bool:

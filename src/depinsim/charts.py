@@ -99,6 +99,9 @@ def line_chart(
     x_lo, x_hi = min(x), max(x)
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1, x_hi + 1
+        if x_lo == x_hi:  # a float beyond 2**53 rounds both back: pad it as a flat series is
+            pad = abs(x_lo) * 0.1
+            x_lo, x_hi = x_lo - pad, x_hi + pad
 
     plot_w = _LINE_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _LINE_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

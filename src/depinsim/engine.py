@@ -463,18 +463,21 @@ def _verdicts(values, count: int) -> np.ndarray:
 class Simulation:
     """Mutable run state: node roster, growth capitalists, last snapshot.
 
-    The roster is each active node's `cost`, `tolerance` and run of exit
-    signals, in roster order.  They live in the first `n` slots of buffers
-    allocated once, at the run's largest possible roster (`initial_nodes +
-    horizon_months * entry_pool_size`), so a month allocates no roster
-    arrays.  A node's run is two slots: the last month it signalled (-1
-    for a node that never has) and the length of its run of consecutive
-    signals up to that month.  A month therefore reads and writes only the
-    slots of the nodes that signalled: a run continues if the node also
-    signalled the month before and restarts at 1 otherwise, and nodes
-    whose run reaches `patience` leave.  The commit writes those slots,
-    compacts exits within the buffers through a scratch mask of stayers and
-    writes entrants into the tail.  A month past `horizon_months` is
+    The roster is each active node's `cost`, `tolerance`, exit threshold
+    `tolerance * cost` and run of exit signals, in roster order.  They live
+    in the first `n` slots of buffers allocated once, at the run's largest
+    possible roster (`initial_nodes + horizon_months * entry_pool_size`),
+    so a month allocates no roster arrays: 33 B a slot, with the commit's
+    stay mask.  A node's threshold is computed once, when it joins the
+    roster.  A node's run is two int32 slots: the last month it signalled
+    (-1 for a node that never has) and the length of its run of
+    consecutive signals up to that month, both at most `MAX_HORIZON`.  A
+    month therefore reads and writes only the slots of the nodes that
+    signalled: a run continues if the node also signalled the month before
+    and restarts at 1 otherwise, and nodes whose run reaches `patience`
+    leave.  The commit writes those slots, compacts exits within the
+    buffers through a scratch mask of stayers and writes entrants, and
+    their thresholds, into the tail.  A month past `horizon_months` is
     rejected, so the roster never outgrows the buffers.  `cost` and
     `tolerance` are read-only views of the live slots; `streak` is
     computed from the run slots.
@@ -492,9 +495,9 @@ class Simulation:
     any other policy is called once per decision, in roster order; the
     route is chosen once, at construction, from the policy's class.  The
     arrays a batch method receives are read-only: `decide_entries` gets the
-    month's row of the run's candidate table, and the roster arrays
-    `decide_exits` gets are valid only during that call, as the commit
-    reuses their memory.
+    month's row of the run's candidate table, and the roster's costs,
+    tolerances and thresholds `decide_exits` gets are valid only during
+    that call, as the commit reuses their memory.
     """
 
     def __init__(self, config: SimulationConfig, policy=None):
@@ -513,17 +516,21 @@ class Simulation:
         del words
 
         # np.empty and np.zeros leave the slots no month reaches unbacked by memory;
-        # np.full writes all of `_last`, 8 bytes a slot.
+        # np.full writes all of `_last`, 4 bytes a slot.
         capacity = config.initial_nodes + config.horizon_months * config.entry_pool_size
         self._cost = np.empty(capacity)
         self._tolerance = np.empty(capacity)
-        self._last = np.full(capacity, -1, dtype=np.int64)  # the month each node last signalled exit
-        self._run = np.zeros(capacity, dtype=np.int64)  # its run of consecutive signals up to that month
+        self._threshold = np.empty(capacity)  # tolerance * cost, the heuristic exit rule's bar
+        self._last = np.full(capacity, -1, dtype=np.int32)  # the month each node last signalled exit
+        self._run = np.zeros(capacity, dtype=np.int32)  # its run of consecutive signals up to that month
         self._stay = np.empty(capacity, dtype=bool)  # in an exit month, the nodes that stay
-        self._cost_view, self._tolerance_view = self._cost.view(), self._tolerance.view()
-        self._cost_view.flags.writeable = self._tolerance_view.flags.writeable = False
-        self._n = config.initial_nodes
-        self._cost[:self._n], self._tolerance[:self._n] = initial
+        views = [buffer.view() for buffer in (self._cost, self._tolerance, self._threshold)]
+        for view in views:
+            view.flags.writeable = False
+        self._cost_view, self._tolerance_view, self._threshold_view = views
+        self._n = n = config.initial_nodes
+        self._cost[:n], self._tolerance[:n] = initial
+        np.multiply(self._tolerance[:n], self._cost[:n], out=self._threshold[:n])
         self.gcs: List[GrowthCapitalist] = []
 
         # The inputs no month computes, one entry a month from month 1: the node emission, the circulating
@@ -586,7 +593,8 @@ class Simulation:
         n = self._n
         if not n:
             return enters, _NO_NODES
-        signals = _verdicts(self.policy.decide_exits(revenue, self.cost, self.tolerance, month), n)
+        thresholds = self._threshold_view[:n]
+        signals = _verdicts(self.policy.decide_exits(revenue, self.cost, self.tolerance, thresholds, month), n)
         return enters, np.flatnonzero(signals) if signals.any() else _NO_NODES
 
     def _decide_each(self, revenue, costs, tolerances, month) -> Tuple[np.ndarray, np.ndarray]:
@@ -710,11 +718,12 @@ class Simulation:
             stay = self._stay[:n]
             stay.fill(True)
             stay[leavers] = False
-            for buffer in (self._cost, self._tolerance, self._last, self._run):
+            for buffer in (self._cost, self._tolerance, self._threshold, self._last, self._run):
                 buffer[:kept] = buffer[:n][stay]
         if entries:
             self._cost[kept:n_now] = costs[enters]
             self._tolerance[kept:n_now] = tolerances[enters]
+            np.multiply(self._tolerance[kept:n_now], self._cost[kept:n_now], out=self._threshold[kept:n_now])
             self._last[kept:n_now] = -1
         self._n = n_now
         self.gcs = gcs

@@ -50,6 +50,25 @@ class TestHeuristicRules:
         assert policy.decide_entry(c) == heuristic_entry(c)
         assert policy.decide_exit(c) == heuristic_exit(c)
 
+    def test_batch_methods_equal_the_rules_node_by_node(self):
+        # Subnormal products (one rounds to 0), the product 1e308 * 1, and revenues at, just
+        # below and just above each threshold.
+        costs = np.array([1000.0, 1e-300, 5e-324, 1e308, 3.0, 0.1])
+        tolerances = np.array([0.5, 1e-10, 0.5, 1.0, 1 / 3, 0.7])
+        thresholds = tolerances * costs
+        assert thresholds[1] < 2.2250738585072014e-308 and thresholds[2] == 0.0 and thresholds[3] == 1e308
+        policy = HeuristicPolicy()
+        revenues = [0.0, 5e-324, 1e308, *thresholds.tolist(), *np.nextafter(thresholds, 0.0).tolist(),
+                    *np.nextafter(thresholds, np.inf).tolist()]
+        for revenue in revenues:
+            contexts = [ctx(revenue, c, t) for c, t in zip(costs.tolist(), tolerances.tolist())]
+            entries = policy.decide_entries(revenue, costs, tolerances, 1)
+            exits = policy.decide_exits(revenue, costs, tolerances, thresholds, 1)
+            assert entries.tolist() == [heuristic_entry(c) for c in contexts]
+            assert exits.tolist() == [heuristic_exit(c) for c in contexts]
+        for i, threshold in enumerate(thresholds.tolist()):  # a revenue equal to a threshold gives no signal
+            assert not policy.decide_exits(threshold, costs, tolerances, thresholds, 1)[i]
+
 
 class TestPromptRendering:
     def test_entry_prompt_exact(self):
@@ -327,6 +346,15 @@ class Recording(ScriptedBackend):
         return super().complete_batch(batch)
 
 
+def batch_methods(policy):
+    """`policy`'s batch methods by name, each called as `(revenue, costs, tolerances, month)`;
+    `decide_exits` is given the thresholds `tolerances * costs`."""
+    def decide_exits(revenue, costs, tolerances, month):
+        return policy.decide_exits(revenue, costs, tolerances, tolerances * costs, month)
+
+    return {"decide_entries": policy.decide_entries, "decide_exits": decide_exits}
+
+
 class TestLlmPolicyBatch:
     REVENUES = (1234.0, 0.0, 2.5e-7, 9.87e21)
 
@@ -339,7 +367,7 @@ class TestLlmPolicyBatch:
 
         batched, single = LlmPolicy(Recording(script)), LlmPolicy(Recording(script))
         enters = batched.decide_entries(revenue, costs, tolerances, 3)
-        exits = batched.decide_exits(revenue, costs, tolerances, 3)
+        exits = batched.decide_exits(revenue, costs, tolerances, tolerances * costs, 3)
         contexts = [ctx(revenue, c, t, 3) for c, t in zip(costs.tolist(), tolerances.tolist())]
         assert enters.tolist() == [single.decide_entry(c) for c in contexts]
         assert exits.tolist() == [single.decide_exit(c) for c in contexts]
@@ -352,9 +380,9 @@ class TestLlmPolicyBatch:
         policy = LlmPolicy(Recording({}))
         tolerances = np.full(3, 0.5)
         with pytest.raises(ValueError, match="prompt quantities must be finite, got inf"):
-            getattr(policy, method)(math.inf, np.ones(3), tolerances, 1)
+            batch_methods(policy)[method](math.inf, np.ones(3), tolerances, 1)
         with pytest.raises(ValueError, match="got nan"):
-            getattr(policy, method)(1.0, np.array([1.0, math.nan, math.inf]), tolerances, 1)
+            batch_methods(policy)[method](1.0, np.array([1.0, math.nan, math.inf]), tolerances, 1)
         assert policy.backend.batches == []
 
     def test_consecutive_months_equal_the_scalar_route(self, tmp_path):
@@ -373,7 +401,7 @@ class TestLlmPolicyBatch:
                 if route == "batch":
                     costs, tolerances = (np.array(column) for column in zip(*roster))
                     verdicts += policy.decide_entries(revenue, costs, tolerances, month).tolist()
-                    verdicts += policy.decide_exits(revenue, costs, tolerances, month).tolist()
+                    verdicts += policy.decide_exits(revenue, costs, tolerances, tolerances * costs, month).tolist()
                 else:
                     contexts = [ctx(revenue, cost, tolerance, month) for cost, tolerance in roster]
                     verdicts += [policy.decide_entry(c) for c in contexts] + [policy.decide_exit(c) for c in contexts]
@@ -387,13 +415,14 @@ class TestLlmPolicyBatch:
 
     def test_exit_tails_hold_only_the_last_roster(self):
         policy = LlmPolicy(Recording({}))
+        decide_exits = batch_methods(policy)["decide_exits"]
         tolerances = np.full(3, 0.5)
-        policy.decide_exits(1.0, np.array([1.0, 2.0, 3.0]), tolerances, 1)
-        policy.decide_exits(1.0, np.array([3.0, -0.0, 0.0]), tolerances, 2)
+        decide_exits(1.0, np.array([1.0, 2.0, 3.0]), tolerances, 1)
+        decide_exits(1.0, np.array([3.0, -0.0, 0.0]), tolerances, 2)
         assert list(policy._exit_tails) == [(3.0, 0.5), (0.0, 0.5)]
         for bad in (math.nan, math.inf):  # a non-finite value raises as the scalar render does
             with pytest.raises(ValueError) as batched:
-                policy.decide_exits(1.0, np.array([3.0, bad]), np.full(2, 0.5), 3)
+                decide_exits(1.0, np.array([3.0, bad]), np.full(2, 0.5), 3)
             with pytest.raises(ValueError) as single:
                 render_exit_prompt(ctx(1.0, bad, 0.5, 3))
             assert str(batched.value) == str(single.value)
@@ -408,7 +437,7 @@ class TestLlmPolicyBatch:
         policy = LlmPolicy(ScriptedBackend(heuristic_prompt_reply))
         rng = np.random.default_rng(1)
         costs, tolerances = rng.uniform(500, 1500, 1000), rng.uniform(0.1, 1.0, 1000)
-        for method in (policy.decide_entries, policy.decide_exits):
+        for method in batch_methods(policy).values():
             built.clear()
             method(1000.0, costs, tolerances, 1)
             assert built == ["CompletionBatch", "BatchReplies"]
@@ -425,10 +454,10 @@ class TestLlmPolicyBatch:
         batched = refusing("complete")
         costs, tolerances = np.array([1000.0, 3000.0]), np.array([0.5, 0.5])
         assert batched.decide_entries(2000.0, costs, tolerances, 1).tolist() == [True, False]
-        assert batched.decide_exits(1000.0, costs, tolerances, 1).tolist() == [False, True]
+        assert batched.decide_exits(1000.0, costs, tolerances, tolerances * costs, 1).tolist() == [False, True]
 
     def test_empty_pool_or_roster_sends_nothing(self):
         policy = LlmPolicy(Recording({}))
-        for method in (policy.decide_entries, policy.decide_exits):
+        for method in batch_methods(policy).values():
             assert method(math.nan, np.zeros(0), np.zeros(0), 1).tolist() == []
         assert policy.backend.batches == []

@@ -376,8 +376,10 @@ class TestCandidateTable:
 
     def test_build_converts_the_largest_table_in_place(self):
         # The largest admitted roster: 1,000,000 slots, all of them candidates.  The run keeps
-        # its roster buffers (33 B a slot), the candidate table (16 B a slot), growth capital's
-        # stream words (32 B a month) and its releases and supply (about 64 B a month): 59 MB.
+        # its roster buffers (33 B a slot: cost, tolerance and exit threshold at 8 B each, the
+        # two int32 run slots at 4 B each and the stay mask at 1 B), the candidate table (16 B a
+        # slot), growth capital's stream words (32 B a month) and its releases and supply (about
+        # 64 B a month): 59 MB.
         # Converting the table's raw words through a copy would add 16 MB to the build's peak,
         # and keeping every channel's stream words (96 B a month) 6.4 MB to what the run holds.
         config = SimulationConfig(initial_nodes=0, horizon_months=MAX_HORIZON, entry_pool_size=10)
@@ -629,7 +631,7 @@ class TestDecisionRoutes:
             def decide_entries(self, revenue, costs, tolerances, month):
                 return heuristic_entry(DecisionContext(revenue, costs, tolerances, month))
 
-            def decide_exits(self, revenue, costs, tolerances, month):
+            def decide_exits(self, revenue, costs, tolerances, thresholds, month):  # recomputes tolerance * cost
                 return heuristic_exit(DecisionContext(revenue, costs, tolerances, month))
 
         config = SimulationConfig(horizon_months=24, patience=2, **CHURN)
@@ -637,8 +639,8 @@ class TestDecisionRoutes:
 
     def test_batch_verdicts_must_cover_every_node(self, null_dynamics_config):
         class Short(HeuristicPolicy):
-            def decide_exits(self, revenue, costs, tolerances, month):
-                return super().decide_exits(revenue, costs, tolerances, month)[1:]
+            def decide_exits(self, revenue, costs, tolerances, thresholds, month):
+                return super().decide_exits(revenue, costs, tolerances, thresholds, month)[1:]
 
         with pytest.raises(SimulationError, match="node-decisions.*shape \\(49,\\) for 50 nodes"):
             Simulation(null_dynamics_config, policy=Short()).step(1)
@@ -718,7 +720,7 @@ class Replay:
         self.pool = costs.tolist()
         return self.entries[month - 1][:len(costs)]
 
-    def decide_exits(self, revenue, costs, tolerances, month):
+    def decide_exits(self, revenue, costs, tolerances, thresholds, month):
         return self.exits[month - 1][:len(costs)]
 
 
@@ -812,6 +814,48 @@ class TestPatienceRule:
         assert (sim.events[-1].exits, sim.events[-1].entries) == (0, 2)
         assert (sim._last[:n].tobytes(), sim._run[:n].tobytes()) == before
         assert sim.streak.tolist() == [0] * (n + 2)
+
+
+def assert_thresholds_stored(sim):
+    """The roster's stored exit thresholds hold the bytes of `tolerance * cost` over the live slots."""
+    assert sim._threshold[:len(sim.cost)].tobytes() == (sim.tolerance * sim.cost).tobytes()
+
+
+class TestExitThresholds:
+    # Month 1: the middle of three nodes leaves, so the third is compacted into its slot and the
+    # entrant takes the third's; month 2: the first node leaves, and the next entrant joins.
+    COMPACTED = (SimulationConfig(horizon_months=2, initial_nodes=3, entry_pool_size=1, patience=1),
+                 [[True], [True]], [[False, True, False, False, False], [True, False, False, False, False]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=replayed_runs(), batches=st.booleans())
+    def test_every_step_keeps_the_product(self, drawn, batches):
+        config, entries, exits = drawn
+        sim = Simulation(config, policy=(Replay if batches else ReplayEach)(entries, exits))
+        assert_thresholds_stored(sim)
+        for month in range(1, config.horizon_months + 1):
+            sim.step(month)
+            assert_thresholds_stored(sim)
+
+    @pytest.mark.parametrize("make_policy", [Replay, ReplayEach])
+    def test_compaction_and_a_vacated_slot(self, make_policy):
+        config, entries, exits = self.COMPACTED
+        sim = Simulation(config, policy=make_policy(entries, exits))
+        initial = sim.cost.tolist()
+        for month in (1, 2):
+            sim.step(month)
+            assert_thresholds_stored(sim)
+        assert [(e.exits, e.entries) for e in sim.events] == [(1, 1), (1, 1)]
+        assert sim.cost.tolist()[0] == initial[2]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_churn_regime(self, seed):
+        config = SimulationConfig(horizon_months=24, patience=2, seed=seed, **CHURN)
+        sim = Simulation(config)
+        for month in range(1, config.horizon_months + 1):
+            sim.step(month)
+            assert_thresholds_stored(sim)
+        assert sum(e.exits for e in sim.events) > 0 and sum(e.entries for e in sim.events) > 0
 
 
 SCHEDULES = st.one_of(
@@ -1171,20 +1215,27 @@ class TestStepErrors:
 
     def test_policy_cannot_write_the_roster(self):
         class Scribbling(HeuristicPolicy):
-            def decide_exits(self, revenue, costs, tolerances, month):
-                costs[0] = 0.0
-                return super().decide_exits(revenue, costs, tolerances, month)
+            def __init__(self, column):
+                self.column = column  # 0, 1 or 2: costs, tolerances or thresholds
+
+            def decide_exits(self, revenue, costs, tolerances, thresholds, month):
+                (costs, tolerances, thresholds)[self.column][0] = 0.0
+                return super().decide_exits(revenue, costs, tolerances, thresholds, month)
+
+        def roster(sim):
+            return sim.cost, sim.tolerance, sim._threshold[:len(sim.cost)], sim.streak
 
         config = SimulationConfig(horizon_months=3)
-        sim = Simulation(config, policy=Scribbling())
-        before = (sim.cost.copy(), sim.tolerance.copy(), sim.streak.copy())
-        with pytest.raises(SimulationError, match="node-decisions.*read-only"):
-            sim.step(1)
-        for array, saved in zip((sim.cost, sim.tolerance, sim.streak), before):
-            assert np.array_equal(array, saved)
+        for column in range(3):
+            sim = Simulation(config, policy=Scribbling(column))
+            before = [array.copy() for array in roster(sim)]
+            with pytest.raises(SimulationError, match="node-decisions.*read-only"):
+                sim.step(1)
+            for array, saved in zip(roster(sim), before):
+                assert np.array_equal(array, saved)
+            assert sim.states == []
         with pytest.raises(ValueError, match="read-only"):
             sim.cost[0] = 0.0
-        assert sim.states == []
 
     def test_substep_failures_are_located(self, null_dynamics_config):
         class Exploding:

@@ -270,7 +270,7 @@ class TestHttpBackendBatch:
             policy = LlmPolicy(backend, audit_log=log)
             with pytest.raises(ProtocolError):
                 if route == "batch":
-                    policy.decide_exits(1500.0, costs, tolerances, 1)
+                    policy.decide_exits(1500.0, costs, tolerances, tolerances * costs, 1)
                 else:
                     for cost, tolerance in zip(costs.tolist(), tolerances.tolist()):
                         policy.decide_exit(DecisionContext(1500.0, cost, tolerance, 1))
