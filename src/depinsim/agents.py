@@ -244,7 +244,7 @@ class LlmPolicy:
 
     def _complete_one(self, batch: CompletionBatch) -> BatchReplies:
         # The scalar methods' send.  It goes once perfbench's TracedBackend, which
-        # forwards only `complete`, forwards `complete_batch` (ROADMAP item 1).
+        # forwards only `complete`, forwards `complete_batch` (ROADMAP item 17).
         (prompt,) = batch.prompts
         request = CompletionRequest(prompt, batch.max_tokens, batch.temperature, batch.model_name)
         response = self.backend.complete(request)

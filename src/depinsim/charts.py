@@ -85,21 +85,22 @@ def line_chart(
     y_label: str = "",
 ) -> str:
     """Render one or more aligned series as SVG polylines with axes."""
-    if not x:
+    xs = np.asarray(x, dtype=np.float64)  # read once: the x range, ticks and polylines all come from these values
+    if not xs.size:
         raise ValueError("line_chart needs at least one x value")
     for name, values in series.items():
-        if len(values) != len(x):
-            raise ValueError(f"series {name!r} length {len(values)} != x length {len(x)}")
+        if len(values) != xs.size:
+            raise ValueError(f"series {name!r} length {len(values)} != x length {xs.size}")
 
     all_y = [v for values in series.values() for v in values]
     y_lo, y_hi = min(all_y), max(all_y)
     if y_lo == y_hi:  # flat series still gets a visible band
         pad = abs(y_lo) * 0.1 or 1.0
         y_lo, y_hi = y_lo - pad, y_hi + pad
-    x_lo, x_hi = min(x), max(x)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1, x_hi + 1
-        if x_lo == x_hi:  # a float beyond 2**53 rounds both back: pad it as a flat series is
+        if x_lo == x_hi:  # a value beyond 2**53 rounds both back: pad it as a flat series is
             pad = abs(x_lo) * 0.1
             x_lo, x_hi = x_lo - pad, x_hi + pad
 
@@ -140,7 +141,7 @@ def line_chart(
             f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.0f})">{_escape(y_label)}</text>'
         )
     # Series polylines and legend: px and py over whole series, as float64 arrays.
-    xs = _MARGIN_LEFT + (np.asarray(x, dtype=np.float64) - x_lo) / (x_hi - x_lo) * plot_w
+    xs = _MARGIN_LEFT + (xs - x_lo) / (x_hi - x_lo) * plot_w
     for idx, (name, values) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
         ys = _MARGIN_TOP + (y_hi - np.asarray(values, dtype=np.float64)) / (y_hi - y_lo) * plot_h

@@ -23,9 +23,7 @@ from .engine import (
     CSV_COLUMNS, MAX_HORIZON, SimulationConfig, SimulationError, build_policy, compare, csv_text, decode, encode, run,
 )
 from .llm_gateway import AuditLog, GatewayError
-from .tokenomics import (
-    NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, circulating_supply, cumulative_release, release,
-)
+from .tokenomics import NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, vesting_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,17 +180,15 @@ def cmd_vesting(args) -> int:
     alloc = TokenAllocation(**{f.name: getattr(args, f.name) for f in fields(TokenAllocation)})
     header = ("month", "team_release", "vc_release", "node_release",
               "team_cumulative", "vc_cumulative", "node_cumulative", "circulating_supply")
-    classes = ((alloc.team_tokens, TEAM_SCHEDULE), (alloc.vc_tokens, VC_SCHEDULE), (alloc.node_tokens, NODE_SCHEDULE))
-    rows = [
-        (month, *(release(month, tokens, schedule) for tokens, schedule in classes),
-         *(cumulative_release(month, tokens, schedule) for tokens, schedule in classes),
-         circulating_supply(month, alloc))
-        for month in range(1, args.horizon + 1)
-    ]
+    # The run's own arrays: the releases and circulating supply a run reads, and each class's running sum.
+    *releases, circulating = vesting_table(args.horizon, alloc, TEAM_SCHEDULE, VC_SCHEDULE, NODE_SCHEDULE)
+    with np.errstate(over="ignore"):
+        cumulative = [np.cumsum(tokens) for tokens in releases]
+    columns = dict(zip(header, (list(range(1, args.horizon + 1)),
+                                *(column.tolist() for column in (*releases, *cumulative, circulating)))))
     out_dir = Path(args.out_dir)
-    _write_text(out_dir / "vesting.csv", csv_text(header, rows))
+    _write_text(out_dir / "vesting.csv", csv_text(header, zip(*columns.values())))
     if args.charts != "off":
-        columns = dict(zip(header, zip(*rows)))
         svg = charts.line_chart(
             columns["month"],
             {"team": columns["team_cumulative"], "vc": columns["vc_cumulative"], "node": columns["node_cumulative"]},

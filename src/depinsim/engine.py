@@ -42,17 +42,9 @@ from .market import (
     token_price,
     user_count,
 )
-from .tokenomics import (
-    NODE_SCHEDULE,
-    TEAM_SCHEDULE,
-    VC_SCHEDULE,
-    TokenAllocation,
-    VestingSchedule,
-    circulating_supply,
-    node_emission,
-    team_release,
-    vc_release,
-)
+from .tokenomics import NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, VestingSchedule, vesting_table
+# Unused here: perfbench's tracer patches these names until ROADMAP item 17 lands.
+from .tokenomics import circulating_supply, node_emission, team_release, vc_release  # noqa: F401
 
 # RNG stream channels, one per randomized sub-step.  A month's stream on a
 # channel is NumPy's `SeedSequence((seed, month, channel))` stream, so adding
@@ -483,10 +475,12 @@ class Simulation:
     computed from the run slots.
 
     The inputs no month computes are built with the run, each in one
-    vectorised pass: every month's releases and circulating supply, and
-    the candidate table, one row of `entry_pool_size` costs and tolerances
-    a month, drawn from that month's candidate stream.  A month indexes
-    them; it draws only growth capital.
+    vectorised pass: every month's node emission and circulating supply,
+    read from `tokenomics.vesting_table` (the table `depin-sim vesting`
+    writes), and the candidate table, one row of `entry_pool_size` costs
+    and tolerances a month, drawn from that month's candidate stream.  A
+    month indexes them; it draws only growth capital.  The month-1 sale
+    pool is `tokens_on_sale_fraction` of the table's month-1 supply.
 
     Within a month every decision reads the same frozen start-of-month
     context, so agent evaluation order cannot change the outcome.  A policy
@@ -533,31 +527,23 @@ class Simulation:
         np.multiply(self._tolerance[:n], self._cost[:n], out=self._threshold[:n])
         self.gcs: List[GrowthCapitalist] = []
 
-        # The inputs no month computes, one entry a month from month 1: the node emission, the circulating
-        # supply (np.cumsum adds left to right, so each is the month before's plus its releases) and the
-        # candidate pool.  The table comes last and is converted in place, so the build's peak is the
-        # memory the run keeps plus the candidates' seeding words and one month's raw draws.
-        months = np.arange(1, config.horizon_months + 1)
-        emission = node_emission(months, self.alloc, config.node_schedule)
-        with np.errstate(over="ignore"):  # a supply beyond the float range fails its month's record
-            released = (team_release(months, self.alloc, config.team_schedule)
-                        + vc_release(months, self.alloc, config.vc_schedule) + emission)
-            self._circulating = np.cumsum(released).tolist()
-        self._emission = emission.tolist()
+        # The inputs no month computes, one entry a month from month 1: the vesting table's node emission and
+        # circulating supply (a supply beyond the float range fails its month's record), then the candidate
+        # pool.  The vesting arrays are freed first and the candidate table is converted in place, so the
+        # build's peak is the memory the run keeps plus the candidates' seeding words and one month's raw draws.
+        self._emission, self._circulating = (column.tolist() for column in vesting_table(
+            config.horizon_months, self.alloc, config.team_schedule, config.vc_schedule, config.node_schedule)[2:])
         self._candidates = _node_draws(candidate_words, config.entry_pool_size, config)
         self._candidates.flags.writeable = False
 
-        # Seed the sale-side of the price ratio so month 1 has a market
+        # Seed the sale-side of the price ratio from month 1's supply, so month 1 has a market
         # even before any growth capitalist exits.
-        month1_supply = circulating_supply(
-            1, self.alloc, config.team_schedule, config.vc_schedule, config.node_schedule
-        )
         self.state = MarketState(
             month=0,
             active_nodes=config.initial_nodes,
             users=user_count(config.initial_nodes),
             token_price=config.initial_price,
-            tokens_on_sale=config.tokens_on_sale_fraction * month1_supply,
+            tokens_on_sale=config.tokens_on_sale_fraction * self._circulating[0],
             circulating_supply=0.0,
             total_gc_endowment=0.0,
             global_revenue=0.0,

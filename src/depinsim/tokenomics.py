@@ -184,3 +184,17 @@ def circulating_supply(
         + cumulative_release(month, alloc.vc_tokens, vc_schedule)
         + cumulative_release(month, alloc.node_tokens, node_schedule)
     )
+
+
+def vesting_table(
+    horizon: int, alloc: TokenAllocation, team: VestingSchedule, vc: VestingSchedule, node: VestingSchedule
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Months 1..horizon's team, VC and node releases, one broadcasting `release` call per class, and
+    the circulating supply after each month: their running sum, which adds left to right, so each
+    month's supply is the month before's plus its releases.  It may differ from the closed form
+    `circulating_supply` in the last bits; month 1's is the same float."""
+    months = np.arange(1, horizon + 1)
+    releases = (release(months, alloc.team_tokens, team), release(months, alloc.vc_tokens, vc),
+                release(months, alloc.node_tokens, node))
+    with np.errstate(over="ignore"):  # a supply beyond the float range is inf
+        return (*releases, np.cumsum(releases[0] + releases[1] + releases[2]))

@@ -11,11 +11,14 @@ import reprlib
 import shlex
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import depinsim
 from depinsim import cli
@@ -24,7 +27,9 @@ from depinsim.cli import _trajectory_charts, main
 from depinsim.engine import CSV_COLUMNS, Simulation, SimulationConfig, build_policy, encode, run
 from depinsim.llm_gateway import ENDPOINT_ENV, AuditLog, LlmSettings, ScriptedBackend
 from depinsim.metrics import stability
-from depinsim.tokenomics import NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, cumulative_release
+from depinsim.tokenomics import (
+    NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, circulating_supply, cumulative_release, vesting_table,
+)
 
 
 def write_config(tmp_path, **overrides):
@@ -296,7 +301,7 @@ class TestVesting:
         assert main(["vesting", "--out-dir", str(out)]) == 0
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
         assert digests == {
-            "vesting.csv": "669b8b44ff0e62c6a1533cdc88cac2fe1862b107ef5a88c7ac010509663f5ffe",
+            "vesting.csv": "65d4def519b969f5c26ba0b9b7a07a5de0636cf7a85aa0b8a17fc2888dbf5efc",
             "vesting.svg": "96ad68dc2d6c7622da6ebe2755eb3e9833ea21ce09c868050926480527a060d5",
         }
 
@@ -311,18 +316,49 @@ class TestVesting:
         month49 = float(rows[48]["node_release"])
         assert month49 == month48 / 2
         assert (out / "vesting.svg").exists()
+        # The default run reports the same supply, as text, in every month.
+        assert main(["run", "--out-dir", str(tmp_path / "run"), "--charts", "off"]) == 0
+        trajectory = list(csv.DictReader(open(tmp_path / "run" / "trajectory.csv")))
+        assert [r["circulating_supply"] for r in rows] == [r["circ_supply"] for r in trajectory]
 
     def test_cumulative_columns_are_the_closed_form(self, tmp_path):
+        # Exactly the run's vesting table and each class's running sum; the closed form to rounding.
         out = tmp_path / "out"
         assert main(["vesting", "--out-dir", str(out), "--charts", "off"]) == 0
         alloc = TokenAllocation()
+        *releases, table_circulating = vesting_table(96, alloc, TEAM_SCHEDULE, VC_SCHEDULE, NODE_SCHEDULE)
         classes = (("team", alloc.team_tokens, TEAM_SCHEDULE), ("vc", alloc.vc_tokens, VC_SCHEDULE),
                    ("node", alloc.node_tokens, NODE_SCHEDULE))
-        for row in csv.DictReader(open(out / "vesting.csv")):
-            cumulative = [float(row[f"{name}_cumulative"]) for name, _, _ in classes]
-            month = int(row["month"])
-            assert cumulative == [cumulative_release(month, tokens, schedule) for _, tokens, schedule in classes]
-            assert cumulative[0] + cumulative[1] + cumulative[2] == float(row["circulating_supply"]), month
+        rows = list(csv.DictReader(open(out / "vesting.csv")))
+        for (name, tokens, schedule), released in zip(classes, releases):
+            assert [float(row[f"{name}_release"]) for row in rows] == released.tolist()
+            cumulative = [float(row[f"{name}_cumulative"]) for row in rows]
+            assert cumulative == np.cumsum(released).tolist()
+            closed = [cumulative_release(month, tokens, schedule) for month in range(1, 97)]
+            assert cumulative == pytest.approx(closed, rel=1e-12)
+        circulating = [float(row["circulating_supply"]) for row in rows]
+        assert circulating == table_circulating.tolist()
+        assert circulating == pytest.approx([circulating_supply(month, alloc) for month in range(1, 97)], rel=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(total_supply=st.floats(1.0, 1e15), team_fraction=st.floats(0.0, 1.0), vc_share=st.floats(0.0, 1.0),
+           horizon=st.integers(1, 300))
+    def test_circulating_column_is_the_runs(self, total_supply, team_fraction, vc_share, horizon):
+        vc_fraction = (1.0 - team_fraction) * vc_share
+        allocation = {"total_supply": total_supply, "team_fraction": team_fraction, "vc_fraction": vc_fraction,
+                      "node_fraction": 1.0 - team_fraction - vc_fraction}
+        flags = [arg for key, value in allocation.items() for arg in ("--" + key.replace("_", "-"), repr(value))]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            config = tmp / "config.json"
+            config.write_text(json.dumps({**allocation, "horizon_months": horizon, "initial_nodes": 2,
+                                          "entry_pool_size": 0}))
+            assert main(["vesting", "--horizon", str(horizon), *flags, "--out-dir", str(tmp / "v"),
+                         "--charts", "off"]) == 0
+            assert main(["run", "--config", str(config), "--out-dir", str(tmp / "r"), "--charts", "off"]) == 0
+            vesting = [row["circulating_supply"] for row in csv.DictReader(open(tmp / "v" / "vesting.csv"))]
+            trajectory = [row["circ_supply"] for row in csv.DictReader(open(tmp / "r" / "trajectory.csv"))]
+        assert vesting == trajectory
 
     def test_single_month(self, tmp_path):
         out = tmp_path / "out"

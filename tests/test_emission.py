@@ -75,6 +75,14 @@ class TestLineChart:
         x, series = data
         assert re.findall(r'<polyline points="([^"]*)"', line_chart(x, series)) == per_point_polylines(x, series)
 
+    @settings(max_examples=200, deadline=None)
+    @given(ints=st.lists(st.integers(0, 1200) | st.integers(-2**100, 2**100), min_size=1, max_size=20))
+    @example(ints=[2**60])  # 2**60 - 1 and 2**60 + 1 round back to 2**60: the chart pads it, as a float
+    @example(ints=[2**60, 2**60 + 1])
+    def test_int_x_draws_as_its_floats(self, ints):
+        series = {"a": [float(i) for i in range(len(ints))]}
+        assert line_chart(ints, series) == line_chart([float(v) for v in ints], series)
+
     def test_decimal_zeros_are_stripped_as_fmt_strips_them(self):
         # Coordinates written "%.2f" as "34.00", "353.50", "353.90" and "230.00": whole and one-decimal.
         x, series = [0, 1, 2, 4], {"a": [320, 0.5, 0.1, 0]}

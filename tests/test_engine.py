@@ -933,6 +933,14 @@ class TestReferenceRun:
         vc_schedule=VestingSchedule.cliff_linear(0, 0.0, 1),
         node_schedule=VestingSchedule.cliff_linear(0, 2.225073858507e-311, 1), seed=0,
     )
+    # A cliff of 0 and a halving period of 1 release in month 1, so the month-1 sale pool is not 0; the
+    # reference seeds it from the closed form, the engine from its running sum.
+    @example(
+        regime=CHURN, policy=HeuristicPolicy, horizon_months=24, initial_nodes=10, entry_pool_size=3, patience=2,
+        gc_arrival_rate=1.0, gc_endowment_mu=12.0, gc_endowment_sigma=1.0, gc_lifespan_mu=2.0, gc_lifespan_sigma=0.5,
+        tokens_on_sale_fraction=0.05, team_schedule=VestingSchedule.cliff_linear(0, 0.3, 5),
+        vc_schedule=VestingSchedule.halving(1), node_schedule=VestingSchedule.halving(1), seed=5,
+    )
     def test_engine_matches_the_reference_run(self, regime, policy, **kwargs):
         """Every committed month conserves supply, keeps the sale pool from shrinking and
         counts its nodes; an aborted month names a MarketState field that is not finite, at
