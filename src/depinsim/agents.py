@@ -49,10 +49,11 @@ class DecisionPolicy(Protocol):
     roster, each given the month's revenue and the nodes' cost and tolerance
     arrays and returning one verdict per node.  `decide_exits` is also given
     each node's exit threshold, `tolerance * cost`, which the engine stores
-    when the node joins the roster.  Every array is read-only:
-    `decide_entries` receives the month's row of the run's candidate table,
-    and `decide_exits` views of the engine's roster buffers, valid only
-    during the call; a policy that keeps roster values past it copies them.
+    when the node joins the roster.  Every array is a read-only view of the
+    engine's node table, valid only during the call: the month's candidate
+    pool for `decide_entries` and the roster for `decide_exits`.  The commit
+    may write entrants over the pool and compacts the roster, so a policy
+    that keeps candidate or roster values past the call copies them.
     Any other policy is called once per decision: `decide_entry` for each
     candidate of the month's pool, then `decide_exit` for each incumbent in
     roster order.

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
 import numpy as np
 
 from . import charts, metrics
-from .bounds import config_field
+from .bounds import check_range, config_field
 from .agents import LlmPolicy
 from .engine import (
     CSV_COLUMNS, MAX_HORIZON, SimulationConfig, SimulationError, build_policy, compare, csv_text, decode, encode, run,
@@ -184,8 +184,12 @@ def cmd_vesting(args) -> int:
     *releases, circulating = vesting_table(args.horizon, alloc, TEAM_SCHEDULE, VC_SCHEDULE, NODE_SCHEDULE)
     with np.errstate(over="ignore"):
         cumulative = [np.cumsum(tokens) for tokens in releases]
-    columns = dict(zip(header, (list(range(1, args.horizon + 1)),
-                                *(column.tolist() for column in (*releases, *cumulative, circulating)))))
+    table = np.stack((*releases, *cumulative, circulating))
+    bad = np.argwhere(~np.isfinite(table.T))  # (month, column) pairs in month order
+    if len(bad):  # a supply beyond the float range fails here, before any file is written, as a run fails it
+        month, column = bad[0].tolist()
+        raise SimulationError(month + 1, "vesting", f"{header[column + 1]} is not finite: {table[column, month]}")
+    columns = dict(zip(header, (list(range(1, args.horizon + 1)), *table.tolist())))
     out_dir = Path(args.out_dir)
     _write_text(out_dir / "vesting.csv", csv_text(header, zip(*columns.values())))
     if args.charts != "off":
@@ -256,7 +260,7 @@ def _horizon(text: str) -> int:
     """A command-line month count, checked against the declared range of `horizon_months`."""
     value = int(text)
     try:
-        SimulationConfig(horizon_months=value, entry_pool_size=0)  # no roster: only the horizon's range applies
+        check_range(SimulationConfig, "horizon_months", value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value

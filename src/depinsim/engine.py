@@ -65,12 +65,12 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
-# The most nodes a run may hold: initial_nodes + horizon_months * entry_pool_size,
-# which keeps every month's roster arrays and the run's candidate table allocatable.
+# The most nodes a run may hold: initial_nodes + horizon_months * entry_pool_size, which
+# keeps the run's node table, every node it may hold at 33 bytes a slot, allocatable.
 MAX_ROSTER = 1_000_000
 # The longest run: a run keeps its month records, and seeds every month's streams and
-# draws every month's candidates at construction (16 bytes a candidate slot), so a
-# horizon beyond this could pass load and never finish.
+# draws every month's candidates at construction, so a horizon beyond this could pass
+# load and never finish.
 MAX_HORIZON = 100_000
 
 # The MarketState fields a month must record as finite numbers.
@@ -165,29 +165,32 @@ def _stream_words(seed: int, months: int) -> np.ndarray:
     return _seed_state([*seed_words, month, channel]).reshape(months + 1, _STREAM_CHANNELS, 4)
 
 
-def _node_draws(state_words: np.ndarray, count: int, config: SimulationConfig) -> np.ndarray:
-    """`count` nodes drawn from each stream of `state_words` (PCG64 seeding words, one
-    row per stream), as an array of shape `(streams, 2, count)`: costs, then tolerances.
+def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) -> None:
+    """Draw the run's nodes into the cost and tolerance rows of the node table `nodes`, in slot
+    order: the initial roster from stream `words[0, _STREAM_INIT_NODES]`, then month m's candidate
+    pool from stream `words[m, _STREAM_CANDIDATES]` (`words` as `_stream_words` returns them).
 
-    A stream's draws are its first `2 * count` raw words, all taken by one PCG64 and
-    converted together, in place, by the formula of `Generator.uniform`:
-    `lo + (hi - lo) * ((raw >> 11) * 2**-53)`.  A property test pins each row to
+    A stream's draws are its first `2 * count` raw words, all taken by one PCG64: its costs, then
+    its tolerances.  Each row is then converted in place by the formula of `Generator.uniform`:
+    `lo + (hi - lo) * ((raw >> 11) * 2**-53)`.  A property test pins each stream to
     `node_cost * rng.uniform(lo, hi, count)`, then `rng.uniform(tlo, thi, count)`.
     """
-    raw = np.empty(len(state_words) * 2 * count, dtype=np.uint64)
-    if count:
-        for row, words in zip(raw.reshape(len(state_words), 2 * count), state_words):
-            row[:] = np.random.PCG64(_Words(words)).random_raw(2 * count)
-    raw >>= 11
-    uniform = raw.view(np.float64)
-    uniform[...] = raw  # exact below 2**53; one-dimensional, so NumPy casts in place, element by element
-    uniform *= 2.0**-53
-    table = uniform.reshape(len(state_words), 2, count)
-    for draws, (lo, hi) in ((table[:, 0], config.cost_spread), (table[:, 1], config.tolerance_range)):
-        draws *= hi - lo
-        draws += lo
-    table[:, 0] *= config.node_cost
-    return table
+    raw = nodes[:2].view(np.uint64)
+    start, pool = config.initial_nodes, config.entry_pool_size
+    if start:
+        raw[:, :start] = np.random.PCG64(_Words(words[0, _STREAM_INIT_NODES])).random_raw(2 * start).reshape(2, start)
+    if pool:
+        for month_words in words[1:, _STREAM_CANDIDATES]:
+            raw[:, start:start + pool] = np.random.PCG64(_Words(month_words)).random_raw(2 * pool).reshape(2, pool)
+            start += pool
+    for row, (lo, hi) in ((raw[0], config.cost_spread), (raw[1], config.tolerance_range)):
+        row >>= 11
+        uniform = row.view(np.float64)
+        uniform[...] = row  # exact below 2**53; one-dimensional, so NumPy casts in place, element by element
+        uniform *= 2.0**-53
+        uniform *= hi - lo
+        uniform += lo
+    nodes[0] *= config.node_cost
 
 
 class SimulationError(Exception):
@@ -453,33 +456,30 @@ def _verdicts(values, count: int) -> np.ndarray:
 
 
 class Simulation:
-    """Mutable run state: node roster, growth capitalists, last snapshot.
+    """Mutable run state: node table, growth capitalists, last snapshot.
 
-    The roster is each active node's `cost`, `tolerance`, exit threshold
-    `tolerance * cost` and run of exit signals, in roster order.  They live
-    in the first `n` slots of buffers allocated once, at the run's largest
-    possible roster (`initial_nodes + horizon_months * entry_pool_size`),
-    so a month allocates no roster arrays: 33 B a slot, with the commit's
-    stay mask.  A node's threshold is computed once, when it joins the
-    roster.  A node's run is two int32 slots: the last month it signalled
-    (-1 for a node that never has) and the length of its run of
-    consecutive signals up to that month, both at most `MAX_HORIZON`.  A
-    month therefore reads and writes only the slots of the nodes that
-    signalled: a run continues if the node also signalled the month before
-    and restarts at 1 otherwise, and nodes whose run reaches `patience`
-    leave.  The commit writes those slots, compacts exits within the
-    buffers through a scratch mask of stayers and writes entrants, and
-    their thresholds, into the tail.  A month past `horizon_months` is
-    rejected, so the roster never outgrows the buffers.  `cost` and
-    `tolerance` are read-only views of the live slots; `streak` is
-    computed from the run slots.
+    Every node a run may hold has a slot in one table, allocated and drawn
+    when the run is built (`initial_nodes + horizon_months * entry_pool_size`
+    slots, 33 B each with the commit's stay mask): `_nodes` holds float64
+    rows of cost, tolerance and exit threshold `tolerance * cost`, `_runs`
+    int32 rows of the last month a node signalled exit (-1 if never) and
+    its run of consecutive signals up to then.  The roster is the first `n`
+    slots; month m's candidate pool is the `entry_pool_size` slots from
+    `initial_nodes + (m - 1) * entry_pool_size`.  As month m starts the
+    roster holds at most that many nodes, so it never reaches a pool before
+    the pool's month.  A month reads and writes only the run slots of the
+    nodes that signalled (a run continues if the node also signalled the
+    month before, and restarts at 1 otherwise); nodes whose run reaches
+    `patience` leave.  The commit compacts exits through a scratch mask of
+    stayers and copies entrants out of their pool into the slots after the
+    stayers, computing their thresholds once.  A month past
+    `horizon_months` is rejected, so the roster never outgrows the table.
+    `cost` and `tolerance` are read-only views of the live slots; `streak`
+    is computed from the run slots.
 
-    The inputs no month computes are built with the run, each in one
-    vectorised pass: every month's node emission and circulating supply,
-    read from `tokenomics.vesting_table` (the table `depin-sim vesting`
-    writes), and the candidate table, one row of `entry_pool_size` costs
-    and tolerances a month, drawn from that month's candidate stream.  A
-    month indexes them; it draws only growth capital.  The month-1 sale
+    Every month's node emission and circulating supply are read from
+    `tokenomics.vesting_table` (the table `depin-sim vesting` writes) when
+    the run is built; a month draws only growth capital.  The month-1 sale
     pool is `tokens_on_sale_fraction` of the table's month-1 supply.
 
     Within a month every decision reads the same frozen start-of-month
@@ -488,10 +488,9 @@ class Simulation:
     `LlmPolicy`) decides the candidate pool and the roster in one call each;
     any other policy is called once per decision, in roster order; the
     route is chosen once, at construction, from the policy's class.  The
-    arrays a batch method receives are read-only: `decide_entries` gets the
-    month's row of the run's candidate table, and the roster's costs,
-    tolerances and thresholds `decide_exits` gets are valid only during
-    that call, as the commit reuses their memory.
+    arrays a batch method receives are read-only views of the node table,
+    valid only during that call: the commit may write entrants over the
+    month's pool and compacts the roster.
     """
 
     def __init__(self, config: SimulationConfig, policy=None):
@@ -501,40 +500,31 @@ class Simulation:
         self._decide = Simulation._decide_roster if decides_in_batches(type(self.policy)) else Simulation._decide_each
         self.alloc = config.allocation()
         self.gc_params = config.gc_params()
-        # Every stream's words are hashed in one pass; the run keeps only growth capital's, the one
-        # channel drawn while stepping, and drops the rest once the initial roster and candidates are drawn.
-        words = _stream_words(config.seed, config.horizon_months)
-        initial = _node_draws(words[:1, _STREAM_INIT_NODES], config.initial_nodes, config)[0]
-        candidate_words = words[1:, _STREAM_CANDIDATES].copy()
-        self._gc_words = words[:, _STREAM_GROWTH_CAPITAL].copy()
-        del words
 
-        # np.empty and np.zeros leave the slots no month reaches unbacked by memory;
-        # np.full writes all of `_last`, 4 bytes a slot.
+        # Every stream's words are hashed in one pass; the run keeps only growth capital's, the one channel
+        # drawn while stepping.  np.empty and np.zeros leave the slots no month reaches unbacked by memory.
         capacity = config.initial_nodes + config.horizon_months * config.entry_pool_size
-        self._cost = np.empty(capacity)
-        self._tolerance = np.empty(capacity)
-        self._threshold = np.empty(capacity)  # tolerance * cost, the heuristic exit rule's bar
-        self._last = np.full(capacity, -1, dtype=np.int32)  # the month each node last signalled exit
-        self._run = np.zeros(capacity, dtype=np.int32)  # its run of consecutive signals up to that month
+        words = _stream_words(config.seed, config.horizon_months)
+        self._gc_words = words[:, _STREAM_GROWTH_CAPITAL].copy()
+        self._nodes = np.empty((3, capacity))  # cost, tolerance, and the heuristic exit rule's bar tolerance * cost
+        _node_draws(self._nodes, words, config)
+        del words
+        self._runs = np.zeros((2, capacity), dtype=np.int32)  # the month each node last signalled, its run then
         self._stay = np.empty(capacity, dtype=bool)  # in an exit month, the nodes that stay
-        views = [buffer.view() for buffer in (self._cost, self._tolerance, self._threshold)]
-        for view in views:
-            view.flags.writeable = False
-        self._cost_view, self._tolerance_view, self._threshold_view = views
+        self._view = self._nodes.view()
+        self._view.flags.writeable = False
+        # The five rows as 1-D views, for the commit: a month's writes are row by row, and taking
+        # a row out of its table each month would cost about as much as a small month's writes.
+        self._rows = (*self._nodes, *self._runs)
         self._n = n = config.initial_nodes
-        self._cost[:n], self._tolerance[:n] = initial
-        np.multiply(self._tolerance[:n], self._cost[:n], out=self._threshold[:n])
+        np.multiply(self._nodes[1, :n], self._nodes[0, :n], out=self._nodes[2, :n])
+        self._runs[0, :n] = -1
         self.gcs: List[GrowthCapitalist] = []
 
-        # The inputs no month computes, one entry a month from month 1: the vesting table's node emission and
-        # circulating supply (a supply beyond the float range fails its month's record), then the candidate
-        # pool.  The vesting arrays are freed first and the candidate table is converted in place, so the
-        # build's peak is the memory the run keeps plus the candidates' seeding words and one month's raw draws.
+        # One entry a month from month 1: the vesting table's node emission and circulating supply (a supply
+        # beyond the float range fails its month's record).
         self._emission, self._circulating = (column.tolist() for column in vesting_table(
             config.horizon_months, self.alloc, config.team_schedule, config.vc_schedule, config.node_schedule)[2:])
-        self._candidates = _node_draws(candidate_words, config.entry_pool_size, config)
-        self._candidates.flags.writeable = False
 
         # Seed the sale-side of the price ratio from month 1's supply, so month 1 has a market
         # even before any growth capitalist exits.
@@ -556,19 +546,19 @@ class Simulation:
     @property
     def cost(self) -> np.ndarray:
         """Each active node's monthly cost, in roster order (read-only, valid until the next commit)."""
-        return self._cost_view[:self._n]
+        return self._view[0, :self._n]
 
     @property
     def tolerance(self) -> np.ndarray:
         """Each active node's risk tolerance, in roster order (read-only, valid until the next commit)."""
-        return self._tolerance_view[:self._n]
+        return self._view[1, :self._n]
 
     @property
     def streak(self) -> np.ndarray:
         """Each active node's run of consecutive exit signals up to the last committed month,
         in roster order: its run if it signalled that month, else 0 (a read-only copy)."""
         n = self._n
-        streak = np.where(self._last[:n] == self.state.month, self._run[:n], 0)
+        streak = np.where(self._runs[0, :n] == self.state.month, self._runs[1, :n], 0)
         streak.flags.writeable = False
         return streak
 
@@ -579,8 +569,8 @@ class Simulation:
         n = self._n
         if not n:
             return enters, _NO_NODES
-        thresholds = self._threshold_view[:n]
-        signals = _verdicts(self.policy.decide_exits(revenue, self.cost, self.tolerance, thresholds, month), n)
+        view = self._view
+        signals = _verdicts(self.policy.decide_exits(revenue, view[0, :n], view[1, :n], view[2, :n], month), n)
         return enters, np.flatnonzero(signals) if signals.any() else _NO_NODES
 
     def _decide_each(self, revenue, costs, tolerances, month) -> Tuple[np.ndarray, np.ndarray]:
@@ -626,14 +616,17 @@ class Simulation:
             # next month on.
             substep = "node-decisions"
             fallbacks_before = getattr(self.policy, "fallback_count", 0)
-            costs, tolerances = self._candidates[month - 1]
+            n = self._n
+            start = cfg.initial_nodes + (month - 1) * cfg.entry_pool_size  # this month's candidate pool
+            costs = self._view[0, start:start + cfg.entry_pool_size]
+            tolerances = self._view[1, start:start + cfg.entry_pool_size]
             enters, signalled = self._decide(self, revenue, costs, tolerances, month)
             leavers = signalled
+            cost, tolerance, threshold, last, run_slots = self._rows
             if len(signalled):  # a run that did not include last month restarts at 1
-                run = self._run[signalled] + 1
-                run[self._last[signalled] != month - 1] = 1
+                run = run_slots[signalled] + 1
+                run[last[signalled] != month - 1] = 1
                 leavers = signalled[run >= cfg.patience]
-            n = self._n
             exits = len(leavers)
             entries = int(np.count_nonzero(enters))
             n_now = n - exits + entries
@@ -697,20 +690,20 @@ class Simulation:
         # Commit.  A month that failed above wrote no buffer, so it left the
         # simulation as it was.
         if len(signalled):
-            self._last[signalled] = month
-            self._run[signalled] = run
+            last[signalled] = month
+            run_slots[signalled] = run
         kept = n - exits
         if exits:
             stay = self._stay[:n]
             stay.fill(True)
             stay[leavers] = False
-            for buffer in (self._cost, self._tolerance, self._threshold, self._last, self._run):
-                buffer[:kept] = buffer[:n][stay]
-        if entries:
-            self._cost[kept:n_now] = costs[enters]
-            self._tolerance[kept:n_now] = tolerances[enters]
-            np.multiply(self._tolerance[kept:n_now], self._cost[kept:n_now], out=self._threshold[kept:n_now])
-            self._last[kept:n_now] = -1
+            for row in self._rows:  # row by row: a 2-D mask over the columns is several times slower
+                row[:kept] = row[:n][stay]
+        if entries:  # out of this month's pool, which the entrants' slots may overlap: each right-hand side is a copy
+            cost[kept:n_now] = costs[enters]
+            tolerance[kept:n_now] = tolerances[enters]
+            np.multiply(tolerance[kept:n_now], cost[kept:n_now], out=threshold[kept:n_now])
+            last[kept:n_now] = -1
         self._n = n_now
         self.gcs = gcs
         self.state = state

@@ -134,7 +134,7 @@ def read_price_series(path: Union[str, Path]) -> list:
     non-positive entries.
     """
     prices = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the first line
         for row, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text:

@@ -568,6 +568,10 @@ CASES = [
     # run: a month that cannot be computed exits 3, naming the month and sub-step.
     Case("run infinite price", "run --out-dir out", 3, ("month 1", "'record'", "token_price is not finite"),
          config={"horizon_months": 2, "tokens_on_sale_fraction": 2.2250738585e-313}),
+    # vesting: a table beyond the float range exits 3 as a run would, naming its first month, and writes nothing.
+    Case("vesting supply beyond the float range",
+         "vesting --total-supply 1.7976931348623157e308 --team-fraction 1 --vc-fraction 0 --node-fraction 0 "
+         "--out-dir o", 3, ("month 48", "'vesting'", "team_cumulative is not finite: inf")),
     *(Case(f"run revenue overflow under {policy}", f"run --policy {policy} --out-dir out", 3,
            ("month 1", "'revenue'", "global_revenue is not finite"), config=OVERFLOW)
       for policy in ("heuristic", "llm")),

@@ -376,12 +376,12 @@ class TestCandidateTable:
 
     def test_build_converts_the_largest_table_in_place(self):
         # The largest admitted roster: 1,000,000 slots, all of them candidates.  The run keeps
-        # its roster buffers (33 B a slot: cost, tolerance and exit threshold at 8 B each, the
-        # two int32 run slots at 4 B each and the stay mask at 1 B), the candidate table (16 B a
-        # slot), growth capital's stream words (32 B a month) and its releases and supply (about
-        # 64 B a month): 59 MB.
-        # Converting the table's raw words through a copy would add 16 MB to the build's peak,
-        # and keeping every channel's stream words (96 B a month) 6.4 MB to what the run holds.
+        # its node table (33 B a slot: cost, tolerance and exit threshold at 8 B each, the two
+        # int32 run slots at 4 B each and the stay mask at 1 B), growth capital's stream words
+        # (32 B a month) and its releases and supply (about 64 B a month): 42.6 MB (40.6 MiB).
+        # A separate candidate table (16 B a slot) would add 16 MB to what the run holds,
+        # converting the table's raw words through a copy 16 MB to the build's peak, and
+        # keeping every channel's stream words (96 B a month) 6.4 MB to what the run holds.
         config = SimulationConfig(initial_nodes=0, horizon_months=MAX_HORIZON, entry_pool_size=10)
         tracemalloc.start()
         try:
@@ -390,7 +390,7 @@ class TestCandidateTable:
         finally:
             tracemalloc.stop()
         assert peak < 70 * 2**20
-        assert held < 58 * 2**20
+        assert held < 42 * 2**20
         assert sim._gc_words.nbytes == (MAX_HORIZON + 1) * 32
 
 
@@ -809,16 +809,16 @@ class TestPatienceRule:
         sim.step(1)
         sim.step(2)
         n = len(sim.cost)
-        before = (sim._last[:n].tobytes(), sim._run[:n].tobytes())
+        before = sim._runs[:, :n].tobytes()
         sim.step(3)
         assert (sim.events[-1].exits, sim.events[-1].entries) == (0, 2)
-        assert (sim._last[:n].tobytes(), sim._run[:n].tobytes()) == before
+        assert sim._runs[:, :n].tobytes() == before
         assert sim.streak.tolist() == [0] * (n + 2)
 
 
 def assert_thresholds_stored(sim):
     """The roster's stored exit thresholds hold the bytes of `tolerance * cost` over the live slots."""
-    assert sim._threshold[:len(sim.cost)].tobytes() == (sim.tolerance * sim.cost).tobytes()
+    assert sim._nodes[2, :len(sim.cost)].tobytes() == (sim.tolerance * sim.cost).tobytes()
 
 
 class TestExitThresholds:
@@ -855,6 +855,37 @@ class TestExitThresholds:
         for month in range(1, config.horizon_months + 1):
             sim.step(month)
             assert_thresholds_stored(sim)
+        assert sum(e.exits for e in sim.events) > 0 and sum(e.entries for e in sim.events) > 0
+
+
+def assert_unseen_pools_drawn(sim, fresh):
+    """Every candidate pool of a month after `sim`'s last holds the bytes `fresh`, a newly built run, drew."""
+    config = sim.config
+    start = config.initial_nodes + sim.state.month * config.entry_pool_size
+    assert sim._nodes[:2, start:].tobytes() == fresh._nodes[:2, start:].tobytes()
+
+
+class TestNodeTable:
+    """The roster and every month's candidate pool share one table; no month writes a later month's pool."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=replayed_runs(), batches=st.booleans())
+    def test_no_step_writes_an_unseen_pool(self, drawn, batches):
+        config, entries, exits = drawn
+        sim, fresh = Simulation(config, policy=(Replay if batches else ReplayEach)(entries, exits)), Simulation(config)
+        assert_unseen_pools_drawn(sim, fresh)
+        for month in range(1, config.horizon_months + 1):
+            sim.step(month)
+            assert_unseen_pools_drawn(sim, fresh)
+
+    @pytest.mark.parametrize("make_policy", [HeuristicPolicy, Forwarding])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_churn_regime(self, make_policy, seed):
+        config = SimulationConfig(horizon_months=24, patience=2, seed=seed, **CHURN)
+        sim, fresh = Simulation(config, policy=make_policy()), Simulation(config)
+        for month in range(1, config.horizon_months + 1):
+            sim.step(month)
+            assert_unseen_pools_drawn(sim, fresh)
         assert sum(e.exits for e in sim.events) > 0 and sum(e.entries for e in sim.events) > 0
 
 
@@ -1231,7 +1262,7 @@ class TestStepErrors:
                 return super().decide_exits(revenue, costs, tolerances, thresholds, month)
 
         def roster(sim):
-            return sim.cost, sim.tolerance, sim._threshold[:len(sim.cost)], sim.streak
+            return sim.cost, sim.tolerance, sim._nodes[2, :len(sim.cost)], sim.streak
 
         config = SimulationConfig(horizon_months=3)
         for column in range(3):
@@ -1279,7 +1310,7 @@ class TestStepErrors:
         n = len(sim.cost)
 
         def roster_bytes():
-            return [a.tobytes() for a in (sim.cost, sim.tolerance, sim.streak, sim._last[:n], sim._run[:n])]
+            return [a.tobytes() for a in (sim.cost, sim.tolerance, sim.streak, *sim._runs[:, :n])]
 
         before = (roster_bytes(), list(sim.gcs))
         with pytest.raises(SimulationError) as err:

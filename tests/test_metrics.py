@@ -239,6 +239,14 @@ class TestReadPriceSeries:
         path.write_text("price\n1.5\n2.5\n")
         assert read_price_series(path) == [1.5, 2.5]
 
+    def test_byte_order_mark_is_not_part_of_the_first_price(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text("1.0\n2.0\n3.0\n4.0\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_price_series(path) == [1.0, 2.0, 3.0, 4.0]
+        path.write_text("price\n1.0\n", encoding="utf-8-sig")
+        assert read_price_series(path) == [1.0]
+
     def test_non_positive_names_row(self, tmp_path):
         path = tmp_path / "prices.csv"
         path.write_text("1.0\n0.0\n")
