@@ -9,8 +9,13 @@ month at a rate that halves every 48 months.
 
 from pathlib import Path
 
-from depinsim import TokenAllocation, circulating_supply, node_emission, team_release, vc_release
+import numpy as np
+
+from depinsim import (
+    NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, node_emission, team_release, vc_release,
+)
 from depinsim.charts import line_chart
+from depinsim.tokenomics import vesting_table
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -38,16 +43,10 @@ print(f"  vc    months 1-24 : {vc_total:,.2f}  (target 200,000,000)")
 print(f"  node  months 1-96 : {node_total:,.2f}  (target 450,000,000)")
 print(f"  halving: emission(49) / emission(1) = {node_emission(49, alloc) / node_emission(1, alloc):.3f}")
 
+# The releases and circulating supply a run reads, as `depin-sim vesting` writes them, and each class's running sum.
 months = list(range(1, 97))
-team_cum, vc_cum, node_cum = [], [], []
-t = v = n = 0.0
-for m in months:
-    t += team_release(m, alloc)
-    v += vc_release(m, alloc)
-    n += node_emission(m, alloc)
-    team_cum.append(t)
-    vc_cum.append(v)
-    node_cum.append(n)
+*releases, circulating = vesting_table(len(months), alloc, TEAM_SCHEDULE, VC_SCHEDULE, NODE_SCHEDULE)
+team_cum, vc_cum, node_cum = (np.cumsum(tokens).tolist() for tokens in releases)
 
 svg = line_chart(
     months,
@@ -58,4 +57,4 @@ svg = line_chart(
 )
 (OUT / "vesting.svg").write_text(svg)
 print(f"\nchart -> {OUT / 'vesting.svg'}")
-print(f"circulating supply at month 96: {circulating_supply(96, alloc):,.0f}")
+print(f"circulating supply at month 96: {circulating[-1]:,.0f}")

@@ -8,7 +8,6 @@ macro indicators.
 from .agents import (
     DecisionContext,
     DecisionPolicy,
-    GcParams,
     GrowthCapitalist,
     HeuristicPolicy,
     LlmPolicy,

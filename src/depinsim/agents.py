@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import check_ranges
 from .llm_gateway import (
     DEFAULT_MODEL, AuditLog, BatchReplies, CompletionBatch, CompletionRequest, GatewayError, parse_yes_no,
 )
+
+if TYPE_CHECKING:
+    from .engine import SimulationConfig
 
 
 @dataclass(slots=True)
@@ -285,39 +287,19 @@ def apply_patience(streak: int, exit_signal: bool, patience: int) -> bool:
     return bool(exit_signal) and streak + 1 >= patience
 
 
-@dataclass(frozen=True)
-class GcParams:
-    """Arrival and endowment/lifespan distribution parameters."""
-
-    # The ranges keep every month's draws allocatable and finite.  NumPy's normal
-    # draws z satisfy |z| < 12.3 (its ziggurat tail is fed 53-bit uniforms), so a
-    # log-normal draw lies within exp(mu +- 13 sigma) = exp(mu +- 32.5): an endowment
-    # within [7e-15, 4e57], so a price (endowments over a finite sale pool) stays
-    # above zero, and a lifespan below 2.9e18 months, inside int64.  A Poisson mean
-    # of at most 1000 keeps a month's arrivals to about a thousand objects.
-    arrival_rate: float = field(default=1.0, metadata={"range": "[0, 1000]"})  # arrivals per month
-    endowment_mu: float = field(default=13.0, metadata={"range": "[0, 100]"})  # median exp(13) ~ 4.4e5
-    endowment_sigma: float = field(default=1.0, metadata={"range": "[0, 2.5]"})
-    lifespan_mu: float = field(default=2.5, metadata={"range": "[0, 10]"})  # median exp(2.5) ~ 12.2 months
-    lifespan_sigma: float = field(default=0.5, metadata={"range": "[0, 2.5]"})
-
-    def __post_init__(self):
-        check_ranges(self)
-
-
 def sample_lifespans(rng: np.random.Generator, mu: float, sigma: float, size: int) -> np.ndarray:
     """Log-normal lifespans rounded to whole months, clamped to >= 1."""
     draws = np.rint(rng.lognormal(mu, sigma, size))
     return np.maximum(draws, 1.0).astype(int)
 
 
-def spawn_growth_capitalists(month: int, params: GcParams, rng: np.random.Generator) -> List[GrowthCapitalist]:
-    """Draw this month's entrants: Poisson count, log-normal endowment/lifespan."""
-    count = int(rng.poisson(params.arrival_rate))
+def spawn_growth_capitalists(month: int, config: SimulationConfig, rng: np.random.Generator) -> List[GrowthCapitalist]:
+    """Draw this month's entrants by `config`'s `gc_*` fields: Poisson count, log-normal endowment/lifespan."""
+    count = int(rng.poisson(config.gc_arrival_rate))
     if count == 0:
         return []
-    endowments = rng.lognormal(params.endowment_mu, params.endowment_sigma, count)
-    lifespans = sample_lifespans(rng, params.lifespan_mu, params.lifespan_sigma, count)
+    endowments = rng.lognormal(config.gc_endowment_mu, config.gc_endowment_sigma, count)
+    lifespans = sample_lifespans(rng, config.gc_lifespan_mu, config.gc_lifespan_sigma, count)
     return [GrowthCapitalist(e, month + n) for e, n in zip(endowments.tolist(), lifespans.tolist())]
 
 

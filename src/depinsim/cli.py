@@ -20,7 +20,8 @@ from . import charts, metrics
 from .bounds import check_range, config_field
 from .agents import LlmPolicy
 from .engine import (
-    CSV_COLUMNS, MAX_HORIZON, SimulationConfig, SimulationError, build_policy, compare, csv_text, decode, encode, run,
+    CSV_COLUMNS, MAX_HORIZON, POLICIES, SimulationConfig, SimulationError, build_policy, compare, csv_text, decode,
+    encode, run,
 )
 from .llm_gateway import AuditLog, GatewayError
 from .tokenomics import NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, vesting_table
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one simulation and write trajectory.csv + metrics.json")
     add_common(p_run)
-    p_run.add_argument("--policy", choices=("heuristic", "llm"), help="override the config policy")
+    p_run.add_argument("--policy", choices=POLICIES, help="override the config policy")
     p_run.add_argument("--patience", type=int, help="override the config patience")
     p_run.add_argument("--audit-log", help="append every LLM exchange to this JSON-lines file")
     p_run.set_defaults(func=cmd_run)

@@ -23,7 +23,6 @@ from numpy.random.bit_generator import ISeedSequence
 from . import metrics as metrics_mod
 from .agents import (
     DecisionContext,
-    GcParams,
     GrowthCapitalist,
     HeuristicPolicy,
     LlmPolicy,
@@ -72,6 +71,7 @@ MAX_ROSTER = 1_000_000
 # draws every month's candidates at construction, so a horizon beyond this could pass
 # load and never finish.
 MAX_HORIZON = 100_000
+POLICIES = ("heuristic", "llm")  # the values of policy
 
 # The MarketState fields a month must record as finite numbers.
 _STATE_FLOATS = tuple(name for name, hint in get_type_hints(MarketState).items() if hint is float)
@@ -300,13 +300,19 @@ class SimulationConfig:
     tolerance_range: Tuple[float, float] = config_field((0.3, 0.9), "uniform per-node risk tolerance range", "(0, 1]")
     patience: int = config_field(1, "consecutive exit signals required before a node leaves", "[1, inf)")
     entry_pool_size: int = config_field(10, "candidate nodes evaluated for entry each month", "[0, inf)")
-    gc_arrival_rate: float = mirrored(GcParams, "arrival_rate", "Poisson mean of growth-capitalist arrivals per month")
-    gc_endowment_mu: float = mirrored(GcParams, "endowment_mu", "log-normal log-mean of GC endowments")
-    gc_endowment_sigma: float = mirrored(GcParams, "endowment_sigma", "log-normal sigma of GC endowments")
-    gc_lifespan_mu: float = mirrored(GcParams, "lifespan_mu", "log-normal log-mean of GC lifespans (months)")
-    gc_lifespan_sigma: float = mirrored(GcParams, "lifespan_sigma", "log-normal sigma of GC lifespans")
+    # The growth-capital ranges keep every month's draws allocatable and finite.  NumPy's normal
+    # draws z satisfy |z| < 12.3 (its ziggurat tail is fed 53-bit uniforms), so a log-normal
+    # draw lies within exp(mu +- 13 sigma) = exp(mu +- 32.5): an endowment within [7e-15, 4e57],
+    # so a price (endowments over a finite sale pool) stays above zero, and a lifespan below
+    # 2.9e18 months, inside int64.  A Poisson mean of at most 1000 keeps a month's arrivals to
+    # about a thousand objects.  The default medians are exp(13) ~ 4.4e5 and exp(2.5) ~ 12.2 months.
+    gc_arrival_rate: float = config_field(1.0, "Poisson mean of growth-capitalist arrivals per month", "[0, 1000]")
+    gc_endowment_mu: float = config_field(13.0, "log-normal log-mean of GC endowments", "[0, 100]")
+    gc_endowment_sigma: float = config_field(1.0, "log-normal sigma of GC endowments", "[0, 2.5]")
+    gc_lifespan_mu: float = config_field(2.5, "log-normal log-mean of GC lifespans (months)", "[0, 10]")
+    gc_lifespan_sigma: float = config_field(0.5, "log-normal sigma of GC lifespans", "[0, 2.5]")
     tokens_on_sale_fraction: float = config_field(0.05, "initial sale pool as a fraction of month-1 supply", "[0, inf)")
-    policy: str = config_field("heuristic", "decision policy: heuristic | llm")
+    policy: str = config_field("heuristic", f"decision policy: {' | '.join(POLICIES)}")
     seed: int = config_field(42, "root RNG seed; fixes the whole run", "[0, inf)")
     stability_window: Optional[Tuple[int, int]] = config_field(
         None, "[first, last] months scored for stability (default: full run)")
@@ -329,8 +335,8 @@ class SimulationConfig:
         roster = self.initial_nodes + self.horizon_months * self.entry_pool_size
         if roster > MAX_ROSTER:
             raise ValueError(f"initial_nodes + horizon_months * entry_pool_size must be <= {MAX_ROSTER}, got {roster}")
-        if self.policy not in ("heuristic", "llm"):
-            raise ValueError(f"policy must be 'heuristic' or 'llm', got {self.policy!r}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"policy must be {' or '.join(map(repr, POLICIES))}, got {self.policy!r}")
         if self.policy == "llm" and self.llm is None:
             raise ValueError("policy 'llm' requires an llm config section")
         first, last = self.stability_window or (1, self.horizon_months)
@@ -341,9 +347,6 @@ class SimulationConfig:
 
     def allocation(self) -> TokenAllocation:
         return TokenAllocation(**{f.name: getattr(self, f.name) for f in fields(TokenAllocation)})
-
-    def gc_params(self) -> GcParams:
-        return GcParams(**{f.name: getattr(self, "gc_" + f.name) for f in fields(GcParams)})
 
     def to_dict(self) -> dict:
         return encode(self)
@@ -498,8 +501,6 @@ class Simulation:
         self.policy = policy if policy is not None else build_policy(config)
         # The route as a plain function: a bound method kept here would make each simulation a reference cycle.
         self._decide = Simulation._decide_roster if decides_in_batches(type(self.policy)) else Simulation._decide_each
-        self.alloc = config.allocation()
-        self.gc_params = config.gc_params()
 
         # Every stream's words are hashed in one pass; the run keeps only growth capital's, the one channel
         # drawn while stepping.  np.empty and np.zeros leave the slots no month reaches unbacked by memory.
@@ -524,7 +525,8 @@ class Simulation:
         # One entry a month from month 1: the vesting table's node emission and circulating supply (a supply
         # beyond the float range fails its month's record).
         self._emission, self._circulating = (column.tolist() for column in vesting_table(
-            config.horizon_months, self.alloc, config.team_schedule, config.vc_schedule, config.node_schedule)[2:])
+            config.horizon_months, config.allocation(), config.team_schedule, config.vc_schedule,
+            config.node_schedule)[2:])
 
         # Seed the sale-side of the price ratio from month 1's supply, so month 1 has a market
         # even before any growth capitalist exits.
@@ -635,7 +637,7 @@ class Simulation:
             # holdings go on sale; then this month's arrivals join.
             substep = "growth-capital"
             rng_gc = np.random.Generator(np.random.PCG64(_Words(self._gc_words[month])))
-            arrivals = spawn_growth_capitalists(month, self.gc_params, rng_gc)
+            arrivals = spawn_growth_capitalists(month, cfg, rng_gc)
             gcs, expiring = [], 0  # expiring holdings add left to right from the int 0, then join the pool at once
             for gc in self.gcs:
                 if gc.expiry > month:
@@ -669,7 +671,7 @@ class Simulation:
                 total_gc_endowment=endowment,
                 global_revenue=revenue,
                 market_cap=market_cap(price, circ),
-                diluted_market_cap=diluted_market_cap(price, self.alloc.total_supply),
+                diluted_market_cap=diluted_market_cap(price, cfg.total_supply),
             )
             for name in _STATE_FLOATS:
                 if not math.isfinite(getattr(state, name)):

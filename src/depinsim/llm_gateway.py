@@ -58,10 +58,8 @@ class ProtocolError(GatewayError):
 def _check_request(prompts: Sequence[str], max_tokens: int, temperature: float) -> None:
     if not all(prompts):
         raise ValueError("prompt must be non-empty")
-    if max_tokens < 1:
-        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    check_range(LlmSettings, "max_tokens", max_tokens)  # NaN and inf fail here, not when a request body is encoded
+    check_range(LlmSettings, "temperature", temperature)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from depinsim.agents import (
     DecisionContext,
-    GcParams,
     GrowthCapitalist,
     HeuristicPolicy,
     LlmPolicy,
@@ -243,21 +242,21 @@ class TestPseudocodeBoxOracle:
 class TestGrowthCapital:
     def test_zero_arrival_rate_spawns_nobody(self):
         rng = np.random.default_rng(7)
-        assert spawn_growth_capitalists(1, GcParams(arrival_rate=0.0), rng) == []
+        assert spawn_growth_capitalists(1, SimulationConfig(gc_arrival_rate=0.0), rng) == []
 
     def test_fixed_seed_is_reproducible(self):
-        params = GcParams(arrival_rate=2.0)
-        first = spawn_growth_capitalists(3, params, np.random.default_rng(11))
-        second = spawn_growth_capitalists(3, params, np.random.default_rng(11))
+        config = SimulationConfig(gc_arrival_rate=2.0)
+        first = spawn_growth_capitalists(3, config, np.random.default_rng(11))
+        second = spawn_growth_capitalists(3, config, np.random.default_rng(11))
         assert first == second
 
     def test_records_carry_the_draws_in_order(self):
-        params = GcParams(arrival_rate=4.0)
-        gcs = spawn_growth_capitalists(7, params, np.random.default_rng(3))
+        config = SimulationConfig(gc_arrival_rate=4.0)
+        gcs = spawn_growth_capitalists(7, config, np.random.default_rng(3))
         rng = np.random.default_rng(3)
-        count = int(rng.poisson(params.arrival_rate))
-        endowments = rng.lognormal(params.endowment_mu, params.endowment_sigma, count).tolist()
-        expiries = (7 + sample_lifespans(rng, params.lifespan_mu, params.lifespan_sigma, count)).tolist()
+        count = int(rng.poisson(config.gc_arrival_rate))
+        endowments = rng.lognormal(config.gc_endowment_mu, config.gc_endowment_sigma, count).tolist()
+        expiries = (7 + sample_lifespans(rng, config.gc_lifespan_mu, config.gc_lifespan_sigma, count)).tolist()
         assert count > 0
         assert gcs == [GrowthCapitalist(e, x) for e, x in zip(endowments, expiries)]
 
@@ -275,7 +274,7 @@ class TestGrowthCapital:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            GcParams(arrival_rate=-1.0)
+            SimulationConfig(gc_arrival_rate=-1.0)
 
 
 class TestTotalEndowment:

@@ -403,6 +403,12 @@ class TestConfigReference:
         for key in ("out_dir", "charts", "audit_log", "llm.endpoint"):
             assert f"`{key}`" in text
 
+    def test_output_is_pinned(self, capsys):
+        # Every key's default, range and description, byte for byte: a field that moves keeps its row.
+        assert main(["config-reference"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "b2430c34c394eb13abe05bce5dc1e6e05ac82239cd6fc38776c3b74ec17ab1a6")
+
     def test_defaults_match_the_dataclasses(self, capsys):
         assert main(["config-reference"]) == 0
         rows = re.findall(r"^\| `([^`]+)` \| `(.*?)` \|", capsys.readouterr().out, re.MULTILINE)

@@ -24,7 +24,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from depinsim.agents import (
     DecisionContext,
-    GcParams,
     GrowthCapitalist,
     HeuristicPolicy,
     LlmPolicy,
@@ -164,7 +163,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="policy must be 'heuristic' or 'llm', got 'random'"):
             SimulationConfig.from_dict({"policy": "random"})
 
-    @pytest.mark.parametrize("cls", [SimulationConfig, LlmSettings, VestingSchedule, TokenAllocation, GcParams])
+    @pytest.mark.parametrize("cls", [SimulationConfig, LlmSettings, VestingSchedule, TokenAllocation])
     def test_every_numeric_field_declares_its_range(self, cls):
         # stability_window is Optional; its range is the cross-field rule 1 <= first <= last <= horizon.
         numeric = {name for name, hint in get_type_hints(cls).items()

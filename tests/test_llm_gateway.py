@@ -80,14 +80,17 @@ class TestCompletionRequestValidation:
         "prompt, settings, message",
         [
             ("", {}, "prompt must be non-empty"),
-            ("a", {"max_tokens": 0}, "max_tokens must be >= 1, got 0"),
-            ("a", {"temperature": -0.1}, "temperature must be >= 0, got -0.1"),
+            ("a", {"max_tokens": 0}, "max_tokens must lie in [1, inf), got 0"),
+            ("a", {"temperature": -0.1}, "temperature must lie in [0, inf), got -0.1"),
+            # JSON has no NaN or inf: they fail here, before any request body is encoded or retried.
+            ("a", {"temperature": float("nan")}, "temperature must lie in [0, inf), got nan"),
+            ("a", {"temperature": float("inf")}, "temperature must lie in [0, inf), got inf"),
         ],
     )
     def test_batch_raises_as_a_request_does(self, prompt, settings, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             CompletionBatch(["ok", prompt], **settings)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             CompletionRequest(prompt, **settings)
 
     def test_empty_prompt(self):
@@ -207,6 +210,15 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailableError, match="3 attempts"):
             backend.complete(CompletionRequest(prompt="hello"))
         assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_unencodable_temperature_is_rejected_before_sending(self, stub_server, sleeps, temperature):
+        # The library path fails at the first ask, naming the setting: no request is sent and no retry waits.
+        backend = HttpBackend(f"http://127.0.0.1:{stub_server.server_port}", timeout=5.0)
+        policy = LlmPolicy(backend, temperature=temperature)
+        with pytest.raises(ValueError, match=re.escape(f"temperature must lie in [0, inf), got {temperature}")):
+            policy.decide_entry(DecisionContext(global_revenue=2000.0, node_cost=1000.0, tolerance=0.5, month=1))
+        assert stub_server.requests == [] and sleeps == []
 
     def test_malformed_body_is_protocol_error(self, stub_server):
         stub_server.raw_payload = b'{"unexpected": true}'
