@@ -51,7 +51,7 @@ class DecisionPolicy(Protocol):
     roster, each given the month's revenue and the nodes' cost and tolerance
     arrays and returning one verdict per node.  `decide_exits` is also given
     each node's exit threshold, `tolerance * cost`, which the engine stores
-    when the node joins the roster.  Every array is a read-only view of the
+    for every node when the run is built.  Every array is a read-only view of the
     engine's node table, valid only during the call: the month's candidate
     pool for `decide_entries` and the roster for `decide_exits`.  The commit
     may write entrants over the pool and compacts the roster, so a policy

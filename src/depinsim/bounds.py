@@ -10,7 +10,7 @@ import functools
 import operator
 import re
 from dataclasses import Field, field, fields
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 _INTERVAL = re.compile(r"([\[(])(\S+), (\S+)([\])])")
 _LOWER = {"[": operator.le, "(": operator.lt}  # lo <= value, lo < value
@@ -42,16 +42,23 @@ def declared_ranges(cls: type) -> Tuple[tuple, ...]:
 def _check(name: str, text: str, lo: float, above, hi: float, below, value) -> None:
     """Raise a ValueError naming `name` unless `value` lies in the interval `text`; a tuple's range holds for
     each element, and NaN fails every comparison, so it is never in range."""
-    if not all(above(lo, x) and below(x, hi) for x in (value if isinstance(value, tuple) else (value,))):
+    if not (all(above(lo, x) and below(x, hi) for x in value) if isinstance(value, tuple)
+            else above(lo, value) and below(value, hi)):
         raise ValueError(f"{name} must lie in {text}, got {value!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _range_checks(cls: type) -> Dict[str, Callable]:
+    """`_check` bound to each range dataclass `cls` declares, by field name."""
+    return {declared[0]: functools.partial(_check, *declared) for declared in declared_ranges(cls)}
 
 
 def check_ranges(obj) -> None:
     """Raise a ValueError naming the first field of dataclass `obj` outside its declared range."""
-    for name, *interval in declared_ranges(type(obj)):
-        _check(name, *interval, getattr(obj, name))
+    for name, check in _range_checks(type(obj)).items():
+        check(getattr(obj, name))
 
 
 def check_range(cls: type, name: str, value) -> None:
-    """Raise a ValueError naming `name` unless `value` lies in the range dataclass `cls` declares for that field."""
-    _check(*next(declared for declared in declared_ranges(cls) if declared[0] == name), value)
+    """Raise a ValueError naming `name` unless `value` lies in the range `cls` declares for it (a KeyError if none)."""
+    _range_checks(cls)[name](value)

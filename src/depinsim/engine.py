@@ -166,9 +166,9 @@ def _stream_words(seed: int, months: int) -> np.ndarray:
 
 
 def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) -> None:
-    """Draw the run's nodes into the cost and tolerance rows of the node table `nodes`, in slot
-    order: the initial roster from stream `words[0, _STREAM_INIT_NODES]`, then month m's candidate
-    pool from stream `words[m, _STREAM_CANDIDATES]` (`words` as `_stream_words` returns them).
+    """Draw the run's nodes into the node table `nodes` in slot order, with every slot's exit threshold: the
+    initial roster from stream `words[0, _STREAM_INIT_NODES]`, then month m's candidate pool from stream
+    `words[m, _STREAM_CANDIDATES]` (`words` as `_stream_words` returns them).
 
     A stream's draws are its first `2 * count` raw words, all taken by one PCG64: its costs, then
     its tolerances.  Each row is then converted in place by the formula of `Generator.uniform`:
@@ -191,6 +191,7 @@ def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) 
         uniform *= hi - lo
         uniform += lo
     nodes[0] *= config.node_cost
+    np.multiply(nodes[1], nodes[0], out=nodes[2])
 
 
 class SimulationError(Exception):
@@ -461,22 +462,22 @@ def _verdicts(values, count: int) -> np.ndarray:
 class Simulation:
     """Mutable run state: node table, growth capitalists, last snapshot.
 
-    Every node a run may hold has a slot in one table, allocated and drawn
-    when the run is built (`initial_nodes + horizon_months * entry_pool_size`
-    slots, 33 B each with the commit's stay mask): `_nodes` holds float64
-    rows of cost, tolerance and exit threshold `tolerance * cost`, `_runs`
-    int32 rows of the last month a node signalled exit (-1 if never) and
-    its run of consecutive signals up to then.  The roster is the first `n`
-    slots; month m's candidate pool is the `entry_pool_size` slots from
-    `initial_nodes + (m - 1) * entry_pool_size`.  As month m starts the
-    roster holds at most that many nodes, so it never reaches a pool before
-    the pool's month.  A month reads and writes only the run slots of the
-    nodes that signalled (a run continues if the node also signalled the
-    month before, and restarts at 1 otherwise); nodes whose run reaches
-    `patience` leave.  The commit compacts exits through a scratch mask of
-    stayers and copies entrants out of their pool into the slots after the
-    stayers, computing their thresholds once.  A month past
-    `horizon_months` is rejected, so the roster never outgrows the table.
+    Every node a run may hold has a slot in one table, allocated and drawn,
+    thresholds included, when the run is built (`initial_nodes +
+    horizon_months * entry_pool_size` slots, 33 B each with the commit's
+    stay mask): `_nodes` holds float64 rows of cost, tolerance and exit
+    threshold `tolerance * cost`, `_runs` int32 rows of the last month a
+    node signalled exit (-1 if never, as every slot starts) and its run of
+    consecutive signals up to then.  The roster is the first `n` slots;
+    month m's pool is the `entry_pool_size` slots from `initial_nodes +
+    (m - 1) * entry_pool_size`, which the roster never reaches before month
+    m.  A month reads and writes only the run slots of the nodes that
+    signalled (a run continues if the node also signalled the month before,
+    and restarts at 1 otherwise); nodes whose run reaches `patience` leave.
+    The commit compacts exits through a scratch mask of stayers.  While no
+    node has left and every pool entered whole, entrants sit in their own
+    slots; else the commit copies them behind the stayers, marked never
+    signalled.  A month past the horizon, outgrowing the table, is rejected.
     `cost` and `tolerance` are read-only views of the live slots; `streak`
     is computed from the run slots.
 
@@ -503,7 +504,8 @@ class Simulation:
         self._decide = Simulation._decide_roster if decides_in_batches(type(self.policy)) else Simulation._decide_each
 
         # Every stream's words are hashed in one pass; the run keeps only growth capital's, the one channel
-        # drawn while stepping.  np.empty and np.zeros leave the slots no month reaches unbacked by memory.
+        # drawn while stepping.  Only the run lengths (read once a signal writes them) and the stay mask are
+        # left unbacked by memory, by np.zeros and np.empty; every other slot is written here.
         capacity = config.initial_nodes + config.horizon_months * config.entry_pool_size
         words = _stream_words(config.seed, config.horizon_months)
         self._gc_words = words[:, _STREAM_GROWTH_CAPITAL].copy()
@@ -511,15 +513,14 @@ class Simulation:
         _node_draws(self._nodes, words, config)
         del words
         self._runs = np.zeros((2, capacity), dtype=np.int32)  # the month each node last signalled, its run then
+        self._runs[0] = -1  # never
         self._stay = np.empty(capacity, dtype=bool)  # in an exit month, the nodes that stay
         self._view = self._nodes.view()
         self._view.flags.writeable = False
         # The five rows as 1-D views, for the commit: a month's writes are row by row, and taking
         # a row out of its table each month would cost about as much as a small month's writes.
         self._rows = (*self._nodes, *self._runs)
-        self._n = n = config.initial_nodes
-        np.multiply(self._nodes[1, :n], self._nodes[0, :n], out=self._nodes[2, :n])
-        self._runs[0, :n] = -1
+        self._n = config.initial_nodes
         self.gcs: List[GrowthCapitalist] = []
 
         # One entry a month from month 1: the vesting table's node emission and circulating supply (a supply
@@ -701,10 +702,9 @@ class Simulation:
             stay[leavers] = False
             for row in self._rows:  # row by row: a 2-D mask over the columns is several times slower
                 row[:kept] = row[:n][stay]
-        if entries:  # out of this month's pool, which the entrants' slots may overlap: each right-hand side is a copy
-            cost[kept:n_now] = costs[enters]
-            tolerance[kept:n_now] = tolerances[enters]
-            np.multiply(tolerance[kept:n_now], cost[kept:n_now], out=threshold[kept:n_now])
+        if entries and (kept != start or entries != cfg.entry_pool_size):  # else they sit in their own slots
+            for row in (cost, tolerance, threshold):  # out of their pool, which they may overlap: each is a copy
+                row[kept:n_now] = row[start:start + cfg.entry_pool_size][enters]
             last[kept:n_now] = -1
         self._n = n_now
         self.gcs = gcs

@@ -262,7 +262,8 @@ class AuditLog:
         """Append one line per reply, opening the file once; no replies write nothing.
 
         Reply i answers `batch.prompts[i]`; a failed batch's `answered`
-        replies cover only the prompts before the failure.
+        replies cover only the prompts before the failure.  JSON leaves a lone surrogate raw in a
+        string and UTF-8 cannot encode it, so it is written as its backslash escape, its JSON escape.
         """
         answered = batch.prompts[:len(replies.texts)]
         lines = [
@@ -271,7 +272,7 @@ class AuditLog:
             for prompt, text, latency in zip(answered, replies.texts, replies.latencies, strict=True)
         ]
         if lines:
-            with open(self.path, "a", encoding="utf-8") as fh:
+            with open(self.path, "a", encoding="utf-8", errors="backslashreplace") as fh:
                 fh.writelines(lines)
 
 

@@ -30,6 +30,7 @@ from depinsim.metrics import stability
 from depinsim.tokenomics import (
     NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, circulating_supply, cumulative_release, vesting_table,
 )
+from conftest import assert_same_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -72,6 +73,22 @@ class TestRun:
         assert code == 0
         entries = [json.loads(line) for line in audit.read_text().splitlines()]
         assert entries and all(e["backend"] == "scripted" for e in entries)
+
+    def test_a_lone_surrogate_is_audited_escaped(self, tmp_path):
+        # UTF-8 cannot encode a lone surrogate; the audit log writes it as its JSON escape, so the
+        # run completes, as it does without the log, and each line reads back to its exchange.
+        llm = {"backend": "scripted", "model_name": "m\ud800", "script": {"*enter*": "yes\udfff", "*exit*": "no"}}
+        config = write_config(tmp_path, horizon_months=3, policy="llm", llm=llm)
+        audit = tmp_path / "audit.jsonl"
+        for out, extra in (("plain", []), ("audited", ["--audit-log", str(audit)])):
+            assert main(["run", "--config", config, "--out-dir", str(tmp_path / out), "--charts", "off", *extra]) == 0
+        assert_same_csv((tmp_path / "audited" / "trajectory.csv").read_text(),
+                        (tmp_path / "plain" / "trajectory.csv").read_text())
+        lines = audit.read_bytes().decode("utf-8").splitlines()
+        entries = [json.loads(line) for line in lines]
+        assert entries and all(e["model"] == "m\ud800" for e in entries)
+        assert {e["response"] for e in entries} == {"yes\udfff", "no"}
+        assert all("\\ud800" in line for line in lines)
 
     def test_seed_override_changes_output(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

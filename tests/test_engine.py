@@ -32,7 +32,7 @@ from depinsim.agents import (
     heuristic_prompt_reply,
 )
 from depinsim import engine
-from depinsim.bounds import check_ranges, declared_ranges
+from depinsim.bounds import check_range, check_ranges, declared_ranges
 from depinsim.cli import FileOptions
 from depinsim.engine import (
     MAX_HORIZON, MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, _Words, _stream_words,
@@ -194,9 +194,20 @@ class TestConfig:
 
         for value in inside:
             check_ranges(Probe(value))
+            check_range(Probe, "value", value)
         for value in outside:
             with pytest.raises(ValueError, match=f"value must lie in {re.escape(bounds)}"):
                 check_ranges(Probe(value))
+            with pytest.raises(ValueError, match=f"value must lie in {re.escape(bounds)}"):
+                check_range(Probe, "value", value)
+
+    def test_check_range_names_a_field_without_a_range(self):
+        check_range(SimulationConfig, "cost_spread", (0.5, 1e8))  # a tuple's range holds for each element
+        with pytest.raises(ValueError, match=re.escape("cost_spread must lie in (0, 1e8], got (0.5, 200000000.0)")):
+            check_range(SimulationConfig, "cost_spread", (0.5, 2e8))
+        for name in ("nope", "model_name"):  # undeclared, and a field that declares no range
+            with pytest.raises(KeyError, match=f"^'{name}'$"):
+                check_range(LlmSettings, name, 1)
 
 
 def compensated_sum(iterable, /, start=0):
@@ -858,14 +869,38 @@ class TestExitThresholds:
 
 
 def assert_unseen_pools_drawn(sim, fresh):
-    """Every candidate pool of a month after `sim`'s last holds the bytes `fresh`, a newly built run, drew."""
+    """Every candidate pool of a month after `sim`'s last holds the bytes `fresh`, a newly built run, drew,
+    its exit thresholds among them."""
     config = sim.config
     start = config.initial_nodes + sim.state.month * config.entry_pool_size
-    assert sim._nodes[:2, start:].tobytes() == fresh._nodes[:2, start:].tobytes()
+    assert sim._nodes[:, start:].tobytes() == fresh._nodes[:, start:].tobytes()
 
 
 class TestNodeTable:
     """The roster and every month's candidate pool share one table; no month writes a later month's pool."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64), pool=st.integers(0, 15), initial=st.sampled_from([0, 1, 9, 50]),
+           horizon=st.integers(1, 4), cost_spread=spreads(1e8), tolerance_range=spreads(1.0))
+    def test_build_stores_every_slots_threshold(self, seed, pool, initial, horizon, cost_spread, tolerance_range):
+        config = SimulationConfig(seed=seed, entry_pool_size=pool, initial_nodes=initial, horizon_months=horizon,
+                                  cost_spread=cost_spread, tolerance_range=tolerance_range)
+        sim = Simulation(config)
+        assert sim._nodes[2].tobytes() == (sim._nodes[1] * sim._nodes[0]).tobytes()
+        assert (sim._runs[0] == -1).all()
+
+    @pytest.mark.parametrize("make_policy", [HeuristicPolicy, Forwarding])
+    def test_whole_pools_entering_write_no_slot(self, make_policy):
+        # roster-growth's shape: every candidate can pay its cost and no node signals exit, so each
+        # month's pool enters where it was drawn and no month writes the node table or a run slot.
+        config = SimulationConfig(horizon_months=12, initial_nodes=20, entry_pool_size=25, node_cost=1e-3)
+        sim = Simulation(config, policy=make_policy())
+        nodes, runs = sim._nodes.tobytes(), sim._runs.tobytes()
+        for month in range(1, config.horizon_months + 1):
+            sim.step(month)
+            assert (sim.events[-1].entries, sim.events[-1].exits) == (config.entry_pool_size, 0)
+            assert sim._nodes.tobytes() == nodes and sim._runs.tobytes() == runs
+        assert len(sim.cost) == len(sim._nodes[0])
 
     @settings(max_examples=100, deadline=None)
     @given(drawn=replayed_runs(), batches=st.booleans())

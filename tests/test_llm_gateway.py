@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import YES_NO_CORPUS
 from depinsim.agents import DecisionContext, LlmPolicy
@@ -303,6 +303,12 @@ class TestScriptedBatch:
         assert backend.complete_batch(CompletionBatch([])).texts == []
 
 
+# Audit-log text: control characters, quotes, backslashes, non-ASCII letters and lone surrogates.  A high
+# surrogate directly before a low one is left out: JSON reads their two escapes back as one character.
+AUDITED_TEXT = st.text(st.characters(max_codepoint=0x2FF) | st.characters(categories=["Cs"])).filter(
+    lambda text: not re.search("[\ud800-\udbff][\udc00-\udfff]", text))
+
+
 class TestAuditLog:
     def test_records_json_lines(self, tmp_path):
         log = AuditLog(tmp_path / "audit.jsonl")
@@ -318,6 +324,25 @@ class TestAuditLog:
         assert entry["response"] == "yes"
         assert entry["backend"] == "scripted"
         assert entry["latency_s"] >= 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(prompts=st.lists(AUDITED_TEXT.filter(bool), min_size=1, max_size=4), model=AUDITED_TEXT,
+           replies=st.lists(AUDITED_TEXT, min_size=4, max_size=4))
+    def test_every_line_reads_back_to_its_exchange(self, tmp_path_factory, prompts, model, replies):
+        # A line UTF-8 can encode is json.dumps' own; one holding a lone surrogate escapes it, and reads back.
+        batch = CompletionBatch(prompts, model_name=model)
+        answered = BatchReplies(replies[:len(prompts)], [0.5, 0.25, 0.125, 1.0][:len(prompts)], "scripted")
+        log = AuditLog(tmp_path_factory.mktemp("audit") / "audit.jsonl")
+        log.record_batch(batch, answered)
+        lines = log.path.read_bytes().decode("utf-8").split("\n")  # not splitlines: a line may hold "\x85"
+        assert lines.pop() == ""
+        exchanges = [{"prompt": prompt, "model": model, "response": text, "backend": "scripted", "latency_s": latency}
+                     for prompt, text, latency in zip(prompts, answered.texts, answered.latencies)]
+        assert [json.loads(line) for line in lines] == exchanges
+        for line, exchange in zip(lines, exchanges):
+            plain = json.dumps(exchange, ensure_ascii=False)
+            if not re.search("[\ud800-\udfff]", plain):
+                assert line == plain
 
     @pytest.mark.parametrize("path,error", [("missing/audit.jsonl", "directory missing does not exist"),
                                             (".", "is a directory")])
