@@ -141,13 +141,15 @@ class ScriptedBackend:
 class HttpBackend:
     """OpenAI-compatible completions client with a bounded retry budget.
 
-    `complete_batch` sends one `complete` per prompt, in order.  Transport
-    failures, 429 and 5xx answers are retried with exponential backoff, or
-    after the answer's delta-seconds Retry-After (capped at the timeout).
-    Once the budget is spent a transport failure surfaces as
+    `complete_batch` sends one `complete` per prompt, in order, and each
+    attempt is one POST through `urllib.request` on a fresh connection.
+    Transport failures, 429 and 5xx answers are retried with exponential
+    backoff, or after the answer's delta-seconds Retry-After (capped at the
+    timeout).  Once the budget is spent a transport failure surfaces as
     BackendUnavailableError and a 429/5xx as ProtocolError; any other
-    non-2xx answer raises ProtocolError immediately.  `timeout` and
-    `retries` must lie in the ranges `LlmSettings` declares for them.
+    non-2xx answer, a 307 or 308 redirect of the POST included, raises
+    ProtocolError immediately.  `timeout` and `retries` must lie in the
+    ranges `LlmSettings` declares for them.
     """
 
     name = "http"
@@ -158,13 +160,23 @@ class HttpBackend:
             parts.port  # raises on a port that is not an integer from 0 to 65535
         except ValueError as err:
             raise ValueError(f"endpoint {endpoint!r} is not a URL: {err}") from None
+        if "@" in parts.netloc:  # not echoed: it holds a secret
+            raise ValueError("endpoint must not hold credentials (user:password@); use llm.api_key instead")
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}")
+        if re.search(r"[^!-~]|[?#]", endpoint):  # http.client sends printable ASCII; "/v1/completions" is appended
+            raise ValueError(f"endpoint must be a base URL of printable ASCII, without spaces, a query or a "
+                             f"fragment (percent-encode other characters), got {endpoint!r}")
+        if api_key and re.search(r"[^!-~]", api_key):  # not echoed: it is a secret
+            raise ValueError("api_key must be printable ASCII without spaces: it is sent as a bearer token")
         check_range(LlmSettings, "timeout", timeout)
         check_range(LlmSettings, "retries", retries)
-        import requests  # here, not at module level: heuristic and scripted runs never load the HTTP stack
+        import http.client
+        import urllib.request  # here, not at module level: heuristic and scripted runs never load the HTTP stack
 
-        self._requests = requests
+        self._urllib = urllib.request
+        # URLError, timeouts and resets are OSErrors; IncompleteRead and BadStatusLine are HTTPExceptions.
+        self._transport_errors = (OSError, http.client.HTTPException)
         self.url = endpoint.rstrip("/") + "/v1/completions"
         self.api_key = api_key
         self.timeout = timeout
@@ -192,39 +204,50 @@ class HttpBackend:
             "max_tokens": request.max_tokens,
             "temperature": request.temperature,
         }
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
+        body = json.dumps(payload, allow_nan=False).encode()
         start = time.perf_counter()
         last_error: Optional[Exception] = None
         for attempt in range(self.retries + 1):
             try:
-                resp = self._requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-            except self._requests.RequestException as err:
+                status, reply_headers, reply = self._post(body)
+            except self._transport_errors as err:
                 last_error = err
                 if attempt < self.retries:
                     time.sleep(BACKOFF * 2**attempt)
                 continue
-            if (resp.status_code == 429 or resp.status_code >= 500) and attempt < self.retries:
-                time.sleep(self._retry_delay(resp, attempt))
+            if (status == 429 or status >= 500) and attempt < self.retries:
+                time.sleep(self._retry_delay(reply_headers, attempt))
                 continue
-            if not 200 <= resp.status_code < 300:
-                raise ProtocolError(resp.status_code, resp.text[:200])
+            reply_text = reply.decode("utf-8", "replace")
+            if not 200 <= status < 300:
+                raise ProtocolError(status, reply_text[:200])
             try:
-                text = resp.json()["choices"][0]["text"]
+                text = json.loads(reply_text)["choices"][0]["text"]
             except (ValueError, KeyError, IndexError, TypeError):
                 text = None
             if not isinstance(text, str):  # a null, number or list text is no completion either
-                raise ProtocolError(resp.status_code, f"malformed completion body: {resp.text[:200]}")
+                raise ProtocolError(status, f"malformed completion body: {reply_text[:200]}")
             return CompletionResponse(text=text, latency=time.perf_counter() - start, backend=self.name)
         raise BackendUnavailableError(
             f"{self.url} unreachable after {self.retries + 1} attempts: {last_error}"
         )
 
-    def _retry_delay(self, resp, attempt: int) -> float:
+    def _post(self, body: bytes):
+        """One attempt on a fresh connection: the answer's status, headers and body, whatever its status."""
+        # A proxy rewrites the request, so each attempt builds its own.
+        request = self._urllib.Request(self.url, data=body, headers={"Content-Type": "application/json"})
+        if self.api_key:  # unredirected: a redirect, which urllib follows as a GET, never carries the token
+            request.add_unredirected_header("Authorization", f"Bearer {self.api_key}")
+        try:
+            with self._urllib.urlopen(request, timeout=self.timeout) as resp:
+                return resp.status, resp.headers, resp.read()
+        except self._urllib.HTTPError as err:  # urlopen raises a non-2xx answer; reading its body may still fail
+            with err:
+                return err.code, err.headers, err.read()
+
+    def _retry_delay(self, headers, attempt: int) -> float:
         """Seconds to wait before retrying a 429/5xx answer (RFC 9110 §10.2.3)."""
-        retry_after = resp.headers.get("Retry-After", "").strip()
+        retry_after = headers.get("Retry-After", "").strip()
         if retry_after.isascii() and retry_after.isdigit():
             return min(float(retry_after), self.timeout)
         return BACKOFF * 2**attempt
@@ -264,6 +287,9 @@ class AuditLog:
         Reply i answers `batch.prompts[i]`; a failed batch's `answered`
         replies cover only the prompts before the failure.  JSON leaves a lone surrogate raw in a
         string and UTF-8 cannot encode it, so it is written as its backslash escape, its JSON escape.
+        A high surrogate directly followed by a low one is written as two escapes (`\\ud83d\\ude00`),
+        which JSON defines as one character: that line reads back as U+1F600.  Only a Python caller
+        can hand in such a pair, since JSON input decodes it to one character first.
         """
         answered = batch.prompts[:len(replies.texts)]
         lines = [

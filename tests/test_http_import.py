@@ -1,6 +1,7 @@
-"""The HTTP stack (`requests`, `urllib3`, `http.client`) loads only when an HttpBackend is built.
+"""The HTTP stack (`http.client`, `urllib.request`) loads only when an HttpBackend is built, and no
+command needs `requests` (nor its `urllib3`).
 
-Each check runs in a fresh interpreter, since this test process may already hold `requests`.
+Each check runs in a fresh interpreter, since this test process may already hold the HTTP stack.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 
 import depinsim
 
-HTTP_STACK = ("requests", "urllib3", "http.client")
+HTTP_STACK = ("requests", "urllib3", "http.client", "urllib.request")
 SCRIPTED = {"backend": "scripted", "script": {"*enter*": "yes", "*exit*": "no"}}
 
 
@@ -57,7 +58,7 @@ def test_commands_run_with_requests_unimportable(argv, config, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_building_an_http_backend_loads_requests(tmp_path):
+def test_building_an_http_backend_loads_the_stdlib_http_stack(tmp_path):
     proc = run_python("""
         import sys
         from depinsim.llm_gateway import HttpBackend
@@ -70,8 +71,38 @@ def test_building_an_http_backend_loads_requests(tmp_path):
                 HttpBackend("http://127.0.0.1:9", **bad)
             except ValueError:
                 pass
-        assert "requests" not in sys.modules
+        assert "http.client" not in sys.modules and "urllib.request" not in sys.modules
         HttpBackend("http://127.0.0.1:9")  # sends nothing
-        assert "requests" in sys.modules
+        assert "http.client" in sys.modules and "urllib.request" in sys.modules
+        assert "requests" not in sys.modules
+    """, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_http_backend_answers_with_requests_unimportable(tmp_path):
+    proc = run_python("""
+        import json, sys, threading
+        sys.modules["requests"] = None  # any `import requests` now raises ImportError
+        from http.server import BaseHTTPRequestHandler, HTTPServer
+        from depinsim.llm_gateway import CompletionBatch, HttpBackend
+
+        class Stub(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                reply = json.dumps({"choices": [{"text": body["prompt"].upper()}]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(reply)))
+                self.end_headers()
+                self.wfile.write(reply)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Stub)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        replies = HttpBackend(f"http://127.0.0.1:{server.server_port}", timeout=5.0).complete_batch(
+            CompletionBatch(["yes", "no"]))
+        assert replies.texts == ["YES", "NO"], replies
+        server.shutdown()
     """, tmp_path)
     assert proc.returncode == 0, proc.stderr
