@@ -120,7 +120,7 @@ def cmd_run(args) -> int:
     # Last: a metrics.json older than trajectory.csv marks a run that stopped while writing.
     _write_text(out_dir / "metrics.json", json.dumps(trajectory.metrics.to_dict(), indent=2) + "\n")
     m = trajectory.metrics
-    print(f"wrote {csv_path} ({len(trajectory.states)} months)")
+    print(f"wrote {csv_path} ({len(trajectory.month_rows)} months)")
     print(
         f"efficiency={m.efficiency:.6g} inclusion={m.inclusion if m.inclusion is None else round(m.inclusion, 6)} "
         f"stability={m.stability if m.stability is None else round(m.stability, 6)}"

@@ -1,9 +1,9 @@
 """Discrete-time simulation engine.
 
-Each month runs a fixed sub-step order against the frozen previous-month
-snapshot: vest tokens, compute revenue, run node entry then exit decisions,
-process growth-capital arrivals and expiries, form the price, and commit
-one MarketState record.  Partial months are never committed.
+Each month runs a fixed sub-step order against the previous month's
+committed values: vest tokens, compute revenue, run node entry then exit
+decisions, process growth-capital arrivals and expiries, form the price, and
+commit one row (`ROW_FIELDS`).  Partial months are never committed.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -73,7 +74,7 @@ MAX_ROSTER = 1_000_000
 MAX_HORIZON = 100_000
 POLICIES = ("heuristic", "llm")  # the values of policy
 
-# The MarketState fields a month must record as finite numbers.
+# The MarketState fields a month must record as finite numbers, in field order.
 _STATE_FLOATS = tuple(name for name, hint in get_type_hints(MarketState).items() if hint is float)
 
 
@@ -370,10 +371,25 @@ class MonthEvents:
     fallbacks: int = 0  # LLM replies that fell back to the heuristic
 
 
+# A committed month is one plain tuple: MarketState's fields, then MonthEvents' after `month`.
+# Its records are built from it only when read.
+_STATE_WIDTH = len(fields(MarketState))
+ROW_FIELDS = tuple(f.name for f in fields(MarketState)) + tuple(f.name for f in fields(MonthEvents))[1:]
+# The _STATE_FLOATS fields of a row, which are contiguous (a test pins it).
+_FLOATS = slice(ROW_FIELDS.index(_STATE_FLOATS[0]), ROW_FIELDS.index(_STATE_FLOATS[-1]) + 1)
+
 CSV_COLUMNS = (
     "month", "nodes", "users", "price", "circ_supply", "market_cap",
     "diluted_cap", "E_total", "tokens_on_sale", "entries", "exits", "fallbacks",
 )
+
+
+def _states(month_rows: Sequence[tuple]) -> List[MarketState]:
+    return [MarketState(*row[:_STATE_WIDTH]) for row in month_rows]
+
+
+def _events(month_rows: Sequence[tuple]) -> List[MonthEvents]:
+    return [MonthEvents(row[0], *row[_STATE_WIDTH:]) for row in month_rows]
 
 
 def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
@@ -400,21 +416,37 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
 
 @dataclass
 class Trajectory:
-    """Ordered month records plus the event log and the config that ran."""
+    """The committed months, one tuple each in `ROW_FIELDS` order, plus the config that ran.
 
-    states: List[MarketState]
-    events: List[MonthEvents]
+    `states` and `events` build the month records from the rows on every
+    read, each call a fresh list; `rows()`, `column()`, `price_series()` and
+    the CSV read the rows themselves.
+    """
+
+    month_rows: List[tuple]
     config: SimulationConfig
     metrics: Optional[metrics_mod.MetricReport] = None
 
+    @property
+    def states(self) -> List[MarketState]:
+        return _states(self.month_rows)
+
+    @property
+    def events(self) -> List[MonthEvents]:
+        return _events(self.month_rows)
+
+    def column(self, name: str) -> list:
+        """Field `name` of `ROW_FIELDS`, one value per month."""
+        return list(map(itemgetter(ROW_FIELDS.index(name)), self.month_rows))
+
     def price_series(self) -> List[float]:
-        return [s.token_price for s in self.states]
+        return self.column("token_price")
 
     def rows(self) -> Iterator[tuple]:
         """The run table: one row per month, in CSV_COLUMNS order."""
-        for s, e in zip(self.states, self.events):
-            yield (s.month, s.active_nodes, s.users, s.token_price, s.circulating_supply, s.market_cap,
-                   s.diluted_market_cap, s.total_gc_endowment, s.tokens_on_sale, e.entries, e.exits, e.fallbacks)
+        for (month, nodes, users, price, sale, circ, e_total, _revenue, cap, diluted_cap,
+             entries, exits, _arrivals, _expiries, fallbacks) in self.month_rows:  # unpacking beats an itemgetter
+            yield month, nodes, users, price, circ, cap, diluted_cap, e_total, sale, entries, exits, fallbacks
 
     def to_csv_string(self) -> str:
         return csv_text(CSV_COLUMNS, self.rows())
@@ -460,7 +492,13 @@ def _verdicts(values, count: int) -> np.ndarray:
 
 
 class Simulation:
-    """Mutable run state: node table, growth capitalists, last snapshot.
+    """Mutable run state: node table, growth capitalists, committed months.
+
+    `step(month)` runs one month and commits it as one row (`ROW_FIELDS`); it
+    returns None, so a caller reads the month from `state`.  `state`,
+    `states` and `events` build records from the rows on every read (the
+    last two a fresh list of every month), so a month loop reads `state`,
+    not `states[-1]`.  Before month 1, `state` is the month-0 seed.
 
     Every node a run may hold has a slot in one table, allocated and drawn,
     thresholds included, when the run is built (`initial_nodes +
@@ -531,7 +569,7 @@ class Simulation:
 
         # Seed the sale-side of the price ratio from month 1's supply, so month 1 has a market
         # even before any growth capitalist exits.
-        self.state = MarketState(
+        self._seed = MarketState(
             month=0,
             active_nodes=config.initial_nodes,
             users=user_count(config.initial_nodes),
@@ -543,8 +581,25 @@ class Simulation:
             market_cap=0.0,
             diluted_market_cap=0.0,
         )
-        self.states: List[MarketState] = []
-        self.events: List[MonthEvents] = []
+        # The last committed month, and the price and sale pool the next month starts from
+        # (its node count is `_n`).
+        self._month, self._price, self._sale = 0, self._seed.token_price, self._seed.tokens_on_sale
+        self._month_rows: List[tuple] = []
+
+    @property
+    def state(self) -> MarketState:
+        """The last committed month's record, or the month-0 seed before month 1."""
+        return MarketState(*self._month_rows[-1][:_STATE_WIDTH]) if self._month_rows else self._seed
+
+    @property
+    def states(self) -> List[MarketState]:
+        """Every committed month's MarketState, built anew on each read."""
+        return _states(self._month_rows)
+
+    @property
+    def events(self) -> List[MonthEvents]:
+        """Every committed month's MonthEvents, built anew on each read."""
+        return _events(self._month_rows)
 
     @property
     def cost(self) -> np.ndarray:
@@ -561,7 +616,7 @@ class Simulation:
         """Each active node's run of consecutive exit signals up to the last committed month,
         in roster order: its run if it signalled that month, else 0 (a read-only copy)."""
         n = self._n
-        streak = np.where(self._runs[0, :n] == self.state.month, self._runs[1, :n], 0)
+        streak = np.where(self._runs[0, :n] == self._month, self._runs[1, :n], 0)
         streak.flags.writeable = False
         return streak
 
@@ -591,26 +646,24 @@ class Simulation:
             signals.append(bool(signal))
         return np.array(enters, dtype=bool), np.flatnonzero(np.array(signals, dtype=bool))
 
-    def step(self, month: int) -> MarketState:
-        """Advance one month and commit its record."""
-        if month != self.state.month + 1:
-            raise SimulationError(month, "ordering", f"expected month {self.state.month + 1}")
+    def step(self, month: int) -> None:
+        """Advance one month and commit its row; read it back from `state`."""
+        if month != self._month + 1:
+            raise SimulationError(month, "ordering", f"expected month {self._month + 1}")
         if month > self.config.horizon_months:
             raise SimulationError(month, "ordering", f"the horizon is {self.config.horizon_months} months")
-        prev = self.state
         cfg = self.config
+        n = self._n
         substep = "vesting"
         try:
             # 1. Token releases and circulating supply, as built with the run.
             emission = self._emission[month - 1]
             circ = self._circulating[month - 1]
 
-            # 2. Users and global revenue from the frozen snapshot.
+            # 2. Users and global revenue from last month's nodes and price.
             substep = "revenue"
-            users = user_count(prev.active_nodes)
-            revenue = global_revenue(
-                prev.token_price, emission, prev.active_nodes, users, cfg.user_revenue_factor
-            )
+            users = user_count(n)
+            revenue = global_revenue(self._price, emission, n, users, cfg.user_revenue_factor)
             if not math.isfinite(revenue):  # before any policy reads it, so every policy fails here
                 raise ValueError(f"global_revenue is not finite: {revenue!r}")
 
@@ -619,7 +672,6 @@ class Simulation:
             # next month on.
             substep = "node-decisions"
             fallbacks_before = getattr(self.policy, "fallback_count", 0)
-            n = self._n
             start = cfg.initial_nodes + (month - 1) * cfg.entry_pool_size  # this month's candidate pool
             costs = self._view[0, start:start + cfg.entry_pool_size]
             tolerances = self._view[1, start:start + cfg.entry_pool_size]
@@ -646,7 +698,7 @@ class Simulation:
                 else:
                     expiring += gc.tokens_held
             expiries = len(self.gcs) - len(gcs)
-            sale = prev.tokens_on_sale + expiring
+            sale = self._sale + expiring
             gcs += arrivals
             endowment = total_endowment(gcs)
 
@@ -656,35 +708,22 @@ class Simulation:
             if sale > 0 and endowment > 0:
                 price = token_price(endowment, sale)
             else:
-                price = prev.token_price
+                price = self._price
             for gc in arrivals:
                 gc.tokens_held = gc.endowment / price if price > 0 else 0.0
 
-            # 6. Market caps; commit the month.
+            # 6. Market caps; the month's row.
             substep = "record"
-            state = MarketState(
-                month=month,
-                active_nodes=n_now,
-                users=users,
-                token_price=price,
-                tokens_on_sale=sale,
-                circulating_supply=circ,
-                total_gc_endowment=endowment,
-                global_revenue=revenue,
-                market_cap=market_cap(price, circ),
-                diluted_market_cap=diluted_market_cap(price, cfg.total_supply),
+            month_row = (
+                month, n_now, users, price, sale, circ, endowment, revenue,
+                market_cap(price, circ), diluted_market_cap(price, cfg.total_supply),
+                entries, exits, len(arrivals), expiries, getattr(self.policy, "fallback_count", 0) - fallbacks_before,
             )
-            for name in _STATE_FLOATS:
-                if not math.isfinite(getattr(state, name)):
-                    raise ValueError(f"{name} is not finite: {getattr(state, name)!r}")
-            events = MonthEvents(
-                month=month,
-                entries=entries,
-                exits=exits,
-                gc_arrivals=len(arrivals),
-                gc_expiries=expiries,
-                fallbacks=getattr(self.policy, "fallback_count", 0) - fallbacks_before,
-            )
+            floats = month_row[_FLOATS]
+            if not all(map(math.isfinite, floats)):  # name the first, in field order
+                for name, value in zip(_STATE_FLOATS, floats):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} is not finite: {value!r}")
         except SimulationError:
             raise
         except Exception as err:
@@ -708,10 +747,8 @@ class Simulation:
             last[kept:n_now] = -1
         self._n = n_now
         self.gcs = gcs
-        self.state = state
-        self.states.append(state)
-        self.events.append(events)
-        return state
+        self._month, self._price, self._sale = month, price, sale
+        self._month_rows.append(month_row)
 
 
 def run(config: SimulationConfig, policy=None) -> Trajectory:
@@ -719,7 +756,7 @@ def run(config: SimulationConfig, policy=None) -> Trajectory:
     sim = Simulation(config, policy=policy)
     for month in range(1, config.horizon_months + 1):
         sim.step(month)
-    trajectory = Trajectory(states=sim.states, events=sim.events, config=config)
+    trajectory = Trajectory(sim._month_rows, config)
     trajectory.metrics = metrics_mod.report(trajectory)
     return trajectory
 

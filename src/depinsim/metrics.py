@@ -88,23 +88,22 @@ def report(trajectory: "Trajectory") -> MetricReport:
     stability spans the config's `stability_window`, or the full price
     series when it is None.
     """
-    states = trajectory.states
-    if not states:
+    months = trajectory.column("month")
+    if not months:
         raise ValueError("trajectory has no recorded months")
     n_init = trajectory.config.initial_nodes
-    n_ext = sum(e.entries for e in trajectory.events)
+    n_ext = sum(trajectory.column("entries"))
     n_total = n_init + n_ext
 
-    window = trajectory.config.stability_window or (states[0].month, states[-1].month)
+    window = trajectory.config.stability_window or (months[0], months[-1])
     first, last = int(window[0]), int(window[1])
-    offset = states[0].month
-    windowed = [s.token_price for s in states if first <= s.month <= last]
+    prices = trajectory.price_series()
+    windowed = [price for month, price in zip(months, prices) if first <= month <= last]
     if not windowed:
-        raise ValueError(f"stability window {window} selects no months (run covers {offset}..{states[-1].month})")
+        raise ValueError(f"stability window {window} selects no months (run covers {months[0]}..{months[-1]})")
 
-    final = states[-1]
     return MetricReport(
-        efficiency=efficiency(final.circulating_supply, final.token_price),
+        efficiency=efficiency(trajectory.column("circulating_supply")[-1], prices[-1]),
         inclusion=inclusion(n_total, n_init),
         stability=stability(windowed),
         n_init=n_init,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from itertools import zip_longest
 
 import pytest
@@ -22,6 +23,12 @@ def assert_same_csv(actual: str, expected: str, context: str = "") -> None:
     line, (got, want) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
     where = "the header" if line == 0 else f"month {(got or want).split(',', 1)[0]}"
     pytest.fail(f"{context}trajectories first differ at {where}:\n  got:      {got}\n  expected: {want}")
+
+
+def month_rows(states, events) -> list:
+    """A `Trajectory`'s rows from month records: each MarketState's fields, then its
+    MonthEvents' fields after `month`."""
+    return [(*astuple(state), *astuple(event)[1:]) for state, event in zip(states, events, strict=True)]
 
 
 # Fifty-string corpus for the yes/no parser: (text, expected verdict).

@@ -71,7 +71,8 @@ def test_criterion_3_formula_oracles():
     config = SimulationConfig(entry_pool_size=0, gc_arrival_rate=0.0)
     sim = Simulation(config)
     sim.gcs.append(GrowthCapitalist(endowment=5e6, expiry=100))
-    state = sim.step(1)
+    assert sim.step(1) is None  # step commits; the month is read back from sim.state
+    state = sim.state
 
     emission = 0.60 * 1e9 * 0.5 / 48  # 6.25e6
     supply = emission  # no team or VC tranches in month 1

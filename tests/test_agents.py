@@ -288,7 +288,9 @@ class TestTotalEndowment:
         # Residency is the engine's rule: an endowment counts in every month before its expiry.
         sim = Simulation(SimulationConfig(horizon_months=12, entry_pool_size=0, gc_arrival_rate=0.0))
         sim.gcs.append(GrowthCapitalist(endowment=5e6, expiry=12))
-        endowments = [sim.step(month).total_gc_endowment for month in range(1, 13)]
+        for month in range(1, 13):
+            sim.step(month)
+        endowments = [state.total_gc_endowment for state in sim.states]
         assert endowments == [5e6] * 11 + [0.0]
 
     def test_permutation_invariant(self):

@@ -47,7 +47,7 @@ from depinsim.tokenomics import (
     VestingSchedule,
     circulating_supply,
 )
-from conftest import assert_same_csv
+from conftest import assert_same_csv, month_rows
 from reference_model import ReferenceLlm, reference_run
 
 # A valid config with every section present.
@@ -405,9 +405,26 @@ class TestCandidateTable:
 
 
 class TestRecords:
+    def test_a_long_runs_rows_take_under_350_bytes_a_month(self):
+        # A month commits one 15-field tuple and the numbers only it holds: about 320 B a month.
+        # One MarketState and one MonthEvents a month took about 360 B.
+        months = 20_000
+        sim = Simulation(SimulationConfig(horizon_months=months, entry_pool_size=0, gc_arrival_rate=0))
+        tracemalloc.start()
+        try:
+            built = tracemalloc.get_traced_memory()[0]
+            for month in range(1, months + 1):
+                sim.step(month)
+            held = tracemalloc.get_traced_memory()[0] - built
+        finally:
+            tracemalloc.stop()
+        assert sim.state.month == months
+        assert held / months < 350
+
     def test_a_long_runs_records_take_under_400_bytes_a_month(self):
-        # Each month keeps one MarketState and one MonthEvents, both slotted, and the floats
-        # they hold: about 380 B a month.  As `__dict__`-backed dataclasses they took 480 B.
+        # The records `states` and `events` build when read: one MarketState and one MonthEvents
+        # a month, both slotted, and the floats they hold, about 380 B a month.  As
+        # `__dict__`-backed dataclasses they took 480 B.
         months = 5000
         config = SimulationConfig(initial_nodes=0, horizon_months=months, entry_pool_size=10,
                                   node_cost=1e300, gc_arrival_rate=0)
@@ -431,6 +448,60 @@ class TestRecords:
         assert not hasattr(state, "__dict__") and not hasattr(events, "__dict__")
         assert replace(state, month=7).month == 7 and replace(events, exits=3).exits == 3
         assert json.loads(trajectory.to_json())["states"][0] == asdict(state)
+
+    @pytest.mark.parametrize("config,digest", [
+        (SimulationConfig(), "701cb8a6fdec7b8396a232900f3505ac47b8ee0ca58889827c9059347e865d3d"),
+        # No growth capital: every month's E_total is the int 0, written as 0, not 0.0.
+        (SimulationConfig(horizon_months=24, gc_arrival_rate=0.0),
+         "c29564d314a297b42d8cf2c28e62df77ffc267fa9e3a7ee65fe0acb4aa6f1a57"),
+    ], ids=["defaults", "no-growth-capital"])
+    def test_to_json_keeps_its_bytes(self, config, digest):
+        assert hashlib.sha256(run(config).to_json().encode()).hexdigest() == digest
+
+    def test_a_row_holds_the_states_fields_then_the_events_after_month(self, small_config):
+        assert engine.ROW_FIELDS == (*(f.name for f in fields(MarketState)), "entries", "exits", "gc_arrivals",
+                                     "gc_expiries", "fallbacks")
+        assert engine.ROW_FIELDS[engine._FLOATS] == engine._STATE_FLOATS  # the floats step() checks, in order
+        sim = Simulation(small_config)
+        assert sim.step(1) is None
+        assert Trajectory(month_rows(sim.states, sim.events), small_config).month_rows == sim._month_rows
+
+    def test_record_reads_are_copies(self):
+        config = SimulationConfig(horizon_months=12, seed=3, patience=2, **CHURN)
+        sim, twin = Simulation(config), Simulation(config)
+        for month in range(1, 7):
+            sim.step(month)
+            twin.step(month)
+        trajectory = run(config)
+        csv = trajectory.to_csv_string()
+        for records in (sim.states, sim.events, trajectory.states, trajectory.events):
+            records.append(records[0])
+            records.clear()
+        for record in (sim.state, sim.states[0], sim.events[0], trajectory.states[-1], trajectory.events[-1]):
+            replace(record, month=0)
+        assert len(sim.states) == len(sim.events) == 6 and len(trajectory.states) == 12
+        assert_same_csv(trajectory.to_csv_string(), csv)
+        sim.step(7)
+        twin.step(7)
+        assert [asdict(state) for state in sim.states] == [asdict(state) for state in twin.states]
+        assert [asdict(event) for event in sim.events] == [asdict(event) for event in twin.events]
+        for name in ("state", "states", "events"):
+            with pytest.raises(AttributeError):
+                setattr(sim, name, [])
+        with pytest.raises(AttributeError):
+            trajectory.states = []
+
+    def test_state_before_month_one_is_the_month_zero_seed(self):
+        config = SimulationConfig(initial_nodes=7, initial_price=2.5, tokens_on_sale_fraction=0.1)
+        sim = Simulation(config)
+        supply = circulating_supply(1, config.allocation(), config.team_schedule, config.vc_schedule,
+                                    config.node_schedule)
+        assert asdict(sim.state) == {
+            "month": 0, "active_nodes": 7, "users": 100.0 * math.sqrt(21), "token_price": 2.5,
+            "tokens_on_sale": pytest.approx(0.1 * supply, rel=1e-12), "circulating_supply": 0.0,
+            "total_gc_endowment": 0.0, "global_revenue": 0.0, "market_cap": 0.0, "diluted_market_cap": 0.0,
+        }
+        assert sim.states == [] and sim.events == []
 
 
 class TestNullDynamics:
@@ -1044,7 +1115,7 @@ class TestReferenceRun:
 
         reference = ReferenceLlm(ScriptedBackend(policy)) if llm else policy()
         expected = reference_run(config, reference)
-        csv = Trajectory(states=sim.states, events=sim.events, config=config).to_csv_string()
+        csv = Trajectory(month_rows(sim.states, sim.events), config).to_csv_string()
         assert_same_csv(csv, expected.csv())
         assert [asdict(event) for event in sim.events] == expected.events
         assert logged == (reference.exchanges if llm else [])
@@ -1352,11 +1423,12 @@ class TestStepErrors:
         assert err.value.substep == "growth-capital"  # after the node decisions ran
         assert (roster_bytes(), sim.gcs) == before
         assert len(sim.states) == len(sim.events) == 1
+        assert asdict(sim.state) == asdict(sim.states[0])
 
         sim.gcs.remove(bad)
         for month in range(2, config.horizon_months + 1):
             sim.step(month)
         if patience == 1:
             assert sim.events[1].exits > 0
-        retried = Trajectory(states=sim.states, events=sim.events, config=config)
+        retried = Trajectory(month_rows(sim.states, sim.events), config)
         assert_same_csv(retried.to_csv_string(), run(config, policy=make_policy()).to_csv_string())

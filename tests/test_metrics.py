@@ -18,6 +18,7 @@ from depinsim.metrics import (
     score_series,
     stability,
 )
+from conftest import month_rows
 
 # Top DePIN tokens by market cap (May 2024 snapshot): (name, price, cap).
 TOP_TOKENS = [
@@ -160,7 +161,7 @@ def build_trajectory(prices, entries, n_init=50):
             )
         )
         events.append(MonthEvents(month=month, entries=added))
-    return Trajectory(states=states, events=events, config=SimulationConfig(initial_nodes=n_init))
+    return Trajectory(month_rows(states, events), SimulationConfig(initial_nodes=n_init))
 
 
 class TestReport:
@@ -216,7 +217,7 @@ class TestReport:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            report(Trajectory(states=[], events=[], config=SimulationConfig()))
+            report(Trajectory([], SimulationConfig()))
 
 
 class TestScoreSeries:
