@@ -37,7 +37,7 @@ print(f"  events     : {entries} entries, {exits} exits, {arrivals} GC arrivals"
 
 months = [s.month for s in trajectory.states]
 (OUT / "run_price.svg").write_text(
-    line_chart(months, {"price": trajectory.price_series()}, title="Token price", x_label="month")
+    line_chart(months, {"price": trajectory.column("token_price")}, title="Token price", x_label="month")
 )
 (OUT / "run_nodes.svg").write_text(
     line_chart(months, {"nodes": [float(s.active_nodes) for s in trajectory.states]},

@@ -245,7 +245,14 @@ def _decode_value(current, value, hint, key: str):
         return decode(hint() if current is None else current, value, key + ".")
     if isinstance(hint, type) and issubclass(hint, Enum):
         return hint(value)
-    return tuple(value) if get_origin(hint) is tuple else value
+    if get_origin(hint) is tuple:
+        return tuple(map(_number, value, get_args(hint)))
+    return _number(value, hint)
+
+
+def _number(value, hint):
+    """`value` as a float if `hint` is float (JSON's `1` and `1.0` read alike), else as it is."""
+    return float(value) if hint is float else value
 
 
 def decode(base, data, prefix: str = ""):
@@ -384,14 +391,6 @@ CSV_COLUMNS = (
 )
 
 
-def _states(month_rows: Sequence[tuple]) -> List[MarketState]:
-    return [MarketState(*row[:_STATE_WIDTH]) for row in month_rows]
-
-
-def _events(month_rows: Sequence[tuple]) -> List[MonthEvents]:
-    return [MonthEvents(row[0], *row[_STATE_WIDTH:]) for row in month_rows]
-
-
 def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
     """`header` then `rows` as CSV text with "\n" line ends, in one template pass.
 
@@ -418,9 +417,10 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
 class Trajectory:
     """The committed months, one tuple each in `ROW_FIELDS` order, plus the config that ran.
 
-    `states` and `events` build the month records from the rows on every
-    read, each call a fresh list; `rows()`, `column()`, `price_series()` and
-    the CSV read the rows themselves.
+    A `Simulation` commits each month it steps into its `trajectory`, which
+    `run()` returns with `metrics` attached.  `states` and `events` build the
+    month records from the rows on every read, each call a fresh list;
+    `rows()`, `column()` and the CSV read the rows themselves.
     """
 
     month_rows: List[tuple]
@@ -429,18 +429,15 @@ class Trajectory:
 
     @property
     def states(self) -> List[MarketState]:
-        return _states(self.month_rows)
+        return [MarketState(*row[:_STATE_WIDTH]) for row in self.month_rows]
 
     @property
     def events(self) -> List[MonthEvents]:
-        return _events(self.month_rows)
+        return [MonthEvents(row[0], *row[_STATE_WIDTH:]) for row in self.month_rows]
 
     def column(self, name: str) -> list:
         """Field `name` of `ROW_FIELDS`, one value per month."""
         return list(map(itemgetter(ROW_FIELDS.index(name)), self.month_rows))
-
-    def price_series(self) -> List[float]:
-        return self.column("token_price")
 
     def rows(self) -> Iterator[tuple]:
         """The run table: one row per month, in CSV_COLUMNS order."""
@@ -494,11 +491,11 @@ def _verdicts(values, count: int) -> np.ndarray:
 class Simulation:
     """Mutable run state: node table, growth capitalists, committed months.
 
-    `step(month)` runs one month and commits it as one row (`ROW_FIELDS`); it
-    returns None, so a caller reads the month from `state`.  `state`,
-    `states` and `events` build records from the rows on every read (the
-    last two a fresh list of every month), so a month loop reads `state`,
-    not `states[-1]`.  Before month 1, `state` is the month-0 seed.
+    `step(month)` runs one month and commits it as one row (`ROW_FIELDS`) to
+    the run's one `trajectory`, built with the simulation; it returns None,
+    so a caller reads the month from `state`, which builds the last month's
+    record (before month 1, the month-0 seed).  The trajectory holds no
+    reference back to the simulation.
 
     Every node a run may hold has a slot in one table, allocated and drawn,
     thresholds included, when the run is built (`initial_nodes +
@@ -584,22 +581,18 @@ class Simulation:
         # The last committed month, and the price and sale pool the next month starts from
         # (its node count is `_n`).
         self._month, self._price, self._sale = 0, self._seed.token_price, self._seed.tokens_on_sale
-        self._month_rows: List[tuple] = []
+        self._trajectory = Trajectory([], config)
+
+    @property
+    def trajectory(self) -> Trajectory:
+        """The committed months; `run()` returns it with its metrics."""
+        return self._trajectory
 
     @property
     def state(self) -> MarketState:
         """The last committed month's record, or the month-0 seed before month 1."""
-        return MarketState(*self._month_rows[-1][:_STATE_WIDTH]) if self._month_rows else self._seed
-
-    @property
-    def states(self) -> List[MarketState]:
-        """Every committed month's MarketState, built anew on each read."""
-        return _states(self._month_rows)
-
-    @property
-    def events(self) -> List[MonthEvents]:
-        """Every committed month's MonthEvents, built anew on each read."""
-        return _events(self._month_rows)
+        rows = self._trajectory.month_rows
+        return MarketState(*rows[-1][:_STATE_WIDTH]) if rows else self._seed
 
     @property
     def cost(self) -> np.ndarray:
@@ -748,7 +741,7 @@ class Simulation:
         self._n = n_now
         self.gcs = gcs
         self._month, self._price, self._sale = month, price, sale
-        self._month_rows.append(month_row)
+        self._trajectory.month_rows.append(month_row)
 
 
 def run(config: SimulationConfig, policy=None) -> Trajectory:
@@ -756,7 +749,7 @@ def run(config: SimulationConfig, policy=None) -> Trajectory:
     sim = Simulation(config, policy=policy)
     for month in range(1, config.horizon_months + 1):
         sim.step(month)
-    trajectory = Trajectory(sim._month_rows, config)
+    trajectory = sim.trajectory
     trajectory.metrics = metrics_mod.report(trajectory)
     return trajectory
 

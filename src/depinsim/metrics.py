@@ -97,7 +97,7 @@ def report(trajectory: "Trajectory") -> MetricReport:
 
     window = trajectory.config.stability_window or (months[0], months[-1])
     first, last = int(window[0]), int(window[1])
-    prices = trajectory.price_series()
+    prices = trajectory.column("token_price")
     windowed = [price for month, price in zip(months, prices) if first <= month <= last]
     if not windowed:
         raise ValueError(f"stability window {window} selects no months (run covers {months[0]}..{months[-1]})")

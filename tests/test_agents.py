@@ -290,7 +290,7 @@ class TestTotalEndowment:
         sim.gcs.append(GrowthCapitalist(endowment=5e6, expiry=12))
         for month in range(1, 13):
             sim.step(month)
-        endowments = [state.total_gc_endowment for state in sim.states]
+        endowments = [state.total_gc_endowment for state in sim.trajectory.states]
         assert endowments == [5e6] * 11 + [0.0]
 
     def test_permutation_invariant(self):

@@ -14,7 +14,7 @@ import warnings
 import weakref
 from dataclasses import FrozenInstanceError, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -98,6 +98,39 @@ class TestConfig:
     def test_dict_round_trip_with_any_section(self, sections):
         config = SimulationConfig(**sections)
         assert SimulationConfig.from_dict(config.to_dict()) == config
+
+    def test_a_json_integer_for_a_float_key_is_read_as_a_float(self):
+        def whole_floats(cls) -> dict:
+            """Each float key of `cls`, each element of a float pair too, as the least integer in its range."""
+            ranges = {r[0]: (math.ceil(r[2]), r[3]) for r in declared_ranges(cls)}
+            keys = {}
+            for name, hint in get_type_hints(cls).items():
+                if hint is float or get_args(hint) == (float, float):
+                    lo, above = ranges[name]
+                    least = lo if above(lo, lo) else lo + 1
+                    keys[name] = least if hint is float else [least, least]
+            return keys
+
+        schedules = ("team_schedule", "vc_schedule", "node_schedule")
+        schedule = {"kind": "cliff_linear", **whole_floats(VestingSchedule)}
+        data = {**whole_floats(SimulationConfig), "team_fraction": 1, "vc_fraction": 0, "node_fraction": 0,
+                "stability_window": [1, 2], "llm": whole_floats(LlmSettings), **dict.fromkeys(schedules, schedule)}
+        config = SimulationConfig.from_dict(data)
+        sections = [(config, SimulationConfig), (config.llm, LlmSettings)]
+        sections += [(getattr(config, key), VestingSchedule) for key in schedules]
+        read = [(name, getattr(section, name)) for section, cls in sections for name in whole_floats(cls)]
+        assert len(read) == 15 + 2 + 3  # the top level's 13 floats and 2 pairs, llm's 2, each schedule's 1
+        for name, value in read:
+            assert all(type(x) is float for x in (value if isinstance(value, tuple) else (value,))), (name, value)
+        assert [type(month) for month in config.stability_window] == [int, int]  # an int pair stays ints
+
+        ints = {"horizon_months": 3, "initial_price": 1, "total_supply": 1000000000, "gc_arrival_rate": 0}
+        floats = {**ints, "initial_price": 1.0, "total_supply": 1000000000.0, "gc_arrival_rate": 0.0}
+        spelled_int, spelled_float = (run(SimulationConfig.from_dict(data)) for data in (ints, floats))
+        assert_same_csv(spelled_int.to_csv_string(), spelled_float.to_csv_string())
+        assert spelled_int.to_json() == spelled_float.to_json()
+        built = SimulationConfig(initial_price=1, cost_spread=(1, 2))  # a config built in Python keeps its values
+        assert type(built.initial_price) is int and [type(x) for x in built.cost_spread] == [int, int]
 
     def test_schedule_section_merges_or_starts_fresh_by_kind(self):
         def team(section):
@@ -433,7 +466,7 @@ class TestRecords:
             sim = Simulation(config)
             for month in range(1, months + 1):
                 sim.step(month)
-            records = sim.states, sim.events
+            records = sim.trajectory.states, sim.trajectory.events
             del sim
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
@@ -464,7 +497,8 @@ class TestRecords:
         assert engine.ROW_FIELDS[engine._FLOATS] == engine._STATE_FLOATS  # the floats step() checks, in order
         sim = Simulation(small_config)
         assert sim.step(1) is None
-        assert Trajectory(month_rows(sim.states, sim.events), small_config).month_rows == sim._month_rows
+        rows = sim.trajectory.month_rows
+        assert Trajectory(month_rows(sim.trajectory.states, sim.trajectory.events), small_config).month_rows == rows
 
     def test_record_reads_are_copies(self):
         config = SimulationConfig(horizon_months=12, seed=3, patience=2, **CHURN)
@@ -474,18 +508,19 @@ class TestRecords:
             twin.step(month)
         trajectory = run(config)
         csv = trajectory.to_csv_string()
-        for records in (sim.states, sim.events, trajectory.states, trajectory.events):
+        stepped = sim.trajectory
+        for records in (stepped.states, stepped.events, trajectory.states, trajectory.events):
             records.append(records[0])
             records.clear()
-        for record in (sim.state, sim.states[0], sim.events[0], trajectory.states[-1], trajectory.events[-1]):
+        for record in (sim.state, stepped.states[0], stepped.events[0], trajectory.states[-1], trajectory.events[-1]):
             replace(record, month=0)
-        assert len(sim.states) == len(sim.events) == 6 and len(trajectory.states) == 12
+        assert len(stepped.states) == len(stepped.events) == 6 and len(trajectory.states) == 12
         assert_same_csv(trajectory.to_csv_string(), csv)
         sim.step(7)
         twin.step(7)
-        assert [asdict(state) for state in sim.states] == [asdict(state) for state in twin.states]
-        assert [asdict(event) for event in sim.events] == [asdict(event) for event in twin.events]
-        for name in ("state", "states", "events"):
+        assert [asdict(state) for state in stepped.states] == [asdict(state) for state in twin.trajectory.states]
+        assert [asdict(event) for event in stepped.events] == [asdict(event) for event in twin.trajectory.events]
+        for name in ("state", "trajectory"):
             with pytest.raises(AttributeError):
                 setattr(sim, name, [])
         with pytest.raises(AttributeError):
@@ -501,7 +536,7 @@ class TestRecords:
             "tokens_on_sale": pytest.approx(0.1 * supply, rel=1e-12), "circulating_supply": 0.0,
             "total_gc_endowment": 0.0, "global_revenue": 0.0, "market_cap": 0.0, "diluted_market_cap": 0.0,
         }
-        assert sim.states == [] and sim.events == []
+        assert sim.trajectory.states == [] and sim.trajectory.events == []
 
 
 class TestNullDynamics:
@@ -571,7 +606,7 @@ class TestGrowthCapitalLifecycle:
         sim.gcs.append(gc)
         for month in range(1, 11):
             sim.step(month)
-        states = sim.states
+        states = sim.trajectory.states
         # Active through month 3: endowment counted, price = E / sale.
         assert states[0].total_gc_endowment == 5e6
         assert states[2].total_gc_endowment == 5e6
@@ -597,11 +632,11 @@ class TestGrowthCapitalLifecycle:
         arrival.tokens_held = arrival.endowment / price_2
         for month in (3, 4):
             sim.step(month)
-        sale_4 = sim.states[3].tokens_on_sale
-        sale_3 = sim.states[2].tokens_on_sale
+        sale_4 = sim.trajectory.states[3].tokens_on_sale
+        sale_3 = sim.trajectory.states[2].tokens_on_sale
         # Expiry at month 5 = entry 2 + lifespan 3.
         sim.step(5)
-        assert sim.states[4].tokens_on_sale == pytest.approx(sale_4 + arrival.tokens_held)
+        assert sim.trajectory.states[4].tokens_on_sale == pytest.approx(sale_4 + arrival.tokens_held)
         assert sale_4 == sale_3
         assert price_1 > 0
 
@@ -735,16 +770,31 @@ class TestDecisionRoutes:
         assert asked == [make_policy]
 
     @pytest.mark.parametrize("make_policy", [HeuristicPolicy, Forwarding])
-    def test_a_dropped_simulation_is_freed_without_the_cycle_collector(self, make_policy):
-        sim = Simulation(SimulationConfig(horizon_months=2), policy=make_policy())
-        sim.step(1)
-        ref = weakref.ref(sim)
+    def test_a_dropped_simulation_is_freed_without_the_cycle_collector(self, monkeypatch, make_policy):
+        # Its trajectory, kept, holds no reference back to it, stepped by hand or inside run().
+        config = SimulationConfig(horizon_months=12, patience=2, **CHURN)
+        inside_run = []
+
+        class Watched(Simulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                inside_run.append(weakref.ref(self))
+
+        monkeypatch.setattr(engine, "Simulation", Watched)
         gc.disable()
         try:
+            sim = Simulation(config, policy=make_policy())
+            for month in range(1, config.horizon_months + 1):
+                sim.step(month)
+            stepped, ref = sim.trajectory, weakref.ref(sim)
             del sim
             assert ref() is None  # its roster buffers go with it
+            ran = run(config, policy=make_policy())
+            assert len(inside_run) == 1 and inside_run[0]() is None
         finally:
             gc.enable()
+        assert_same_csv(stepped.to_csv_string(), ran.to_csv_string())
+        assert stepped.metrics is None and ran.metrics == engine.metrics_mod.report(stepped)
 
     def test_per_decision_calls_in_roster_order(self):
         class Counting(Forwarding):
@@ -842,7 +892,7 @@ class TestPatienceRule:
             sim.step(month)
             roster = [(cost, (streak + 1) * signal) for (cost, streak), signal in zip(roster, exits[month - 1])]
             stay = [(cost, streak) for cost, streak in roster if streak < config.patience]
-            assert sim.events[-1].exits == len(roster) - len(stay)
+            assert sim.trajectory.events[-1].exits == len(roster) - len(stay)
             roster = stay + [(cost, 0) for cost, enter in zip(policy.pool, entries[month - 1]) if enter]
             assert sim.cost.tolist() == [cost for cost, _ in roster]
             assert sim.streak.tolist() == [streak for _, streak in roster]
@@ -856,7 +906,7 @@ class TestPatienceRule:
             sim.step(month)
             streaks.append(sim.streak.tolist())
         assert streaks == [[1], [2], [0], [1], [2], []]
-        assert [e.exits for e in sim.events] == [0, 0, 0, 0, 0, 1]
+        assert [e.exits for e in sim.trajectory.events] == [0, 0, 0, 0, 0, 1]
 
     @pytest.mark.parametrize("entry_month", [2, 3])
     def test_an_entrant_in_a_vacated_slot_starts_at_zero(self, entry_month):
@@ -867,10 +917,10 @@ class TestPatienceRule:
         sim = Simulation(config, policy=Replay(entries, [[False, True]] * 4))
         for month in range(1, entry_month + 1):
             sim.step(month)
-        assert [e.exits for e in sim.events] == [0, 1, 0][:entry_month]
+        assert [e.exits for e in sim.trajectory.events] == [0, 1, 0][:entry_month]
         assert sim.streak.tolist() == [0, 0]
         sim.step(entry_month + 1)
-        assert sim.events[-1].exits == 0
+        assert sim.trajectory.events[-1].exits == 0
         assert sim.streak.tolist() == [0, 1]
 
     def test_streak_is_read_only(self):
@@ -892,7 +942,7 @@ class TestPatienceRule:
         n = len(sim.cost)
         before = sim._runs[:, :n].tobytes()
         sim.step(3)
-        assert (sim.events[-1].exits, sim.events[-1].entries) == (0, 2)
+        assert (sim.trajectory.events[-1].exits, sim.trajectory.events[-1].entries) == (0, 2)
         assert sim._runs[:, :n].tobytes() == before
         assert sim.streak.tolist() == [0] * (n + 2)
 
@@ -926,7 +976,7 @@ class TestExitThresholds:
         for month in (1, 2):
             sim.step(month)
             assert_thresholds_stored(sim)
-        assert [(e.exits, e.entries) for e in sim.events] == [(1, 1), (1, 1)]
+        assert [(e.exits, e.entries) for e in sim.trajectory.events] == [(1, 1), (1, 1)]
         assert sim.cost.tolist()[0] == initial[2]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -936,7 +986,7 @@ class TestExitThresholds:
         for month in range(1, config.horizon_months + 1):
             sim.step(month)
             assert_thresholds_stored(sim)
-        assert sum(e.exits for e in sim.events) > 0 and sum(e.entries for e in sim.events) > 0
+        assert sum(e.exits for e in sim.trajectory.events) > 0 and sum(e.entries for e in sim.trajectory.events) > 0
 
 
 def assert_unseen_pools_drawn(sim, fresh):
@@ -969,7 +1019,7 @@ class TestNodeTable:
         nodes, runs = sim._nodes.tobytes(), sim._runs.tobytes()
         for month in range(1, config.horizon_months + 1):
             sim.step(month)
-            assert (sim.events[-1].entries, sim.events[-1].exits) == (config.entry_pool_size, 0)
+            assert (sim.trajectory.events[-1].entries, sim.trajectory.events[-1].exits) == (config.entry_pool_size, 0)
             assert sim._nodes.tobytes() == nodes and sim._runs.tobytes() == runs
         assert len(sim.cost) == len(sim._nodes[0])
 
@@ -991,7 +1041,7 @@ class TestNodeTable:
         for month in range(1, config.horizon_months + 1):
             sim.step(month)
             assert_unseen_pools_drawn(sim, fresh)
-        assert sum(e.exits for e in sim.events) > 0 and sum(e.entries for e in sim.events) > 0
+        assert sum(e.exits for e in sim.trajectory.events) > 0 and sum(e.entries for e in sim.trajectory.events) > 0
 
 
 SCHEDULES = st.one_of(
@@ -1101,7 +1151,7 @@ class TestReferenceRun:
         alloc = config.allocation()
         sale = config.tokens_on_sale_fraction * circulating_supply(1, alloc, *schedules)
         nodes = config.initial_nodes
-        for state, event in zip(sim.states, sim.events):
+        for state, event in zip(sim.trajectory.states, sim.trajectory.events):
             assert state.circulating_supply == pytest.approx(
                 circulating_supply(state.month, alloc, *schedules), rel=1e-12)
             assert state.tokens_on_sale >= sale
@@ -1115,9 +1165,8 @@ class TestReferenceRun:
 
         reference = ReferenceLlm(ScriptedBackend(policy)) if llm else policy()
         expected = reference_run(config, reference)
-        csv = Trajectory(month_rows(sim.states, sim.events), config).to_csv_string()
-        assert_same_csv(csv, expected.csv())
-        assert [asdict(event) for event in sim.events] == expected.events
+        assert_same_csv(sim.trajectory.to_csv_string(), expected.csv())
+        assert [asdict(event) for event in sim.trajectory.events] == expected.events
         assert logged == (reference.exchanges if llm else [])
         assert (failure.month if failure else None) == expected.failed_month
 
@@ -1353,7 +1402,8 @@ class TestStepErrors:
         with pytest.raises(SimulationError) as err:
             sim.step(3)
         assert err.value.substep == "ordering"
-        assert len(sim.states) == len(sim.events) == 2
+        assert len(sim.trajectory.states) == len(sim.trajectory.events) == 2
+        assert [row[0] for row in sim.trajectory.month_rows] == [1, 2]
         for array, saved in zip((sim.cost, sim.tolerance, sim.streak), before):
             assert np.array_equal(array, saved)
 
@@ -1377,7 +1427,7 @@ class TestStepErrors:
                 sim.step(1)
             for array, saved in zip(roster(sim), before):
                 assert np.array_equal(array, saved)
-            assert sim.states == []
+            assert sim.trajectory.states == [] and sim.trajectory.month_rows == []
         with pytest.raises(ValueError, match="read-only"):
             sim.cost[0] = 0.0
 
@@ -1394,7 +1444,7 @@ class TestStepErrors:
             sim.step(1)
         assert err.value.month == 1
         assert err.value.substep == "node-decisions"
-        assert sim.states == []  # partial month never committed
+        assert sim.trajectory.states == [] and sim.trajectory.month_rows == []  # partial month never committed
 
     @pytest.mark.parametrize(
         "make_policy,patience",
@@ -1417,18 +1467,18 @@ class TestStepErrors:
         def roster_bytes():
             return [a.tobytes() for a in (sim.cost, sim.tolerance, sim.streak, *sim._runs[:, :n])]
 
-        before = (roster_bytes(), list(sim.gcs))
+        before = (roster_bytes(), list(sim.gcs), list(sim.trajectory.month_rows))
         with pytest.raises(SimulationError) as err:
             sim.step(2)
         assert err.value.substep == "growth-capital"  # after the node decisions ran
-        assert (roster_bytes(), sim.gcs) == before
-        assert len(sim.states) == len(sim.events) == 1
-        assert asdict(sim.state) == asdict(sim.states[0])
+        assert (roster_bytes(), sim.gcs, sim.trajectory.month_rows) == before
+        assert [row[0] for row in sim.trajectory.month_rows] == [1]  # the months before the failing one
+        assert len(sim.trajectory.states) == len(sim.trajectory.events) == 1
+        assert asdict(sim.state) == asdict(sim.trajectory.states[0])
 
         sim.gcs.remove(bad)
         for month in range(2, config.horizon_months + 1):
             sim.step(month)
         if patience == 1:
-            assert sim.events[1].exits > 0
-        retried = Trajectory(month_rows(sim.states, sim.events), config)
-        assert_same_csv(retried.to_csv_string(), run(config, policy=make_policy()).to_csv_string())
+            assert sim.trajectory.events[1].exits > 0
+        assert_same_csv(sim.trajectory.to_csv_string(), run(config, policy=make_policy()).to_csv_string())
