@@ -17,7 +17,6 @@ from .agents import (
     heuristic_prompt_reply,
     render_entry_prompt,
     render_exit_prompt,
-    sample_lifespans,
     spawn_growth_capitalists,
     total_endowment,
 )

@@ -287,20 +287,15 @@ def apply_patience(streak: int, exit_signal: bool, patience: int) -> bool:
     return bool(exit_signal) and streak + 1 >= patience
 
 
-def sample_lifespans(rng: np.random.Generator, mu: float, sigma: float, size: int) -> np.ndarray:
-    """Log-normal lifespans rounded to whole months, clamped to >= 1."""
-    draws = np.rint(rng.lognormal(mu, sigma, size))
-    return np.maximum(draws, 1.0).astype(int)
-
-
 def spawn_growth_capitalists(month: int, config: SimulationConfig, rng: np.random.Generator) -> List[GrowthCapitalist]:
-    """Draw this month's entrants by `config`'s `gc_*` fields: Poisson count, log-normal endowment/lifespan."""
+    """Draw this month's entrants by `config`'s `gc_*` fields: Poisson count, log-normal endowment/lifespan,
+    a lifespan rounded to whole months half to even and held to at least one month."""
     count = int(rng.poisson(config.gc_arrival_rate))
     if count == 0:
         return []
-    endowments = rng.lognormal(config.gc_endowment_mu, config.gc_endowment_sigma, count)
-    lifespans = sample_lifespans(rng, config.gc_lifespan_mu, config.gc_lifespan_sigma, count)
-    return [GrowthCapitalist(e, month + n) for e, n in zip(endowments.tolist(), lifespans.tolist())]
+    endowments = rng.lognormal(config.gc_endowment_mu, config.gc_endowment_sigma, count).tolist()
+    lifespans = rng.lognormal(config.gc_lifespan_mu, config.gc_lifespan_sigma, count).tolist()
+    return [GrowthCapitalist(e, month + max(round(n), 1)) for e, n in zip(endowments, lifespans)]
 
 
 def total_endowment(gcs: List[GrowthCapitalist]) -> float:

@@ -1,4 +1,4 @@
-"""Declared ranges of numeric config fields.
+"""Declared ranges of numeric config fields, and the strict reader of JSON input files.
 
 A field states its range once, as interval text such as "[0, 1]" or "(0, inf)" in its
 metadata; `check_ranges` is the one check against it and `config-reference` prints it.
@@ -7,8 +7,10 @@ metadata; `check_ranges` is the one check against it and `config-reference` prin
 from __future__ import annotations
 
 import functools
+import json
 import operator
 import re
+from collections import Counter
 from dataclasses import Field, field, fields
 from typing import Callable, Dict, Optional, Tuple
 
@@ -62,3 +64,17 @@ def check_ranges(obj) -> None:
 def check_range(cls: type, name: str, value) -> None:
     """Raise a ValueError naming `name` unless `value` lies in the range `cls` declares for it (a KeyError if none)."""
     _range_checks(cls)[name](value)
+
+
+def read_json(path: str):
+    """The JSON value in UTF-8 file `path`.  An object that gives a key twice, at any depth, raises a
+    ValueError naming the file and the key, where `json.load` would keep the last value unseen."""
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+            raise ValueError(f"{path}: key {key!r} appears more than once in one object")
+        return obj
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=unique)

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
 import numpy as np
 
 from . import charts, metrics
-from .bounds import check_range, config_field
+from .bounds import check_range, config_field, read_json
 from .agents import LlmPolicy
 from .engine import (
     CSV_COLUMNS, MAX_HORIZON, POLICIES, SimulationConfig, SimulationError, build_policy, compare, csv_text, decode,
@@ -68,8 +68,7 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions, Optional[LlmPolic
     LLM policy every LLM run of the command uses (None without an `llm` section)."""
     data = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(args.config)
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
     flags = {key: getattr(args, key, None) for key in ("seed", "policy", "patience", "out_dir", "audit_log")}

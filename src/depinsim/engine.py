@@ -313,7 +313,7 @@ class SimulationConfig:
     # draws z satisfy |z| < 12.3 (its ziggurat tail is fed 53-bit uniforms), so a log-normal
     # draw lies within exp(mu +- 13 sigma) = exp(mu +- 32.5): an endowment within [7e-15, 4e57],
     # so a price (endowments over a finite sale pool) stays above zero, and a lifespan below
-    # 2.9e18 months, inside int64.  A Poisson mean of at most 1000 keeps a month's arrivals to
+    # 2.9e18 months.  A Poisson mean of at most 1000 keeps a month's arrivals to
     # about a thousand objects.  The default medians are exp(13) ~ 4.4e5 and exp(2.5) ~ 12.2 months.
     gc_arrival_rate: float = config_field(1.0, "Poisson mean of growth-capitalist arrivals per month", "[0, 1000]")
     gc_endowment_mu: float = config_field(13.0, "log-normal log-mean of GC endowments", "[0, 100]")
@@ -426,6 +426,7 @@ class Trajectory:
     month_rows: List[tuple]
     config: SimulationConfig
     metrics: Optional[metrics_mod.MetricReport] = None
+    row_fields = ROW_FIELDS  # a class attribute, not a field: where `metrics` finds a field's index in a row
 
     @property
     def states(self) -> List[MarketState]:
@@ -550,11 +551,12 @@ class Simulation:
         self._runs = np.zeros((2, capacity), dtype=np.int32)  # the month each node last signalled, its run then
         self._runs[0] = -1  # never
         self._stay = np.empty(capacity, dtype=bool)  # in an exit month, the nodes that stay
-        self._view = self._nodes.view()
-        self._view.flags.writeable = False
         # The five rows as 1-D views, for the commit: a month's writes are row by row, and taking
         # a row out of its table each month would cost about as much as a small month's writes.
         self._rows = (*self._nodes, *self._runs)
+        self._frozen = tuple(row.view() for row in self._nodes)  # read-only rows for the month's five slices
+        for row in self._frozen:
+            row.flags.writeable = False
         self._n = config.initial_nodes
         self.gcs: List[GrowthCapitalist] = []
 
@@ -597,12 +599,12 @@ class Simulation:
     @property
     def cost(self) -> np.ndarray:
         """Each active node's monthly cost, in roster order (read-only, valid until the next commit)."""
-        return self._view[0, :self._n]
+        return self._frozen[0][:self._n]
 
     @property
     def tolerance(self) -> np.ndarray:
         """Each active node's risk tolerance, in roster order (read-only, valid until the next commit)."""
-        return self._view[1, :self._n]
+        return self._frozen[1][:self._n]
 
     @property
     def streak(self) -> np.ndarray:
@@ -620,9 +622,9 @@ class Simulation:
         n = self._n
         if not n:
             return enters, _NO_NODES
-        view = self._view
-        signals = _verdicts(self.policy.decide_exits(revenue, view[0, :n], view[1, :n], view[2, :n], month), n)
-        return enters, np.flatnonzero(signals) if signals.any() else _NO_NODES
+        cost, tolerance, threshold = self._frozen
+        signals = _verdicts(self.policy.decide_exits(revenue, cost[:n], tolerance[:n], threshold[:n], month), n)
+        return enters, np.flatnonzero(signals) if np.count_nonzero(signals) else _NO_NODES
 
     def _decide_each(self, revenue, costs, tolerances, month) -> Tuple[np.ndarray, np.ndarray]:
         """A policy without batch methods, called once per candidate, then once per node in
@@ -666,8 +668,8 @@ class Simulation:
             substep = "node-decisions"
             fallbacks_before = getattr(self.policy, "fallback_count", 0)
             start = cfg.initial_nodes + (month - 1) * cfg.entry_pool_size  # this month's candidate pool
-            costs = self._view[0, start:start + cfg.entry_pool_size]
-            tolerances = self._view[1, start:start + cfg.entry_pool_size]
+            stop = start + cfg.entry_pool_size
+            costs, tolerances = self._frozen[0][start:stop], self._frozen[1][start:stop]
             enters, signalled = self._decide(self, revenue, costs, tolerances, month)
             leavers = signalled
             cost, tolerance, threshold, last, run_slots = self._rows
@@ -736,7 +738,7 @@ class Simulation:
                 row[:kept] = row[:n][stay]
         if entries and (kept != start or entries != cfg.entry_pool_size):  # else they sit in their own slots
             for row in (cost, tolerance, threshold):  # out of their pool, which they may overlap: each is a copy
-                row[kept:n_now] = row[start:start + cfg.entry_pool_size][enters]
+                row[kept:n_now] = row[start:stop][enters]
             last[kept:n_now] = -1
         self._n = n_now
         self.gcs = gcs

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
-from .bounds import check_range, check_ranges, config_field
+from .bounds import check_range, check_ranges, config_field, read_json
 
 ENDPOINT_ENV = "DEPIN_LLM_ENDPOINT"
 API_KEY_ENV = "DEPIN_LLM_KEY"
@@ -336,11 +336,10 @@ def build_backend(settings: LlmSettings):
     if settings.backend == "scripted":
         script = settings.script
         if settings.script_file:
-            with open(settings.script_file, encoding="utf-8") as fh:
-                try:
-                    script = json.load(fh)
-                except json.JSONDecodeError as err:
-                    raise ValueError(f"llm.script_file {settings.script_file} is not JSON: {err}") from None
+            try:
+                script = read_json(settings.script_file)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"llm.script_file {settings.script_file} is not JSON: {err}") from None
             if not (isinstance(script, dict) and all(isinstance(v, str) for v in script.values())):
                 raise ValueError(f"llm.script_file {settings.script_file} must hold a JSON object "
                                  f"of string -> string, got {reprlib.repr(script)}")

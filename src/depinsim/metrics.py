@@ -88,22 +88,26 @@ def report(trajectory: "Trajectory") -> MetricReport:
     stability spans the config's `stability_window`, or the full price
     series when it is None.
     """
-    months = trajectory.column("month")
-    if not months:
+    rows = trajectory.month_rows
+    if not rows:
         raise ValueError("trajectory has no recorded months")
+    index = trajectory.row_fields.index
+    month, entries, price = index("month"), index("entries"), index("token_price")
+    start, end = rows[0][month], rows[-1][month]
+    window = trajectory.config.stability_window or (start, end)
+    first, last = int(window[0]), int(window[1])
+    n_ext, windowed = 0, []
+    for row in rows:  # one pass, indexing each row: faster than reading whole columns
+        n_ext += row[entries]
+        if first <= row[month] <= last:
+            windowed.append(row[price])
+    if not windowed:
+        raise ValueError(f"stability window {window} selects no months (run covers {start}..{end})")
     n_init = trajectory.config.initial_nodes
-    n_ext = sum(trajectory.column("entries"))
     n_total = n_init + n_ext
 
-    window = trajectory.config.stability_window or (months[0], months[-1])
-    first, last = int(window[0]), int(window[1])
-    prices = trajectory.column("token_price")
-    windowed = [price for month, price in zip(months, prices) if first <= month <= last]
-    if not windowed:
-        raise ValueError(f"stability window {window} selects no months (run covers {months[0]}..{months[-1]})")
-
     return MetricReport(
-        efficiency=efficiency(trajectory.column("circulating_supply")[-1], prices[-1]),
+        efficiency=efficiency(rows[-1][index("circulating_supply")], rows[-1][price]),
         inclusion=inclusion(n_total, n_init),
         stability=stability(windowed),
         n_init=n_init,

@@ -19,7 +19,6 @@ from depinsim.agents import (
     heuristic_prompt_reply,
     render_entry_prompt,
     render_exit_prompt,
-    sample_lifespans,
     spawn_growth_capitalists,
     total_endowment,
 )
@@ -256,16 +255,38 @@ class TestGrowthCapital:
         rng = np.random.default_rng(3)
         count = int(rng.poisson(config.gc_arrival_rate))
         endowments = rng.lognormal(config.gc_endowment_mu, config.gc_endowment_sigma, count).tolist()
-        expiries = (7 + sample_lifespans(rng, config.gc_lifespan_mu, config.gc_lifespan_sigma, count)).tolist()
+        lifespans = rng.lognormal(config.gc_lifespan_mu, config.gc_lifespan_sigma, count).tolist()
+        expiries = [7 + max(round(n), 1) for n in lifespans]
         assert count > 0
         assert gcs == [GrowthCapitalist(e, x) for e, x in zip(endowments, expiries)]
 
     def test_lifespan_median_matches_lognormal(self):
+        config = SimulationConfig(gc_arrival_rate=1000.0, gc_lifespan_mu=2.5, gc_lifespan_sigma=0.5)
         rng = np.random.default_rng(123)
-        lifespans = sample_lifespans(rng, mu=2.5, sigma=0.5, size=100_000)
-        assert (lifespans >= 1).all()
+        lifespans = [gc.expiry - month for month in range(1, 101)
+                     for gc in spawn_growth_capitalists(month, config, rng)]
+        assert len(lifespans) > 90_000
+        assert min(lifespans) >= 1
         median = float(np.median(lifespans))
         assert median == pytest.approx(math.exp(2.5), rel=0.02)
+
+    def test_lifespans_round_half_to_even_and_last_a_month(self):
+        # Exact ties, which random draws do not hit, and 2.9e18: a lifespan rounds half to even,
+        # is at least one month, and is an exact int.
+        draws = [0.2, 0.5, 1.5, 2.5, 3.5, 2.9e18]
+
+        class Stub:
+            lognormals = iter([[1.0] * len(draws), draws])
+
+            def poisson(self, lam):
+                return len(draws)
+
+            def lognormal(self, mean, sigma, size):
+                return np.array(next(self.lognormals))
+
+        gcs = spawn_growth_capitalists(5, SimulationConfig(), Stub())
+        assert [gc.expiry - 5 for gc in gcs] == [1, 1, 2, 2, 4, 2_900_000_000_000_000_000]
+        assert all(type(gc.expiry) is int for gc in gcs)
 
     def test_endowment_median_matches_lognormal(self):
         rng = np.random.default_rng(123)

@@ -550,6 +550,18 @@ CASES = [
            config={"policy": "llm", "llm": {"backend": "scripted", "script_file": "script.json"}},
            files={"script.json": content}, not_err=("month",))
       for content in ('{"*": 5}', '["a"]', '{"*": null}')),
+    # A key repeated in one object, at any depth, exits 2 naming the file and the key.
+    *(Case(f"run duplicate key {where}", "run --config dup.json --out-dir out", 2, ("dup.json", f"{key!r}"),
+           files={"dup.json": text})
+      for where, key, text in (
+          ("at the top", "seed", '{"horizon_months": 3, "seed": 1, "seed": 2}'),
+          ("in llm", "backend", '{"policy": "llm", "llm": {"backend": "http", "backend": "scripted", '
+                                '"script": {"*": "no"}}}'),
+          ("in llm.script", "*", '{"policy": "llm", "llm": {"backend": "scripted", "script": {"*": "no", "*": "yes"}}}'),
+      )),
+    Case("run duplicate key in script_file", "run --out-dir out", 2, ("script.json", "'*'"),
+         config={"policy": "llm", "llm": {"backend": "scripted", "script_file": "script.json"}},
+         files={"script.json": '{"*": "no", "*": "yes"}'}),
     Case("run missing script_file under heuristic", "run --policy heuristic --out-dir out", 2,
          ("No such file", "missing.json"),
          config={"horizon_months": 2, "llm": {"backend": "scripted", "script_file": "missing.json"}}),
