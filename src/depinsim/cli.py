@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
+from typing import Iterable, List, Optional, Sequence, Tuple, get_args
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .bounds import check_range, config_field, read_json
 from .agents import LlmPolicy
 from .engine import (
     CSV_COLUMNS, MAX_HORIZON, POLICIES, SimulationConfig, SimulationError, build_policy, compare, csv_text, decode,
-    encode, run,
+    encode, run, type_hints,
 )
 from .llm_gateway import AuditLog, GatewayError
 from .tokenomics import NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, vesting_table
@@ -63,9 +63,32 @@ def _check_dir(option: str, value: str, directory: Path) -> None:
         raise ValueError(f"{option} {value}: {nearest} is not a directory")
 
 
-def _load_config(args) -> Tuple[SimulationConfig, FileOptions, Optional[LlmPolicy]]:
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths `a` and `b` name one file: they resolve alike, or both exist and are one
+    file (`os.path.samefile`), as through a symlink or a hard link."""
+    if Path(a).resolve() == Path(b).resolve():
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either is missing
+        return False
+
+
+def _check_no_overwrite(option: str, path: str, others: Iterable[Tuple[str, Optional[str]]]) -> None:
+    """Raise a ValueError naming both paths if output `path`, given as `option`, is one of `others`,
+    (option, path) pairs of the other files the command reads or writes; an unset path is skipped."""
+    for other, other_path in others:
+        if other_path is not None and _same_file(path, other_path):
+            raise ValueError(f"{option} {path} and {other} {other_path} name the same file")
+
+
+def _load_config(args, artifacts: Sequence[str]) -> Tuple[SimulationConfig, FileOptions, Optional[LlmPolicy]]:
     """Build the simulation config from file plus CLI overrides, and the one
-    LLM policy every LLM run of the command uses (None without an `llm` section)."""
+    LLM policy every LLM run of the command uses (None without an `llm` section).
+
+    `artifacts` are the files the command writes in its output directory; the
+    audit log may name none of them, nor the config or the script file.
+    """
     data = {}
     if args.config is not None:
         data = read_json(args.config)
@@ -77,6 +100,10 @@ def _load_config(args) -> Tuple[SimulationConfig, FileOptions, Optional[LlmPolic
     opts = decode(FileOptions(), {f.name: data.pop(f.name) for f in fields(FileOptions) if f.name in data})
     config = SimulationConfig.from_dict(data)
     _check_dir("out_dir", opts.out_dir, Path(opts.out_dir))
+    if opts.audit_log:
+        _check_no_overwrite("audit_log", opts.audit_log, [
+            ("--config", args.config), ("llm.script_file", config.llm.script_file if config.llm else None),
+            *((f"the {args.command} artifact", os.path.join(opts.out_dir, name)) for name in artifacts)])
     audit_log = AuditLog(opts.audit_log) if opts.audit_log else None  # checks its path under either policy
     llm_policy = None
     if config.llm is not None:  # a missing script_file or endpoint fails here, under either policy, before any month
@@ -93,6 +120,10 @@ _TRAJECTORY_CHARTS = (  # `depin-sim run`'s charts: file, CSV column, title, y l
 )
 
 
+_RUN_ARTIFACTS = ("trajectory.csv", "metrics.json", *(name for name, *_ in _TRAJECTORY_CHARTS))
+_COMPARE_ARTIFACTS = ("compare.csv", "compare.svg")
+
+
 def _trajectory_charts(columns: dict) -> dict:
     """`depin-sim run`'s charts by file name, one CSV column each; one series draws no legend."""
     return {
@@ -103,7 +134,7 @@ def _trajectory_charts(columns: dict) -> dict:
 
 
 def cmd_run(args) -> int:
-    config, opts, llm_policy = _load_config(args)
+    config, opts, llm_policy = _load_config(args, _RUN_ARTIFACTS)
     trajectory = run(config, policy=llm_policy if config.policy == "llm" else None)
 
     out_dir = Path(opts.out_dir)
@@ -128,7 +159,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config, opts, llm_policy = _load_config(args)
+    config, opts, llm_policy = _load_config(args, _COMPARE_ARTIFACTS)
     if llm_policy is None:
         raise ValueError("compare needs an llm config section (scripted or http backend)")
     seeds = range(config.seed, config.seed + args.seeds)
@@ -213,6 +244,7 @@ def cmd_score(args) -> int:
         if out.is_dir():
             raise ValueError(f"--out {args.out} is a directory")
         _check_dir("--out", args.out, out.parent)
+        _check_no_overwrite("--out", args.out, [("prices", args.prices)])
     prices = metrics.read_price_series(args.prices)
     report = metrics.score_series(prices, circulating=args.circulating, price=args.price)
     text = json.dumps(report.to_dict(), indent=2)
@@ -230,7 +262,7 @@ def _reference_rows(obj, prefix: str = "") -> List[tuple]:
         if "doc" in f.metadata:
             rows.append((prefix + f.name, encode(getattr(obj, f.name)), f.metadata.get("range"), f.metadata["doc"]))
         else:
-            section = get_args(get_type_hints(type(obj))[f.name])[0]  # Optional[section]
+            section = get_args(type_hints(type(obj))[f.name])[0]  # Optional[section]
             rows += _reference_rows(section(), f"{prefix}{f.name}.")
     return rows
 

@@ -8,6 +8,7 @@ commit one row (`ROW_FIELDS`).  Partial months are never committed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -51,7 +52,8 @@ from .tokenomics import circulating_supply, node_emission, team_release, vc_rele
 # draws to one sub-step never perturbs another's.  `_stream_words` computes those
 # seeding words itself and hands them to NumPy's own PCG64 seeding; a property
 # test pins the result to `default_rng(SeedSequence(...))`.  Trajectory bytes
-# therefore depend on NumPy's PCG64 and distribution code.
+# therefore depend on NumPy's PCG64 and distribution code, down to its Poisson
+# sampler's switch of method at a mean of 10 (`_no_arrival_months`).
 _STREAM_INIT_NODES = 0
 _STREAM_CANDIDATES = 1
 _STREAM_GROWTH_CAPITAL = 2
@@ -74,8 +76,15 @@ MAX_ROSTER = 1_000_000
 MAX_HORIZON = 100_000
 POLICIES = ("heuristic", "llm")  # the values of policy
 
+
+@functools.cache
+def type_hints(cls) -> dict:
+    """`typing.get_type_hints(cls)`, read once per class.  The dict is shared: a caller reads it only."""
+    return get_type_hints(cls)
+
+
 # The MarketState fields a month must record as finite numbers, in field order.
-_STATE_FLOATS = tuple(name for name, hint in get_type_hints(MarketState).items() if hint is float)
+_STATE_FLOATS = tuple(name for name, hint in type_hints(MarketState).items() if hint is float)
 
 
 def _words(value: int) -> List[int]:
@@ -195,6 +204,64 @@ def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) 
     np.multiply(nodes[1], nodes[0], out=nodes[2])
 
 
+# PCG64's 128-bit multiplier M: a step is `state * M + inc`, modulo 2**128.  A seeded
+# stream's first output reads the state `s * M**2 + inc * (M**2 + M + 1)` (`_first_uniforms`).
+_PCG_MULT = 2549297995355413924 * 2**64 + 4865540595714422341
+_SEED_MULT = _PCG_MULT**2 % 2**128
+_INC_MULT = (_PCG_MULT**2 + _PCG_MULT + 1) % 2**128
+_MASK64 = 2**64 - 1
+# NumPy's Poisson sampler multiplies uniforms below this mean and switches to PTRS at it.
+_POISSON_PTRS_MEAN = 10.0
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, constant: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The 128-bit numbers `hi * 2**64 + lo` (uint64 halves, elementwise) times `constant`, mod 2**128.
+
+    The low product's high half is summed from 32-bit limbs, each partial product
+    exact in uint64; every other sum wraps, as the modulus asks.
+    """
+    c_hi, c_lo = constant >> 64, constant & _MASK64
+    b0, b1 = constant & _MASK32, constant >> 32 & _MASK32
+    a0, a1 = lo & _MASK32, lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)  # of lo * c_lo
+    return high + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _first_uniforms(words: np.ndarray) -> np.ndarray:
+    """Each stream's first `Generator.random()`, for the streams seeded by the rows of `words`
+    (`(streams, 4)` PCG64 seeding words, as `Generator(PCG64(_Words(row)))` takes them), in one
+    vectorised pass.
+
+    PCG64 seeds with `s = w0 * 2**64 + w1` and `inc = 2 * (w2 * 2**64 + w3) + 1` by stepping
+    twice, adding `s` between the steps, so its first output is XSL-RR of the third state,
+    `s * M**2 + inc * (M**2 + M + 1)` mod 2**128: `rotr64(hi ^ lo, hi >> 58)`.  The uniform is
+    `(out >> 11) * 2**-53`.  A property test pins it to NumPy's.
+    """
+    w0, w1, w2, w3 = words.T
+    seed_hi, seed_lo = _mul128(w0, w1, _SEED_MULT)
+    inc_hi, inc_lo = _mul128(w2 << 1 | w3 >> 63, w3 << 1 | 1, _INC_MULT)
+    lo = seed_lo + inc_lo
+    hi = seed_hi + inc_hi + (lo < seed_lo)  # the carry out of the low halves
+    rotation = hi >> 58
+    xored = hi ^ lo
+    out = xored >> rotation | xored << (-rotation & 63)
+    return (out >> 11).astype(np.float64) * 2.0**-53
+
+
+def _no_arrival_months(words: np.ndarray, rate: float) -> bytes:
+    """One byte per row of `words`: 1 where that stream's `Generator.poisson(rate)` is known to be 0, else 0.
+
+    Below a mean of 10, NumPy's Poisson multiplies uniforms while their product exceeds
+    `exp(-rate)` (at 0 it draws nothing and returns 0), so it is 0 exactly when the first
+    uniform is at most `exp(-rate)`.  From 10 on it samples by PTRS, and no row is marked.
+    """
+    if rate >= _POISSON_PTRS_MEAN:
+        return bytes(len(words))
+    return (_first_uniforms(words) <= math.exp(-rate)).tobytes()
+
+
 class SimulationError(Exception):
     """A sub-step failed; carries the month and sub-step for diagnosis."""
 
@@ -265,7 +332,7 @@ def decode(base, data, prefix: str = ""):
     """
     if not isinstance(data, dict):
         raise ValueError(f"config section {prefix[:-1] or '(top level)'} must be an object, got {data!r}")
-    hints = get_type_hints(type(base))
+    hints = type_hints(type(base))
     tagged = hasattr(base, "FIELDS_BY_KIND")
     if tagged and "kind" in data:
         kind = _decode_value(base.kind, data["kind"], hints["kind"], prefix + "kind")
@@ -519,8 +586,13 @@ class Simulation:
 
     Every month's node emission and circulating supply are read from
     `tokenomics.vesting_table` (the table `depin-sim vesting` writes) when
-    the run is built; a month draws only growth capital.  The month-1 sale
-    pool is `tokens_on_sale_fraction` of the table's month-1 supply.
+    the run is built; a month draws only growth capital.  Below a
+    `gc_arrival_rate` of 10, the months whose stream draws no arrival are
+    found when the run is built, from each stream's first uniform
+    (`_no_arrival_months`); such a month builds no generator.  Every other
+    month builds its stream's `PCG64` and `Generator` while it steps.  The
+    month-1 sale pool is `tokens_on_sale_fraction` of the table's month-1
+    supply.
 
     Within a month every decision reads the same frozen start-of-month
     context, so agent evaluation order cannot change the outcome.  A policy
@@ -548,6 +620,8 @@ class Simulation:
         self._nodes = np.empty((3, capacity))  # cost, tolerance, and the heuristic exit rule's bar tolerance * cost
         _node_draws(self._nodes, words, config)
         del words
+        # 1 for each month whose growth-capital stream draws no arrival: that month builds no generator.
+        self._no_arrivals = _no_arrival_months(self._gc_words, config.gc_arrival_rate)
         self._runs = np.zeros((2, capacity), dtype=np.int32)  # the month each node last signalled, its run then
         self._runs[0] = -1  # never
         self._stay = np.empty(capacity, dtype=bool)  # in an exit month, the nodes that stay
@@ -684,8 +758,11 @@ class Simulation:
             # 4. Growth capitalists stay until their expiry month, when their
             # holdings go on sale; then this month's arrivals join.
             substep = "growth-capital"
-            rng_gc = np.random.Generator(np.random.PCG64(_Words(self._gc_words[month])))
-            arrivals = spawn_growth_capitalists(month, cfg, rng_gc)
+            if self._no_arrivals[month]:
+                arrivals = []
+            else:
+                rng_gc = np.random.Generator(np.random.PCG64(_Words(self._gc_words[month])))
+                arrivals = spawn_growth_capitalists(month, cfg, rng_gc)
             gcs, expiring = [], 0  # expiring holdings add left to right from the int 0, then join the pool at once
             for gc in self.gcs:
                 if gc.expiry > month:

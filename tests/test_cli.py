@@ -519,7 +519,8 @@ class Case:
     """One console invocation and how it must end.
 
     `files` are written to the working directory, each after its parent directory,
-    and `config`, when set, to config.json, which is passed as `--config`.  Each of
+    and `config`, when set, to config.json, which is passed as `--config`; then each
+    of `symlinks` and `hard_links` is made to the path it maps to.  Each of
     `err` must appear in stderr and none of `not_err`; `wrote` maps an output file
     to text it must contain.  Of `files`, the command deletes those in `gone` and
     leaves every other one as it was.
@@ -534,6 +535,8 @@ class Case:
     not_err: Tuple[str, ...] = ()
     wrote: Dict[str, str] = field(default_factory=dict)
     gone: Tuple[str, ...] = ()
+    symlinks: Dict[str, str] = field(default_factory=dict)
+    hard_links: Dict[str, str] = field(default_factory=dict)
 
 
 CASES = [
@@ -590,6 +593,36 @@ CASES = [
     *(Case(f"score --out {path}", f"score prices.csv --circulating 1 --price 1 --out {path}", 2,
            (f"--out {path}", error), files={"prices.csv": "1.0\n2.0\n", "afile": "kept", "adir/kept": "kept"})
       for path, error in (("adir", "is a directory"), ("afile/report.json", "afile is not a directory"))),
+    # An output that would overwrite one of the command's inputs or its own artifacts exits 2, naming both paths.
+    Case("run --audit-log names --config", "run --policy llm --out-dir out --audit-log config.json", 2,
+         ("audit_log config.json", "--config config.json"), config={"horizon_months": 2, "llm": SCRIPTED}),
+    Case("run audit_log key names --config", "run --policy llm --out-dir out", 2,
+         ("audit_log ./config.json", "--config config.json"),
+         config={"horizon_months": 2, "audit_log": "./config.json", "llm": SCRIPTED}),
+    Case("run --audit-log names llm.script_file", "run --out-dir out --audit-log script.json", 2,
+         ("audit_log script.json", "llm.script_file script.json"),
+         config={"horizon_months": 2, "policy": "llm", "llm": {"backend": "scripted", "script_file": "script.json"}},
+         files={"script.json": '{"*": "no"}'}),
+    Case("run --audit-log names a run artifact", "run --policy llm --out-dir out --audit-log out/metrics.json", 2,
+         ("audit_log out/metrics.json", "out/metrics.json name the same file"),
+         config={"horizon_months": 2, "llm": SCRIPTED}, files={"out/metrics.json": "{}"}),
+    Case("run --charts off --audit-log names a chart it deletes",
+         "run --policy llm --charts off --out-dir out --audit-log out/sub/../price.svg", 2,
+         ("audit_log out/sub/../price.svg", "out/price.svg"), config={"horizon_months": 2, "llm": SCRIPTED}),
+    Case("compare audit_log key names a compare artifact", "compare --patience 1 --seeds 1 --out-dir out", 2,
+         ("audit_log out/compare.csv", "out/compare.csv name the same file"),
+         config={"horizon_months": 2, "audit_log": "out/compare.csv", "llm": SCRIPTED}),
+    Case("run --audit-log a symlink to --config", "run --policy llm --out-dir out --audit-log audit.jsonl", 2,
+         ("audit_log audit.jsonl", "--config config.json"), config={"horizon_months": 2, "llm": SCRIPTED},
+         symlinks={"audit.jsonl": "config.json"}),
+    Case("run --audit-log a hard link to llm.script_file", "run --out-dir out --audit-log audit.jsonl", 2,
+         ("audit_log audit.jsonl", "llm.script_file script.json"),
+         config={"horizon_months": 2, "policy": "llm", "llm": {"backend": "scripted", "script_file": "script.json"}},
+         files={"script.json": '{"*": "no"}'}, hard_links={"audit.jsonl": "script.json"}),
+    *(Case(f"score --out {out} names prices", f"score prices.csv --circulating 1 --price 1 --out {out}", 2,
+           (f"--out {out} and prices prices.csv name the same file",), files={"prices.csv": "1.0\n2.0\n"},
+           hard_links=links)
+      for out, links in (("prices.csv", {}), ("./adir/../prices.csv", {}), ("link.csv", {"link.csv": "prices.csv"}))),
     # run: the roster cap itself fits, 50 + 2 * 499,975 = 1,000,000 nodes in month 2.
     Case("run at the roster cap", "run --charts off --out-dir at-cap", 0,
          config={"horizon_months": 2, "entry_pool_size": 499975}, wrote={"at-cap/trajectory.csv": "\n2,1000000,"}),
@@ -669,6 +702,10 @@ def run_case(case: Case, root: Path, invoke) -> str:
     if case.config is not None:
         (root / "config.json").write_text(json.dumps(case.config))
         argv += ["--config", "config.json"]
+    for name, target in case.symlinks.items():
+        (root / name).symlink_to(target)
+    for name, target in case.hard_links.items():
+        (root / name).hardlink_to(root / target)
     before = sorted(root.rglob("*"))
     code, out, err = invoke(argv)
     assert code == case.code, err

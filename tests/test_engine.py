@@ -301,9 +301,10 @@ class TestDeterminism:
 
     def test_months_seed_one_generator_per_stream_without_hashing(self, monkeypatch):
         # The run's build takes each month's candidates from one PCG64, and the initial
-        # roster's from one more; each month while stepping asks for one stream (growth
-        # capital), one PCG64 in one Generator.  Every PCG64 is seeded from words hashed
-        # in one pass when the run is built, never through a SeedSequence.
+        # roster's from one more; a month while stepping asks for one stream (growth
+        # capital), one PCG64 in one Generator, unless that stream draws no arrival, when
+        # it builds nothing.  Every PCG64 is seeded from words hashed in one pass when the
+        # run is built, never through a SeedSequence.
         hashed = []
         seed_state = engine._seed_state
 
@@ -328,15 +329,64 @@ class TestDeterminism:
 
         for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
             monkeypatch.setattr(np.random, name, counted(name))
-        sim = Simulation(SimulationConfig(horizon_months=600, seed=3))
+        config = SimulationConfig(horizon_months=600, seed=3)
+        sim = Simulation(config)
         assert built == ["PCG64"] * (600 + 1)
-        built.clear()
+        quiet = []
         for month in range(1, 601):
+            built.clear()
             sim.step(month)
-        assert built == ["PCG64", "Generator"] * 600
+            if not built:
+                quiet.append(month)
+            else:
+                assert built == ["PCG64", "Generator"]
+        monkeypatch.undo()
+        # The months that built nothing are those whose own stream draws no arrival.
+        draws = [np.random.default_rng(np.random.SeedSequence((3, month, 2))).poisson(config.gc_arrival_rate)
+                 for month in range(1, 601)]
+        assert quiet == [month for month, count in enumerate(draws, start=1) if count == 0]
+        assert 0 < len(quiet) < 600
         # Words (seed, month, channel); the seed's one row is shared by every column,
         # one column per month and channel.
         assert hashed == [[1, 601 * 3, 601 * 3]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**200) | st.sampled_from([0, 2**64, 2**200]),
+        calls=stream_calls(),
+    )
+    @example(seed=2**200, calls=[(0, 0), (1, 2), (MAX_HORIZON, 2)])
+    def test_first_uniforms_and_no_arrival_months_equal_numpys_draws(self, seed, calls):
+        # Each stream's first uniform is NumPy's first `random()`, bit for bit; a row is
+        # marked exactly when the stream's `poisson(rate)` is 0 below a mean of 10, where
+        # NumPy multiplies uniforms, and never from 10 on, where it samples by PTRS.
+        words = _stream_words(seed, max(month for month, _ in calls))
+        rows = np.array([words[month, channel] for month, channel in calls])
+
+        def rng(month, channel):
+            return np.random.default_rng(np.random.SeedSequence((seed, month, channel)))
+
+        uniforms = engine._first_uniforms(rows)
+        assert uniforms.tolist() == [rng(*call).random() for call in calls]
+        for rate in (0.0, 5e-324, 0.5, 1.0, math.nextafter(10, 0)):
+            expected = bytes(int(rng(*call).poisson(rate) == 0) for call in calls)
+            assert engine._no_arrival_months(rows, rate) == expected
+        every_month = words[:, 2]  # at 10 some months' first uniforms lie below exp(-10)
+        for rate in (10.0, 1000.0):
+            assert engine._no_arrival_months(every_month, rate) == bytes(len(every_month))
+
+    @pytest.mark.parametrize("rate, digest", [
+        (0.0, "d7f1cf512551aa1c996a4145d9842ab409cc239ec18080198a12430e69f4d4b0"),
+        (0.5, "5d979808f2e9af763490dedae070defa245f429d1cc750913cb8caa49e49e48f"),
+        (math.nextafter(10, 0), "49b43368d143e7ea67534da5b65ec5be12f3ba02e09c57fd2958c95f81aea2d3"),
+        (10.0, "b05348f164c3e73bbe7013609599737ae2c78db94e378ad69e9fc9c9fb0287d6"),
+        (40.0, "0b5afb925184f50e61eac8456d0c13e329179dda9e6e4e6343a5f45e253c682b"),
+    ])
+    def test_runs_either_side_of_the_poisson_switch_keep_their_bytes(self, rate, digest):
+        # Digests taken with every month building its growth-capital generator: skipping the
+        # months with no arrival, below a mean of 10 only, writes the same bytes.
+        config = SimulationConfig(seed=7, horizon_months=120, gc_arrival_rate=rate)
+        assert hashlib.sha256(run(config).to_csv_string().encode()).hexdigest() == digest
 
     def test_seed_words_are_shared_not_copied_per_month(self):
         # 10**4299 has the most digits `int` parses, 447 words; at the bound its streams
