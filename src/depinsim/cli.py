@@ -64,9 +64,10 @@ def _check_dir(option: str, value: str, directory: Path) -> None:
 
 
 def _same_file(a: str, b: str) -> bool:
-    """Whether paths `a` and `b` name one file: they resolve alike, or both exist and are one
-    file (`os.path.samefile`), as through a symlink or a hard link."""
-    if Path(a).resolve() == Path(b).resolve():
+    """Whether paths `a` and `b` name one file: they resolve alike (`os.path.realpath`, which
+    `Path.resolve` wraps at half the speed), or both exist and are one file (`os.path.samefile`),
+    as through a symlink or a hard link."""
+    if os.path.realpath(a) == os.path.realpath(b):
         return True
     try:
         return os.path.samefile(a, b)
@@ -86,8 +87,9 @@ def _load_config(args, artifacts: Sequence[str]) -> Tuple[SimulationConfig, File
     """Build the simulation config from file plus CLI overrides, and the one
     LLM policy every LLM run of the command uses (None without an `llm` section).
 
-    `artifacts` are the files the command writes in its output directory; the
-    audit log may name none of them, nor the config or the script file.
+    `artifacts` are the files the command writes or deletes in its output
+    directory; none of them may name the config or the script file, and the
+    audit log may name none of the three.
     """
     data = {}
     if args.config is not None:
@@ -100,10 +102,12 @@ def _load_config(args, artifacts: Sequence[str]) -> Tuple[SimulationConfig, File
     opts = decode(FileOptions(), {f.name: data.pop(f.name) for f in fields(FileOptions) if f.name in data})
     config = SimulationConfig.from_dict(data)
     _check_dir("out_dir", opts.out_dir, Path(opts.out_dir))
+    inputs = [("--config", args.config), ("llm.script_file", config.llm.script_file if config.llm else None)]
+    outputs = [(f"the {args.command} artifact", os.path.join(opts.out_dir, name)) for name in artifacts]
+    for option, path in outputs:
+        _check_no_overwrite(option, path, inputs)
     if opts.audit_log:
-        _check_no_overwrite("audit_log", opts.audit_log, [
-            ("--config", args.config), ("llm.script_file", config.llm.script_file if config.llm else None),
-            *((f"the {args.command} artifact", os.path.join(opts.out_dir, name)) for name in artifacts)])
+        _check_no_overwrite("audit_log", opts.audit_log, inputs + outputs)
     audit_log = AuditLog(opts.audit_log) if opts.audit_log else None  # checks its path under either policy
     llm_policy = None
     if config.llm is not None:  # a missing script_file or endpoint fails here, under either policy, before any month

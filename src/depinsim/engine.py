@@ -52,8 +52,9 @@ from .tokenomics import circulating_supply, node_emission, team_release, vc_rele
 # draws to one sub-step never perturbs another's.  `_stream_words` computes those
 # seeding words itself and hands them to NumPy's own PCG64 seeding; a property
 # test pins the result to `default_rng(SeedSequence(...))`.  Trajectory bytes
-# therefore depend on NumPy's PCG64 and distribution code, down to its Poisson
-# sampler's switch of method at a mean of 10 (`_no_arrival_months`).
+# therefore depend on NumPy's PCG64, down to its step and output function
+# (`_pcg_outputs`), and on its distribution code, down to its Poisson sampler's
+# switch of method at a mean of 10 (`_no_arrival_months`).
 _STREAM_INIT_NODES = 0
 _STREAM_CANDIDATES = 1
 _STREAM_GROWTH_CAPITAL = 2
@@ -180,8 +181,11 @@ def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) 
     initial roster from stream `words[0, _STREAM_INIT_NODES]`, then month m's candidate pool from stream
     `words[m, _STREAM_CANDIDATES]` (`words` as `_stream_words` returns them).
 
-    A stream's draws are its first `2 * count` raw words, all taken by one PCG64: its costs, then
-    its tolerances.  Each row is then converted in place by the formula of `Generator.uniform`:
+    A stream's draws are its first `2 * count` raw words: its costs, then its tolerances.  The
+    initial roster's are taken by one PCG64.  Pools of at most `_VECTOR_POOL_MAX` nodes are
+    computed for every month at once by `_pcg_outputs`, in chunks of at most `_CHUNK_OUTPUTS`
+    words; a larger pool is taken by one PCG64 a month, as NumPy's C generator is then the faster.
+    Each row is then converted in place by the formula of `Generator.uniform`:
     `lo + (hi - lo) * ((raw >> 11) * 2**-53)`.  A property test pins each stream to
     `node_cost * rng.uniform(lo, hi, count)`, then `rng.uniform(tlo, thi, count)`.
     """
@@ -189,12 +193,21 @@ def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) 
     start, pool = config.initial_nodes, config.entry_pool_size
     if start:
         raw[:, :start] = np.random.PCG64(_Words(words[0, _STREAM_INIT_NODES])).random_raw(2 * start).reshape(2, start)
-    if pool:
+    if 0 < pool <= _VECTOR_POOL_MAX:
+        step = _CHUNK_OUTPUTS // (2 * pool)  # months a chunk
+        for first in range(1, len(words), step):
+            outputs = _pcg_outputs(words[first:first + step, _STREAM_CANDIDATES], 2 * pool)
+            lo = start + (first - 1) * pool
+            hi = lo + len(outputs) * pool
+            # Row by row: a contiguous 1-D slice always reshapes to a view, so the writes land in the table.
+            raw[0, lo:hi].reshape(-1, pool)[...] = outputs[:, :pool]
+            raw[1, lo:hi].reshape(-1, pool)[...] = outputs[:, pool:]
+    elif pool:
         for month_words in words[1:, _STREAM_CANDIDATES]:
             raw[:, start:start + pool] = np.random.PCG64(_Words(month_words)).random_raw(2 * pool).reshape(2, pool)
             start += pool
     for row, (lo, hi) in ((raw[0], config.cost_spread), (raw[1], config.tolerance_range)):
-        row >>= 11
+        row >>= _U11
         uniform = row.view(np.float64)
         uniform[...] = row  # exact below 2**53; one-dimensional, so NumPy casts in place, element by element
         uniform *= 2.0**-53
@@ -204,50 +217,82 @@ def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) 
     np.multiply(nodes[1], nodes[0], out=nodes[2])
 
 
-# PCG64's 128-bit multiplier M: a step is `state * M + inc`, modulo 2**128.  A seeded
-# stream's first output reads the state `s * M**2 + inc * (M**2 + M + 1)` (`_first_uniforms`).
+# PCG64's 128-bit multiplier M: a step is `state * M + inc`, modulo 2**128 (`_pcg_outputs`).
 _PCG_MULT = 2549297995355413924 * 2**64 + 4865540595714422341
-_SEED_MULT = _PCG_MULT**2 % 2**128
-_INC_MULT = (_PCG_MULT**2 + _PCG_MULT + 1) % 2**128
-_MASK64 = 2**64 - 1
+_MOD128 = 2**128
+# Shifts and masks as uint64, so that no operand is a Python int (NumPy 1.24 casts those by value).
+_U1, _U11, _U32, _U58, _U63 = (np.uint64(n) for n in (1, 11, 32, 58, 63))
+_LOW32 = np.uint64(0xFFFFFFFF)
+# The largest pool `_node_draws` computes by `_pcg_outputs`, and the most words it computes at once.  At
+# 2 * pool words a stream, 128-bit arithmetic in NumPy outruns one PCG64 a month up to a pool of about
+# 40, in chunks that keep its temporaries (64 KiB each) in cache.
+_VECTOR_POOL_MAX = 32
+_CHUNK_OUTPUTS = 8192
 # NumPy's Poisson sampler multiplies uniforms below this mean and switches to PTRS at it.
 _POISSON_PTRS_MEAN = 10.0
 
 
-def _mul128(hi: np.ndarray, lo: np.ndarray, constant: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The 128-bit numbers `hi * 2**64 + lo` (uint64 halves, elementwise) times `constant`, mod 2**128.
+def _halves(values: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The 128-bit `values` as uint64 rows of their high and low halves."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (2**64 - 1) for v in values], dtype=np.uint64))
+
+
+@functools.cache
+def _output_constants(count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The halves of `A_j = M**(j + 2)` and `B_j = M**(j + 2) + ... + M + 1` mod 2**128 for
+    `j < count`: a seeded stream's output j reads the state `s * A_j + inc * B_j` (`_pcg_outputs`)."""
+    powers, sums = [_PCG_MULT**2 % _MOD128], [(_PCG_MULT**2 + _PCG_MULT + 1) % _MOD128]
+    for _ in range(count - 1):
+        powers.append(powers[-1] * _PCG_MULT % _MOD128)
+        sums.append((sums[-1] + powers[-1]) % _MOD128)
+    constants = (*_halves(powers), *_halves(sums))
+    for row in constants:  # shared by every caller through the cache
+        row.flags.writeable = False
+    return constants
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, c_hi: np.ndarray, c_lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 128-bit numbers `hi * 2**64 + lo` times the constants `c_hi * 2**64 + c_lo`, mod 2**128,
+    all as uint64 halves, elementwise; the constants broadcast against the numbers.
 
     The low product's high half is summed from 32-bit limbs, each partial product
     exact in uint64; every other sum wraps, as the modulus asks.
     """
-    c_hi, c_lo = constant >> 64, constant & _MASK64
-    b0, b1 = constant & _MASK32, constant >> 32 & _MASK32
-    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = c_lo & _LOW32, c_lo >> _U32
+    a0, a1 = lo & _LOW32, lo >> _U32
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)  # of lo * c_lo
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    high = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)  # of lo * c_lo
     return high + lo * c_hi + hi * c_lo, lo * c_lo
 
 
-def _first_uniforms(words: np.ndarray) -> np.ndarray:
-    """Each stream's first `Generator.random()`, for the streams seeded by the rows of `words`
-    (`(streams, 4)` PCG64 seeding words, as `Generator(PCG64(_Words(row)))` takes them), in one
-    vectorised pass.
+def _pcg_outputs(words: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` raw outputs of each stream seeded by a row of `words` (`(streams, 4)` PCG64
+    seeding words, as `PCG64(_Words(row))` takes them), of shape `(streams, count)`, in one vectorised
+    pass: row i is `PCG64(_Words(words[i])).random_raw(count)`.
 
-    PCG64 seeds with `s = w0 * 2**64 + w1` and `inc = 2 * (w2 * 2**64 + w3) + 1` by stepping
-    twice, adding `s` between the steps, so its first output is XSL-RR of the third state,
-    `s * M**2 + inc * (M**2 + M + 1)` mod 2**128: `rotr64(hi ^ lo, hi >> 58)`.  The uniform is
-    `(out >> 11) * 2**-53`.  A property test pins it to NumPy's.
+    PCG64 seeds with `s = w0 * 2**64 + w1` and `inc = 2 * (w2 * 2**64 + w3) + 1` by stepping twice,
+    adding `s` between the steps, and steps before each output, so output j is XSL-RR of the state
+    `s * A_j + inc * B_j` mod 2**128 (`_output_constants`): `rotr64(hi ^ lo, hi >> 58)`.  After
+    O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+    Number Generation" (2014).  A property test pins it to NumPy's.
     """
-    w0, w1, w2, w3 = words.T
-    seed_hi, seed_lo = _mul128(w0, w1, _SEED_MULT)
-    inc_hi, inc_lo = _mul128(w2 << 1 | w3 >> 63, w3 << 1 | 1, _INC_MULT)
+    w0, w1, w2, w3 = (column[:, None] for column in words.T)  # columns, against a row of constants
+    a_hi, a_lo, b_hi, b_lo = _output_constants(count)
+    seed_hi, seed_lo = _mul128(w0, w1, a_hi, a_lo)
+    inc_hi, inc_lo = _mul128(w2 << _U1 | w3 >> _U63, w3 << _U1 | _U1, b_hi, b_lo)
     lo = seed_lo + inc_lo
     hi = seed_hi + inc_hi + (lo < seed_lo)  # the carry out of the low halves
-    rotation = hi >> 58
-    xored = hi ^ lo
-    out = xored >> rotation | xored << (-rotation & 63)
-    return (out >> 11).astype(np.float64) * 2.0**-53
+    rotation = hi >> _U58
+    hi ^= lo
+    return hi >> rotation | hi << (-rotation & _U63)
+
+
+def _first_uniforms(words: np.ndarray) -> np.ndarray:
+    """Each stream's first `Generator.random()`, `(out >> 11) * 2**-53` of its first raw output,
+    for the streams seeded by the rows of `words` (as `_pcg_outputs` takes them)."""
+    return (_pcg_outputs(words, 1)[:, 0] >> _U11) * 2.0**-53
 
 
 def _no_arrival_months(words: np.ndarray, rate: float) -> bytes:
@@ -566,7 +611,9 @@ class Simulation:
     reference back to the simulation.
 
     Every node a run may hold has a slot in one table, allocated and drawn,
-    thresholds included, when the run is built (`initial_nodes +
+    thresholds included, when the run is built (`_node_draws`: the initial
+    roster from one `PCG64`, and every month's pool in one vectorised pass
+    up to a pool of 32, from one `PCG64` a month beyond it; `initial_nodes +
     horizon_months * entry_pool_size` slots, 33 B each with the commit's
     stay mask): `_nodes` holds float64 rows of cost, tolerance and exit
     threshold `tolerance * cost`, `_runs` int32 rows of the last month a

@@ -619,6 +619,24 @@ CASES = [
          ("audit_log audit.jsonl", "llm.script_file script.json"),
          config={"horizon_months": 2, "policy": "llm", "llm": {"backend": "scripted", "script_file": "script.json"}},
          files={"script.json": '{"*": "no"}'}, hard_links={"audit.jsonl": "script.json"}),
+    Case("run --config names a run artifact", "run --config out/metrics.json --out-dir out --charts off", 2,
+         ("the run artifact out/metrics.json", "--config out/metrics.json name the same file"),
+         files={"out/metrics.json": '{"horizon_months": 2}'}),
+    Case("run --charts off --config names a chart it deletes", "run --config out/price.svg --out-dir out --charts off",
+         2, ("the run artifact out/price.svg", "--config out/price.svg"), files={"out/price.svg": '{"horizon_months": 2}'}),
+    Case("run llm.script_file names a run artifact", "run --out-dir o2", 2,
+         ("the run artifact o2/metrics.json", "llm.script_file o2/metrics.json"),
+         config={"horizon_months": 2, "policy": "llm", "llm": {"backend": "scripted", "script_file": "o2/metrics.json"}},
+         files={"o2/metrics.json": '{"*": "no"}'}),
+    Case("compare --config names a compare artifact", "compare --patience 1 --seeds 1 --config out/compare.csv "
+         "--out-dir out", 2, ("the compare artifact out/compare.csv", "--config out/compare.csv"),
+         files={"out/compare.csv": json.dumps({"horizon_months": 2, "llm": SCRIPTED})}),
+    Case("run --out-dir a symlink to the directory of --config", "run --config cfg/metrics.json --out-dir o", 2,
+         ("the run artifact o/metrics.json", "--config cfg/metrics.json"),
+         files={"cfg/metrics.json": '{"horizon_months": 2}'}, symlinks={"o": "cfg"}),
+    Case("run artifact a hard link to --config", "run --charts off --out-dir .", 2,
+         ("the run artifact ./trajectory.csv", "--config config.json"), config={"horizon_months": 2},
+         hard_links={"trajectory.csv": "config.json"}),
     *(Case(f"score --out {out} names prices", f"score prices.csv --circulating 1 --price 1 --out {out}", 2,
            (f"--out {out} and prices prices.csv name the same file",), files={"prices.csv": "1.0\n2.0\n"},
            hard_links=links)

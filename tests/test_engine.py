@@ -300,11 +300,11 @@ class TestDeterminism:
             assert rng.lognormal(0.5, 1.5) == expected.lognormal(0.5, 1.5)
 
     def test_months_seed_one_generator_per_stream_without_hashing(self, monkeypatch):
-        # The run's build takes each month's candidates from one PCG64, and the initial
-        # roster's from one more; a month while stepping asks for one stream (growth
-        # capital), one PCG64 in one Generator, unless that stream draws no arrival, when
-        # it builds nothing.  Every PCG64 is seeded from words hashed in one pass when the
-        # run is built, never through a SeedSequence.
+        # The run's build takes the initial roster's candidates from one PCG64 and, at the
+        # default pool of 10, every month's from one vectorised pass (`_pcg_outputs`); a month
+        # while stepping asks for one stream (growth capital), one PCG64 in one Generator,
+        # unless that stream draws no arrival, when it builds nothing.  Every PCG64 is seeded
+        # from words hashed in one pass when the run is built, never through a SeedSequence.
         hashed = []
         seed_state = engine._seed_state
 
@@ -331,7 +331,7 @@ class TestDeterminism:
             monkeypatch.setattr(np.random, name, counted(name))
         config = SimulationConfig(horizon_months=600, seed=3)
         sim = Simulation(config)
-        assert built == ["PCG64"] * (600 + 1)
+        assert built == ["PCG64"]
         quiet = []
         for month in range(1, 601):
             built.clear()
@@ -349,6 +349,50 @@ class TestDeterminism:
         # Words (seed, month, channel); the seed's one row is shared by every column,
         # one column per month and channel.
         assert hashed == [[1, 601 * 3, 601 * 3]]
+
+    @pytest.mark.parametrize("pool, builds", [(engine._VECTOR_POOL_MAX, 1), (engine._VECTOR_POOL_MAX + 1, 1 + 24)])
+    def test_only_pools_beyond_the_switch_build_a_generator_a_month(self, monkeypatch, pool, builds):
+        # Up to the switch every month's pool is computed in one pass and only the initial
+        # roster builds a PCG64; beyond it each month's pool builds its own.
+        built = []
+        real = np.random.PCG64
+
+        def counted(*args, **kwargs):
+            built.append("PCG64")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", counted)
+        Simulation(SimulationConfig(horizon_months=24, entry_pool_size=pool))
+        assert built == ["PCG64"] * builds
+
+    @pytest.mark.parametrize("pool, digest", [
+        (16, "349b5433b9cc634a687a90b2f9f0fb8c76426ac5c3eee22ce67050ba7921ce44"),
+        (17, "117f27d4679f7c37de9d92c23aebd4459859c9e6875930b9609371cd3d01e55e"),
+        (32, "d0e8b3d473a6ad5d74094f29a9515dca7b72c62d464bd4fd065048ecd579b7ca"),
+        (33, "5c210fb2cff5ee8c8f30e92c514132fcfc729fb3a15d80a2c7839cafdca98c8b"),
+    ])
+    def test_runs_either_side_of_the_pool_switch_keep_their_bytes(self, pool, digest):
+        # Digests taken with every month's pool drawn by its own PCG64.  Nodes enter and leave,
+        # so the draws reach the bytes; pools 16, 17 and 32 are each computed in two or three chunks.
+        config = SimulationConfig(seed=7, horizon_months=300, entry_pool_size=pool, user_revenue_factor=0.0,
+                                  node_cost=5000.0, gc_arrival_rate=0.5)
+        assert hashlib.sha256(run(config).to_csv_string().encode()).hexdigest() == digest
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**200) | st.sampled_from([0, 2**64, 2**200]),
+        calls=stream_calls(),
+        count=st.integers(1, 2 * engine._VECTOR_POOL_MAX + 1),
+    )
+    @example(seed=2**200, calls=[(0, 0), (1, 2), (MAX_HORIZON, 1)], count=2 * engine._VECTOR_POOL_MAX + 1)
+    def test_pcg_outputs_equal_numpys_raw_words(self, seed, calls, count):
+        # Row i is the first `count` raw words of the stream seeded by row i, bit for bit.
+        words = _stream_words(seed, max(month for month, _ in calls))
+        rows = np.array([words[month, channel] for month, channel in calls])
+        outputs = engine._pcg_outputs(rows, count)
+        assert outputs.dtype == np.uint64 and outputs.shape == (len(calls), count)
+        for row, output in zip(rows, outputs):
+            assert output.tolist() == np.random.PCG64(_Words(row)).random_raw(count).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -434,7 +478,7 @@ class TestCandidateTable:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**70) | st.sampled_from([2**64, 2**200]),
-        pool=st.sampled_from([0, 1, 7, 100]) | st.integers(0, 15),
+        pool=st.sampled_from([0, 1, 7, 16, 17, 32, 33, 100]) | st.integers(0, 15),
         initial=st.sampled_from([0, 1, 9, 100]),
         horizon=st.integers(1, 4),
         node_cost=st.floats(1e-300, 1e300) | st.just(1e300),
@@ -443,6 +487,10 @@ class TestCandidateTable:
     )
     @example(seed=2**200, pool=100, initial=100, horizon=2, node_cost=1e300, cost_spread=(1e8, 1e8),
              tolerance_range=(1.0, 1.0))
+    # Pools computed in one pass over three chunks of words, the last one partial.
+    @example(seed=2**64, pool=engine._VECTOR_POOL_MAX, initial=9,
+             horizon=2 * engine._CHUNK_OUTPUTS // (2 * engine._VECTOR_POOL_MAX) + 3, node_cost=1000.0,
+             cost_spread=(0.8, 1.2), tolerance_range=(0.3, 0.9))
     def test_pools_and_initial_roster_equal_numpys_uniform_draws(
             self, seed, pool, initial, horizon, node_cost, cost_spread, tolerance_range):
         # Bit for bit, each stream's draws are `node_cost * rng.uniform(lo, hi, n)`, then
