@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -197,8 +197,10 @@ class LlmPolicy:
     unparseable one, counted in `fallback_count` so flakiness stays
     observable.  The batch methods ask a month's prompts, the month's head
     with the revenue rendered once plus each node's tail, in one
-    `complete_batch` per kind; exit tails are kept from one `decide_exits`
-    call to the next for the incumbents still in the roster.  The scalar
+    `complete_batch` per kind.  `decide_exits` keeps the last roster and
+    its exit tails: the prefix of rows equal to the last roster's carries
+    its tails, and only the rows after it are rendered, so a month with no
+    exit renders only its entrants' tails.  The scalar
     methods ask one prompt through `complete`.  Both give the same prompts,
     verdicts and audit-log lines.  Transport errors are not swallowed; they
     propagate to the engine.
@@ -218,9 +220,10 @@ class LlmPolicy:
         self.temperature = temperature
         self.audit_log = audit_log
         self.fallback_count = 0
-        # The last roster's exit tails by (cost, tolerance).  `_literal` is a function of
-        # the float value alone (0.0 and -0.0 both give "0"), so a hit is exact.
-        self._exit_tails: Dict[Tuple[float, float], str] = {}
+        # The last roster: copies of its costs and tolerances, and its exit tails.  `_literal`
+        # is a function of the float value alone (0.0 and -0.0 both give "0"), so a row
+        # equal to the last roster's in both columns has its tail.
+        self._last_roster: Tuple[np.ndarray, np.ndarray, List[str]] = (np.zeros(0), np.zeros(0), [])
 
     def _ask(self, prompts: List[str], fallback: Callable[[], Sequence[bool]],
              send: Callable[[CompletionBatch], BatchReplies]) -> np.ndarray:
@@ -236,9 +239,9 @@ class LlmPolicy:
             self.audit_log.record_batch(batch, replies)
         texts = replies.texts
         parsed = {text: parse_yes_no(text) for text in set(texts)}  # replies repeat a few texts
-        verdicts = [parsed[text] for text in texts]
-        misses = [i for i, verdict in enumerate(verdicts) if verdict is None]
-        if misses:
+        verdicts = list(map(parsed.__getitem__, texts))
+        if None in parsed.values():
+            misses = [i for i, verdict in enumerate(verdicts) if verdict is None]
             self.fallback_count += len(misses)
             heuristic = fallback()
             for i in misses:
@@ -271,11 +274,16 @@ class LlmPolicy:
         if not len(costs):
             return np.zeros(0, dtype=bool)
         head = _HEAD.format(revenue=_decimal(revenue))
-        _check_finite(costs, tolerances)
-        pairs = list(zip(costs.tolist(), tolerances.tolist()))
-        known = self._exit_tails.get
-        tails = [known(pair) or _literal(pair[0]) + _TOLERANCE + _literal(pair[1]) + _EXIT_END for pair in pairs]
-        self._exit_tails = dict(zip(pairs, tails))
+        last_costs, last_tolerances, last_tails = self._last_roster
+        # k: the length of the prefix equal to the last roster's in both columns
+        n = min(len(costs), len(last_costs))
+        same = (costs[:n] == last_costs[:n]) & (tolerances[:n] == last_tolerances[:n])
+        k = n if same.all() else int(same.argmin())
+        _check_finite(costs[k:], tolerances[k:])  # the carried rows were checked when rendered
+        tails = last_tails[:k]
+        tails += [_literal(cost) + _TOLERANCE + _literal(tolerance) + _EXIT_END
+                  for cost, tolerance in zip(costs[k:].tolist(), tolerances[k:].tolist())]
+        self._last_roster = costs.copy(), tolerances.copy(), tails
         prompts = [head + tail for tail in tails]
         return self._ask(prompts, lambda: revenue < thresholds, self.backend.complete_batch)
 

@@ -63,23 +63,25 @@ def _check_dir(option: str, value: str, directory: Path) -> None:
         raise ValueError(f"{option} {value}: {nearest} is not a directory")
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether paths `a` and `b` name one file: they resolve alike (`os.path.realpath`, which
-    `Path.resolve` wraps at half the speed), or both exist and are one file (`os.path.samefile`),
-    as through a symlink or a hard link."""
-    if os.path.realpath(a) == os.path.realpath(b):
-        return True
+# A file the command reads or writes: (option, path, path resolved, its `os.stat` or None if none).
+_Named = Tuple[str, str, str, Optional[os.stat_result]]
+
+
+def _named(option: str, path: str) -> _Named:
     try:
-        return os.path.samefile(a, b)
-    except OSError:  # either is missing
-        return False
+        info = os.stat(path)
+    except OSError:  # missing, or a dangling symlink
+        info = None
+    return option, path, os.path.realpath(path), info
 
 
-def _check_no_overwrite(option: str, path: str, others: Iterable[Tuple[str, Optional[str]]]) -> None:
-    """Raise a ValueError naming both paths if output `path`, given as `option`, is one of `others`,
-    (option, path) pairs of the other files the command reads or writes; an unset path is skipped."""
-    for other, other_path in others:
-        if other_path is not None and _same_file(path, other_path):
+def _check_no_overwrite(output: _Named, others: Iterable[_Named]) -> None:
+    """Raise a ValueError naming both paths if `output` names one of `others`, the other files
+    the command reads or writes: they resolve alike, or both exist and are one file, as
+    `os.path.samefile` tests it (through a symlink or a hard link)."""
+    option, path, real, info = output
+    for other, other_path, other_real, other_info in others:
+        if real == other_real or (info is not None and other_info is not None and os.path.samestat(info, other_info)):
             raise ValueError(f"{option} {path} and {other} {other_path} name the same file")
 
 
@@ -102,12 +104,15 @@ def _load_config(args, artifacts: Sequence[str]) -> Tuple[SimulationConfig, File
     opts = decode(FileOptions(), {f.name: data.pop(f.name) for f in fields(FileOptions) if f.name in data})
     config = SimulationConfig.from_dict(data)
     _check_dir("out_dir", opts.out_dir, Path(opts.out_dir))
-    inputs = [("--config", args.config), ("llm.script_file", config.llm.script_file if config.llm else None)]
-    outputs = [(f"the {args.command} artifact", os.path.join(opts.out_dir, name)) for name in artifacts]
-    for option, path in outputs:
-        _check_no_overwrite(option, path, inputs)
+    inputs = [_named(option, path) for option, path in (
+        ("--config", args.config), ("llm.script_file", config.llm.script_file if config.llm else None))
+        if path is not None]
+    outputs = [_named(f"the {args.command} artifact", os.path.join(opts.out_dir, name)) for name in artifacts
+               if inputs or opts.audit_log]  # with neither, nothing to compare them with
+    for output in outputs:
+        _check_no_overwrite(output, inputs)
     if opts.audit_log:
-        _check_no_overwrite("audit_log", opts.audit_log, inputs + outputs)
+        _check_no_overwrite(_named("audit_log", opts.audit_log), inputs + outputs)
     audit_log = AuditLog(opts.audit_log) if opts.audit_log else None  # checks its path under either policy
     llm_policy = None
     if config.llm is not None:  # a missing script_file or endpoint fails here, under either policy, before any month
@@ -248,7 +253,7 @@ def cmd_score(args) -> int:
         if out.is_dir():
             raise ValueError(f"--out {args.out} is a directory")
         _check_dir("--out", args.out, out.parent)
-        _check_no_overwrite("--out", args.out, [("prices", args.prices)])
+        _check_no_overwrite(_named("--out", args.out), [_named("prices", args.prices)])
     prices = metrics.read_price_series(args.prices)
     report = metrics.score_series(prices, circulating=args.circulating, price=args.price)
     text = json.dumps(report.to_dict(), indent=2)

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from depinsim.agents import (
     DecisionContext,
@@ -23,7 +23,7 @@ from depinsim.agents import (
     total_endowment,
 )
 from depinsim.engine import Simulation, SimulationConfig
-from depinsim import llm_gateway
+from depinsim import agents, llm_gateway
 from depinsim.llm_gateway import AuditLog, ScriptedBackend
 
 
@@ -377,6 +377,25 @@ def batch_methods(policy):
     return {"decide_entries": policy.decide_entries, "decide_exits": decide_exits}
 
 
+# Nodes from a small pool, so rosters repeat pairs, share a cost across tolerances and hold
+# both -0.0 and 0.0.
+NODES = st.tuples(st.sampled_from([0.0, -0.0, 1000.0, 2.5e-7, 1234.5, 3e20]),
+                  st.sampled_from([0.25, 0.5, 0.3333333333333333, 1.0]))
+
+
+@st.composite
+def roster_months(draw):
+    """A run's rosters month by month: each keeps a random subset of the last in order, then
+    appends entrants."""
+    roster = draw(st.lists(NODES, max_size=8))
+    months = [roster]
+    for _ in range(draw(st.integers(1, 6))):
+        kept = draw(st.lists(st.booleans(), min_size=len(roster), max_size=len(roster)))
+        roster = [node for node, keep in zip(roster, kept) if keep] + draw(st.lists(NODES, max_size=4))
+        months.append(roster)
+    return months
+
+
 class TestLlmPolicyBatch:
     REVENUES = (1234.0, 0.0, 2.5e-7, 9.87e21)
 
@@ -441,14 +460,59 @@ class TestLlmPolicyBatch:
         tolerances = np.full(3, 0.5)
         decide_exits(1.0, np.array([1.0, 2.0, 3.0]), tolerances, 1)
         decide_exits(1.0, np.array([3.0, -0.0, 0.0]), tolerances, 2)
-        assert list(policy._exit_tails) == [(3.0, 0.5), (0.0, 0.5)]
+        costs, kept_tolerances, tails = policy._last_roster
+        assert costs.tolist() == [3.0, -0.0, 0.0] and kept_tolerances.tolist() == [0.5] * 3
+        assert tails == [prompt.split(" cost of ", 1)[1] for prompt in policy.backend.prompts[-3:]]
         for bad in (math.nan, math.inf):  # a non-finite value raises as the scalar render does
             with pytest.raises(ValueError) as batched:
                 decide_exits(1.0, np.array([3.0, bad]), np.full(2, 0.5), 3)
             with pytest.raises(ValueError) as single:
                 render_exit_prompt(ctx(1.0, bad, 0.5, 3))
             assert str(batched.value) == str(single.value)
+            assert policy._last_roster[2] is tails  # a refused roster replaces nothing
         assert policy.backend.batches == [3, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(roster_months(), min_size=2, max_size=2), data=st.data())
+    def test_carried_tails_render_as_the_scalar_route(self, runs, data):
+        # One policy across two runs.  Each month's roster is written over the last one's rows
+        # of a shared table, as the engine's commit compacts its roster, and passed as views.
+        policy = LlmPolicy(Recording({}))
+        table = np.empty((2, 64))
+        for run in runs:
+            for month, roster in enumerate(run, start=1):
+                table[:, :len(roster)] = np.array(roster).reshape(-1, 2).T
+                costs, tolerances = table[0, :len(roster)], table[1, :len(roster)]
+                del policy.backend.prompts[:]
+                policy.decide_exits(month / 3, costs, tolerances, tolerances * costs, month)
+                assert policy.backend.prompts == [render_exit_prompt(ctx(month / 3, cost, tolerance, month))
+                                                  for cost, tolerance in roster]
+        # A non-finite value after the carried prefix raises as the scalar render does.
+        entrants = data.draw(st.lists(NODES, max_size=3))
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        node = data.draw(st.sampled_from([(bad, 0.5), (1000.0, bad), (bad, bad)]))
+        entrants.insert(data.draw(st.integers(0, len(entrants))), node)
+        costs, tolerances = np.array(roster + entrants).reshape(-1, 2).T
+        batches = list(policy.backend.batches)
+        with pytest.raises(ValueError) as batched:
+            policy.decide_exits(1.0, costs, tolerances, tolerances * costs, 9)
+        with pytest.raises(ValueError) as single:
+            render_exit_prompt(ctx(1.0, *node, 9))
+        assert str(batched.value) == str(single.value)
+        assert policy.backend.batches == batches
+
+    def test_a_month_that_only_appends_renders_only_its_entrants(self, monkeypatch):
+        rendered = []
+        monkeypatch.setattr(agents, "_literal", lambda x, _literal=agents._literal: rendered.append(x) or _literal(x))
+        policy = LlmPolicy(Recording({}))
+        decide_exits = batch_methods(policy)["decide_exits"]
+        costs, tolerances = np.array([1000.0, 2.5e-7, 3e20, 0.0, 1234.5]), np.array([0.5, 0.75, 1.0, 0.25, 0.3])
+        decide_exits(1500.0, costs[:3], tolerances[:3], 1)
+        rendered.clear()
+        decide_exits(1500.0, costs, tolerances, 2)
+        assert rendered == [1500.0, 0.0, 0.25, 1234.5, 0.3]  # the head's revenue, then each entrant's tail
+        assert policy.backend.prompts[3:] == [render_exit_prompt(ctx(1500.0, cost, tolerance, 2))
+                                              for cost, tolerance in zip(costs.tolist(), tolerances.tolist())]
 
     def test_a_batch_builds_one_request_and_one_reply_record(self, monkeypatch):
         built = []

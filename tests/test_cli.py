@@ -606,6 +606,8 @@ CASES = [
     Case("run --audit-log names a run artifact", "run --policy llm --out-dir out --audit-log out/metrics.json", 2,
          ("audit_log out/metrics.json", "out/metrics.json name the same file"),
          config={"horizon_months": 2, "llm": SCRIPTED}, files={"out/metrics.json": "{}"}),
+    Case("run --audit-log names a run artifact, no --config", "run --out-dir out --audit-log out/metrics.json", 2,
+         ("audit_log out/metrics.json", "out/metrics.json name the same file")),
     Case("run --charts off --audit-log names a chart it deletes",
          "run --policy llm --charts off --out-dir out --audit-log out/sub/../price.svg", 2,
          ("audit_log out/sub/../price.svg", "out/price.svg"), config={"horizon_months": 2, "llm": SCRIPTED}),
@@ -637,6 +639,12 @@ CASES = [
     Case("run artifact a hard link to --config", "run --charts off --out-dir .", 2,
          ("the run artifact ./trajectory.csv", "--config config.json"), config={"horizon_months": 2},
          hard_links={"trajectory.csv": "config.json"}),
+    Case("run artifact a symlink to a hard link to --config", "run --charts off --out-dir .", 2,
+         ("the run artifact ./metrics.json", "--config config.json"), config={"horizon_months": 2},
+         symlinks={"metrics.json": "alias.json"}, hard_links={"alias.json": "config.json"}),
+    Case("run artifact a dangling symlink to --audit-log", "run --charts off --out-dir . --audit-log audit.jsonl", 2,
+         ("audit_log audit.jsonl and the run artifact ./trajectory.csv",), config={"horizon_months": 2},
+         symlinks={"trajectory.csv": "audit.jsonl"}),
     *(Case(f"score --out {out} names prices", f"score prices.csv --circulating 1 --price 1 --out {out}", 2,
            (f"--out {out} and prices prices.csv name the same file",), files={"prices.csv": "1.0\n2.0\n"},
            hard_links=links)
