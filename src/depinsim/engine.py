@@ -54,7 +54,9 @@ from .tokenomics import circulating_supply, node_emission, team_release, vc_rele
 # test pins the result to `default_rng(SeedSequence(...))`.  Trajectory bytes
 # therefore depend on NumPy's PCG64, down to its step and output function
 # (`_pcg_outputs`), and on its distribution code, down to its Poisson sampler's
-# switch of method at a mean of 10 (`_no_arrival_months`).
+# switch of method at a mean of 10 (`_arrival_counts`), its ziggurat normal's
+# word layout and tables (`_ziggurat`), and `lognormal = exp(mean + sigma * z)`
+# through libm's `exp` (`_gc_draws`).
 _STREAM_INIT_NODES = 0
 _STREAM_CANDIDATES = 1
 _STREAM_GROWTH_CAPITAL = 2
@@ -220,9 +222,10 @@ def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) 
 # PCG64's 128-bit multiplier M: a step is `state * M + inc`, modulo 2**128 (`_pcg_outputs`).
 _PCG_MULT = 2549297995355413924 * 2**64 + 4865540595714422341
 _MOD128 = 2**128
+_PCG_MULT_INV = pow(_PCG_MULT, -1, _MOD128)
 # Shifts and masks as uint64, so that no operand is a Python int (NumPy 1.24 casts those by value).
-_U1, _U11, _U32, _U58, _U63 = (np.uint64(n) for n in (1, 11, 32, 58, 63))
-_LOW32 = np.uint64(0xFFFFFFFF)
+_U1, _U9, _U11, _U32, _U58, _U63 = (np.uint64(n) for n in (1, 9, 11, 32, 58, 63))
+_LOW8, _BIT8, _LOW32, _LOW52 = (np.uint64(n) for n in (0xFF, 0x100, 0xFFFFFFFF, 2**52 - 1))
 # The largest pool `_node_draws` computes by `_pcg_outputs`, and the most words it computes at once.  At
 # 2 * pool words a stream, 128-bit arithmetic in NumPy outruns one PCG64 a month up to a pool of about
 # 40, in chunks that keep its temporaries (64 KiB each) in cache.
@@ -230,6 +233,10 @@ _VECTOR_POOL_MAX = 32
 _CHUNK_OUTPUTS = 8192
 # NumPy's Poisson sampler multiplies uniforms below this mean and switches to PTRS at it.
 _POISSON_PTRS_MEAN = 10.0
+# How often at most a month's Poisson run outlasts the uniforms `_gc_draws` computes (`_poisson_uniforms`).
+_POISSON_TAIL = 2.0**-12
+# A month's byte in `_gc_draws`' counts when the month draws from its own generator while it steps.
+_FALLBACK = 0xFF
 
 
 def _halves(values: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -289,22 +296,145 @@ def _pcg_outputs(words: np.ndarray, count: int) -> np.ndarray:
     return hi >> rotation | hi << (-rotation & _U63)
 
 
-def _first_uniforms(words: np.ndarray) -> np.ndarray:
-    """Each stream's first `Generator.random()`, `(out >> 11) * 2**-53` of its first raw output,
-    for the streams seeded by the rows of `words` (as `_pcg_outputs` takes them)."""
-    return (_pcg_outputs(words, 1)[:, 0] >> _U11) * 2.0**-53
+def _poisson_uniforms(rate: float) -> int:
+    """The uniforms `_gc_draws` computes a month at a `gc_arrival_rate` of `rate`, in (0, 10): the least
+    `k` such that `poisson(rate) >= k`, a Poisson run longer than `k` uniforms, has probability at most
+    `_POISSON_TAIL`."""
+    term = cdf = math.exp(-rate)
+    k = 1
+    while 1 - cdf > _POISSON_TAIL:
+        term *= rate / k
+        cdf += term
+        k += 1
+    return k
 
 
-def _no_arrival_months(words: np.ndarray, rate: float) -> bytes:
-    """One byte per row of `words`: 1 where that stream's `Generator.poisson(rate)` is known to be 0, else 0.
+def _arrival_counts(outputs: np.ndarray, rate: float) -> np.ndarray:
+    """Each stream's `Generator.poisson(rate)` for a `rate` below 10, as uint8, from a row per stream of
+    its first raw outputs, fewer than `_FALLBACK` (as `_pcg_outputs` returns them); `_FALLBACK` where
+    the stream's Poisson run outlasts its row.
 
-    Below a mean of 10, NumPy's Poisson multiplies uniforms while their product exceeds
-    `exp(-rate)` (at 0 it draws nothing and returns 0), so it is 0 exactly when the first
-    uniform is at most `exp(-rate)`.  From 10 on it samples by PTRS, and no row is marked.
+    Below a mean of 10, NumPy multiplies uniforms `(raw >> 11) * 2**-53` while their product stays
+    above `exp(-rate)`, and the count is the number of partial products above it (at 0 it draws
+    nothing and returns 0, as no product exceeds `exp(0)`).  `np.multiply.accumulate` along a row
+    multiplies left to right, as NumPy's C loop does, and the products never rise, so the ones above
+    `exp(-rate)` are the leading ones.
     """
-    if rate >= _POISSON_PTRS_MEAN:
-        return bytes(len(words))
-    return (_first_uniforms(words) <= math.exp(-rate)).tobytes()
+    products = (outputs >> _U11) * 2.0**-53
+    np.multiply.accumulate(products, axis=1, out=products)
+    above = products > math.exp(-rate)
+    counts = np.count_nonzero(above, axis=1).astype(np.uint8)
+    counts[above[:, -1]] = _FALLBACK
+    return counts
+
+
+@functools.cache
+def _ziggurat() -> Tuple[np.ndarray, np.ndarray]:
+    """NumPy's ziggurat strip widths `wi`, and for each strip a certified fast-path limit no larger
+    than NumPy's `ki` (read-only, shared by every caller through the cache).
+
+    NumPy's `standard_normal` (Marsaglia & Tsang, "The Ziggurat Method for Generating Random
+    Variables", J. Stat. Softw. 5(8), 2000) reads one raw word `r`, strip `idx = r & 0xff`, its
+    sign from bit 8 and `rabs = (r >> 9) & (2**52 - 1)`, and returns `+-rabs * wi[idx]` when
+    `rabs < ki[idx]`; else it takes a slow path that reads more words.  Both tables are C constants
+    NumPy does not expose, so they are read from NumPy itself, through a probe `PCG64` whose state
+    is set so that its next raw words are a chosen word `o`, then 0.  At `rabs = 1` the normal is
+    `wi[idx]`, whether it took the fast path (one word read, the state reads back `o`) or the slow
+    path with a uniform of 0 (two words, the state reads back 0).  With `x = wi * 2**52`, the
+    limit `floor(2**52 * x[idx - 1] / x[idx])`, and `x[255] / x[0]` for strip 0, is `ki` or one
+    below it; one probe at `rabs` one below the limit certifies it, taking the fast path.  Strip 1
+    takes the slow path even at `rabs = 1`, so its limit is 0.  If any probe reads otherwise, every
+    limit is 0, and every month with an arrival draws from its own generator.
+    """
+    probe = np.random.PCG64(_Words(np.zeros(4, dtype=np.uint64)))
+    rng = np.random.Generator(probe)
+    state = probe.state
+
+    def normal(word: int) -> Tuple[float, int]:  # the normal drawn from `word`, then 0, and the state after it
+        inc = -word * _PCG_MULT % _MOD128  # so that the word after `word` is XSL-RR(0) = 0
+        state["state"] = {"state": (word - inc) * _PCG_MULT_INV % _MOD128, "inc": inc}
+        probe.state = state
+        return rng.standard_normal(), probe.state["state"]["state"]
+
+    widths = [normal(1 << 9 | idx) for idx in range(256)]
+    wi = [value for value, _ in widths]
+    certified = all(after in (1 << 9 | idx, 0) and value > 0 for idx, (value, after) in enumerate(widths))
+    ki = [0] * 256
+    if certified:
+        ratios = [width.as_integer_ratio() for width in wi]
+
+        def limit(upper: int, lower: int) -> int:  # floor(2**52 * wi[upper] / wi[lower]), exactly
+            (a, b), (c, d) = ratios[upper], ratios[lower]
+            return (a * d << 52) // (b * c)
+
+        ki = [limit(255, 0), 0] + [limit(idx - 1, idx) for idx in range(2, 256)]
+        certified = all(normal(bound - 1 << 9 | idx) == ((bound - 1) * wi[idx], bound - 1 << 9 | idx)
+                        for idx, bound in enumerate(ki) if bound)
+    tables = np.array(wi), np.array(ki if certified else [0] * 256, dtype=np.uint64)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _normals(raw: np.ndarray, wi: np.ndarray, ki: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """NumPy's `standard_normal` on the ziggurat's fast path from each raw word of `raw`, and whether
+    the word is certified to take that path (`_ziggurat`'s tables `wi` and `ki`)."""
+    strip = (raw & _LOW8).astype(np.intp)
+    rabs = raw >> _U9 & _LOW52
+    z = rabs * wi[strip]  # rabs < 2**52 converts to float64 exactly, as in NumPy's C
+    np.negative(z, out=z, where=(raw & _BIT8).astype(bool))
+    return z, rabs < ki[strip]
+
+
+def _exps(values: np.ndarray) -> np.ndarray:
+    """`math.exp` of each value: libm's `exp`, which NumPy's C calls; `np.exp`'s SIMD loops may round otherwise."""
+    return np.fromiter(map(math.exp, values.tolist()), dtype=np.float64, count=len(values))
+
+
+def _gc_draws(words: np.ndarray, config: SimulationConfig) -> Tuple[bytes, np.ndarray, np.ndarray]:
+    """Every month's growth-capital arrivals, from `words`, growth capital's stream words, a row per month
+    from month 0: one byte a month, the month's arrival count or `_FALLBACK` for a month that draws from
+    its own generator while it steps (month 0 is never stepped); then the endowments and expiries of the
+    counted months' arrivals, month by month.
+
+    The arrivals of a counted month are `spawn_growth_capitalists(month, config,
+    Generator(PCG64(_Words(words[month]))))`, bit for bit.  Below a `gc_arrival_rate` of 10, a month of
+    `c` arrivals reads `c + 1` uniforms (`_arrival_counts`), then `2 * c` normals, endowments first, one
+    raw output each on the ziggurat's fast path (`_normals`): outputs `c + 1 ... 3 * c`.  So each month's
+    first `3 * k - 2` outputs are computed by `_pcg_outputs`, `k = _poisson_uniforms(rate)`, for at most
+    `_CHUNK_OUTPUTS` outputs at a time.  A log-normal draw is `exp(mu + sigma * z)`: `mu + sigma * z` in
+    float64 arrays, as NumPy's C computes it, then `_exps`; an expiry is `month + max(round(n), 1)`, by
+    `np.rint`, which rounds half to even as `round` does.  A month falls back when its Poisson run
+    outlasts the `k` uniforms or a normal is not certified on the fast path; every month does from a rate
+    of 10, where NumPy's Poisson samples by PTRS.
+    """
+    rate, months = config.gc_arrival_rate, len(words)
+    if not 0 < rate < _POISSON_PTRS_MEAN:
+        return bytes([_FALLBACK if rate else 0]) * months, np.empty(0), np.empty(0, dtype=np.uint8)
+    uniforms = _poisson_uniforms(rate)
+    width = 3 * uniforms - 2  # a count below `uniforms` reads at most 3 * count + 1 outputs
+    wi, ki = _ziggurat()
+    counts = np.zeros(months, dtype=np.uint8)
+    endowments, expiries = [], []
+    step = _CHUNK_OUTPUTS // width  # months a chunk
+    for first in range(1, months, step):
+        outputs = _pcg_outputs(words[first:first + step], width)
+        count = _arrival_counts(outputs[:, :uniforms], rate)
+        each = np.where(count == _FALLBACK, 0, count).astype(np.intp)
+        row = np.repeat(np.arange(len(count)), each)  # each arrival's month, as a row of the chunk
+        c = each[row]
+        # Arrival a of a month of c reads output c + 1 + a for its endowment and 2 * c + 1 + a for its lifespan.
+        column = np.arange(len(row)) - (np.cumsum(each) - each)[row] + c + 1
+        z_endowment, fast = _normals(outputs[row, column], wi, ki)
+        z_lifespan, fast_lifespan = _normals(outputs[row, column + c], wi, ki)
+        count[row[~(fast & fast_lifespan)]] = _FALLBACK
+        keep = count[row] != _FALLBACK
+        endowments.append(_exps(config.gc_endowment_mu + config.gc_endowment_sigma * z_endowment[keep]))
+        lifespans = _exps(config.gc_lifespan_mu + config.gc_lifespan_sigma * z_lifespan[keep])
+        expiries.append(np.maximum(np.rint(lifespans), 1.0).astype(np.int64) + (row[keep] + first))
+        counts[first:first + step] = count
+    expiries = np.concatenate(expiries)
+    return counts.tobytes(), np.concatenate(endowments), expiries.astype(np.min_scalar_type(expiries.max(initial=0)))
 
 
 class SimulationError(Exception):
@@ -633,10 +763,15 @@ class Simulation:
 
     Every month's node emission and circulating supply are read from
     `tokenomics.vesting_table` (the table `depin-sim vesting` writes) when
-    the run is built; a month draws only growth capital.  Below a
-    `gc_arrival_rate` of 10, the months whose stream draws no arrival are
-    found when the run is built, from each stream's first uniform
-    (`_no_arrival_months`); such a month builds no generator.  Every other
+    the run is built, and so is every month's growth capital below a
+    `gc_arrival_rate` of 10 (`_gc_draws`): its arrival count, endowments
+    and expiries, bit for bit what the month's own generator would draw,
+    computed in one vectorised pass from NumPy's PCG64 words, its ziggurat
+    word layout (`_ziggurat`) and `lognormal = exp(mean + sigma * z)`
+    through libm's `exp`.  A month takes its arrivals from those flat
+    arrays and builds no generator, unless it falls back: its Poisson run
+    outlasted the uniforms computed, one of its normals left the
+    ziggurat's certified fast path, or the rate is 10 or more.  Such a
     month builds its stream's `PCG64` and `Generator` while it steps.  The
     month-1 sale pool is `tokens_on_sale_fraction` of the table's month-1
     supply.
@@ -667,8 +802,11 @@ class Simulation:
         self._nodes = np.empty((3, capacity))  # cost, tolerance, and the heuristic exit rule's bar tolerance * cost
         _node_draws(self._nodes, words, config)
         del words
-        # 1 for each month whose growth-capital stream draws no arrival: that month builds no generator.
-        self._no_arrivals = _no_arrival_months(self._gc_words, config.gc_arrival_rate)
+        # Every month's growth-capital arrivals, drawn here unless the month falls back (`_gc_draws`), held
+        # as memoryviews, whose slices iterate as Python numbers; the next month's start at `_gc_next`.
+        self._gc_counts, *arrivals = _gc_draws(self._gc_words, config)
+        self._gc_endowments, self._gc_expiries = map(memoryview, arrivals)
+        self._gc_next = 0
         self._runs = np.zeros((2, capacity), dtype=np.int32)  # the month each node last signalled, its run then
         self._runs[0] = -1  # never
         self._stay = np.empty(capacity, dtype=bool)  # in an exit month, the nodes that stay
@@ -805,11 +943,17 @@ class Simulation:
             # 4. Growth capitalists stay until their expiry month, when their
             # holdings go on sale; then this month's arrivals join.
             substep = "growth-capital"
-            if self._no_arrivals[month]:
-                arrivals = []
-            else:
+            drawn = self._gc_counts[month]  # the arrivals the month takes from the build's arrays
+            if drawn == _FALLBACK:
+                drawn = 0
                 rng_gc = np.random.Generator(np.random.PCG64(_Words(self._gc_words[month])))
                 arrivals = spawn_growth_capitalists(month, cfg, rng_gc)
+            elif drawn:
+                first = self._gc_next
+                arrivals = list(map(GrowthCapitalist, self._gc_endowments[first:first + drawn],
+                                    self._gc_expiries[first:first + drawn]))
+            else:
+                arrivals = []
             gcs, expiring = [], 0  # expiring holdings add left to right from the int 0, then join the pool at once
             for gc in self.gcs:
                 if gc.expiry > month:
@@ -866,6 +1010,7 @@ class Simulation:
             last[kept:n_now] = -1
         self._n = n_now
         self.gcs = gcs
+        self._gc_next += drawn
         self._month, self._price, self._sale = month, price, sale
         self._trajectory.month_rows.append(month_row)
 

@@ -30,6 +30,7 @@ from depinsim.agents import (
     heuristic_entry,
     heuristic_exit,
     heuristic_prompt_reply,
+    spawn_growth_capitalists,
 )
 from depinsim import engine
 from depinsim.bounds import check_range, check_ranges, declared_ranges
@@ -301,10 +302,13 @@ class TestDeterminism:
 
     def test_months_seed_one_generator_per_stream_without_hashing(self, monkeypatch):
         # The run's build takes the initial roster's candidates from one PCG64 and, at the
-        # default pool of 10, every month's from one vectorised pass (`_pcg_outputs`); a month
-        # while stepping asks for one stream (growth capital), one PCG64 in one Generator,
-        # unless that stream draws no arrival, when it builds nothing.  Every PCG64 is seeded
-        # from words hashed in one pass when the run is built, never through a SeedSequence.
+        # default pool of 10, every month's from one vectorised pass (`_pcg_outputs`); it draws
+        # every month's growth capital in one vectorised pass too (`_gc_draws`), after reading
+        # NumPy's ziggurat tables through one probe PCG64 in one Generator, once per process
+        # (`_ziggurat`).  A month while stepping builds one PCG64 in one Generator, its growth
+        # capital's, exactly when it falls back, and else nothing.  Every PCG64 is seeded from
+        # words, hashed in one pass when the run is built or zeros for the probe, never through
+        # a SeedSequence.
         hashed = []
         seed_state = engine._seed_state
 
@@ -330,8 +334,12 @@ class TestDeterminism:
         for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
             monkeypatch.setattr(np.random, name, counted(name))
         config = SimulationConfig(horizon_months=600, seed=3)
+        engine._ziggurat.cache_clear()
+        Simulation(config)
+        assert built == ["PCG64", "PCG64", "Generator"]  # the roster's, then the probe's
+        built.clear()
         sim = Simulation(config)
-        assert built == ["PCG64"]
+        assert built == ["PCG64"]  # the probe's tables are cached
         quiet = []
         for month in range(1, 601):
             built.clear()
@@ -341,14 +349,19 @@ class TestDeterminism:
             else:
                 assert built == ["PCG64", "Generator"]
         monkeypatch.undo()
-        # The months that built nothing are those whose own stream draws no arrival.
+        # The months that built a generator are those the build marked as falling back; every other
+        # month's arrival count is its own stream's Poisson draw, so every month without an arrival
+        # built nothing, and nor did most months with one.
+        fallbacks = [month for month in range(1, 601) if month not in quiet]
+        assert fallbacks == [month for month in range(1, 601) if sim._gc_counts[month] == engine._FALLBACK]
         draws = [np.random.default_rng(np.random.SeedSequence((3, month, 2))).poisson(config.gc_arrival_rate)
                  for month in range(1, 601)]
-        assert quiet == [month for month, count in enumerate(draws, start=1) if count == 0]
-        assert 0 < len(quiet) < 600
+        assert [sim._gc_counts[month] for month in quiet] == [draws[month - 1] for month in quiet]
+        assert set(quiet) >= {month for month, count in enumerate(draws, start=1) if count == 0}
+        assert 0 < len(fallbacks) < sum(count > 0 for count in draws) < 600
         # Words (seed, month, channel); the seed's one row is shared by every column,
         # one column per month and channel.
-        assert hashed == [[1, 601 * 3, 601 * 3]]
+        assert hashed == [[1, 601 * 3, 601 * 3]] * 2
 
     @pytest.mark.parametrize("pool, builds", [(engine._VECTOR_POOL_MAX, 1), (engine._VECTOR_POOL_MAX + 1, 1 + 24)])
     def test_only_pools_beyond_the_switch_build_a_generator_a_month(self, monkeypatch, pool, builds):
@@ -400,24 +413,30 @@ class TestDeterminism:
         calls=stream_calls(),
     )
     @example(seed=2**200, calls=[(0, 0), (1, 2), (MAX_HORIZON, 2)])
-    def test_first_uniforms_and_no_arrival_months_equal_numpys_draws(self, seed, calls):
-        # Each stream's first uniform is NumPy's first `random()`, bit for bit; a row is
-        # marked exactly when the stream's `poisson(rate)` is 0 below a mean of 10, where
-        # NumPy multiplies uniforms, and never from 10 on, where it samples by PTRS.
+    def test_arrival_counts_equal_numpys_poisson_draws(self, seed, calls):
+        # Below a mean of 10, where NumPy multiplies uniforms, a stream's count is its
+        # `poisson(rate)` unless its Poisson run outlasts the uniforms computed, when it is
+        # marked; a count of 0 is exactly a draw of 0, even from the first uniform alone.
+        # From 10 on, where NumPy samples by PTRS, every month is marked.
         words = _stream_words(seed, max(month for month, _ in calls))
         rows = np.array([words[month, channel] for month, channel in calls])
 
         def rng(month, channel):
             return np.random.default_rng(np.random.SeedSequence((seed, month, channel)))
 
-        uniforms = engine._first_uniforms(rows)
-        assert uniforms.tolist() == [rng(*call).random() for call in calls]
         for rate in (0.0, 5e-324, 0.5, 1.0, math.nextafter(10, 0)):
-            expected = bytes(int(rng(*call).poisson(rate) == 0) for call in calls)
-            assert engine._no_arrival_months(rows, rate) == expected
+            draws = [int(rng(*call).poisson(rate)) for call in calls]
+            for uniforms in {1, engine._poisson_uniforms(rate)}:
+                counts = engine._arrival_counts(engine._pcg_outputs(rows, uniforms), rate)
+                assert counts.dtype == np.uint8
+                for count, draw in zip(counts.tolist(), draws):
+                    assert count == draw if count != engine._FALLBACK else draw >= uniforms
+                    assert (count == 0) == (draw == 0)
         every_month = words[:, 2]  # at 10 some months' first uniforms lie below exp(-10)
         for rate in (10.0, 1000.0):
-            assert engine._no_arrival_months(every_month, rate) == bytes(len(every_month))
+            counts, endowments, expiries = engine._gc_draws(every_month, SimulationConfig(gc_arrival_rate=rate))
+            assert counts == bytes([engine._FALLBACK]) * len(every_month)
+            assert len(endowments) == len(expiries) == 0
 
     @pytest.mark.parametrize("rate, digest", [
         (0.0, "d7f1cf512551aa1c996a4145d9842ab409cc239ec18080198a12430e69f4d4b0"),
@@ -430,6 +449,25 @@ class TestDeterminism:
         # Digests taken with every month building its growth-capital generator: skipping the
         # months with no arrival, below a mean of 10 only, writes the same bytes.
         config = SimulationConfig(seed=7, horizon_months=120, gc_arrival_rate=rate)
+        assert hashlib.sha256(run(config).to_csv_string().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kwargs, kind, digest", [
+        ({"seed": 32}, "outlasts", "b5805c7dacb046348b901fa2aa965d7d686454cf113381c1a3acb46138b099da"),
+        ({"seed": 11, "gc_arrival_rate": 3.0, "gc_endowment_sigma": 2.5}, "slow normal",
+         "d19aa89e70c72418bf510ddf596476b48d0b91d262b896cefe89c8cf40efed1b"),
+    ])
+    def test_runs_with_fallback_months_keep_their_bytes(self, kwargs, kind, digest):
+        # Digests taken with every month building its growth-capital generator.  Each run holds
+        # months that fall back to it: at seed 32, month 105, whose Poisson run outlasts the 7
+        # uniforms computed at the default rate; at seed 11, months with a normal off the
+        # ziggurat's certified fast path.
+        config = SimulationConfig(horizon_months=120, **kwargs)
+        counts = Simulation(config)._gc_counts
+        uniforms = engine._poisson_uniforms(config.gc_arrival_rate)
+        kinds = {"outlasts" if rng.poisson(config.gc_arrival_rate) >= uniforms else "slow normal"
+                 for rng in (np.random.default_rng(np.random.SeedSequence((config.seed, month, 2)))
+                             for month in range(1, 121) if counts[month] == engine._FALLBACK)}
+        assert kind in kinds
         assert hashlib.sha256(run(config).to_csv_string().encode()).hexdigest() == digest
 
     def test_seed_words_are_shared_not_copied_per_month(self):
@@ -519,7 +557,8 @@ class TestCandidateTable:
         # The largest admitted roster: 1,000,000 slots, all of them candidates.  The run keeps
         # its node table (33 B a slot: cost, tolerance and exit threshold at 8 B each, the two
         # int32 run slots at 4 B each and the stay mask at 1 B), growth capital's stream words
-        # (32 B a month) and its releases and supply (about 64 B a month): 42.6 MB (40.6 MiB).
+        # (32 B a month), its arrivals drawn at the default rate (about 94,000 at 12 B each) and
+        # its releases and supply (about 64 B a month): 43.8 MB (41.8 MiB).
         # A separate candidate table (16 B a slot) would add 16 MB to what the run holds,
         # converting the table's raw words through a copy 16 MB to the build's peak, and
         # keeping every channel's stream words (96 B a month) 6.4 MB to what the run holds.
@@ -533,6 +572,87 @@ class TestCandidateTable:
         assert peak < 70 * 2**20
         assert held < 42 * 2**20
         assert sim._gc_words.nbytes == (MAX_HORIZON + 1) * 32
+
+    def test_growth_capital_draws_hold_their_temporaries_to_chunks(self):
+        # The longest run at the highest rate the build draws.  Computed at once, its 7,000,000 raw
+        # outputs (70 a month) would take 56 MB a row, and the pass's 128-bit temporaries several
+        # times that: the build then peaks at 537 MiB.  In chunks of _CHUNK_OUTPUTS outputs the pass
+        # peaks at about 20 MiB: the arrivals it keeps, about 720,000 at 12 B each (a float64
+        # endowment, a uint32 expiry), and a copy of them while their chunks are joined.  That lies
+        # below the 25 MiB at which the build hashes every stream's words.  The run holds 17.5 MiB.
+        # The build takes about 0.5 s (shared 2-vCPU Xeon, NumPy 2.4.6).
+        config = SimulationConfig(initial_nodes=0, horizon_months=MAX_HORIZON, entry_pool_size=0,
+                                  gc_arrival_rate=math.nextafter(10, 0))
+        engine._ziggurat()  # the probe's tables, once per process
+        tracemalloc.start()
+        try:
+            sim = Simulation(config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrivals = len(sim._gc_endowments)
+        assert 650_000 < arrivals < 800_000
+        assert sim._gc_endowments.obj.dtype == np.float64 and sim._gc_expiries.obj.dtype == np.uint32
+        assert held < 19 * 2**20
+        assert peak < 28 * 2**20
+
+
+class TestGrowthCapitalDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**200),
+        rate=st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
+        endowment=st.tuples(st.sampled_from([0.0, 100.0]), st.sampled_from([0.0, 2.5])),
+        lifespan=st.tuples(st.sampled_from([0.0, 10.0]), st.sampled_from([0.0, 2.5])),
+        horizon=st.integers(1, 40),
+    )
+    @example(seed=2**200, rate=5e-324, endowment=(0.0, 0.0), lifespan=(0.0, 0.0), horizon=40)
+    @example(seed=0, rate=0.5, endowment=(100.0, 2.5), lifespan=(10.0, 2.5), horizon=40)
+    @example(seed=1, rate=1.0, endowment=(0.0, 2.5), lifespan=(10.0, 0.0), horizon=40)
+    @example(seed=2**64, rate=math.nextafter(10, 0), endowment=(100.0, 2.5), lifespan=(0.0, 2.5), horizon=40)
+    # Every lifespan exp(log(2.5)) = 2.5, which rounds half to even, to 2 months.
+    @example(seed=3, rate=5.0, endowment=(13.0, 1.0), lifespan=(math.log(2.5), 0.0), horizon=12)
+    def test_each_counted_month_equals_numpys_draws(self, seed, rate, endowment, lifespan, horizon):
+        # Bit for bit, a month the build counts holds the arrivals `spawn_growth_capitalists` draws
+        # from that month's own stream, its endowments and expiries in order.
+        config = SimulationConfig(seed=seed, horizon_months=horizon, entry_pool_size=0, gc_arrival_rate=rate,
+                                  gc_endowment_mu=endowment[0], gc_endowment_sigma=endowment[1],
+                                  gc_lifespan_mu=lifespan[0], gc_lifespan_sigma=lifespan[1])
+        sim = Simulation(config)
+        first = 0
+        for month in range(1, horizon + 1):
+            count = sim._gc_counts[month]
+            if count == engine._FALLBACK:
+                continue
+            rng = np.random.default_rng(np.random.SeedSequence((seed, month, 2)))
+            expected = [(gc.endowment, gc.expiry) for gc in spawn_growth_capitalists(month, config, rng)]
+            drawn = zip(sim._gc_endowments[first:first + count], sim._gc_expiries[first:first + count])
+            assert list(drawn) == expected
+            first += count
+        assert first == len(sim._gc_endowments) == len(sim._gc_expiries)
+
+    def test_the_probed_tables_certify_under_the_installed_numpy(self):
+        # Every strip but strip 1, which never takes the fast path, has a certified limit, so the
+        # fast path is on: about 98.5% of raw words take it.  At each strip's edges, a word certified
+        # fast gives NumPy's normal from that word alone, and a word at the limit is not certified.
+        wi, ki = engine._ziggurat()
+        assert ki[1] == 0 and np.count_nonzero(ki) == 255 and np.all(wi > 0)
+        assert not wi.flags.writeable and not ki.flags.writeable
+        raw = np.random.PCG64(_Words(np.arange(4, dtype=np.uint64))).random_raw(100_000)
+        assert 0.98 < engine._normals(raw, wi, ki)[1].mean() < 0.99
+
+        probe = np.random.PCG64(_Words(np.zeros(4, dtype=np.uint64)))
+        state = probe.state
+        words = [rabs << 9 | sign << 8 | strip for strip, limit in enumerate(ki.tolist())
+                 for rabs in {1, max(limit - 1, 1), max(limit, 1)} for sign in (0, 1)]
+        z, fast = engine._normals(np.array(words, dtype=np.uint64), wi, ki)
+        for word, value, certified in zip(words, z.tolist(), fast.tolist()):
+            assert certified == (word >> 9 < ki[word & 0xFF])
+            if certified:  # the word is the next raw output: the state before it steps to it
+                state["state"] = {"state": (word - 1) * engine._PCG_MULT_INV % 2**128, "inc": 1}
+                probe.state = state
+                assert np.random.Generator(probe).standard_normal() == value
+                assert probe.state["state"]["state"] == word  # one word read
 
 
 class TestRecords:
