@@ -6,8 +6,10 @@ every chart can be regenerated from its CSV alone and diffed.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List, Optional, Sequence
+import sys
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,14 +65,62 @@ def _svg(width: int, height: int, parts: List[str]) -> str:
     return header + "".join(parts) + "</svg>\n"
 
 
-def _points(xs: np.ndarray, ys: np.ndarray) -> str:
-    """The polyline points `_fmt(x),_fmt(y)` of each pair, space-separated, formatted in one pass.
+# uint64 operands of `_points`, so that no operand is a Python int (NumPy 1.24 casts those by value).
+_U1, _U100 = np.uint64(1), np.uint64(100)
 
-    Every number is written with exactly two decimals, so a "0" before a comma, a space or the
-    end is a decimal zero: dropping one such "0", then a bare ".0", leaves the text of `_fmt`.
+
+@functools.cache
+def _digit_words() -> Tuple[np.ndarray, np.ndarray]:
+    """Little-endian byte words that `_points` ORs into one 8-byte word a coordinate.
+
+    `whole[w]` holds `str(w)` right-aligned in bytes 0-2, for w < 1000; `cents[c]` holds the
+    hundredths `c` as `_fmt` writes them (".dd", ".d" or nothing) in bytes 3-5 and the separator
+    in byte 6, "," for c < 100 (an x) and " " for c - 100 (a y).  Unused bytes are zero.
     """
-    text = ("%.2f,%.2f " * len(xs)) % tuple(np.column_stack((xs, ys)).ravel().tolist())
-    return text.replace("0,", ",").replace("0 ", " ").replace(".0,", ",").replace(".0 ", " ")[:-1]
+    whole = [int.from_bytes(str(w).rjust(3, "\0").encode(), "little") for w in range(1000)]
+    cents = [int.from_bytes(f".{c:02d}".rstrip("0").rstrip(".").ljust(3, "\0").encode() + sep, "little") << 24
+             for sep in (b",", b" ") for c in range(100)]
+    tables = np.array(whole, dtype=np.uint64), np.array(cents, dtype=np.uint64)
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller in the process
+    return tables
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The polyline points `_fmt(x),_fmt(y)` of each pair, space-separated, in one vectorised pass.
+
+    A coordinate is m * 2**e with 0.5 <= m < 1 (`frexp`), so it is M / 2**s with the integer
+    M = m * 2**53 < 2**53 and s = 53 - e.  Then 100 * M < 2**60 fits a uint64, and adding
+    2**(s - 1) - 1 plus the quotient's low bit before the shift by s rounds its hundredths half
+    to even, as "%.2f" rounds the exact double.  Exact for 0 and for 2**-11 <= value < 1000
+    (s <= 63): `line_chart` only passes coordinates inside its plot box, [72, 704] x [34, 354].
+    A whole part of 1000 or more raises IndexError in the table lookup.
+    """
+    whole, cents = _digit_words()
+    mantissa, exponent = np.frexp(np.stack((xs, ys), axis=1))
+    hundredths = np.ldexp(mantissa, 53).astype(np.uint64) * _U100
+    shift = (53 - exponent).astype(np.uint64)
+    hundredths += ((_U1 << (shift - _U1)) - _U1) + ((hundredths >> shift) & _U1)
+    hundredths >>= shift
+    units, cent = np.divmod(hundredths, _U100)
+    cent[:, 1] += _U100  # the y column takes the " "-separated half of `cents`
+    words = whole.take(units) | cents.take(cent)
+    return words.astype("<u8", copy=False).tobytes().replace(b"\0", b"").decode("ascii")[:-1]
+
+
+def _finite_range(label: str, values: np.ndarray) -> Tuple[float, float]:
+    """The least and greatest of `values`; a NaN or an infinity, which either of them then is, raises."""
+    lo, hi = float(values.min()), float(values.max())
+    for value in (lo, hi):
+        if not math.isfinite(value):
+            raise ValueError(f"{label} holds {value!r}, not a finite value")
+    return lo, hi
+
+
+def _padded(value: float, pad: float) -> Tuple[float, float]:
+    """`value` - `pad` and `value` + `pad`, kept within the float range, so that a flat series near the
+    float maximum still gets a finite axis."""
+    return max(value - pad, -sys.float_info.max), min(value + pad, sys.float_info.max)
 
 
 def _escape(text: str) -> str:
@@ -84,25 +134,35 @@ def line_chart(
     x_label: str = "",
     y_label: str = "",
 ) -> str:
-    """Render one or more aligned series as SVG polylines with axes."""
-    xs = np.asarray(x, dtype=np.float64)  # read once: the x range, ticks and polylines all come from these values
+    """Render one or more aligned series as SVG polylines with axes.
+
+    Raises ValueError for no x value or no series, a series whose length differs from x's, a value
+    that is not finite, or an axis whose span is wider than the float range.
+    """
+    # Every value is read as float64 once: the ranges, ticks and polylines all come from these values.
+    xs = np.asarray(x, dtype=np.float64)
     if not xs.size:
         raise ValueError("line_chart needs at least one x value")
+    if not series:
+        raise ValueError("line_chart needs at least one series")
+    columns = {}
     for name, values in series.items():
         if len(values) != xs.size:
             raise ValueError(f"series {name!r} length {len(values)} != x length {xs.size}")
+        columns[name] = np.asarray(values, dtype=np.float64)
 
-    all_y = [v for values in series.values() for v in values]
-    y_lo, y_hi = min(all_y), max(all_y)
+    x_lo, x_hi = _finite_range("x", xs)
+    y_ranges = [_finite_range(f"series {name!r}", column) for name, column in columns.items()]
+    y_lo, y_hi = min(lo for lo, _ in y_ranges), max(hi for _, hi in y_ranges)
     if y_lo == y_hi:  # flat series still gets a visible band
-        pad = abs(y_lo) * 0.1 or 1.0
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    x_lo, x_hi = float(xs.min()), float(xs.max())
+        y_lo, y_hi = _padded(y_lo, abs(y_lo) * 0.1 or 1.0)
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1, x_hi + 1
         if x_lo == x_hi:  # a value beyond 2**53 rounds both back: pad it as a flat series is
-            pad = abs(x_lo) * 0.1
-            x_lo, x_hi = x_lo - pad, x_hi + pad
+            x_lo, x_hi = _padded(x_lo, abs(x_lo) * 0.1)
+    for axis, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
+        if math.isinf(hi - lo):
+            raise ValueError(f"the {axis} axis spans [{lo!r}, {hi!r}], wider than the float range")
 
     plot_w = _LINE_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _LINE_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -140,11 +200,14 @@ def line_chart(
             f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
             f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.0f})">{_escape(y_label)}</text>'
         )
-    # Series polylines and legend: px and py over whole series, as float64 arrays.
+    # Series polylines and legend: px and py over whole series, as float64 arrays.  Each value lies in
+    # [lo, hi] of its axis, whose span is finite and positive; rounding is monotonic, so every
+    # (value - lo) / span lies in [0, 1], and with the exact ends every px lies in [72, 704] and
+    # every py in [34, 354]: the coordinates `_points` formats exactly.
     xs = _MARGIN_LEFT + (xs - x_lo) / (x_hi - x_lo) * plot_w
-    for idx, (name, values) in enumerate(series.items()):
+    for idx, (name, column) in enumerate(columns.items()):
         color = PALETTE[idx % len(PALETTE)]
-        ys = _MARGIN_TOP + (y_hi - np.asarray(values, dtype=np.float64)) / (y_hi - y_lo) * plot_h
+        ys = _MARGIN_TOP + (y_hi - column) / (y_hi - y_lo) * plot_h
         parts.append(f'<polyline points="{_points(xs, ys)}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if len(series) > 1:
             lx = _MARGIN_LEFT + 10

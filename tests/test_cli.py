@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -137,6 +138,20 @@ class TestRun:
         assert sum(line.split(",")[CSV_COLUMNS.index("E_total")] == "0" for line in text.splitlines()) == 5
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "65450aca47f1ab607cae45ec98005ae917a04cf8afbaadc93a160302d59b7adf")
+
+    def test_run_near_the_float_maximum_draws_finite_charts(self, tmp_path, capsys):
+        # A flat diluted cap of 1.7e308: padded by a tenth, its axis would end at inf and every point read nan.
+        config = write_config(tmp_path, horizon_months=12, total_supply=1.7e308, gc_arrival_rate=0)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NumPy warns of no overflow or invalid value
+            assert main(["run", "--config", config, "--charts", "on", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        svgs = sorted(out.glob("*.svg"))
+        assert len(svgs) == 5
+        for path in svgs:
+            text = path.read_text()
+            assert "nan" not in text and "inf" not in text, path.name
 
     def test_one_series_chart_draws_no_legend(self):
         # So `run`'s charts may name their one series after its CSV column.

@@ -4,12 +4,15 @@ the per-point rendering they replaced."""
 import csv
 import io
 import re
+import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from depinsim import charts
-from depinsim.charts import _fmt, line_chart
+from depinsim.charts import _fmt, _fmt_tick, _points, line_chart
 from depinsim.engine import csv_text
 
 
@@ -71,6 +74,12 @@ class TestLineChart:
     @example(data=([2.0**60], {"a": [1.0]}))  # one x beyond 2**53, which x - 1 and x + 1 round back to
     @example(data=([9007199254740996.0], {"a": [1.0]}))
     @example(data=([2.0**53], {"a": [1.0]}))  # x - 1 rounds away from x, x + 1 back to it
+    # Exact ties of the hundredths, which "%.2f" rounds half to even: px 72.125, 72.375, 72.625 and
+    # py 34.625, 35.875, 37.125.
+    @example(data=([0, 1, 3, 5, 5056], {"a": [256, 255.5, 254.5, 253.5, 0]}))
+    # On and next to the plot box's edges, px 72 and 704, py 34 and 354.
+    @example(data=([0.0, 5e-324, 1 - 2**-53, 1.0], {"a": [1.0, 1 - 2**-53, 5e-324, 0.0]}))
+    @example(data=([-1e300, 1e300], {"a": [-1e300, 1e300], "b": [1e300, -1e300]}))
     def test_polylines_equal_the_per_point_rendering(self, data):
         x, series = data
         assert re.findall(r'<polyline points="([^"]*)"', line_chart(x, series)) == per_point_polylines(x, series)
@@ -83,11 +92,79 @@ class TestLineChart:
         series = {"a": [float(i) for i in range(len(ints))]}
         assert line_chart(ints, series) == line_chart([float(v) for v in ints], series)
 
+    @settings(max_examples=200, deadline=None)
+    @given(ints=st.lists(st.integers(0, 1200) | st.integers(-2**100, 2**100), min_size=1, max_size=20))
+    @example(ints=[2**62 + 511, 2**62 + 513])  # one float apart, two ints apart: read as ints, py was 163874
+    def test_int_series_draw_as_their_floats(self, ints):
+        x = list(range(len(ints)))
+        assert line_chart(x, {"a": ints}) == line_chart(x, {"a": [float(v) for v in ints]})
+
     def test_decimal_zeros_are_stripped_as_fmt_strips_them(self):
         # Coordinates written "%.2f" as "34.00", "353.50", "353.90" and "230.00": whole and one-decimal.
         x, series = [0, 1, 2, 4], {"a": [320, 0.5, 0.1, 0]}
         (points,) = re.findall(r'<polyline points="([^"]*)"', line_chart(x, series))
         assert points == per_point_polylines(x, series)[0] == "72,34 230,353.5 388,353.9 704,354"
+
+    def test_ties_round_half_to_even(self):
+        # px 72.125, 72.375, 72.625 and py 34.625, 35.875, 37.125 are exact doubles.
+        x, series = [0, 1, 3, 5, 5056], {"a": [256, 255.5, 254.5, 253.5, 0]}
+        (points,) = re.findall(r'<polyline points="([^"]*)"', line_chart(x, series))
+        assert points == per_point_polylines(x, series)[0] == "72,34 72.12,34.62 72.38,35.88 72.62,37.12 704,354"
+
+    @pytest.mark.parametrize("value", [1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max])
+    def test_a_flat_series_near_the_float_maximum_keeps_a_finite_axis(self, value):
+        # Padded by a tenth of its value, the axis would end at +-inf and every point read nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid-value RuntimeWarning either
+            svg = line_chart([1, 2, 3], {"a": [value] * 3})
+            flat_x = line_chart([value], {"a": [1.0]})
+        assert "nan" not in svg and "inf" not in svg and "nan" not in flat_x and "inf" not in flat_x
+        # The axis ends at the float maximum on the side its pad overflowed, and a tenth away on the other.
+        pad = abs(value) * 0.1
+        labels = re.findall(r'text-anchor="end">([^<]*)<', svg)  # the y ticks, lowest first
+        assert [labels[0], labels[-1]] == [_fmt_tick(max(value - pad, -sys.float_info.max)),
+                                          _fmt_tick(min(value + pad, sys.float_info.max))]
+        (points,) = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert len({point.split(",")[1] for point in points.split()}) == 1
+
+    @pytest.mark.parametrize("x, series, message", [
+        ([1.0, float("nan")], {"a": [1.0, 2.0]}, "x holds nan"),
+        ([1.0, float("inf")], {"a": [1.0, 2.0]}, "x holds inf"),
+        ([1.0, 2.0], {"a": [1.0, 2.0], "b": [1.0, -float("inf")]}, "series 'b' holds -inf"),
+        ([1.0, 2.0], {"a": [float("nan"), 2.0]}, "series 'a' holds nan"),
+        ([-1e308, 1e308], {"a": [1.0, 2.0]}, r"the x axis spans \[-1e\+308, 1e\+308\]"),
+        ([1.0, 2.0], {"a": [-1e308, 0.0], "b": [0.0, 1e308]}, r"the y axis spans \[-1e\+308, 1e\+308\]"),
+        ([1.0, 2.0], {}, "needs at least one series"),
+        ([], {"a": []}, "needs at least one x value"),
+    ])
+    def test_unchartable_input_raises(self, x, series, message):
+        with pytest.raises(ValueError, match=message):
+            line_chart(x, series)
+
+
+class TestPoints:
+    """`_points` against `_fmt`, one coordinate at a time."""
+
+    @staticmethod
+    def per_value(xs, ys):
+        return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs.tolist(), ys.tolist()))
+
+    def test_every_eighth_below_1000(self):
+        # A double on a tie of the hundredths, (2k + 1) / 200, is an odd multiple of 1/8: these are all of them.
+        values = np.arange(8000) / 8
+        assert _points(values, values[::-1]) == self.per_value(values, values[::-1])
+
+    def test_random_doubles_inside_the_plot_box(self):
+        rng = np.random.default_rng(41)
+        xs = rng.uniform(72, 704, 100_000)
+        ys = rng.uniform(34, 354, 100_000)
+        ends = np.array([72.0, 704.0, 34.0, 354.0, np.nextafter(72, 704), np.nextafter(704, 0), 72.005, 703.995])
+        xs, ys = np.concatenate((xs, ends)), np.concatenate((ys, ends[::-1]))
+        assert _points(xs, ys) == self.per_value(xs, ys)
+
+    def test_a_whole_part_beyond_the_table_raises(self):
+        with pytest.raises(IndexError):
+            _points(np.array([1000.0]), np.array([34.0]))
 
 
 IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,12}", fullmatch=True)
