@@ -173,12 +173,24 @@ def cmd_compare(args) -> int:
         raise ValueError("compare needs an llm config section (scripted or http backend)")
     seeds = range(config.seed, config.seed + args.seeds)
 
+    def mean_std(arr: np.ndarray) -> Tuple[float, float]:
+        return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+
     def agg(values: List[Optional[float]]) -> Tuple[float, float]:
         clean = [v for v in values if v is not None]
         if not clean:
             return float("nan"), float("nan")
         arr = np.asarray(clean)
-        return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        if not np.isfinite(arr).all():
+            return mean_std(arr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = mean_std(arr)
+            if not np.isfinite(result).all():
+                # Finite values whose sums left the float range: redone on values scaled by a power of two to
+                # below 1 in magnitude, and scaled back, so a mean or std within the float range is finite.
+                exponent = int(np.frexp(np.abs(arr).max())[1])
+                result = tuple(float(np.ldexp(v, exponent)) for v in mean_std(np.ldexp(arr, -exponent)))
+        return result
 
     reports = {}  # per cell, the metrics of each seed it scored: all the command keeps of a run
     for cell, seed, outcome in compare(config, args.patience_list, seeds, llm_policy):

@@ -344,7 +344,7 @@ def _ziggurat() -> Tuple[np.ndarray, np.ndarray]:
     limit `floor(2**52 * x[idx - 1] / x[idx])`, and `x[255] / x[0]` for strip 0, is `ki` or one
     below it; one probe at `rabs` one below the limit certifies it, taking the fast path.  Strip 1
     takes the slow path even at `rabs = 1`, so its limit is 0.  If any probe reads otherwise, every
-    limit is 0, and every month with an arrival draws from its own generator.
+    limit is 0, and every month with an arrival is drawn by its own generator, at build.
     """
     probe = np.random.PCG64(_Words(np.zeros(4, dtype=np.uint64)))
     rng = np.random.Generator(probe)
@@ -404,9 +404,11 @@ def _gc_draws(words: np.ndarray, config: SimulationConfig) -> Tuple[bytes, np.nd
     first `3 * k - 2` outputs are computed by `_pcg_outputs`, `k = _poisson_uniforms(rate)`, for at most
     `_CHUNK_OUTPUTS` outputs at a time.  A log-normal draw is `exp(mu + sigma * z)`: `mu + sigma * z` in
     float64 arrays, as NumPy's C computes it, then `_exps`; an expiry is `month + max(round(n), 1)`, by
-    `np.rint`, which rounds half to even as `round` does.  A month falls back when its Poisson run
-    outlasts the `k` uniforms or a normal is not certified on the fast path; every month does from a rate
-    of 10, where NumPy's Poisson samples by PTRS.
+    `np.rint`, which rounds half to even as `round` does.  A month whose Poisson run outlasts the `k`
+    uniforms, or one of whose normals is not certified on the fast path, is drawn after its chunk's pass
+    by that very call, and its arrivals are spliced in among the chunk's in month order; it stays marked
+    only if its count does not fit the byte.  From a rate of 10, where NumPy's Poisson samples by PTRS,
+    every month is marked.
     """
     rate, months = config.gc_arrival_rate, len(words)
     if not 0 < rate < _POISSON_PTRS_MEAN:
@@ -429,12 +431,25 @@ def _gc_draws(words: np.ndarray, config: SimulationConfig) -> Tuple[bytes, np.nd
         z_lifespan, fast_lifespan = _normals(outputs[row, column + c], wi, ki)
         count[row[~(fast & fast_lifespan)]] = _FALLBACK
         keep = count[row] != _FALLBACK
-        endowments.append(_exps(config.gc_endowment_mu + config.gc_endowment_sigma * z_endowment[keep]))
+        row = row[keep]
+        endowment = _exps(config.gc_endowment_mu + config.gc_endowment_sigma * z_endowment[keep])
         lifespans = _exps(config.gc_lifespan_mu + config.gc_lifespan_sigma * z_lifespan[keep])
-        expiries.append(np.maximum(np.rint(lifespans), 1.0).astype(np.int64) + (row[keep] + first))
+        expiry = np.maximum(np.rint(lifespans), 1.0).astype(np.int64) + (row + first)
+        marked = np.flatnonzero(count == _FALLBACK)
+        if len(marked):  # drawn by their own generators, each inserted before the next month's arrivals
+            drawn = [spawn_growth_capitalists(month, config, np.random.Generator(np.random.PCG64(_Words(words[month]))))
+                     for month in (marked + first).tolist()]
+            sizes = np.array(list(map(len, drawn)), dtype=np.intp)
+            fits = sizes < _FALLBACK
+            count[marked[fits]] = sizes[fits]
+            at = np.repeat(np.searchsorted(row, marked[fits]), sizes[fits])
+            arrivals = [gc for gcs, fit in zip(drawn, fits.tolist()) if fit for gc in gcs]
+            endowment = np.insert(endowment, at, [gc.endowment for gc in arrivals])
+            expiry = np.insert(expiry, at, [gc.expiry for gc in arrivals])
+        endowments.append(endowment)
+        expiries.append(expiry.astype(np.min_scalar_type(expiry.max(initial=0))))  # joined, the widest of them
         counts[first:first + step] = count
-    expiries = np.concatenate(expiries)
-    return counts.tobytes(), np.concatenate(endowments), expiries.astype(np.min_scalar_type(expiries.max(initial=0)))
+    return counts.tobytes(), np.concatenate(endowments), np.concatenate(expiries)
 
 
 class SimulationError(Exception):
@@ -765,16 +780,17 @@ class Simulation:
     `tokenomics.vesting_table` (the table `depin-sim vesting` writes) when
     the run is built, and so is every month's growth capital below a
     `gc_arrival_rate` of 10 (`_gc_draws`): its arrival count, endowments
-    and expiries, bit for bit what the month's own generator would draw,
+    and expiries, bit for bit what the month's own generator draws,
     computed in one vectorised pass from NumPy's PCG64 words, its ziggurat
     word layout (`_ziggurat`) and `lognormal = exp(mean + sigma * z)`
-    through libm's `exp`.  A month takes its arrivals from those flat
-    arrays and builds no generator, unless it falls back: its Poisson run
-    outlasted the uniforms computed, one of its normals left the
-    ziggurat's certified fast path, or the rate is 10 or more.  Such a
-    month builds its stream's `PCG64` and `Generator` while it steps.  The
-    month-1 sale pool is `tokens_on_sale_fraction` of the table's month-1
-    supply.
+    through libm's `exp`.  A month the pass marks, whose Poisson run
+    outlasted the uniforms computed or one of whose normals left the
+    ziggurat's certified fast path, is drawn at build too, by its stream's
+    own `PCG64` and `Generator`.  A month takes its arrivals from those
+    flat arrays and builds no generator while it steps; only from a rate
+    of 10 does every month build its own, and the run keeps growth
+    capital's stream words only then.  The month-1 sale pool is
+    `tokens_on_sale_fraction` of the table's month-1 supply.
 
     Within a month every decision reads the same frozen start-of-month
     context, so agent evaluation order cannot change the outcome.  A policy
@@ -793,19 +809,20 @@ class Simulation:
         # The route as a plain function: a bound method kept here would make each simulation a reference cycle.
         self._decide = Simulation._decide_roster if decides_in_batches(type(self.policy)) else Simulation._decide_each
 
-        # Every stream's words are hashed in one pass; the run keeps only growth capital's, the one channel
-        # drawn while stepping.  Only the run lengths (read once a signal writes them) and the stay mask are
-        # left unbacked by memory, by np.zeros and np.empty; every other slot is written here.
+        # Every stream's words are hashed in one pass.  Only the run lengths (read once a signal writes them)
+        # and the stay mask are left unbacked by memory, by np.zeros and np.empty; every other slot is written here.
         capacity = config.initial_nodes + config.horizon_months * config.entry_pool_size
         words = _stream_words(config.seed, config.horizon_months)
-        self._gc_words = words[:, _STREAM_GROWTH_CAPITAL].copy()
+        gc_words = words[:, _STREAM_GROWTH_CAPITAL].copy()
         self._nodes = np.empty((3, capacity))  # cost, tolerance, and the heuristic exit rule's bar tolerance * cost
         _node_draws(self._nodes, words, config)
         del words
-        # Every month's growth-capital arrivals, drawn here unless the month falls back (`_gc_draws`), held
+        # Every month's growth-capital arrivals, drawn here unless the month is marked (`_gc_draws`), held
         # as memoryviews, whose slices iterate as Python numbers; the next month's start at `_gc_next`.
-        self._gc_counts, *arrivals = _gc_draws(self._gc_words, config)
+        # The run keeps growth capital's stream words only for the marked months, which draw while they step.
+        self._gc_counts, *arrivals = _gc_draws(gc_words, config)
         self._gc_endowments, self._gc_expiries = map(memoryview, arrivals)
+        self._gc_words = gc_words if _FALLBACK in self._gc_counts else None
         self._gc_next = 0
         self._runs = np.zeros((2, capacity), dtype=np.int32)  # the month each node last signalled, its run then
         self._runs[0] = -1  # never
@@ -944,7 +961,7 @@ class Simulation:
             # holdings go on sale; then this month's arrivals join.
             substep = "growth-capital"
             drawn = self._gc_counts[month]  # the arrivals the month takes from the build's arrays
-            if drawn == _FALLBACK:
+            if drawn == _FALLBACK:  # every month from a rate of 10; below it, only a count that outgrew its byte
                 drawn = 0
                 rng_gc = np.random.Generator(np.random.PCG64(_Words(self._gc_words[month])))
                 arrivals = spawn_growth_capitalists(month, cfg, rng_gc)
@@ -1005,8 +1022,11 @@ class Simulation:
             for row in self._rows:  # row by row: a 2-D mask over the columns is several times slower
                 row[:kept] = row[:n][stay]
         if entries and (kept != start or entries != cfg.entry_pool_size):  # else they sit in their own slots
-            for row in (cost, tolerance, threshold):  # out of their pool, which they may overlap: each is a copy
-                row[kept:n_now] = row[start:stop][enters]
+            # Out of their pool, which they may overlap: a whole pool by slice, which NumPy copies through a
+            # buffer where the two overlap, else by a gather, which is a copy.
+            entrants = slice(None) if entries == cfg.entry_pool_size else enters
+            for row in (cost, tolerance, threshold):
+                row[kept:n_now] = row[start:stop][entrants]
             last[kept:n_now] = -1
         self._n = n_now
         self.gcs = gcs

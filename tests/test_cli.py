@@ -1,8 +1,10 @@
 """CLI tests: exit codes, artifacts, round trips, chart regeneration."""
 
 import builtins
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -19,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import depinsim
 from depinsim import cli
@@ -316,6 +318,22 @@ class TestCompare:
         assert "nan" not in svg
         assert svg.count(">n/a</text>") == 2
 
+    def test_seed_aggregates_of_finite_indicators_near_the_float_maximum_are_finite(self, tmp_path, capsys):
+        # Each seed's efficiency is 3.825e307, so five of them sum beyond the float range; the mean
+        # and std are still the seeds' value and 0, with no overflow warning and every bar drawn.
+        config = write_config(tmp_path, horizon_months=12, total_supply=1.7e308, gc_arrival_rate=0, llm=SCRIPTED)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--config", config, "--patience", "1", "--seeds", "5", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        efficiency = run(SimulationConfig.from_dict(json.loads(Path(config).read_text()))).metrics.efficiency
+        assert math.isfinite(efficiency) and 5 * efficiency > sys.float_info.max
+        rows = list(csv.DictReader(open(out / "compare.csv")))
+        assert [(float(r["efficiency_mean"]), float(r["efficiency_std"])) for r in rows] == [(efficiency, 0.0)] * 2
+        text = (out / "compare.csv").read_text() + (out / "compare.svg").read_text()
+        assert "nan" not in text and "inf" not in text and "n/a" not in text
+
     def test_bar_range_ignores_non_finite_values(self):
         def ticks(values, errors):
             svg = grouped_bar_panels([{"title": "t", "groups": [str(i) for i in range(len(values))],
@@ -423,6 +441,86 @@ class TestScore:
         out = tmp_path / "report.json"
         assert main(["score", str(path), "--circulating", "10", "--price", "3", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["efficiency"] == 30.0
+
+
+# Valid config values.  Many floats are whole, so that their JSON text may spell them as ints; every
+# object is a place where a key may be given twice.
+CONFIG_VALUES = {
+    "horizon_months": st.integers(1, 12),
+    "seed": st.integers(0, 2**70),
+    "initial_nodes": st.integers(0, 30),
+    "entry_pool_size": st.integers(0, 5),
+    "patience": st.integers(1, 3),
+    "initial_price": st.sampled_from([1.0, 2.0]) | st.floats(0.5, 4.0),
+    "user_revenue_factor": st.sampled_from([0.0, 10.0]) | st.floats(0.0, 20.0),
+    "node_cost": st.sampled_from([1000.0, 5000.0, 250_000.0]),
+    "cost_spread": st.sampled_from([[0.8, 1.2], [1.0, 2.0], [1.0, 1.0]]),
+    "gc_arrival_rate": st.sampled_from([0.0, 1.0, 3.0]) | st.floats(0.0, 9.99),
+    "gc_endowment_mu": st.sampled_from([13.0, 10.0]),
+    "tokens_on_sale_fraction": st.sampled_from([0.05, 0.0, 1.0]),
+    "total_supply": st.sampled_from([1e9, 1e16]),
+    "team_schedule": st.fixed_dictionaries({"kind": st.just("cliff_linear")}, optional={
+        "cliff_months": st.integers(0, 12), "unlock_at_cliff": st.sampled_from([0.0, 0.25, 1.0]),
+        "linear_months": st.integers(1, 24)}),
+    "node_schedule": st.fixed_dictionaries({"kind": st.just("halving_emission")},
+                                           optional={"halving_period_months": st.integers(1, 48)}),
+    "llm": st.fixed_dictionaries({"backend": st.just("scripted"), "script": st.dictionaries(
+        st.sampled_from(["*", "*enter*", "*exit*", "*tolerance of 0.4*"]), st.sampled_from(["yes", "no", "maybe"]),
+        min_size=1)}, optional={"temperature": st.sampled_from([0.0, 1.0])}),
+}
+
+
+@st.composite
+def config_texts(draw):
+    """A valid config as data, its JSON text, and whether the text gives a key twice in one object:
+    about one object in five repeats one of its keys, at any depth, and a whole float may be spelled
+    as an int, `1` for `1.0`."""
+    data = draw(st.fixed_dictionaries({}, optional=CONFIG_VALUES))
+    if "llm" in data and draw(st.booleans()):
+        data["policy"] = "llm"
+    duplicated = False
+
+    def spell(value):
+        nonlocal duplicated
+        if isinstance(value, dict):
+            pairs = list(value.items())
+            if pairs and draw(st.integers(0, 4)) == 0:
+                key = draw(st.sampled_from(sorted(value)))
+                pairs.insert(draw(st.integers(0, len(pairs))), (key, value[key]))
+                duplicated = True
+            return "{" + ", ".join(f"{json.dumps(key)}: {spell(item)}" for key, item in pairs) + "}"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(spell, value)) + "]"
+        if isinstance(value, float) and value.is_integer() and draw(st.booleans()):
+            return str(int(value))
+        return json.dumps(value)
+
+    return data, spell(data), duplicated
+
+
+class TestConfigText:
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=config_texts())
+    @example(drawn=({"horizon_months": 3, "initial_price": 1.0}, '{"horizon_months": 3, "initial_price": 1}', False))
+    @example(drawn=({"horizon_months": 3, "policy": "llm", "llm": {"backend": "scripted", "script": {"*": "no"}}},
+                    '{"horizon_months": 3, "policy": "llm", "llm": {"backend": "scripted", '
+                    '"script": {"*": "no", "*": "no"}}}', True))
+    def test_a_repeated_key_exits_2_else_the_text_runs_as_its_data(self, drawn):
+        # `run --config` reads JSON text, which the dict-based property tests never reach: a key given
+        # twice exits 2, and any other text writes the trajectory its data writes as a dict.
+        data, text, duplicated = drawn
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()):
+            path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            path.write_text(text, encoding="utf-8")
+            code = main(["run", "--config", str(path), "--charts", "off", "--out-dir", str(out)])
+            if duplicated:
+                assert code == 2 and "appears more than once in one object" in err.getvalue()
+                assert not out.exists()
+            else:
+                assert code == 0, err.getvalue()
+                assert_same_csv((out / "trajectory.csv").read_text(encoding="utf-8"),
+                                run(SimulationConfig.from_dict(data)).to_csv_string())
 
 
 class TestConfigReference:

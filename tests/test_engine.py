@@ -305,10 +305,10 @@ class TestDeterminism:
         # default pool of 10, every month's from one vectorised pass (`_pcg_outputs`); it draws
         # every month's growth capital in one vectorised pass too (`_gc_draws`), after reading
         # NumPy's ziggurat tables through one probe PCG64 in one Generator, once per process
-        # (`_ziggurat`).  A month while stepping builds one PCG64 in one Generator, its growth
-        # capital's, exactly when it falls back, and else nothing.  Every PCG64 is seeded from
-        # words, hashed in one pass when the run is built or zeros for the probe, never through
-        # a SeedSequence.
+        # (`_ziggurat`).  Each month the pass marks is drawn there as well, by one PCG64 in one
+        # Generator; a month builds nothing while it steps.  Every PCG64 is seeded from words,
+        # hashed in one pass when the run is built or zeros for the probe, never through a
+        # SeedSequence.
         hashed = []
         seed_state = engine._seed_state
 
@@ -317,6 +317,14 @@ class TestDeterminism:
             return seed_state(entropy)
 
         monkeypatch.setattr(engine, "_seed_state", counted_seed_state)
+        spawned = []
+        spawn = engine.spawn_growth_capitalists
+
+        def counted_spawn(month, config, rng):
+            spawned.append(month)
+            return spawn(month, config, rng)
+
+        monkeypatch.setattr(engine, "spawn_growth_capitalists", counted_spawn)
         built = []
         hashing = (int, np.random.SeedSequence)  # seeds PCG64 would hash itself
 
@@ -336,29 +344,38 @@ class TestDeterminism:
         config = SimulationConfig(horizon_months=600, seed=3)
         engine._ziggurat.cache_clear()
         Simulation(config)
-        assert built == ["PCG64", "PCG64", "Generator"]  # the roster's, then the probe's
+        marked = list(spawned)
+        # The roster's, then the probe's, then one per marked month's.
+        assert built == ["PCG64", "PCG64", "Generator"] + ["PCG64", "Generator"] * len(marked)
         built.clear()
+        spawned.clear()
         sim = Simulation(config)
-        assert built == ["PCG64"]  # the probe's tables are cached
-        quiet = []
+        assert built == ["PCG64"] + ["PCG64", "Generator"] * len(marked)  # the probe's tables are cached
+        assert spawned == marked
+        spawned.clear()
         for month in range(1, 601):
             built.clear()
             sim.step(month)
-            if not built:
-                quiet.append(month)
-            else:
-                assert built == ["PCG64", "Generator"]
+            assert not built
+        assert not spawned
         monkeypatch.undo()
-        # The months that built a generator are those the build marked as falling back; every other
-        # month's arrival count is its own stream's Poisson draw, so every month without an arrival
-        # built nothing, and nor did most months with one.
-        fallbacks = [month for month in range(1, 601) if month not in quiet]
-        assert fallbacks == [month for month in range(1, 601) if sim._gc_counts[month] == engine._FALLBACK]
+        # Every month's arrival count is its own stream's Poisson draw.  The months the build drew one by
+        # one are those the vectorised pass marks: a Poisson run that outlasts the uniforms computed, or a
+        # normal off the ziggurat's certified fast path.  Every month without an arrival is drawn by the pass.
         draws = [np.random.default_rng(np.random.SeedSequence((3, month, 2))).poisson(config.gc_arrival_rate)
                  for month in range(1, 601)]
-        assert [sim._gc_counts[month] for month in quiet] == [draws[month - 1] for month in quiet]
-        assert set(quiet) >= {month for month, count in enumerate(draws, start=1) if count == 0}
-        assert 0 < len(fallbacks) < sum(count > 0 for count in draws) < 600
+        assert [sim._gc_counts[month] for month in range(1, 601)] == draws
+        uniforms = engine._poisson_uniforms(config.gc_arrival_rate)
+        words = _stream_words(3, 600)[:, 2]
+
+        def marks(month, count):
+            raw = np.random.PCG64(_Words(words[month])).random_raw(3 * count + 1)[count + 1:]
+            return count >= uniforms or not engine._normals(raw, *engine._ziggurat())[1].all()
+
+        assert marked == [month for month, count in enumerate(draws, start=1) if marks(month, count)]
+        assert set(marked).isdisjoint(month for month, count in enumerate(draws, start=1) if count == 0)
+        assert 0 < len(marked) < sum(count > 0 for count in draws) < 600
+        assert sim._gc_words is None
         # Words (seed, month, channel); the seed's one row is shared by every column,
         # one column per month and channel.
         assert hashed == [[1, 601 * 3, 601 * 3]] * 2
@@ -366,17 +383,26 @@ class TestDeterminism:
     @pytest.mark.parametrize("pool, builds", [(engine._VECTOR_POOL_MAX, 1), (engine._VECTOR_POOL_MAX + 1, 1 + 24)])
     def test_only_pools_beyond_the_switch_build_a_generator_a_month(self, monkeypatch, pool, builds):
         # Up to the switch every month's pool is computed in one pass and only the initial
-        # roster builds a PCG64; beyond it each month's pool builds its own.
-        built = []
-        real = np.random.PCG64
+        # roster builds a PCG64; beyond it each month's pool builds its own.  Growth capital's
+        # months that its vectorised pass marks build one each, whatever the pool.
+        built, spawned = [], []
+        real, spawn = np.random.PCG64, engine.spawn_growth_capitalists
 
         def counted(*args, **kwargs):
             built.append("PCG64")
             return real(*args, **kwargs)
 
+        def counted_spawn(month, config, rng):
+            spawned.append(month)
+            return spawn(month, config, rng)
+
         monkeypatch.setattr(np.random, "PCG64", counted)
+        monkeypatch.setattr(engine, "spawn_growth_capitalists", counted_spawn)
+        engine._ziggurat()  # the probe's tables, once per process
+        built.clear()
         Simulation(SimulationConfig(horizon_months=24, entry_pool_size=pool))
-        assert built == ["PCG64"] * builds
+        assert spawned == [5]  # at the default seed, the one month of 24 the pass marks
+        assert built == ["PCG64"] * (builds + len(spawned))
 
     @pytest.mark.parametrize("pool, digest", [
         (16, "349b5433b9cc634a687a90b2f9f0fb8c76426ac5c3eee22ce67050ba7921ce44"),
@@ -456,17 +482,26 @@ class TestDeterminism:
         ({"seed": 11, "gc_arrival_rate": 3.0, "gc_endowment_sigma": 2.5}, "slow normal",
          "d19aa89e70c72418bf510ddf596476b48d0b91d262b896cefe89c8cf40efed1b"),
     ])
-    def test_runs_with_fallback_months_keep_their_bytes(self, kwargs, kind, digest):
+    def test_runs_with_fallback_months_keep_their_bytes(self, monkeypatch, kwargs, kind, digest):
         # Digests taken with every month building its growth-capital generator.  Each run holds
-        # months that fall back to it: at seed 32, month 105, whose Poisson run outlasts the 7
-        # uniforms computed at the default rate; at seed 11, months with a normal off the
-        # ziggurat's certified fast path.
+        # months that the build's vectorised pass marks, and then draws from their own generators:
+        # at seed 32, month 105, whose Poisson run outlasts the 7 uniforms computed at the default
+        # rate; at seed 11, months with a normal off the ziggurat's certified fast path.
         config = SimulationConfig(horizon_months=120, **kwargs)
-        counts = Simulation(config)._gc_counts
+        marked = []
+        spawn = engine.spawn_growth_capitalists
+
+        def counted_spawn(month, config, rng):
+            marked.append(month)
+            return spawn(month, config, rng)
+
+        monkeypatch.setattr(engine, "spawn_growth_capitalists", counted_spawn)
+        assert engine._FALLBACK not in Simulation(config)._gc_counts
+        monkeypatch.undo()
         uniforms = engine._poisson_uniforms(config.gc_arrival_rate)
         kinds = {"outlasts" if rng.poisson(config.gc_arrival_rate) >= uniforms else "slow normal"
                  for rng in (np.random.default_rng(np.random.SeedSequence((config.seed, month, 2)))
-                             for month in range(1, 121) if counts[month] == engine._FALLBACK)}
+                             for month in marked)}
         assert kind in kinds
         assert hashlib.sha256(run(config).to_csv_string().encode()).hexdigest() == digest
 
@@ -556,12 +591,12 @@ class TestCandidateTable:
     def test_build_converts_the_largest_table_in_place(self):
         # The largest admitted roster: 1,000,000 slots, all of them candidates.  The run keeps
         # its node table (33 B a slot: cost, tolerance and exit threshold at 8 B each, the two
-        # int32 run slots at 4 B each and the stay mask at 1 B), growth capital's stream words
-        # (32 B a month), its arrivals drawn at the default rate (about 94,000 at 12 B each) and
-        # its releases and supply (about 64 B a month): 43.8 MB (41.8 MiB).
+        # int32 run slots at 4 B each and the stay mask at 1 B), its arrivals drawn at the default
+        # rate (about 100,000 at 12 B each) and its releases and supply (about 64 B a month):
+        # 40.7 MB (38.8 MiB).  No month draws while it steps, so the run keeps no stream words.
         # A separate candidate table (16 B a slot) would add 16 MB to what the run holds,
         # converting the table's raw words through a copy 16 MB to the build's peak, and
-        # keeping every channel's stream words (96 B a month) 6.4 MB to what the run holds.
+        # keeping every channel's stream words (96 B a month) 9.6 MB to what the run holds.
         config = SimulationConfig(initial_nodes=0, horizon_months=MAX_HORIZON, entry_pool_size=10)
         tracemalloc.start()
         try:
@@ -571,16 +606,20 @@ class TestCandidateTable:
             tracemalloc.stop()
         assert peak < 70 * 2**20
         assert held < 42 * 2**20
-        assert sim._gc_words.nbytes == (MAX_HORIZON + 1) * 32
+        assert sim._gc_words is None
+        # From a rate of 10 every month draws while it steps: the run keeps growth capital's words alone.
+        assert Simulation(replace(config, gc_arrival_rate=10.0))._gc_words.nbytes == (MAX_HORIZON + 1) * 32
 
     def test_growth_capital_draws_hold_their_temporaries_to_chunks(self):
         # The longest run at the highest rate the build draws.  Computed at once, its 7,000,000 raw
         # outputs (70 a month) would take 56 MB a row, and the pass's 128-bit temporaries several
         # times that: the build then peaks at 537 MiB.  In chunks of _CHUNK_OUTPUTS outputs the pass
-        # peaks at about 20 MiB: the arrivals it keeps, about 720,000 at 12 B each (a float64
-        # endowment, a uint32 expiry), and a copy of them while their chunks are joined.  That lies
-        # below the 25 MiB at which the build hashes every stream's words.  The run holds 17.5 MiB.
-        # The build takes about 0.5 s (shared 2-vCPU Xeon, NumPy 2.4.6).
+        # peaks at about 22 MiB: the arrivals, about 1,000,000 at 12 B each (a float64 endowment, a
+        # uint32 expiry, each chunk's expiries narrowed before they are joined), and a copy of the
+        # endowments while their chunks are joined.  That lies below the 25 MiB at which the build
+        # hashes every stream's words.  The run holds 17.7 MiB.  About 26% of months are marked by
+        # the pass and drawn one by one after it; the build takes about 0.9 s (shared 2-vCPU Xeon,
+        # NumPy 2.4.6).
         config = SimulationConfig(initial_nodes=0, horizon_months=MAX_HORIZON, entry_pool_size=0,
                                   gc_arrival_rate=math.nextafter(10, 0))
         engine._ziggurat()  # the probe's tables, once per process
@@ -591,7 +630,8 @@ class TestCandidateTable:
         finally:
             tracemalloc.stop()
         arrivals = len(sim._gc_endowments)
-        assert 650_000 < arrivals < 800_000
+        assert abs(arrivals - config.gc_arrival_rate * MAX_HORIZON) < 5_000  # 5 standard deviations
+        assert sim._gc_words is None
         assert sim._gc_endowments.obj.dtype == np.float64 and sim._gc_expiries.obj.dtype == np.uint32
         assert held < 19 * 2**20
         assert peak < 28 * 2**20
@@ -613,8 +653,9 @@ class TestGrowthCapitalDraws:
     # Every lifespan exp(log(2.5)) = 2.5, which rounds half to even, to 2 months.
     @example(seed=3, rate=5.0, endowment=(13.0, 1.0), lifespan=(math.log(2.5), 0.0), horizon=12)
     def test_each_counted_month_equals_numpys_draws(self, seed, rate, endowment, lifespan, horizon):
-        # Bit for bit, a month the build counts holds the arrivals `spawn_growth_capitalists` draws
-        # from that month's own stream, its endowments and expiries in order.
+        # Bit for bit, every month the build counts, which is every month below a rate of 10, holds the
+        # arrivals `spawn_growth_capitalists` draws from that month's own stream, its endowments and
+        # expiries in order.
         config = SimulationConfig(seed=seed, horizon_months=horizon, entry_pool_size=0, gc_arrival_rate=rate,
                                   gc_endowment_mu=endowment[0], gc_endowment_sigma=endowment[1],
                                   gc_lifespan_mu=lifespan[0], gc_lifespan_sigma=lifespan[1])
@@ -622,14 +663,63 @@ class TestGrowthCapitalDraws:
         first = 0
         for month in range(1, horizon + 1):
             count = sim._gc_counts[month]
-            if count == engine._FALLBACK:
-                continue
+            assert count != engine._FALLBACK
             rng = np.random.default_rng(np.random.SeedSequence((seed, month, 2)))
             expected = [(gc.endowment, gc.expiry) for gc in spawn_growth_capitalists(month, config, rng)]
             drawn = zip(sim._gc_endowments[first:first + count], sim._gc_expiries[first:first + count])
             assert list(drawn) == expected
             first += count
         assert first == len(sim._gc_endowments) == len(sim._gc_expiries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70),
+        rate=st.floats(0.0, 10.0, exclude_max=True),
+        sigmas=st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 2.5)),
+        horizon=st.integers(1, 60),
+    )
+    @example(seed=11, rate=math.nextafter(10, 0), sigmas=(2.5, 2.5), horizon=60)
+    @example(seed=0, rate=9.99, sigmas=(2.5, 2.5), horizon=60)
+    def test_no_month_draws_while_it_steps(self, seed, rate, sigmas, horizon):
+        # Below a rate of 10 the build draws every month's growth capital, so stepping builds
+        # no generator, draws no arrival, and the run keeps no stream words.
+        config = SimulationConfig(seed=seed, horizon_months=horizon, gc_arrival_rate=rate,
+                                  gc_endowment_sigma=sigmas[0], gc_lifespan_sigma=sigmas[1])
+        sim = Simulation(config)
+        assert sim._gc_words is None
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("PCG64", "Generator"):
+                patch.setattr(np.random, name, lambda *args, name=name: calls.append(name))
+            patch.setattr(engine, "spawn_growth_capitalists", lambda *args: calls.append("spawn"))
+            for month in range(1, horizon + 1):
+                sim.step(month)
+        assert calls == []
+
+    def test_a_count_that_outgrows_its_byte_draws_while_it_steps(self, monkeypatch):
+        # A marked month's count is kept in a byte; one of 255 or more stays marked, so the run keeps
+        # its stream words and the month draws its arrivals while it steps.  No rate below 10 draws so
+        # many, so the draw is padded here: month 5, the one month of 24 the pass marks at the default
+        # seed, draws its own arrivals then 300 more, and every other month is unchanged.
+        spawn = engine.spawn_growth_capitalists
+
+        def padded(month, config, rng):
+            return spawn(month, config, rng) + [GrowthCapitalist(1.0, month + 1) for _ in range(300)]
+
+        config = SimulationConfig(horizon_months=24)
+        expected = Simulation(config)
+        monkeypatch.setattr(engine, "spawn_growth_capitalists", padded)
+        sim = Simulation(config)
+        assert [month for month, count in enumerate(sim._gc_counts) if count == engine._FALLBACK] == [5]
+        assert sim._gc_words.tobytes() == _stream_words(config.seed, 24)[:, 2].tobytes()
+        assert sim._gc_counts[:5] + sim._gc_counts[6:] == expected._gc_counts[:5] + expected._gc_counts[6:]
+        before, drawn = sum(sim._gc_counts[1:5]), expected._gc_counts[5]
+        for arrivals, expected_arrivals in ((sim._gc_endowments, expected._gc_endowments),
+                                            (sim._gc_expiries, expected._gc_expiries)):
+            assert arrivals.tolist() == expected_arrivals[:before].tolist() + expected_arrivals[before + drawn:].tolist()
+        for month in range(1, 25):
+            sim.step(month)
+            assert sim.trajectory.events[-1].gc_arrivals == expected._gc_counts[month] + 300 * (month == 5)
 
     def test_the_probed_tables_certify_under_the_installed_numpy(self):
         # Every strip but strip 1, which never takes the fast path, has a certified limit, so the
@@ -1387,6 +1477,36 @@ class TestReferenceRun:
         assert [asdict(event) for event in sim.trajectory.events] == expected.events
         assert logged == (reference.exchanges if llm else [])
         assert (failure.month if failure else None) == expected.failed_month
+
+    @pytest.mark.parametrize("batches", [True, False])
+    def test_a_whole_pool_copied_over_its_own_slots(self, batches):
+        # Every pool of 4 enters whole.  In month 2 one node leaves, so the commit copies that month's
+        # pool one slot down, over three of its own slots (`kept == start - 1`); in month 3 another
+        # leaves, and the pool moves two slots down.  The rosters the policy is asked about, in order,
+        # and the CSV match the reference run's.
+        pool, horizon = 4, 4
+        config = SimulationConfig(horizon_months=horizon, initial_nodes=3, entry_pool_size=pool, seed=9)
+        entries = [[True] * pool] * horizon
+        exits = [[False] * 20, [False, True] + [False] * 18, [True] + [False] * 19, [False] * 20]
+
+        class Seen(Replay):
+            def decide_exits(self, revenue, costs, tolerances, thresholds, month):
+                self.rosters += zip(costs.tolist(), tolerances.tolist())
+                return super().decide_exits(revenue, costs, tolerances, thresholds, month)
+
+        class SeenEach(ReplayEach):
+            def decide_exit(self, ctx):
+                self.rosters.append((ctx.node_cost, ctx.tolerance))
+                return super().decide_exit(ctx)
+
+        policy, reference = (Seen if batches else SeenEach)(entries, exits), SeenEach(entries, exits)
+        policy.rosters, reference.rosters = [], []
+        sim = Simulation(config, policy=policy)
+        for month in range(1, horizon + 1):
+            sim.step(month)
+        assert [(e.entries, e.exits) for e in sim.trajectory.events] == [(pool, 0), (pool, 1), (pool, 1), (pool, 0)]
+        assert_same_csv(sim.trajectory.to_csv_string(), reference_run(config, reference).csv())
+        assert policy.rosters == reference.rosters and len(reference.rosters) == 3 + 7 + 10 + 13
 
     def test_llm_draws_force_fallbacks_and_exits(self):
         # The LLM draws above check fallbacks, and the patience and compaction code, only if a
