@@ -17,7 +17,6 @@ from .agents import (
     heuristic_prompt_reply,
     render_entry_prompt,
     render_exit_prompt,
-    spawn_growth_capitalists,
     total_endowment,
 )
 from .engine import (
@@ -64,6 +63,7 @@ from .metrics import (
     score_series,
     stability,
 )
+from .streams import spawn_growth_capitalists
 from .tokenomics import (
     NODE_SCHEDULE,
     TEAM_SCHEDULE,

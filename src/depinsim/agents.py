@@ -11,16 +11,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .llm_gateway import (
     DEFAULT_MODEL, AuditLog, BatchReplies, CompletionBatch, CompletionRequest, GatewayError, parse_yes_no,
 )
-
-if TYPE_CHECKING:
-    from .engine import SimulationConfig
 
 
 @dataclass(slots=True)
@@ -293,17 +290,6 @@ def apply_patience(streak: int, exit_signal: bool, patience: int) -> bool:
     leaves on `exit_signal`: a signal extends the run, and the node leaves
     once the run reaches `patience`."""
     return bool(exit_signal) and streak + 1 >= patience
-
-
-def spawn_growth_capitalists(month: int, config: SimulationConfig, rng: np.random.Generator) -> List[GrowthCapitalist]:
-    """Draw this month's entrants by `config`'s `gc_*` fields: Poisson count, log-normal endowment/lifespan,
-    a lifespan rounded to whole months half to even and held to at least one month."""
-    count = int(rng.poisson(config.gc_arrival_rate))
-    if count == 0:
-        return []
-    endowments = rng.lognormal(config.gc_endowment_mu, config.gc_endowment_sigma, count).tolist()
-    lifespans = rng.lognormal(config.gc_lifespan_mu, config.gc_lifespan_sigma, count).tolist()
-    return [GrowthCapitalist(e, month + max(round(n), 1)) for e, n in zip(endowments, lifespans)]
 
 
 def total_endowment(gcs: List[GrowthCapitalist]) -> float:

@@ -19,10 +19,10 @@ from depinsim.agents import (
     heuristic_prompt_reply,
     render_entry_prompt,
     render_exit_prompt,
-    spawn_growth_capitalists,
     total_endowment,
 )
 from depinsim.engine import Simulation, SimulationConfig
+from depinsim.streams import spawn_growth_capitalists
 from depinsim import agents, llm_gateway
 from depinsim.llm_gateway import AuditLog, ScriptedBackend
 

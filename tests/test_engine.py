@@ -30,17 +30,16 @@ from depinsim.agents import (
     heuristic_entry,
     heuristic_exit,
     heuristic_prompt_reply,
-    spawn_growth_capitalists,
 )
-from depinsim import engine
+from depinsim import engine, streams
 from depinsim.bounds import check_range, check_ranges, declared_ranges
 from depinsim.cli import FileOptions
 from depinsim.engine import (
-    MAX_HORIZON, MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, _Words, _stream_words,
-    compare, encode, run,
+    MAX_HORIZON, MAX_ROSTER, Simulation, SimulationConfig, SimulationError, Trajectory, compare, encode, run,
 )
 from depinsim.llm_gateway import AuditLog, LlmSettings, ScriptedBackend
 from depinsim.market import MarketState
+from depinsim.streams import _Words, _stream_words, spawn_growth_capitalists
 from depinsim.tokenomics import (
     TEAM_SCHEDULE,
     ScheduleKind,
@@ -306,25 +305,25 @@ class TestDeterminism:
         # every month's growth capital in one vectorised pass too (`_gc_draws`), after reading
         # NumPy's ziggurat tables through one probe PCG64 in one Generator, once per process
         # (`_ziggurat`).  Each month the pass marks is drawn there as well, by one PCG64 in one
-        # Generator; a month builds nothing while it steps.  Every PCG64 is seeded from words,
-        # hashed in one pass when the run is built or zeros for the probe, never through a
-        # SeedSequence.
+        # Generator; a month builds nothing while it steps.  All of it is `streams.draw_run`'s.  Every
+        # PCG64 is seeded from words, hashed in one pass when the run is built or zeros for the probe,
+        # never through a SeedSequence.
         hashed = []
-        seed_state = engine._seed_state
+        seed_state = streams._seed_state
 
         def counted_seed_state(entropy):
             hashed.append([len(row) for row in entropy])
             return seed_state(entropy)
 
-        monkeypatch.setattr(engine, "_seed_state", counted_seed_state)
+        monkeypatch.setattr(streams, "_seed_state", counted_seed_state)
         spawned = []
-        spawn = engine.spawn_growth_capitalists
+        spawn = streams.spawn_growth_capitalists
 
         def counted_spawn(month, config, rng):
             spawned.append(month)
             return spawn(month, config, rng)
 
-        monkeypatch.setattr(engine, "spawn_growth_capitalists", counted_spawn)
+        monkeypatch.setattr(streams, "spawn_growth_capitalists", counted_spawn)
         built = []
         hashing = (int, np.random.SeedSequence)  # seeds PCG64 would hash itself
 
@@ -342,7 +341,7 @@ class TestDeterminism:
         for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
             monkeypatch.setattr(np.random, name, counted(name))
         config = SimulationConfig(horizon_months=600, seed=3)
-        engine._ziggurat.cache_clear()
+        streams._ziggurat.cache_clear()
         Simulation(config)
         marked = list(spawned)
         # The roster's, then the probe's, then one per marked month's.
@@ -364,29 +363,29 @@ class TestDeterminism:
         # normal off the ziggurat's certified fast path.  Every month without an arrival is drawn by the pass.
         draws = [np.random.default_rng(np.random.SeedSequence((3, month, 2))).poisson(config.gc_arrival_rate)
                  for month in range(1, 601)]
-        assert [sim._gc_counts[month] for month in range(1, 601)] == draws
-        uniforms = engine._poisson_uniforms(config.gc_arrival_rate)
+        assert [len(sim._arrivals(month)) for month in range(1, 601)] == draws
+        uniforms = streams._poisson_uniforms(config.gc_arrival_rate)
         words = _stream_words(3, 600)[:, 2]
 
         def marks(month, count):
             raw = np.random.PCG64(_Words(words[month])).random_raw(3 * count + 1)[count + 1:]
-            return count >= uniforms or not engine._normals(raw, *engine._ziggurat())[1].all()
+            return count >= uniforms or not streams._normals(raw, *streams._ziggurat())[1].all()
 
         assert marked == [month for month, count in enumerate(draws, start=1) if marks(month, count)]
         assert set(marked).isdisjoint(month for month, count in enumerate(draws, start=1) if count == 0)
         assert 0 < len(marked) < sum(count > 0 for count in draws) < 600
-        assert sim._gc_words is None
+        assert sim._arrivals.func is streams._taken  # slices of the build's arrays: the run keeps no stream words
         # Words (seed, month, channel); the seed's one row is shared by every column,
         # one column per month and channel.
         assert hashed == [[1, 601 * 3, 601 * 3]] * 2
 
-    @pytest.mark.parametrize("pool, builds", [(engine._VECTOR_POOL_MAX, 1), (engine._VECTOR_POOL_MAX + 1, 1 + 24)])
+    @pytest.mark.parametrize("pool, builds", [(streams._VECTOR_POOL_MAX, 1), (streams._VECTOR_POOL_MAX + 1, 1 + 24)])
     def test_only_pools_beyond_the_switch_build_a_generator_a_month(self, monkeypatch, pool, builds):
         # Up to the switch every month's pool is computed in one pass and only the initial
         # roster builds a PCG64; beyond it each month's pool builds its own.  Growth capital's
         # months that its vectorised pass marks build one each, whatever the pool.
         built, spawned = [], []
-        real, spawn = np.random.PCG64, engine.spawn_growth_capitalists
+        real, spawn = np.random.PCG64, streams.spawn_growth_capitalists
 
         def counted(*args, **kwargs):
             built.append("PCG64")
@@ -397,8 +396,8 @@ class TestDeterminism:
             return spawn(month, config, rng)
 
         monkeypatch.setattr(np.random, "PCG64", counted)
-        monkeypatch.setattr(engine, "spawn_growth_capitalists", counted_spawn)
-        engine._ziggurat()  # the probe's tables, once per process
+        monkeypatch.setattr(streams, "spawn_growth_capitalists", counted_spawn)
+        streams._ziggurat()  # the probe's tables, once per process
         built.clear()
         Simulation(SimulationConfig(horizon_months=24, entry_pool_size=pool))
         assert spawned == [5]  # at the default seed, the one month of 24 the pass marks
@@ -421,14 +420,14 @@ class TestDeterminism:
     @given(
         seed=st.integers(0, 2**200) | st.sampled_from([0, 2**64, 2**200]),
         calls=stream_calls(),
-        count=st.integers(1, 2 * engine._VECTOR_POOL_MAX + 1),
+        count=st.integers(1, 2 * streams._VECTOR_POOL_MAX + 1),
     )
-    @example(seed=2**200, calls=[(0, 0), (1, 2), (MAX_HORIZON, 1)], count=2 * engine._VECTOR_POOL_MAX + 1)
+    @example(seed=2**200, calls=[(0, 0), (1, 2), (MAX_HORIZON, 1)], count=2 * streams._VECTOR_POOL_MAX + 1)
     def test_pcg_outputs_equal_numpys_raw_words(self, seed, calls, count):
         # Row i is the first `count` raw words of the stream seeded by row i, bit for bit.
         words = _stream_words(seed, max(month for month, _ in calls))
         rows = np.array([words[month, channel] for month, channel in calls])
-        outputs = engine._pcg_outputs(rows, count)
+        outputs = streams._pcg_outputs(rows, count)
         assert outputs.dtype == np.uint64 and outputs.shape == (len(calls), count)
         for row, output in zip(rows, outputs):
             assert output.tolist() == np.random.PCG64(_Words(row)).random_raw(count).tolist()
@@ -443,7 +442,7 @@ class TestDeterminism:
         # Below a mean of 10, where NumPy multiplies uniforms, a stream's count is its
         # `poisson(rate)` unless its Poisson run outlasts the uniforms computed, when it is
         # marked; a count of 0 is exactly a draw of 0, even from the first uniform alone.
-        # From 10 on, where NumPy samples by PTRS, every month is marked.
+        # From 10 on, where NumPy samples by PTRS, every month draws from its own generator.
         words = _stream_words(seed, max(month for month, _ in calls))
         rows = np.array([words[month, channel] for month, channel in calls])
 
@@ -452,17 +451,19 @@ class TestDeterminism:
 
         for rate in (0.0, 5e-324, 0.5, 1.0, math.nextafter(10, 0)):
             draws = [int(rng(*call).poisson(rate)) for call in calls]
-            for uniforms in {1, engine._poisson_uniforms(rate)}:
-                counts = engine._arrival_counts(engine._pcg_outputs(rows, uniforms), rate)
+            for uniforms in {1, streams._poisson_uniforms(rate)}:
+                counts = streams._arrival_counts(streams._pcg_outputs(rows, uniforms), rate)
                 assert counts.dtype == np.uint8
                 for count, draw in zip(counts.tolist(), draws):
-                    assert count == draw if count != engine._FALLBACK else draw >= uniforms
+                    assert count == draw if count != streams._FALLBACK else draw >= uniforms
                     assert (count == 0) == (draw == 0)
         every_month = words[:, 2]  # at 10 some months' first uniforms lie below exp(-10)
         for rate in (10.0, 1000.0):
-            counts, endowments, expiries = engine._gc_draws(every_month, SimulationConfig(gc_arrival_rate=rate))
-            assert counts == bytes([engine._FALLBACK]) * len(every_month)
-            assert len(endowments) == len(expiries) == 0
+            config = SimulationConfig(seed=seed, horizon_months=max(len(every_month) - 1, 1), initial_nodes=0,
+                                      entry_pool_size=0, gc_arrival_rate=rate)
+            arrivals = streams.draw_run(config, np.empty((3, 0)))
+            assert arrivals.func is streams._spawned
+            assert arrivals.args[0][:len(every_month)].tobytes() == every_month.tobytes()
 
     @pytest.mark.parametrize("rate, digest", [
         (0.0, "d7f1cf512551aa1c996a4145d9842ab409cc239ec18080198a12430e69f4d4b0"),
@@ -489,16 +490,16 @@ class TestDeterminism:
         # rate; at seed 11, months with a normal off the ziggurat's certified fast path.
         config = SimulationConfig(horizon_months=120, **kwargs)
         marked = []
-        spawn = engine.spawn_growth_capitalists
+        spawn = streams.spawn_growth_capitalists
 
         def counted_spawn(month, config, rng):
             marked.append(month)
             return spawn(month, config, rng)
 
-        monkeypatch.setattr(engine, "spawn_growth_capitalists", counted_spawn)
-        assert engine._FALLBACK not in Simulation(config)._gc_counts
+        monkeypatch.setattr(streams, "spawn_growth_capitalists", counted_spawn)
+        assert Simulation(config)._arrivals.func is streams._taken  # every month drawn at build
         monkeypatch.undo()
-        uniforms = engine._poisson_uniforms(config.gc_arrival_rate)
+        uniforms = streams._poisson_uniforms(config.gc_arrival_rate)
         kinds = {"outlasts" if rng.poisson(config.gc_arrival_rate) >= uniforms else "slow normal"
                  for rng in (np.random.default_rng(np.random.SeedSequence((config.seed, month, 2)))
                              for month in marked)}
@@ -561,8 +562,8 @@ class TestCandidateTable:
     @example(seed=2**200, pool=100, initial=100, horizon=2, node_cost=1e300, cost_spread=(1e8, 1e8),
              tolerance_range=(1.0, 1.0))
     # Pools computed in one pass over three chunks of words, the last one partial.
-    @example(seed=2**64, pool=engine._VECTOR_POOL_MAX, initial=9,
-             horizon=2 * engine._CHUNK_OUTPUTS // (2 * engine._VECTOR_POOL_MAX) + 3, node_cost=1000.0,
+    @example(seed=2**64, pool=streams._VECTOR_POOL_MAX, initial=9,
+             horizon=2 * streams._CHUNK_OUTPUTS // (2 * streams._VECTOR_POOL_MAX) + 3, node_cost=1000.0,
              cost_spread=(0.8, 1.2), tolerance_range=(0.3, 0.9))
     def test_pools_and_initial_roster_equal_numpys_uniform_draws(
             self, seed, pool, initial, horizon, node_cost, cost_spread, tolerance_range):
@@ -592,8 +593,9 @@ class TestCandidateTable:
         # The largest admitted roster: 1,000,000 slots, all of them candidates.  The run keeps
         # its node table (33 B a slot: cost, tolerance and exit threshold at 8 B each, the two
         # int32 run slots at 4 B each and the stay mask at 1 B), its arrivals drawn at the default
-        # rate (about 100,000 at 12 B each) and its releases and supply (about 64 B a month):
-        # 40.7 MB (38.8 MiB).  No month draws while it steps, so the run keeps no stream words.
+        # rate (about 100,000 at 12 B each, and a 4 B offset a month) and its releases and supply
+        # (about 64 B a month): 41.0 MB (39.1 MiB).  No month draws while it steps, so the run keeps
+        # no stream words.
         # A separate candidate table (16 B a slot) would add 16 MB to what the run holds,
         # converting the table's raw words through a copy 16 MB to the build's peak, and
         # keeping every channel's stream words (96 B a month) 9.6 MB to what the run holds.
@@ -606,9 +608,9 @@ class TestCandidateTable:
             tracemalloc.stop()
         assert peak < 70 * 2**20
         assert held < 42 * 2**20
-        assert sim._gc_words is None
+        assert sim._arrivals.func is streams._taken
         # From a rate of 10 every month draws while it steps: the run keeps growth capital's words alone.
-        assert Simulation(replace(config, gc_arrival_rate=10.0))._gc_words.nbytes == (MAX_HORIZON + 1) * 32
+        assert Simulation(replace(config, gc_arrival_rate=10.0))._arrivals.args[0].nbytes == (MAX_HORIZON + 1) * 32
 
     def test_growth_capital_draws_hold_their_temporaries_to_chunks(self):
         # The longest run at the highest rate the build draws.  Computed at once, its 7,000,000 raw
@@ -617,22 +619,23 @@ class TestCandidateTable:
         # peaks at about 22 MiB: the arrivals, about 1,000,000 at 12 B each (a float64 endowment, a
         # uint32 expiry, each chunk's expiries narrowed before they are joined), and a copy of the
         # endowments while their chunks are joined.  That lies below the 25 MiB at which the build
-        # hashes every stream's words.  The run holds 17.7 MiB.  About 26% of months are marked by
-        # the pass and drawn one by one after it; the build takes about 0.9 s (shared 2-vCPU Xeon,
-        # NumPy 2.4.6).
+        # hashes every stream's words.  The run holds 18.0 MiB, a uint32 offset a month among it.  About
+        # 26% of months are marked by the pass and drawn one by one after it; the build takes about
+        # 0.9 s (shared 2-vCPU Xeon, NumPy 2.4.6).
         config = SimulationConfig(initial_nodes=0, horizon_months=MAX_HORIZON, entry_pool_size=0,
                                   gc_arrival_rate=math.nextafter(10, 0))
-        engine._ziggurat()  # the probe's tables, once per process
+        streams._ziggurat()  # the probe's tables, once per process
         tracemalloc.start()
         try:
             sim = Simulation(config)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        arrivals = len(sim._gc_endowments)
-        assert abs(arrivals - config.gc_arrival_rate * MAX_HORIZON) < 5_000  # 5 standard deviations
-        assert sim._gc_words is None
-        assert sim._gc_endowments.obj.dtype == np.float64 and sim._gc_expiries.obj.dtype == np.uint32
+        assert sim._arrivals.func is streams._taken
+        offsets, endowments, expiries = sim._arrivals.args
+        assert abs(len(endowments) - config.gc_arrival_rate * MAX_HORIZON) < 5_000  # 5 standard deviations
+        assert offsets[-1] == len(endowments) == len(expiries)
+        assert endowments.obj.dtype == np.float64 and expiries.obj.dtype == offsets.obj.dtype == np.uint32
         assert held < 19 * 2**20
         assert peak < 28 * 2**20
 
@@ -641,35 +644,36 @@ class TestGrowthCapitalDraws:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**200),
-        rate=st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
+        rate=st.floats(0.0, 1000.0),
         endowment=st.tuples(st.sampled_from([0.0, 100.0]), st.sampled_from([0.0, 2.5])),
         lifespan=st.tuples(st.sampled_from([0.0, 10.0]), st.sampled_from([0.0, 2.5])),
         horizon=st.integers(1, 40),
     )
+    @example(seed=7, rate=0.0, endowment=(100.0, 2.5), lifespan=(10.0, 2.5), horizon=40)
     @example(seed=2**200, rate=5e-324, endowment=(0.0, 0.0), lifespan=(0.0, 0.0), horizon=40)
     @example(seed=0, rate=0.5, endowment=(100.0, 2.5), lifespan=(10.0, 2.5), horizon=40)
     @example(seed=1, rate=1.0, endowment=(0.0, 2.5), lifespan=(10.0, 0.0), horizon=40)
     @example(seed=2**64, rate=math.nextafter(10, 0), endowment=(100.0, 2.5), lifespan=(0.0, 2.5), horizon=40)
+    @example(seed=2**64, rate=10.0, endowment=(100.0, 2.5), lifespan=(0.0, 2.5), horizon=40)
+    @example(seed=5, rate=1000.0, endowment=(0.0, 2.5), lifespan=(10.0, 2.5), horizon=12)
     # Every lifespan exp(log(2.5)) = 2.5, which rounds half to even, to 2 months.
     @example(seed=3, rate=5.0, endowment=(13.0, 1.0), lifespan=(math.log(2.5), 0.0), horizon=12)
-    def test_each_counted_month_equals_numpys_draws(self, seed, rate, endowment, lifespan, horizon):
-        # Bit for bit, every month the build counts, which is every month below a rate of 10, holds the
-        # arrivals `spawn_growth_capitalists` draws from that month's own stream, its endowments and
-        # expiries in order.
+    def test_each_months_arrivals_equal_numpys_draws(self, seed, rate, endowment, lifespan, horizon):
+        # Bit for bit, at every rate, each month's arrivals are those `spawn_growth_capitalists` draws
+        # from that month's own stream, its endowments and expiries in order.  Below a rate of 10 the
+        # build draws them all into flat arrays, which hold no arrival of any other month.
         config = SimulationConfig(seed=seed, horizon_months=horizon, entry_pool_size=0, gc_arrival_rate=rate,
                                   gc_endowment_mu=endowment[0], gc_endowment_sigma=endowment[1],
                                   gc_lifespan_mu=lifespan[0], gc_lifespan_sigma=lifespan[1])
         sim = Simulation(config)
-        first = 0
         for month in range(1, horizon + 1):
-            count = sim._gc_counts[month]
-            assert count != engine._FALLBACK
             rng = np.random.default_rng(np.random.SeedSequence((seed, month, 2)))
             expected = [(gc.endowment, gc.expiry) for gc in spawn_growth_capitalists(month, config, rng)]
-            drawn = zip(sim._gc_endowments[first:first + count], sim._gc_expiries[first:first + count])
-            assert list(drawn) == expected
-            first += count
-        assert first == len(sim._gc_endowments) == len(sim._gc_expiries)
+            assert [(gc.endowment, gc.expiry) for gc in sim._arrivals(month)] == expected
+        if 0 < rate < 10:
+            assert sim._arrivals.func is streams._taken
+            offsets, endowments, expiries = sim._arrivals.args
+            assert offsets[horizon] == len(endowments) == len(expiries)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -686,60 +690,61 @@ class TestGrowthCapitalDraws:
         config = SimulationConfig(seed=seed, horizon_months=horizon, gc_arrival_rate=rate,
                                   gc_endowment_sigma=sigmas[0], gc_lifespan_sigma=sigmas[1])
         sim = Simulation(config)
-        assert sim._gc_words is None
+        assert getattr(sim._arrivals, "func", None) is not streams._spawned  # which keeps the stream words
         calls = []
         with pytest.MonkeyPatch.context() as patch:
             for name in ("PCG64", "Generator"):
                 patch.setattr(np.random, name, lambda *args, name=name: calls.append(name))
-            patch.setattr(engine, "spawn_growth_capitalists", lambda *args: calls.append("spawn"))
+            patch.setattr(streams, "spawn_growth_capitalists", lambda *args: calls.append("spawn"))
             for month in range(1, horizon + 1):
                 sim.step(month)
         assert calls == []
 
-    def test_a_count_that_outgrows_its_byte_draws_while_it_steps(self, monkeypatch):
-        # A marked month's count is kept in a byte; one of 255 or more stays marked, so the run keeps
-        # its stream words and the month draws its arrivals while it steps.  No rate below 10 draws so
-        # many, so the draw is padded here: month 5, the one month of 24 the pass marks at the default
-        # seed, draws its own arrivals then 300 more, and every other month is unchanged.
-        spawn = engine.spawn_growth_capitalists
+    def test_a_month_padded_to_300_arrivals_is_drawn_at_build(self, monkeypatch):
+        # No rate below 10 draws so many, so the draw is padded here: month 5, the one month of 24 the
+        # pass marks at the default seed, draws its own arrivals then 300 more.  It is drawn at build as
+        # any marked month is, its count held in the offsets, which widen to 16 bits; every other month
+        # is unchanged, and stepping builds no generator.
+        spawn = streams.spawn_growth_capitalists
 
         def padded(month, config, rng):
             return spawn(month, config, rng) + [GrowthCapitalist(1.0, month + 1) for _ in range(300)]
 
         config = SimulationConfig(horizon_months=24)
         expected = Simulation(config)
-        monkeypatch.setattr(engine, "spawn_growth_capitalists", padded)
+        monkeypatch.setattr(streams, "spawn_growth_capitalists", padded)
         sim = Simulation(config)
-        assert [month for month, count in enumerate(sim._gc_counts) if count == engine._FALLBACK] == [5]
-        assert sim._gc_words.tobytes() == _stream_words(config.seed, 24)[:, 2].tobytes()
-        assert sim._gc_counts[:5] + sim._gc_counts[6:] == expected._gc_counts[:5] + expected._gc_counts[6:]
-        before, drawn = sum(sim._gc_counts[1:5]), expected._gc_counts[5]
-        for arrivals, expected_arrivals in ((sim._gc_endowments, expected._gc_endowments),
-                                            (sim._gc_expiries, expected._gc_expiries)):
-            assert arrivals.tolist() == expected_arrivals[:before].tolist() + expected_arrivals[before + drawn:].tolist()
+        assert sim._arrivals.args[0].obj.dtype == np.uint16
+        for month in range(1, 25):
+            extra = [GrowthCapitalist(1.0, 6)] * 300 * (month == 5)
+            assert sim._arrivals(month) == expected._arrivals(month) + extra
+        calls = []
+        for name in ("PCG64", "Generator"):
+            monkeypatch.setattr(np.random, name, lambda *args, name=name: calls.append(name))
         for month in range(1, 25):
             sim.step(month)
-            assert sim.trajectory.events[-1].gc_arrivals == expected._gc_counts[month] + 300 * (month == 5)
+            assert sim.trajectory.events[-1].gc_arrivals == len(expected._arrivals(month)) + 300 * (month == 5)
+        assert calls == []
 
     def test_the_probed_tables_certify_under_the_installed_numpy(self):
         # Every strip but strip 1, which never takes the fast path, has a certified limit, so the
         # fast path is on: about 98.5% of raw words take it.  At each strip's edges, a word certified
         # fast gives NumPy's normal from that word alone, and a word at the limit is not certified.
-        wi, ki = engine._ziggurat()
+        wi, ki = streams._ziggurat()
         assert ki[1] == 0 and np.count_nonzero(ki) == 255 and np.all(wi > 0)
         assert not wi.flags.writeable and not ki.flags.writeable
         raw = np.random.PCG64(_Words(np.arange(4, dtype=np.uint64))).random_raw(100_000)
-        assert 0.98 < engine._normals(raw, wi, ki)[1].mean() < 0.99
+        assert 0.98 < streams._normals(raw, wi, ki)[1].mean() < 0.99
 
         probe = np.random.PCG64(_Words(np.zeros(4, dtype=np.uint64)))
         state = probe.state
         words = [rabs << 9 | sign << 8 | strip for strip, limit in enumerate(ki.tolist())
                  for rabs in {1, max(limit - 1, 1), max(limit, 1)} for sign in (0, 1)]
-        z, fast = engine._normals(np.array(words, dtype=np.uint64), wi, ki)
+        z, fast = streams._normals(np.array(words, dtype=np.uint64), wi, ki)
         for word, value, certified in zip(words, z.tolist(), fast.tolist()):
             assert certified == (word >> 9 < ki[word & 0xFF])
             if certified:  # the word is the next raw output: the state before it steps to it
-                state["state"] = {"state": (word - 1) * engine._PCG_MULT_INV % 2**128, "inc": 1}
+                state["state"] = {"state": (word - 1) * streams._PCG_MULT_INV % 2**128, "inc": 1}
                 probe.state = state
                 assert np.random.Generator(probe).standard_normal() == value
                 assert probe.state["state"]["state"] == word  # one word read
