@@ -12,7 +12,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import Field, field, fields
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 _INTERVAL = re.compile(r"([\[(])(\S+), (\S+)([\])])")
 _LOWER = {"[": operator.le, "(": operator.lt}  # lo <= value, lo < value
@@ -31,14 +31,15 @@ def mirrored(cls: type, name: str, doc: str) -> Field:
 
 
 @functools.lru_cache(maxsize=None)
-def declared_ranges(cls: type) -> Tuple[tuple, ...]:
-    """(name, interval text, lo, lower test, hi, upper test) per field of dataclass `cls` declaring a range."""
-    ranges = []
+def declared_ranges(cls: type) -> Dict[str, tuple]:
+    """(interval text, lo, lower test, hi, upper test) by name, per field of dataclass `cls` declaring a range.
+    The dict is shared: a caller reads it only."""
+    ranges = {}
     for f in fields(cls):
         if "range" in f.metadata:
             lower, lo, hi, upper = _INTERVAL.fullmatch(f.metadata["range"]).groups()
-            ranges.append((f.name, f.metadata["range"], float(lo), _LOWER[lower], float(hi), _UPPER[upper]))
-    return tuple(ranges)
+            ranges[f.name] = (f.metadata["range"], float(lo), _LOWER[lower], float(hi), _UPPER[upper])
+    return ranges
 
 
 def _check(name: str, text: str, lo: float, above, hi: float, below, value) -> None:
@@ -49,21 +50,15 @@ def _check(name: str, text: str, lo: float, above, hi: float, below, value) -> N
         raise ValueError(f"{name} must lie in {text}, got {value!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def _range_checks(cls: type) -> Dict[str, Callable]:
-    """`_check` bound to each range dataclass `cls` declares, by field name."""
-    return {declared[0]: functools.partial(_check, *declared) for declared in declared_ranges(cls)}
-
-
 def check_ranges(obj) -> None:
     """Raise a ValueError naming the first field of dataclass `obj` outside its declared range."""
-    for name, check in _range_checks(type(obj)).items():
-        check(getattr(obj, name))
+    for name, declared in declared_ranges(type(obj)).items():
+        _check(name, *declared, getattr(obj, name))
 
 
 def check_range(cls: type, name: str, value) -> None:
     """Raise a ValueError naming `name` unless `value` lies in the range `cls` declares for it (a KeyError if none)."""
-    _range_checks(cls)[name](value)
+    _check(name, *declared_ranges(cls)[name], value)
 
 
 def read_json(path: str):

@@ -43,7 +43,9 @@ from .market import (
 )
 from .streams import draw_run
 from .tokenomics import NODE_SCHEDULE, TEAM_SCHEDULE, VC_SCHEDULE, TokenAllocation, VestingSchedule, vesting_table
-# Unused here: perfbench's tracer patches these names until ROADMAP item 17 lands.
+# Unused here: perfbench's tracer patches these names until ROADMAP item 17 lands.  No call goes through
+# `engine.spawn_growth_capitalists` (`streams` calls its own), so a traced `agents.gc.calls` counts only
+# `total_endowment`.
 from .streams import spawn_growth_capitalists  # noqa: F401
 from .tokenomics import circulating_supply, node_emission, team_release, vc_release  # noqa: F401
 
@@ -370,11 +372,11 @@ class Simulation:
     record (before month 1, the month-0 seed).  The trajectory holds no
     reference back to the simulation.
 
-    Every node a run may hold has a slot in one table, allocated and drawn,
-    thresholds included, when the run is built (`streams.draw_run`;
-    `initial_nodes + horizon_months * entry_pool_size` slots, 33 B each
-    with the commit's stay mask): `_nodes` holds float64 rows of cost,
-    tolerance and exit threshold `tolerance * cost`, `_runs` int32 rows of
+    Every node a run may hold has a slot in one table, allocated and filled
+    when the run is built (`initial_nodes + horizon_months * entry_pool_size`
+    slots, 33 B each with the commit's stay mask): `_nodes` holds float64
+    rows of cost and tolerance, drawn by `streams.draw_run`, and exit
+    threshold `tolerance * cost`, set from them here; `_runs` int32 rows of
     the last month a node signalled exit (-1 if never, as every slot
     starts) and its run of consecutive signals up to then.  The roster is
     the first `n` slots; month m's pool is the `entry_pool_size` slots from
@@ -416,7 +418,8 @@ class Simulation:
         # memory, by np.zeros and np.empty; every other slot is written here.
         capacity = config.initial_nodes + config.horizon_months * config.entry_pool_size
         self._nodes = np.empty((3, capacity))  # cost, tolerance, and the heuristic exit rule's bar tolerance * cost
-        self._arrivals = draw_run(config, self._nodes)  # month -> that month's growth-capital arrivals
+        self._arrivals = draw_run(config, self._nodes[:2])  # month -> that month's growth-capital arrivals
+        np.multiply(self._nodes[1], self._nodes[0], out=self._nodes[2])
         self._runs = np.zeros((2, capacity), dtype=np.int32)  # the month each node last signalled, its run then
         self._runs[0] = -1  # never
         self._stay = np.empty(capacity, dtype=bool)  # in an exit month, the nodes that stay

@@ -127,7 +127,7 @@ def _stream_words(seed: int, months: int) -> np.ndarray:
 
 
 def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) -> None:
-    """Draw the run's nodes into the node table `nodes` in slot order, with every slot's exit threshold: the
+    """Draw the run's nodes into `nodes`, the node table's cost and tolerance rows, in slot order: the
     initial roster from stream `words[0, _STREAM_INIT_NODES]`, then month m's candidate pool from stream
     `words[m, _STREAM_CANDIDATES]` (`words` as `_stream_words` returns them).
 
@@ -139,7 +139,7 @@ def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) 
     `lo + (hi - lo) * ((raw >> 11) * 2**-53)`.  A property test pins each stream to
     `node_cost * rng.uniform(lo, hi, count)`, then `rng.uniform(tlo, thi, count)`.
     """
-    raw = nodes[:2].view(np.uint64)
+    raw = nodes.view(np.uint64)
     start, pool = config.initial_nodes, config.entry_pool_size
     if start:
         raw[:, :start] = np.random.PCG64(_Words(words[0, _STREAM_INIT_NODES])).random_raw(2 * start).reshape(2, start)
@@ -164,7 +164,6 @@ def _node_draws(nodes: np.ndarray, words: np.ndarray, config: SimulationConfig) 
         uniform *= hi - lo
         uniform += lo
     nodes[0] *= config.node_cost
-    np.multiply(nodes[1], nodes[0], out=nodes[2])
 
 
 # PCG64's 128-bit multiplier M: a step is `state * M + inc`, modulo 2**128 (`_pcg_outputs`).
@@ -183,8 +182,6 @@ _CHUNK_OUTPUTS = 8192
 _POISSON_PTRS_MEAN = 10.0
 # How often at most a month's Poisson run outlasts the uniforms `_gc_draws` computes (`_poisson_uniforms`).
 _POISSON_TAIL = 2.0**-12
-# A count of `_arrival_counts` and `_gc_draws` for a month that its own generator must draw.
-_FALLBACK = 0xFF
 
 
 def _halves(values: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -257,10 +254,10 @@ def _poisson_uniforms(rate: float) -> int:
     return k
 
 
-def _arrival_counts(outputs: np.ndarray, rate: float) -> np.ndarray:
-    """Each stream's `Generator.poisson(rate)` for a `rate` below 10, as uint8, from a row per stream of
-    its first raw outputs, fewer than `_FALLBACK` (as `_pcg_outputs` returns them); `_FALLBACK` where
-    the stream's Poisson run outlasts its row.
+def _arrival_counts(outputs: np.ndarray, rate: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Each stream's `Generator.poisson(rate)` for a `rate` below 10, from a row per stream of its first raw
+    outputs (as `_pcg_outputs` returns them), and whether the stream's Poisson run outlasts its row; there
+    the count is the row's length, and the draw is at least that.
 
     Below a mean of 10, NumPy multiplies uniforms `(raw >> 11) * 2**-53` while their product stays
     above `exp(-rate)`, and the count is the number of partial products above it (at 0 it draws
@@ -271,9 +268,7 @@ def _arrival_counts(outputs: np.ndarray, rate: float) -> np.ndarray:
     products = (outputs >> _U11) * 2.0**-53
     np.multiply.accumulate(products, axis=1, out=products)
     above = products > math.exp(-rate)
-    counts = np.count_nonzero(above, axis=1).astype(np.uint8)
-    counts[above[:, -1]] = _FALLBACK
-    return counts
+    return np.count_nonzero(above, axis=1), above[:, -1]
 
 
 @functools.cache
@@ -352,8 +347,8 @@ def _gc_draws(words: np.ndarray, config: SimulationConfig) -> Tuple[np.ndarray, 
     outputs at a time.  A log-normal draw is `exp(mu + sigma * z)`: `mu + sigma * z` in float64 arrays,
     as NumPy's C computes it, then `_exps`; an expiry is `month + max(round(n), 1)`, by `np.rint`, which
     rounds half to even as `round` does.  A month whose Poisson run outlasts the `k` uniforms, or one of
-    whose normals is not certified on the fast path, is marked and drawn after its chunk's pass by
-    `_spawned` itself, and its arrivals are spliced in among the chunk's in month order.
+    whose normals is not certified on the fast path, is marked (a boolean a month) and drawn after its
+    chunk's pass by `_spawned` itself, and its arrivals are spliced in among the chunk's in month order.
     """
     rate, months = config.gc_arrival_rate, len(words)
     uniforms = _poisson_uniforms(rate)
@@ -364,22 +359,22 @@ def _gc_draws(words: np.ndarray, config: SimulationConfig) -> Tuple[np.ndarray, 
     step = _CHUNK_OUTPUTS // width  # months a chunk
     for first in range(1, months, step):
         outputs = _pcg_outputs(words[first:first + step], width)
-        count = _arrival_counts(outputs[:, :uniforms], rate)
-        each = np.where(count == _FALLBACK, 0, count).astype(np.intp)
+        count, marked = _arrival_counts(outputs[:, :uniforms], rate)
+        each = np.where(marked, 0, count)
         row = np.repeat(np.arange(len(count)), each)  # each arrival's month, as a row of the chunk
         c = each[row]
         # Arrival a of a month of c reads output c + 1 + a for its endowment and 2 * c + 1 + a for its lifespan.
         column = np.arange(len(row)) - (np.cumsum(each) - each)[row] + c + 1
         z_endowment, fast = _normals(outputs[row, column], wi, ki)
         z_lifespan, fast_lifespan = _normals(outputs[row, column + c], wi, ki)
-        count[row[~(fast & fast_lifespan)]] = _FALLBACK
-        keep = count[row] != _FALLBACK
+        marked[row[~(fast & fast_lifespan)]] = True
+        keep = ~marked[row]
         row = row[keep]
         endowment = _exps(config.gc_endowment_mu + config.gc_endowment_sigma * z_endowment[keep])
         lifespans = _exps(config.gc_lifespan_mu + config.gc_lifespan_sigma * z_lifespan[keep])
         expiry = np.maximum(np.rint(lifespans), 1.0).astype(np.int64) + (row + first)
         offsets[first:first + step] = count
-        marked = np.flatnonzero(count == _FALLBACK)
+        marked = np.flatnonzero(marked)
         if len(marked):  # drawn by their own generators, each inserted before the next month's arrivals
             drawn = [_spawned(words, config, month) for month in (marked + first).tolist()]
             sizes = list(map(len, drawn))
@@ -421,18 +416,19 @@ def _taken(offsets: memoryview, endowments: memoryview, expiries: memoryview, mo
 
 
 def draw_run(config: SimulationConfig, nodes: np.ndarray) -> Callable[[int], List[GrowthCapitalist]]:
-    """Make every draw of the run `config`: fill the node table `nodes` (`_node_draws`), and return the source
-    of its growth capital, `month -> arrivals`, a new list of what `_spawned` draws for the month.
+    """Make every draw of the run `config`: fill `nodes`, the node table's cost and tolerance rows
+    (`_node_draws`), and return the source of its growth capital, `month -> arrivals`, a new list of what
+    `_spawned` draws for the month.
 
-    Every stream's words are hashed in one pass.  By `gc_arrival_rate`: at 0 no month draws; below 10 a month
-    takes its slices of the arrays `_gc_draws` fills here; from 10, where NumPy's Poisson samples by PTRS, a
-    month draws from its own generator (`_spawned`).
+    Every stream's words are hashed in one pass.  By `gc_arrival_rate`: at 0 no month draws, and growth
+    capital's words are not kept; below 10 a month takes its slices of the arrays `_gc_draws` fills here;
+    from 10, where NumPy's Poisson samples by PTRS, a month draws from its own generator (`_spawned`).
     """
     words = _stream_words(config.seed, config.horizon_months)
     _node_draws(nodes, words, config)
-    words = words[:, _STREAM_GROWTH_CAPITAL].copy()  # growth capital's alone, the rest dropped before its draws
     if not config.gc_arrival_rate:
         return lambda month: []
+    words = words[:, _STREAM_GROWTH_CAPITAL].copy()  # growth capital's alone, the rest dropped before its draws
     if config.gc_arrival_rate >= _POISSON_PTRS_MEAN:
         return functools.partial(_spawned, words, config)
     return functools.partial(_taken, *map(memoryview, _gc_draws(words, config)))

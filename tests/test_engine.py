@@ -102,7 +102,7 @@ class TestConfig:
     def test_a_json_integer_for_a_float_key_is_read_as_a_float(self):
         def whole_floats(cls) -> dict:
             """Each float key of `cls`, each element of a float pair too, as the least integer in its range."""
-            ranges = {r[0]: (math.ceil(r[2]), r[3]) for r in declared_ranges(cls)}
+            ranges = {name: (math.ceil(r[1]), r[2]) for name, r in declared_ranges(cls).items()}
             keys = {}
             for name, hint in get_type_hints(cls).items():
                 if hint is float or get_args(hint) == (float, float):
@@ -201,7 +201,7 @@ class TestConfig:
         # stability_window is Optional; its range is the cross-field rule 1 <= first <= last <= horizon.
         numeric = {name for name, hint in get_type_hints(cls).items()
                    if hint in (int, float) or get_origin(hint) is tuple}
-        assert {name for name, *_ in declared_ranges(cls)} == numeric
+        assert set(declared_ranges(cls)) == numeric
 
     def test_roster_cap_is_checked_at_load(self):
         pool = (MAX_ROSTER - 50) // 96
@@ -452,10 +452,10 @@ class TestDeterminism:
         for rate in (0.0, 5e-324, 0.5, 1.0, math.nextafter(10, 0)):
             draws = [int(rng(*call).poisson(rate)) for call in calls]
             for uniforms in {1, streams._poisson_uniforms(rate)}:
-                counts = streams._arrival_counts(streams._pcg_outputs(rows, uniforms), rate)
-                assert counts.dtype == np.uint8
-                for count, draw in zip(counts.tolist(), draws):
-                    assert count == draw if count != streams._FALLBACK else draw >= uniforms
+                counts, outlasted = streams._arrival_counts(streams._pcg_outputs(rows, uniforms), rate)
+                assert counts.dtype.kind in "iu" and outlasted.dtype == bool
+                for count, marked, draw in zip(counts.tolist(), outlasted.tolist(), draws):
+                    assert draw >= uniforms if marked else count == draw
                     assert (count == 0) == (draw == 0)
         every_month = words[:, 2]  # at 10 some months' first uniforms lie below exp(-10)
         for rate in (10.0, 1000.0):
@@ -1292,6 +1292,19 @@ class TestExitThresholds:
         assert [(e.exits, e.entries) for e in sim.trajectory.events] == [(1, 1), (1, 1)]
         assert sim.cost.tolist()[0] == initial[2]
 
+    @pytest.mark.parametrize("initial, pool", [(7, 0), (0, streams._VECTOR_POOL_MAX), (3, streams._VECTOR_POOL_MAX + 1)])
+    def test_the_draws_leave_the_threshold_row_to_the_engine(self, initial, pool):
+        # The stream layer draws costs and tolerances only; the engine derives each exit threshold.
+        config = SimulationConfig(horizon_months=5, initial_nodes=initial, entry_pool_size=pool)
+        capacity = initial + 5 * pool
+        table = np.full((3, capacity), -1.5)
+        streams.draw_run(config, table[:2])
+        assert table[2].tobytes() == np.full(capacity, -1.5).tobytes()
+        sim = Simulation(config)
+        assert sim._nodes[:2].tobytes() == table[:2].tobytes()
+        assert_thresholds_stored(sim)
+        assert sim._nodes[2].tobytes() == (table[1] * table[0]).tobytes()
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_churn_regime(self, seed):
         config = SimulationConfig(horizon_months=24, patience=2, seed=seed, **CHURN)
@@ -1629,7 +1642,7 @@ KEY_PATHS = (
 
 def near_bounds(cls, name):
     """Floats in `cls`'s declared range for field `name`, drawn at and next to its ends as often as inside it."""
-    lo, above, hi, below = next(r[2:] for r in declared_ranges(cls) if r[0] == name)
+    _, lo, above, hi, below = declared_ranges(cls)[name]
     top = min(hi, sys.float_info.max)
     ends = [lo, math.nextafter(lo, math.inf), top, math.nextafter(top, -math.inf)]
     inside = st.floats(lo, top, exclude_min=not above(lo, lo), exclude_max=not below(top, top))
